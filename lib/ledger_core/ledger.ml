@@ -264,10 +264,14 @@ let size t = t.count
 let store_healthy t = Stream_store.healthy t.store
 let backing_store t = t.store
 
-let slot t jsn =
-  if jsn < 0 || jsn >= t.count then
-    invalid_arg (Printf.sprintf "Ledger: jsn %d out of range [0,%d)" jsn t.count);
-  t.slots.(jsn)
+(* Slot, block, proof and receipt lookups below take the structure they
+   read from, so the writer ([t]) and a published view share one body. *)
+let slot_in slots ~size jsn =
+  if jsn < 0 || jsn >= size then
+    invalid_arg (Printf.sprintf "Ledger: jsn %d out of range [0,%d)" jsn size);
+  slots.(jsn)
+
+let slot t jsn = slot_in t.slots ~size:t.count jsn
 
 let journal t jsn = (slot t jsn).journal
 let tx_hash_of t jsn = (slot t jsn).tx
@@ -322,9 +326,12 @@ let seal_block t =
 
 let block_count t = t.block_count
 
-let block t h =
-  if h < 0 || h >= t.block_count then invalid_arg "Ledger.block: out of range";
-  List.nth t.blocks (t.block_count - 1 - h)
+(* [blocks] newest first, [count] of them *)
+let block_in blocks ~count h =
+  if h < 0 || h >= count then invalid_arg "Ledger.block: out of range";
+  List.nth blocks (count - 1 - h)
+
+let block t h = block_in t.blocks ~count:t.block_count h
 
 let blocks t = List.rev t.blocks
 
@@ -449,34 +456,37 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
   Trace.exit sp;
   slots
 
-let make_receipt t s =
+(* [blocks] newest first; [sign] produces π_s over the receipt digest *)
+let receipt_of s ~blocks ~timestamp ~sign =
   Metrics.incr "ledger_receipts_issued_total";
+  let jsn = s.journal.Journal.jsn in
   let block_hash =
     (* final only when the journal's block is sealed *)
-    let rec find = function
-      | [] -> Hash.zero
-      | (b : Block.t) :: rest ->
-          if
-            s.journal.Journal.jsn >= b.Block.start_jsn
-            && s.journal.Journal.jsn < b.Block.start_jsn + b.Block.count
-          then Block.hash b
-          else find rest
-    in
-    find t.blocks
+    match
+      List.find_opt
+        (fun (b : Block.t) ->
+          jsn >= b.Block.start_jsn && jsn < b.Block.start_jsn + b.Block.count)
+        blocks
+    with
+    | Some b -> Block.hash b
+    | None -> Hash.zero
   in
-  let timestamp = Clock.now t.clock in
   let digest =
-    Receipt.signing_digest ~jsn:s.journal.Journal.jsn
-      ~request_hash:s.request_hash ~tx_hash:s.tx ~block_hash ~timestamp
+    Receipt.signing_digest ~jsn ~request_hash:s.request_hash ~tx_hash:s.tx
+      ~block_hash ~timestamp
   in
   {
-    Receipt.jsn = s.journal.Journal.jsn;
+    Receipt.jsn;
     request_hash = s.request_hash;
     tx_hash = s.tx;
     block_hash;
     timestamp;
-    lsp_sig = sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub digest;
+    lsp_sig = sign digest;
   }
+
+let make_receipt t s =
+  receipt_of s ~blocks:t.blocks ~timestamp:(Clock.now t.clock)
+    ~sign:(sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub)
 
 let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
   (match Roles.find t.registry member.Roles.id with
@@ -710,8 +720,8 @@ let verify_receipt t (r : Receipt.t) =
 
 let commitment t = Fam.commitment t.fam
 
-let get_proof t jsn =
-  let p = Fam.prove t.fam jsn in
+let prove_in fam jsn =
+  let p = Fam.prove fam jsn in
   (* encoding the proof to count bytes is itself work, so only do it when
      a sink is recording *)
   if Obs.enabled () then begin
@@ -721,6 +731,8 @@ let get_proof t jsn =
     Metrics.observe_int "ledger_proof_bytes" (Bytes.length (Wire.contents w))
   end;
   p
+
+let get_proof t jsn = prove_in t.fam jsn
 
 let verify_existence t ~jsn ~payload_digest proof =
   let sp = Trace.enter "verify.existence" in
@@ -1262,11 +1274,10 @@ end
 
 (* --- read snapshots --------------------------------------------------------- *)
 
-(* Accessors over a published view.  Each mirrors the corresponding
-   [Ledger] read accessor byte-for-byte (locked down by the differential
-   gate in test_read_view), except that payload reads go through the
-   stream pin (never the writer's latency clock) and receipts are signed
-   with the pure profile against the pinned publication time. *)
+(* Accessors over a published view.  Lookups share their bodies with the
+   writer's accessors above; payload reads go through the stream pin
+   (never the writer's latency clock) and receipts are signed with the
+   pure profile against the pinned publication time. *)
 module Read_view = struct
   type nonrec t = view
 
@@ -1278,18 +1289,8 @@ module Read_view = struct
   let members_wire v = v.v_members
   let pseudo_genesis_jsn v = v.v_pseudo_genesis
   let published_at v = v.v_now
-
-  let block v h =
-    if h < 0 || h >= v.v_block_count then
-      invalid_arg "Ledger.block: out of range";
-    List.nth v.v_blocks (v.v_block_count - 1 - h)
-
-  let slot v jsn =
-    if jsn < 0 || jsn >= v.v_size then
-      invalid_arg
-        (Printf.sprintf "Ledger: jsn %d out of range [0,%d)" jsn v.v_size);
-    v.v_slots.(jsn)
-
+  let block v h = block_in v.v_blocks ~count:v.v_block_count h
+  let slot v jsn = slot_in v.v_slots ~size:v.v_size jsn
   let journal v jsn = (slot v jsn).journal
   let tx_hash_of v jsn = (slot v jsn).tx
 
@@ -1299,17 +1300,7 @@ module Read_view = struct
     else Stream_store.read_pinned v.v_store s.store_index
 
   let commitment v = Fam.commitment v.v_fam
-
-  let get_proof v jsn =
-    let p = Fam.prove v.v_fam jsn in
-    if Obs.enabled () then begin
-      Metrics.incr "ledger_proofs_served_total";
-      let w = Wire.writer () in
-      Proof_codec.w_fam_proof w p;
-      Metrics.observe_int "ledger_proof_bytes" (Bytes.length (Wire.contents w))
-    end;
-    p
-
+  let get_proof v jsn = prove_in v.v_fam jsn
   let prove_extension v ~old_size = Fam.prove_extension v.v_fam ~old_size
   let cm_tree v = v.v_cm
   let clue_root v = Cm_tree.root_hash v.v_cm
@@ -1321,38 +1312,11 @@ module Read_view = struct
   let query_root v = Query_index.root v.v_query
 
   let receipt v jsn =
-    Metrics.incr "ledger_receipts_issued_total";
-    let s = slot v jsn in
-    let block_hash =
-      let rec find = function
-        | [] -> Hash.zero
-        | (b : Block.t) :: rest ->
-            if
-              s.journal.Journal.jsn >= b.Block.start_jsn
-              && s.journal.Journal.jsn < b.Block.start_jsn + b.Block.count
-            then Block.hash b
-            else find rest
-      in
-      find v.v_blocks
-    in
-    let timestamp = v.v_now in
-    let digest =
-      Receipt.signing_digest ~jsn:s.journal.Journal.jsn
-        ~request_hash:s.request_hash ~tx_hash:s.tx ~block_hash ~timestamp
-    in
-    {
-      Receipt.jsn = s.journal.Journal.jsn;
-      request_hash = s.request_hash;
-      tx_hash = s.tx;
-      block_hash;
-      timestamp;
-      lsp_sig =
-        Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv
-          ~pub:v.v_lsp_pub digest;
-    }
+    receipt_of (slot v jsn) ~blocks:v.v_blocks ~timestamp:v.v_now
+      ~sign:
+        (Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv
+           ~pub:v.v_lsp_pub)
 end
-
-let view_epoch t = (read_view t).v_epoch
 
 (* --- persistence ------------------------------------------------------------ *)
 

@@ -70,10 +70,11 @@ val new_member :
     Unsafe forgeries, and load — republishes an immutable {!Read_view.t}
     with a single [Atomic.set].  Any domain can grab the current view
     with {!read_view} (a single [Atomic.get], no lock) and serve proofs,
-    payloads, receipts and range-query pages against it; the view's
-    accessors mirror the corresponding [Ledger] reads byte-for-byte
-    (DESIGN.md §17).  Purge/occult erasures remain visible through
-    already-captured views: snapshots never resurrect erased payloads. *)
+    payloads, receipts and range-query pages against it.  The view is the
+    server's only read path ({!Service}); its lookups share their bodies
+    with the in-process accessors below (DESIGN.md §17).  Purge/occult
+    erasures remain visible through already-captured views: snapshots
+    never resurrect erased payloads. *)
 
 module Read_view : sig
   type t
@@ -124,9 +125,6 @@ end
 
 val read_view : t -> Read_view.t
 (** The current snapshot — one [Atomic.get], safe from any domain. *)
-
-val view_epoch : t -> int
-(** Epoch of the current snapshot. *)
 
 (** {1 Append (journal-level commitment, Fig. 1)} *)
 

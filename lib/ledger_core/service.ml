@@ -391,125 +391,6 @@ let request_kind = function
   | Get_clue_bundle _ -> "get_clue_bundle"
   | Query_page _ -> "query_page"
 
-let dispatch ledger = function
-  | Append { member_id; payload; clues; client_ts; nonce; signature } -> (
-      match
-        Ledger.append_signed ledger ~member_id ~payload ~clues ~client_ts
-          ~nonce ~signature
-      with
-      | Ok receipt -> Receipt_r receipt
-      | Error msg -> Error_r msg)
-  | Append_batch { member_id; entries } -> (
-      match Ledger.append_signed_batch ledger ~member_id entries with
-      | Ok receipts -> Receipts_r receipts
-      | Error msg -> Error_r msg)
-  | Get_payload { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else Payload_r (Ledger.payload ledger jsn)
-  | Get_proof { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else Proof_r (Ledger.get_proof ledger jsn)
-  | Get_receipt { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else Receipt_r (Ledger.get_receipt ledger jsn)
-  | Get_clue_proof { clue; first; last } ->
-      Clue_proof_r (Ledger.prove_clue ledger ~clue ?first ?last ())
-  | Get_commitment ->
-      if Ledger.size ledger = 0 then Error_r "empty ledger"
-      else
-        Commitment_r
-          { commitment = Ledger.commitment ledger; size = Ledger.size ledger }
-  | Get_extension { old_size } ->
-      if old_size <= 0 || old_size > Ledger.size ledger then
-        Error_r "old_size out of range"
-      else Extension_r (Ledger.prove_extension ledger ~old_size)
-  | Get_journal { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else begin
-        let j = Ledger.journal ledger jsn in
-        (* the shipped payload reflects erasures *)
-        let payload =
-          match Ledger.payload ledger jsn with Some p -> p | None -> Bytes.empty
-        in
-        let j = { j with Journal.payload } in
-        Journal_r
-          { tx = Ledger.tx_hash_of ledger jsn; encoded = Journal_codec.encode j }
-      end
-  | Get_block { height } ->
-      if height < 0 || height >= Ledger.block_count ledger then
-        Error_r "block out of range"
-      else Block_r (Ledger.block ledger height)
-  | Get_members ->
-      (* the registry is a hash table, so sort by name for a deterministic
-         wire response *)
-      Members_r
-        (Roles.members (Ledger.registry ledger)
-        |> List.sort (fun (a : Roles.member) (b : Roles.member) ->
-               String.compare a.Roles.name b.Roles.name)
-        |> List.map (fun (m : Roles.member) ->
-               ( m.Roles.name,
-                 Roles.role_to_string m.Roles.role,
-                 Ecdsa.public_key_to_bytes m.Roles.pub )))
-  | Get_proof_bundle { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else
-        (* one dispatch = one snapshot: the proof and the root it hashes
-           to cannot straddle a concurrent append *)
-        Proof_bundle_r
-          {
-            proof = Ledger.get_proof ledger jsn;
-            commitment = Ledger.commitment ledger;
-            size = Ledger.size ledger;
-          }
-  | Get_clue_bundle { clue; first; last } ->
-      Clue_bundle_r
-        {
-          proof = Ledger.prove_clue ledger ~clue ?first ?last ();
-          clue_root = Cm_tree.root_hash (Ledger.cm_tree ledger);
-        }
-  | Query_page { spec; window; after; page_size; pin } ->
-      if page_size <= 0 || page_size > 65536 then Error_r "bad page_size"
-      else begin
-        (* page + root under one dispatch, same snapshot contract as
-           Get_proof_bundle.  Under the writer lock the published epoch
-           is stable, so the pin check here agrees byte-for-byte with
-           the lock-free path. *)
-        let epoch = Ledger.view_epoch ledger in
-        match pin with
-        | Some e when e <> epoch -> Stale_r { pinned = e; current = epoch }
-        | Some _ | None ->
-            Query_page_r
-              {
-                page =
-                  Range_query.page (Ledger.query_index ledger) ~spec ?window
-                    ?after ~page_size ();
-                query_root = Ledger.query_root ledger;
-                commitment =
-                  (if Ledger.size ledger = 0 then Hash.zero
-                   else Ledger.commitment ledger);
-                size = Ledger.size ledger;
-                epoch;
-              }
-      end
-  | Get_checkpoint ->
-      Checkpoint_r
-        {
-          name = (Ledger.config ledger).Ledger.name;
-          size = Ledger.size ledger;
-          block_count = Ledger.block_count ledger;
-          commitment =
-            (if Ledger.size ledger = 0 then Hash.zero
-             else Ledger.commitment ledger);
-          clue_root = Cm_tree.root_hash (Ledger.cm_tree ledger);
-          nonce = Ledger.size ledger;
-          pseudo_genesis =
-            Option.map
-              (fun (j : Journal.t) -> j.Journal.jsn)
-              (Ledger.pseudo_genesis ledger);
-        }
-
-(* --- read/mutate split (lock-free read path) -------------------------------- *)
-
 let classify = function
   | Append _ | Append_batch _ -> `Mutate
   | Get_payload _ | Get_proof _ | Get_receipt _ | Get_clue_proof _
@@ -520,11 +401,11 @@ let classify = function
 
 module RV = Ledger.Read_view
 
-(* Mirror of every read arm of {!dispatch}, served from an immutable
-   snapshot.  Guard conditions and error strings must stay byte-identical
-   to the locked path — the differential gate in the test suite compares
-   encoded responses from both. *)
-let dispatch_view v = function
+(* The one read implementation: every read is answered from an immutable
+   snapshot.  Every mutation boundary republishes the view, so under the
+   writer's serialization the current view is exactly the committed
+   state; off it, the answer is that of the latest publication. *)
+let read v = function
   | Append _ | Append_batch _ ->
       (* mutations are routed through {!dispatch} by {!classify}; reaching
          here is a dispatcher bug, not a client error *)
@@ -564,11 +445,13 @@ let dispatch_view v = function
         Error_r "block out of range"
       else Block_r (RV.block v height)
   | Get_members ->
-      (* the view stores the registry pre-sorted in wire form *)
+      (* the view stores the registry pre-sorted by name in wire form *)
       Members_r (RV.members_wire v)
   | Get_proof_bundle { jsn } ->
       if jsn < 0 || jsn >= RV.size v then Error_r "jsn out of range"
       else
+        (* one snapshot: the proof and the root it hashes to cannot
+           straddle a concurrent append *)
         Proof_bundle_r
           {
             proof = RV.get_proof v jsn;
@@ -584,6 +467,8 @@ let dispatch_view v = function
   | Query_page { spec; window; after; page_size; pin } ->
       if page_size <= 0 || page_size > 65536 then Error_r "bad page_size"
       else begin
+        (* page + root from one snapshot, same contract as
+           Get_proof_bundle *)
         let epoch = RV.epoch v in
         match pin with
         | Some e when e <> epoch -> Stale_r { pinned = e; current = epoch }
@@ -613,22 +498,38 @@ let dispatch_view v = function
           pseudo_genesis = RV.pseudo_genesis_jsn v;
         }
 
-let response_of_exn = function
-  | Invalid_argument msg | Failure msg -> Error_r msg
-  | Not_found -> Error_r "not found"
+let dispatch ledger = function
+  | Append { member_id; payload; clues; client_ts; nonce; signature } -> (
+      match
+        Ledger.append_signed ledger ~member_id ~payload ~clues ~client_ts
+          ~nonce ~signature
+      with
+      | Ok receipt -> Receipt_r receipt
+      | Error msg -> Error_r msg)
+  | Append_batch { member_id; entries } -> (
+      match Ledger.append_signed_batch ledger ~member_id entries with
+      | Ok receipts -> Receipts_r receipts
+      | Error msg -> Error_r msg)
+  | req -> read (Ledger.read_view ledger) req
+
+let error_of_exn = function
+  | Invalid_argument msg | Failure msg | Sys_error msg -> msg
+  | Not_found -> "not found"
   | Ledger_storage.Stream_store.Read_error e ->
-      Error_r (Ledger_storage.Stream_store.read_error_to_string e)
+      Ledger_storage.Stream_store.read_error_to_string e
   | e -> raise e
 
-let handle ledger data =
+(* Decode → answer → encode, with the trace span and the request/error
+   counters: the one wrapper behind both entry points. *)
+let respond answer decoded =
   let sp = Ledger_obs.Trace.enter "service.handle" in
   Ledger_obs.Metrics.incr "service_requests_total";
   let resp =
-    match decode_request data with
+    match decoded with
     | None -> Error_r "malformed request"
-    | Some req ->
+    | Some req -> (
         Ledger_obs.Trace.attr sp "kind" (request_kind req);
-        (try dispatch ledger req with e -> response_of_exn e)
+        try answer req with e -> Error_r (error_of_exn e))
   in
   (match resp with
   | Error_r _ -> Ledger_obs.Metrics.incr "service_errors_total"
@@ -636,29 +537,12 @@ let handle ledger data =
   Ledger_obs.Trace.exit sp;
   encode_response resp
 
-let handle_view v data =
-  match decode_request data with
-  | None ->
-      (* malformed frames carry no mutation; answer them lock-free with
-         the same counters the locked path would bump *)
-      Ledger_obs.Metrics.incr "service_requests_total";
-      Ledger_obs.Metrics.incr "service_errors_total";
-      Some (encode_response (Error_r "malformed request"))
-  | Some req -> (
-      match classify req with
-      | `Mutate -> None
-      | `Read ->
-          let sp = Ledger_obs.Trace.enter "service.handle" in
-          Ledger_obs.Metrics.incr "service_requests_total";
-          Ledger_obs.Trace.attr sp "kind" (request_kind req);
-          let resp = try dispatch_view v req with e -> response_of_exn e in
-          (match resp with
-          | Error_r _ -> Ledger_obs.Metrics.incr "service_errors_total"
-          | _ -> ());
-          Ledger_obs.Trace.exit sp;
-          Some (encode_response resp))
+let handle ledger data = respond (dispatch ledger) (decode_request data)
 
-let handle_read ledger data = handle_view (Ledger.read_view ledger) data
+let handle_read ledger data =
+  match decode_request data with
+  | Some req when classify req = `Mutate -> None
+  | decoded -> Some (respond (read (Ledger.read_view ledger)) decoded)
 
 (* --- client ----------------------------------------------------------------- *)
 

@@ -115,14 +115,28 @@ val r_receipt : Wire.reader -> Receipt.t
 
 val handle : Ledger.t -> bytes -> bytes
 (** The server: malformed input or failed dispatch yields an encoded
-    {!Error_r}; this function never raises. *)
+    {!Error_r}; this function never raises.  Appends commit through the
+    ledger; every other request is answered from the current
+    {!Ledger.read_view}, exactly as {!handle_read} answers it. *)
+
+val error_of_exn : exn -> string
+(** The refusal message for an exception raised while answering a
+    request: bad input ([Invalid_argument], [Failure], [Not_found]) or
+    failed storage ([Sys_error], {!Ledger_storage.Stream_store.Read_error}).
+    Any other exception is re-raised.  {!handle}, {!handle_read} and the
+    sharded service all refuse through this one mapping. *)
 
 (** {1 Lock-free read path}
 
     Every request is either a {e read} (answerable from an immutable
     {!Ledger.Read_view.t} without any lock) or a {e mutation} (must be
-    serialized by the caller).  {!handle_read} is the read-only half of
-    {!handle}: byte-identical responses for reads, [None] for mutations. *)
+    serialized by the caller).  Reads have one implementation, served
+    from the snapshot by both entry points.  Two consequences are
+    deliberate: [Get_payload]/[Get_journal] read the pinned stream and
+    charge no simulated storage latency (unlike the in-process
+    {!Ledger.payload}), and [Get_receipt] is signed with the pure crypto
+    profile at the view's {!Ledger.Read_view.published_at} rather than at
+    the clock's current reading. *)
 
 val classify : request -> [ `Read | `Mutate ]
 (** [`Mutate] for {!request.Append}/{!request.Append_batch}, [`Read]
@@ -132,13 +146,8 @@ val handle_read : Ledger.t -> bytes -> bytes option
 (** Serve a read (or a malformed frame) from the current published
     snapshot — safe to call from any domain, concurrently with a writer.
     Returns [None] iff the frame decodes to a mutation, which the caller
-    must route through {!handle} under its write serialization.  Never
-    raises. *)
-
-val handle_view : Ledger.Read_view.t -> bytes -> bytes option
-(** {!handle_read} against an explicitly captured snapshot — for
-    callers (the sharded fleet) that pin one view across several inner
-    dispatches. *)
+    must route through {!handle} under its write serialization; otherwise
+    the same bytes {!handle} would answer.  Never raises. *)
 
 (** Client-side request building and response interpretation. *)
 module Client : sig

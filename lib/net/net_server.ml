@@ -79,7 +79,7 @@ let stats t =
   }
 
 let port t = t.bound_port
-let running t = not (Atomic.get t.stopped)
+let running t = not (Atomic.get t.stopping)
 
 let protect mu f =
   Mutex.lock mu;
@@ -308,7 +308,11 @@ let stop t =
         Atomic.set t.stopped true
       end)
 
+(* OCaml 5 may run a signal handler on any domain, a worker's included,
+   and a worker running [stop] would wait to join itself.  The handler
+   only raises the stopping flag: the workers drain and exit, [running]
+   turns false, and the owner calls [stop] from its own domain. *)
 let install_signal_handlers t =
-  let h = Sys.Signal_handle (fun _ -> stop t) in
+  let h = Sys.Signal_handle (fun _ -> Atomic.set t.stopping true) in
   (try Sys.set_signal Sys.sigint h with Invalid_argument _ -> ());
   try Sys.set_signal Sys.sigterm h with Invalid_argument _ -> ()

@@ -70,9 +70,15 @@ val stop : t -> unit
     Idempotent. *)
 
 val running : t -> bool
+(** [false] once a stop has begun — by {!stop} or by a signal caught
+    through {!install_signal_handlers}. *)
 
 val install_signal_handlers : t -> unit
-(** Route SIGINT and SIGTERM to {!stop}. *)
+(** On SIGINT or SIGTERM, begin a stop: workers drain and exit, and
+    {!running} turns [false].  The handler never joins a domain (OCaml
+    may run it on a worker), so the owner must still call {!stop} —
+    typically after polling {!running} — to close the listener and join
+    the workers. *)
 
 type stats = {
   accepted : int;  (** connections accepted over the server's lifetime *)

@@ -312,25 +312,29 @@ type sharded_proof = {
   inclusion : Super_root.inclusion;
 }
 
+(* Served from the shard's published view and the atomically published
+   sealed history, so it is safe from any domain, concurrently with the
+   writer. *)
 let prove t ~shard:i ~jsn =
-  let m = member_state t i in
+  let module RV = Ledger.Read_view in
+  let v = Ledger.read_view (member_state t i).ledger in
   match latest t with
   | None -> Error "no sealed epoch: seal_epoch before proving"
   | Some sealed ->
-      if not (Hash.equal (Ledger.commitment m.ledger) sealed.Super_root.shard_roots.(i))
+      if not (Hash.equal (RV.commitment v) sealed.Super_root.shard_roots.(i))
       then
         Error
           (Printf.sprintf
              "shard %d has committed past epoch %d's sealed root; reseal" i
              sealed.Super_root.epoch)
-      else if jsn < 0 || jsn >= Ledger.size m.ledger then
+      else if jsn < 0 || jsn >= RV.size v then
         Error (Printf.sprintf "jsn %d out of range on shard %d" jsn i)
       else
         Ok
           {
             shard = i;
             jsn;
-            fam = Ledger.get_proof m.ledger jsn;
+            fam = RV.get_proof v jsn;
             inclusion = Super_root.prove sealed ~shard:i;
           }
 
@@ -371,64 +375,3 @@ let encode_sharded_proof p =
   Wire.contents w
 
 let decode_sharded_proof b = Wire.decode b r_sharded_proof
-
-(* --- fleet read view (lock-free read path) ---------------------------------- *)
-
-module RV = Ledger.Read_view
-
-type fleet_view = {
-  fv_name : string;
-  fv_shards : RV.t array;
-      (* each shard's currently-published snapshot; shard views advance
-         independently between epoch seals — cross-shard atomicity is
-         exactly what [fv_sealed_rev] provides *)
-  fv_sealed_rev : Super_root.sealed list; (* newest first *)
-  fv_sealed_count : int;
-}
-
-let fleet_view t =
-  let fv_sealed_rev, fv_sealed_count = Atomic.get t.sealed in
-  {
-    fv_name = t.cfg.base.Ledger.name;
-    fv_shards = Array.map (fun m -> Ledger.read_view m.ledger) t.members;
-    fv_sealed_rev;
-    fv_sealed_count;
-  }
-
-let view_shard_count fv = Array.length fv.fv_shards
-
-let view_latest fv =
-  match fv.fv_sealed_rev with [] -> None | s :: _ -> Some s
-
-let view_epoch_sealed fv e =
-  List.find_opt (fun (s : Super_root.sealed) -> s.Super_root.epoch = e)
-    fv.fv_sealed_rev
-
-let announce_view t fv = Option.map (announce_sealed t) (view_latest fv)
-
-let announce_epoch_view t fv e =
-  Option.map (announce_sealed t) (view_epoch_sealed fv e)
-
-(* Mirror of {!prove} against the view; error strings must match the
-   live path for the differential gate. *)
-let prove_view fv ~shard:i ~jsn =
-  let v = fv.fv_shards.(i) in
-  match view_latest fv with
-  | None -> Error "no sealed epoch: seal_epoch before proving"
-  | Some sealed ->
-      if not (Hash.equal (RV.commitment v) sealed.Super_root.shard_roots.(i))
-      then
-        Error
-          (Printf.sprintf
-             "shard %d has committed past epoch %d's sealed root; reseal" i
-             sealed.Super_root.epoch)
-      else if jsn < 0 || jsn >= RV.size v then
-        Error (Printf.sprintf "jsn %d out of range on shard %d" jsn i)
-      else
-        Ok
-          {
-            shard = i;
-            jsn;
-            fam = RV.get_proof v jsn;
-            inclusion = Super_root.prove sealed ~shard:i;
-          }

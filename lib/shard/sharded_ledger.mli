@@ -188,9 +188,12 @@ type sharded_proof = {
 }
 
 val prove : t -> shard:int -> jsn:int -> (sharded_proof, string) result
-(** Compose the two hops against the latest sealed epoch.  Refused when
-    no epoch is sealed, or when the shard has committed past its sealed
-    root (the proof would dangle) — reseal and retry. *)
+(** Compose the two hops against the latest sealed epoch, from the
+    shard's published {!Ledger_core.Ledger.Read_view} — safe from any
+    domain, concurrently with appends and seals.  Refused when no epoch
+    is sealed, or when the shard has committed past its sealed root (the
+    proof would dangle) — reseal and retry.
+    @raise Invalid_argument when [shard] is out of range. *)
 
 val verify_proof :
   t -> super:Hash.t -> ?payload_digest:Hash.t -> sharded_proof -> bool
@@ -203,39 +206,3 @@ val w_sharded_proof : Wire.writer -> sharded_proof -> unit
 val r_sharded_proof : Wire.reader -> sharded_proof
 val encode_sharded_proof : sharded_proof -> bytes
 val decode_sharded_proof : bytes -> sharded_proof option
-
-(** {1 Fleet read view (lock-free read path)}
-
-    A coherent, immutable snapshot of the fleet for serving reads from
-    any domain with no lock: each shard's atomically-published
-    {!Ledger.Read_view.t} plus one atomic read of the sealed-epoch
-    history.  Shard views advance independently between seals — the
-    epoch super-roots in [fv_sealed_rev] are the only cross-shard
-    consistency anchor, exactly as on the live path. *)
-
-type fleet_view = {
-  fv_name : string;
-  fv_shards : Ledger.Read_view.t array;
-  fv_sealed_rev : Super_root.sealed list;  (** newest first *)
-  fv_sealed_count : int;
-}
-
-val fleet_view : t -> fleet_view
-(** Capture the current snapshot; safe from any domain, concurrently
-    with appends/seals. *)
-
-val view_shard_count : fleet_view -> int
-val view_latest : fleet_view -> Super_root.sealed option
-val view_epoch_sealed : fleet_view -> int -> Super_root.sealed option
-
-val announce_view : t -> fleet_view -> Gossip.announcement option
-val announce_epoch_view : t -> fleet_view -> int -> Gossip.announcement option
-(** Signing uses the fleet key from [t] (immutable); the epoch data
-    comes from the view. *)
-
-val prove_view :
-  fleet_view -> shard:int -> jsn:int -> (sharded_proof, string) result
-(** {!prove} against the view — byte-identical results and error
-    strings at the same fleet state.
-    @raise Invalid_argument when [shard] is out of range (callers
-    bounds-check first, as on the live path). *)

@@ -25,33 +25,16 @@ let paginate idx ~spec ?window ~page_size () =
   in
   go None [] 0
 
+(* Each shard answers from its own published view: root, commitment,
+   size and pages come from one snapshot even while the shard's writer
+   keeps appending, so the scatter is safe from any domain. *)
 let scatter t ~spec ?window ~page_size () =
   if page_size <= 0 then invalid_arg "Sharded_query.scatter: bad page_size";
+  let module RV = Ledger.Read_view in
   let n = Sharded_ledger.shard_count t in
   let answers =
     List.init n (fun i ->
-        let ledger = Sharded_ledger.shard t i in
-        {
-          shard = i;
-          query_root = Ledger.query_root ledger;
-          commitment = Ledger.commitment ledger;
-          size = Ledger.size ledger;
-          pages =
-            paginate (Ledger.query_index ledger) ~spec ?window ~page_size ();
-        })
-  in
-  { shards = n; answers }
-
-(* Same scatter, from a captured fleet view: every per-shard answer is
-   internally coherent (root, commitment, size and pages from one
-   snapshot), even while the shard's writer keeps appending. *)
-let scatter_view fv ~spec ?window ~page_size () =
-  if page_size <= 0 then invalid_arg "Sharded_query.scatter: bad page_size";
-  let module RV = Ledger.Read_view in
-  let n = Sharded_ledger.view_shard_count fv in
-  let answers =
-    List.init n (fun i ->
-        let v = fv.Sharded_ledger.fv_shards.(i) in
+        let v = Ledger.read_view (Sharded_ledger.shard t i) in
         {
           shard = i;
           query_root = RV.query_root v;

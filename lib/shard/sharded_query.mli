@@ -39,18 +39,9 @@ val scatter :
   page_size:int ->
   unit ->
   scatter
-(** Server side: run the full paginated scan on every shard.
-    @raise Invalid_argument when [page_size <= 0]. *)
-
-val scatter_view :
-  Sharded_ledger.fleet_view ->
-  spec:Ledger_query.Range_query.spec ->
-  ?window:Ledger_query.Range_query.window ->
-  page_size:int ->
-  unit ->
-  scatter
-(** {!scatter} from a captured {!Sharded_ledger.fleet_view} — the
-    lock-free read path; safe from any domain while writers append.
+(** Server side: run the full paginated scan on every shard, each shard
+    answering from its published {!Ledger_core.Ledger.Read_view} — safe
+    from any domain while writers append.
     @raise Invalid_argument when [page_size <= 0]. *)
 
 val merge :

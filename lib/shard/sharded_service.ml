@@ -154,6 +154,21 @@ let route_inner t inner =
   | Some _ -> Error "routed append: not an append request"
   | None -> Error "routed append: malformed inner request"
 
+let classify = function
+  | Routed_append _ | Seal_epoch -> `Mutate
+  | To_shard { inner; _ } -> (
+      (* a wrapped request mutates iff its inner envelope does; a
+         malformed inner is refused the same way on either path *)
+      match Service.decode_request inner with
+      | Some inner_req -> Service.classify inner_req
+      | None -> `Read)
+  | Get_topology | Get_super_root _ | Get_sharded_proof _ | Get_announcement _
+  | Query_scatter _ ->
+      `Read
+
+(* Every read arm is served from published snapshots (shard read views,
+   the atomically published sealed history) or immutable identity, so
+   {!classify}'s reads are safe without the writer's lock. *)
 let dispatch t = function
   | To_shard { shard; inner } ->
       if shard < 0 || shard >= Sharded_ledger.shard_count t then
@@ -197,93 +212,25 @@ let dispatch t = function
       if page_size <= 0 || page_size > 65536 then Error_r "bad page_size"
       else Query_scatter_r (Sharded_query.scatter t ~spec ?window ~page_size ())
 
-let handle t b =
+let respond t decoded =
   Metrics.incr "sharded_service_requests_total";
   let resp =
-    match decode_request b with
+    match decoded with
     | None -> Error_r "malformed sharded request"
     | Some req -> (
-        try dispatch t req
-        with Invalid_argument msg | Failure msg | Sys_error msg -> Error_r msg)
+        try dispatch t req with e -> Error_r (Service.error_of_exn e))
   in
   (match resp with
   | Error_r _ -> Metrics.incr "sharded_service_errors_total"
   | _ -> ());
   encode_response resp
 
-(* --- read/mutate split (lock-free read path) -------------------------------- *)
-
-let classify = function
-  | Routed_append _ | Seal_epoch -> `Mutate
-  | To_shard { inner; _ } -> (
-      (* a wrapped request mutates iff its inner envelope does; a
-         malformed inner is answered with the same error on either
-         path, so it can ride the lock-free one *)
-      match Service.decode_request inner with
-      | Some inner_req -> Service.classify inner_req
-      | None -> `Read)
-  | Get_topology | Get_super_root _ | Get_sharded_proof _ | Get_announcement _
-  | Query_scatter _ ->
-      `Read
-
-(* Mirror of every read arm of {!dispatch} against a captured
-   {!Sharded_ledger.fleet_view}; [t] supplies only immutable identity
-   (the fleet signing key) for announcements. *)
-let dispatch_view t fv = function
-  | Routed_append _ | Seal_epoch -> assert false
-  | To_shard { shard; inner } -> (
-      if shard < 0 || shard >= Sharded_ledger.view_shard_count fv then
-        Error_r (Printf.sprintf "no such shard %d" shard)
-      else
-        match Service.handle_view fv.Sharded_ledger.fv_shards.(shard) inner with
-        | Some inner -> From_shard { shard; inner }
-        | None -> assert false (* classify said the inner is a read *))
-  | Get_topology ->
-      Topology_r
-        {
-          name = fv.Sharded_ledger.fv_name;
-          shards = Sharded_ledger.view_shard_count fv;
-        }
-  | Get_super_root { epoch } -> (
-      match epoch with
-      | None -> Super_root_r (Sharded_ledger.view_latest fv)
-      | Some e -> Super_root_r (Sharded_ledger.view_epoch_sealed fv e))
-  | Get_sharded_proof { shard; jsn } -> (
-      if shard < 0 || shard >= Sharded_ledger.view_shard_count fv then
-        Error_r (Printf.sprintf "no such shard %d" shard)
-      else
-        match Sharded_ledger.prove_view fv ~shard ~jsn with
-        | Ok proof -> Sharded_proof_r proof
-        | Error msg -> Error_r msg)
-  | Get_announcement { epoch } -> (
-      match epoch with
-      | None -> Announcement_r (Sharded_ledger.announce_view t fv)
-      | Some e -> Announcement_r (Sharded_ledger.announce_epoch_view t fv e))
-  | Query_scatter { spec; window; page_size } ->
-      if page_size <= 0 || page_size > 65536 then Error_r "bad page_size"
-      else
-        Query_scatter_r (Sharded_query.scatter_view fv ~spec ?window ~page_size ())
+let handle t b = respond t (decode_request b)
 
 let handle_read t b =
   match decode_request b with
-  | None ->
-      Metrics.incr "sharded_service_requests_total";
-      Metrics.incr "sharded_service_errors_total";
-      Some (encode_response (Error_r "malformed sharded request"))
-  | Some req -> (
-      match classify req with
-      | `Mutate -> None
-      | `Read ->
-          Metrics.incr "sharded_service_requests_total";
-          let resp =
-            try dispatch_view t (Sharded_ledger.fleet_view t) req
-            with Invalid_argument msg | Failure msg | Sys_error msg ->
-              Error_r msg
-          in
-          (match resp with
-          | Error_r _ -> Metrics.incr "sharded_service_errors_total"
-          | _ -> ());
-          Some (encode_response resp))
+  | Some req when classify req = `Mutate -> None
+  | decoded -> Some (respond t decoded)
 
 module Client = struct
   type t = {

@@ -67,10 +67,11 @@ val classify : request -> [ `Read | `Mutate ]
     same way on either path). *)
 
 val handle_read : Sharded_ledger.t -> bytes -> bytes option
-(** The read-only half of {!handle}, served from a
-    {!Sharded_ledger.fleet_view} with no lock — byte-identical
-    responses for reads, [None] for mutations.  Safe from any domain
-    concurrently with appends and seals.  Never raises. *)
+(** The read-only half of {!handle}: [None] for mutations, otherwise the
+    answer {!handle} gives.  Every read is served from published
+    snapshots — the shards' {!Ledger_core.Ledger.Read_view}s and the
+    sealed-epoch history — so this needs no lock and is safe from any
+    domain, concurrently with appends and seals.  Never raises. *)
 
 (** Client-side routing, signing and response interpretation.  Holds one
     {!Ledger_core.Service.Client} per shard — each shard is a distinct

@@ -462,6 +462,50 @@ let test_drain_answers_reads () =
 (* socket-level faults                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A caught SIGINT/SIGTERM only begins the stop: OCaml may run the
+   handler on a worker domain, which must not join itself.  [running]
+   turns false within a bounded wait, and the owner's [stop] returns. *)
+let test_signal_begins_stop () =
+  let _, _, ledger, _ = build_ledger ~name:"sig" ~entries:2 () in
+  let server =
+    Net_server.create
+      ~config:{ Net_server.default_config with workers = 2 }
+      ~read:(Service.handle_read ledger) (Service.handle ledger)
+  in
+  let prev_int = Sys.signal Sys.sigint Sys.Signal_default in
+  let prev_term = Sys.signal Sys.sigterm Sys.Signal_default in
+  Fun.protect
+    ~finally:(fun () ->
+      Net_server.stop server;
+      Sys.set_signal Sys.sigint prev_int;
+      Sys.set_signal Sys.sigterm prev_term)
+    (fun () ->
+      Net_server.install_signal_handlers server;
+      Alcotest.(check bool) "running before the signal" true
+        (Net_server.running server);
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Net_server.running server && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      Alcotest.(check bool) "signal turned running false" false
+        (Net_server.running server);
+      let stopped = Atomic.make false in
+      let stopper =
+        Thread.create
+          (fun () ->
+            Net_server.stop server;
+            Atomic.set stopped true)
+          ()
+      in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      Alcotest.(check bool) "stop returned after the signal" true
+        (Atomic.get stopped);
+      Thread.join stopper)
+
 let test_killed_server_mid_request () =
   let _, _, ledger, _ = build_ledger ~name:"kill" () in
   let server = Net_server.create (Service.handle ledger) in
@@ -744,6 +788,8 @@ let suite =
       test_reads_never_take_the_lock;
     tc "server: stop-drain answers queued reads lock-free" `Quick
       test_drain_answers_reads;
+    tc "server: signal begins a stop, owner's stop returns" `Quick
+      test_signal_begins_stop;
     tc "transport: killed server surfaces attempts" `Quick
       test_killed_server_mid_request;
     tc "replica: pull resumes over TCP after reconnect" `Quick

@@ -1,18 +1,25 @@
-(* The lock-free read path (DESIGN.md §17), locked down three ways:
+(* The read path (DESIGN.md §17), locked down three ways:
 
-   1. differentially — every read served from a published
-      {!Ledger.Read_view} must be byte-identical to the same request
-      dispatched against the live, lock-held ledger (receipt timestamps
-      and error strings included), at every mutation boundary: append,
-      block seal, occult (sync and async), reorganize, storage
-      compaction and purge;
+   1. golden responses — the SHA-256 of every encoded response to a
+      fixed read battery is checked against [read_view.golden]: at every
+      mutation boundary of a single ledger (append, block seal, occult
+      sync and async, reorganize, storage compaction, purge), on an empty
+      ledger, exhaustively over a small request domain, and over a
+      sharded fleet before and after an epoch seal.  Both entry points —
+      [handle] (run under the writer's serialization) and the lock-free
+      [handle_read] — must reproduce every recorded byte, receipt
+      timestamps and error strings included;
    2. pinned pagination — a paged scan that pins its first page's epoch
       either completes against that snapshot or gets a typed [Stale_r]
       refusal, never a silently cross-snapshot page;
    3. concurrently — reader domains hammer the snapshot path while a
       writer appends, seals and reorganizes; every proof must verify
       against the commitment shipped in the {e same} response, and no
-      scan may mix two epochs without a [Stale_r]. *)
+      scan may mix two epochs without a [Stale_r].
+
+   Two smaller tests pin what serving from the snapshot means (no
+   storage latency charged, receipts signed at publication time) and
+   that a killed store is refused, typed, on every entry point. *)
 
 open Ledger_crypto
 open Ledger_storage
@@ -22,11 +29,10 @@ open Ledger_cmtree
 module Range_query = Ledger_query.Range_query
 
 let tc = Alcotest.test_case
-let qcheck = QCheck_alcotest.to_alcotest
 
 (* Real crypto (deterministic ECDSA, no simulated signing cost) + free
-   latency (reads charge no simulated I/O): neither path advances any
-   clock, so live and snapshot responses must agree to the last byte. *)
+   latency: every response is a pure function of the committed history,
+   so its digest can be recorded once and replayed forever. *)
 let make_env ?(entries = 10) ~name () =
   let clock = Clock.create () in
   let config =
@@ -51,10 +57,82 @@ let make_env ?(entries = 10) ~name () =
   ( clock, ledger,
     (alice, alice_key), (dba, dba_key), (regulator, regulator_key) )
 
+let view_epoch ledger = Ledger.Read_view.epoch (Ledger.read_view ledger)
+
+(* --- golden responses ------------------------------------------------- *)
+
+(* [read_view.golden] holds one "<key> <sha256-hex>" line per recorded
+   response; '#' lines are comments.  Keys are "<battery>:<context>/<i>".
+   On a mismatch every computed line of the failing battery is appended
+   to [read_view.golden.actual] beside the running test binary, ready to
+   be reviewed and copied over the checked-in file. *)
+let golden_file = "read_view.golden"
+
+let goldens =
+  lazy
+    (let tbl = Hashtbl.create 512 in
+     In_channel.with_open_text golden_file (fun ic ->
+         let rec go () =
+           match In_channel.input_line ic with
+           | None -> ()
+           | Some line ->
+               (if line <> "" && line.[0] <> '#' then
+                  let k = String.rindex line ' ' in
+                  Hashtbl.replace tbl (String.sub line 0 k)
+                    (String.sub line (k + 1) (String.length line - k - 1)));
+               go ()
+         in
+         go ());
+     tbl)
+
+(* Answer every request through both entry points; they must agree
+   byte for byte, and the shared answer is digested under "<ctx>/<i>". *)
+let answers ~ctx ~handle ~handle_read reqs =
+  List.mapi
+    (fun i req ->
+      let locked = handle req in
+      match handle_read req with
+      | None -> Alcotest.failf "%s: request %d misclassified as a mutation" ctx i
+      | Some lock_free ->
+          if not (Bytes.equal locked lock_free) then
+            Alcotest.failf "%s: request %d: handle_read ≠ handle" ctx i;
+          (Printf.sprintf "%s/%02d" ctx i, Hash.to_hex (Hash.digest_bytes locked)))
+    reqs
+
+let check_goldens ~battery lines =
+  let tbl = Lazy.force goldens in
+  let prefix = battery ^ ":" in
+  let recorded =
+    Hashtbl.fold
+      (fun k _ n -> if String.starts_with ~prefix k then n + 1 else n)
+      tbl 0
+  in
+  let differing =
+    List.filter (fun (k, hex) -> Hashtbl.find_opt tbl k <> Some hex) lines
+  in
+  if differing <> [] || recorded <> List.length lines then begin
+    Out_channel.with_open_gen
+      [ Open_wronly; Open_append; Open_creat; Open_text ]
+      0o644 (golden_file ^ ".actual")
+      (fun oc ->
+        List.iter (fun (k, hex) -> Printf.fprintf oc "%s %s\n" k hex) lines);
+    match differing with
+    | (k, _) :: _ ->
+        Alcotest.failf "%s: %d of %d responses differ from %s (first: %s)"
+          battery (List.length differing) (List.length lines) golden_file k
+    | [] ->
+        Alcotest.failf "%s: %d responses computed, %d recorded in %s" battery
+          (List.length lines) recorded golden_file
+  end
+
+let ledger_answers ~ctx ledger reqs =
+  answers ~ctx ~handle:(Service.handle ledger)
+    ~handle_read:(Service.handle_read ledger) reqs
+
 (* Every read request kind, in range, out of range, and malformed. *)
 let read_battery ledger =
   let size = Ledger.size ledger in
-  let epoch = Ledger.view_epoch ledger in
+  let epoch = view_epoch ledger in
   let open Service.Client in
   [
     make_get_commitment ();
@@ -96,45 +174,36 @@ let read_battery ledger =
     Bytes.empty;
   ]
 
-let check_differential ~ctx ledger =
-  List.iteri
-    (fun i req ->
-      let live = Service.handle ledger req in
-      match Service.handle_read ledger req with
-      | None ->
-          Alcotest.failf "%s: request %d misclassified as a mutation" ctx i
-      | Some snap ->
-          if not (Bytes.equal live snap) then
-            Alcotest.failf "%s: request %d: snapshot response ≠ locked" ctx i)
-    (read_battery ledger)
+let battery_answers ~ctx ledger =
+  ledger_answers ~ctx:("single:" ^ ctx) ledger (read_battery ledger)
 
 let test_differential_over_mutations () =
   let clock, ledger, (alice, alice_key), (dba, dba_key), (reg, reg_key) =
     make_env ~entries:10 ~name:"rv-diff" ()
   in
-  check_differential ~ctx:"after appends" ledger;
+  let after_appends = battery_answers ~ctx:"appends" ledger in
   Ledger.seal_block ledger;
-  check_differential ~ctx:"after seal_block" ledger;
+  let after_seal = battery_answers ~ctx:"seal_block" ledger in
   (match
      Ledger.occult ledger ~target_jsn:2 ~mode:Ledger.Sync
        ~signers:[ (dba, dba_key); (reg, reg_key) ] ~reason:"rv diff"
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  check_differential ~ctx:"after occult(Sync)" ledger;
+  let after_occult_sync = battery_answers ~ctx:"occult_sync" ledger in
   (match
      Ledger.occult ledger ~target_jsn:4 ~mode:Ledger.Async
        ~signers:[ (dba, dba_key); (reg, reg_key) ] ~reason:"rv diff"
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  (* async occult marked but not yet erased: snapshot must reflect the
-     live erasure state, not race ahead of reorganize *)
-  check_differential ~ctx:"after occult(Async)" ledger;
+  (* async occult marked but not yet erased: the payload is still served
+     until reorganize erases it *)
+  let after_occult_async = battery_answers ~ctx:"occult_async" ledger in
   ignore (Ledger.reorganize ledger);
-  check_differential ~ctx:"after reorganize" ledger;
+  let after_reorganize = battery_answers ~ctx:"reorganize" ledger in
   ignore (Ledger.compact_storage ledger);
-  check_differential ~ctx:"after compact_storage" ledger;
+  let after_compact = battery_answers ~ctx:"compact_storage" ledger in
   let request =
     { Ledger.upto_jsn = 3; survivors = [ 1 ]; erase_fam_nodes = false }
   in
@@ -144,16 +213,21 @@ let test_differential_over_mutations () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  check_differential ~ctx:"after purge" ledger;
+  let after_purge = battery_answers ~ctx:"purge" ledger in
   Clock.advance_ms clock 10.;
   ignore
     (Ledger.append ledger ~member:alice ~priv:alice_key ~clues:[ "rv-post" ]
        (Bytes.of_string "post purge"));
-  check_differential ~ctx:"after post-purge append" ledger
+  let after_post_purge = battery_answers ~ctx:"post_purge_append" ledger in
+  check_goldens ~battery:"single"
+    (List.concat
+       [ after_appends; after_seal; after_occult_sync; after_occult_async;
+         after_reorganize; after_compact; after_purge; after_post_purge ])
 
 let test_differential_empty_ledger () =
   let _, ledger, _, _, _ = make_env ~entries:0 ~name:"rv-empty" () in
-  check_differential ~ctx:"empty ledger" ledger
+  check_goldens ~battery:"empty"
+    (ledger_answers ~ctx:"empty:ledger" ledger (read_battery ledger))
 
 let test_mutations_refused_on_read_path () =
   let clock, ledger, (alice, alice_key), _, _ =
@@ -189,38 +263,141 @@ let test_mutations_refused_on_read_path () =
   | Some (Service.Receipts_r _) -> ()
   | _ -> Alcotest.fail "locked path rejected the batch"
 
-(* --- qcheck: random reads stay byte-identical ----------------------- *)
+(* --- the read path's two semantic decisions ---------------------------- *)
 
-let diff_env = lazy (make_env ~entries:12 ~name:"rv-rand" ())
+(* Served reads come from the snapshot: a payload read charges no
+   simulated storage latency (the in-process accessor still does), and a
+   receipt is signed at the view's publication time, not at the clock's
+   current reading. *)
+let test_served_read_semantics () =
+  let clock = Clock.create () in
+  let config =
+    { Ledger.default_config with name = "rv-sem"; block_size = 4;
+      latency = Latency_model.default; crypto = Crypto_profile.Real }
+  in
+  let ledger = Ledger.create ~config ~clock () in
+  let alice, alice_key =
+    Ledger.new_member ledger ~name:"alice" ~role:Roles.Regular_user
+  in
+  ignore
+    (Ledger.append ledger ~member:alice ~priv:alice_key ~clues:[ "sem" ]
+       (Bytes.of_string "semantics"));
+  let published = Ledger.Read_view.published_at (Ledger.read_view ledger) in
+  Clock.advance_ms clock 25.;
+  let now = Clock.now clock in
+  let payload_req = Service.Client.make_get_payload ~jsn:0 in
+  List.iter
+    (fun (path, resp) ->
+      (match Service.Client.parse resp with
+      | Some (Service.Payload_r (Some p)) ->
+          Alcotest.(check string) (path ^ ": payload") "semantics"
+            (Bytes.to_string p)
+      | _ -> Alcotest.failf "%s: payload read refused" path);
+      Alcotest.(check int64) (path ^ ": no latency charged") now
+        (Clock.now clock))
+    [
+      ("handle", Service.handle ledger payload_req);
+      ("handle_read", Option.get (Service.handle_read ledger payload_req));
+    ];
+  ignore (Ledger.payload ledger 0);
+  Alcotest.(check bool) "in-process payload still charges latency" true
+    (Clock.now clock > now);
+  let receipt_req = Service.Client.make_get_receipt ~jsn:0 in
+  List.iter
+    (fun (path, resp) ->
+      match Service.Client.parse resp with
+      | Some (Service.Receipt_r r) ->
+          Alcotest.(check int64) (path ^ ": signed at publication") published
+            r.Receipt.timestamp;
+          Alcotest.(check bool) (path ^ ": π_s verifies") true
+            (Ledger.verify_receipt ledger r)
+      | _ -> Alcotest.failf "%s: receipt refused" path)
+    [
+      ("handle", Service.handle ledger receipt_req);
+      ("handle_read", Option.get (Service.handle_read ledger receipt_req));
+    ]
 
-let prop_differential_random =
-  QCheck.Test.make ~name:"random reads: snapshot ≡ locked dispatch"
-    ~count:40
-    QCheck.(triple (int_range (-3) 20) (int_range 0 4) (int_range (-1) 6))
-    (fun (jsn, clue_i, page_size) ->
-      let _, ledger, _, _, _ = Lazy.force diff_env in
-      let clue = "rv-" ^ string_of_int clue_i in
-      let open Service.Client in
-      let reqs =
-        [
-          make_get_proof ~jsn;
-          make_get_payload ~jsn;
-          make_get_receipt ~jsn;
-          make_get_journal ~jsn;
-          make_get_block ~height:jsn;
-          make_get_extension ~old_size:jsn;
-          make_get_proof_bundle ~jsn;
-          make_get_clue_proof ~clue ();
-          make_get_clue_bundle ~clue ();
-          make_query_page ~spec:(Range_query.Prefix clue) ~page_size ();
-        ]
-      in
-      List.for_all
-        (fun req ->
-          match Service.handle_read ledger req with
-          | None -> false
-          | Some snap -> Bytes.equal (Service.handle ledger req) snap)
-        reqs)
+(* --- a dead store is a typed refusal ------------------------------------ *)
+
+let is_error_r resp =
+  match Service.Client.parse resp with
+  | Some (Service.Error_r _) -> true
+  | _ -> false
+
+let test_dead_store_refused () =
+  let _, ledger, _, _, _ = make_env ~entries:3 ~name:"rv-dead" () in
+  Stream_store.Unsafe.kill (Ledger.backing_store ledger);
+  let req = Service.Client.make_get_payload ~jsn:0 in
+  Alcotest.(check bool) "handle refuses" true
+    (is_error_r (Service.handle ledger req));
+  Alcotest.(check bool) "handle_read refuses" true
+    (is_error_r (Option.get (Service.handle_read ledger req)));
+  let module SL = Ledger_shard.Sharded_ledger in
+  let module SS = Ledger_shard.Sharded_service in
+  let clock = Clock.create () in
+  let config =
+    {
+      SL.base =
+        { Ledger.default_config with name = "rv-dead-fleet";
+          latency = Latency_model.free; crypto = Crypto_profile.Real };
+      shards = 2;
+    }
+  in
+  let fleet = SL.create ~config ~clock () in
+  let user, key = SL.new_member fleet ~name:"fu" ~role:Roles.Regular_user in
+  let shard, _ =
+    SL.append fleet ~member:user ~priv:key ~clues:[ "dead" ]
+      (Bytes.of_string "on a dying shard")
+  in
+  Stream_store.Unsafe.kill (Ledger.backing_store (SL.shard fleet shard));
+  let req = SS.Client.make_to_shard ~shard req in
+  List.iter
+    (fun (path, resp) ->
+      match SS.Client.parse resp with
+      | Some (SS.From_shard { shard = s; inner }) ->
+          Alcotest.(check int) (path ^ ": answered by the shard") shard s;
+          Alcotest.(check bool) (path ^ ": inner refusal") true
+            (is_error_r inner)
+      | _ -> Alcotest.failf "%s: no From_shard answer" path)
+    [
+      ("SS.handle", SS.handle fleet req);
+      ("SS.handle_read", Option.get (SS.handle_read fleet req));
+    ]
+
+(* --- every read over a small request domain ------------------------- *)
+
+(* Each request kind over its whole small parameter domain: jsn/height/
+   old_size in [-3, 20] against a 12-journal ledger (in range, both
+   edges, past the end), five clues (three present, two absent) and
+   page sizes in [-1, 6] per clue. *)
+let test_request_domain () =
+  let _, ledger, _, _, _ = make_env ~entries:12 ~name:"rv-rand" () in
+  let open Service.Client in
+  let per_jsn jsn =
+    [
+      make_get_proof ~jsn;
+      make_get_payload ~jsn;
+      make_get_receipt ~jsn;
+      make_get_journal ~jsn;
+      make_get_block ~height:jsn;
+      make_get_extension ~old_size:jsn;
+      make_get_proof_bundle ~jsn;
+    ]
+  in
+  let per_clue clue_i =
+    let clue = "rv-" ^ string_of_int clue_i in
+    make_get_clue_proof ~clue ()
+    :: make_get_clue_bundle ~clue ()
+    :: List.init 8 (fun k ->
+           make_query_page ~spec:(Range_query.Prefix clue) ~page_size:(k - 1)
+             ())
+  in
+  let reqs =
+    List.concat_map per_jsn (List.init 24 (fun k -> k - 3))
+    @ List.concat_map per_clue (List.init 5 Fun.id)
+  in
+  check_goldens ~battery:"domain"
+    (ledger_answers ~ctx:"domain:rv-rand" ledger reqs)
 
 (* --- epoch-pinned pagination ---------------------------------------- *)
 
@@ -244,7 +421,7 @@ let test_query_pin () =
     | _ -> Alcotest.fail "first page failed"
   in
   Alcotest.(check int) "epoch is the published view's"
-    (Ledger.view_epoch ledger) epoch;
+    (view_epoch ledger) epoch;
   let after = match cursor with Some c -> c | None -> Alcotest.fail "one-page scan" in
   (* same-epoch pin is honoured and echoes the same epoch *)
   (match
@@ -266,7 +443,7 @@ let test_query_pin () =
   | Service.Stale_r { pinned; current } ->
       Alcotest.(check int) "refusal echoes the pin" epoch pinned;
       Alcotest.(check int) "refusal reports the current epoch"
-        (Ledger.view_epoch ledger) current
+        (view_epoch ledger) current
   | Service.Query_page_r _ -> Alcotest.fail "stale pin served a page"
   | _ -> Alcotest.fail "unexpected response to a stale pin");
   (* the locked path refuses byte-identically *)
@@ -278,7 +455,7 @@ let test_query_pin () =
   match
     parse_page ledger
       (Service.Client.make_query_page ~spec ~after
-         ~pin:(Ledger.view_epoch ledger) ~page_size:1 ())
+         ~pin:(view_epoch ledger) ~page_size:1 ())
   with
   | Service.Query_page_r _ -> ()
   | _ -> Alcotest.fail "fresh pin refused"
@@ -416,7 +593,7 @@ let test_concurrent_readers () =
         true (n > 0))
     iterations
 
-(* --- sharded fleet: snapshot dispatch ≡ locked dispatch -------------- *)
+(* --- sharded fleet ----------------------------------------------------- *)
 
 let test_sharded_differential () =
   let module SL = Ledger_shard.Sharded_ledger in
@@ -433,15 +610,15 @@ let test_sharded_differential () =
   in
   let fleet = SL.create ~config ~clock () in
   let user, key = SL.new_member fleet ~name:"fu" ~role:Roles.Regular_user in
-  for i = 0 to 11 do
+  let append i =
     Clock.advance_ms clock 10.;
     ignore
       (SL.append fleet ~member:user ~priv:key
          ~clues:[ "f" ^ string_of_int (i mod 4) ]
          (Bytes.of_string (Printf.sprintf "f %d" i)))
-  done;
-  (match SL.seal_epoch fleet with Ok _ -> () | Error e -> Alcotest.fail e);
+  in
   let battery =
+    let to_shard shard inner = SS.Client.make_to_shard ~shard inner in
     [
       SS.Client.make_get_topology ();
       SS.Client.make_get_super_root ();
@@ -458,26 +635,36 @@ let test_sharded_differential () =
         ~page_size:4 ();
       SS.Client.make_query_scatter ~spec:(Range_query.Prefix "f")
         ~page_size:0 ();
-      SS.Client.make_to_shard ~shard:0
-        (Service.Client.make_get_commitment ());
-      SS.Client.make_to_shard ~shard:1 (Service.Client.make_get_proof ~jsn:0);
-      SS.Client.make_to_shard ~shard:1
-        (Service.Client.make_get_checkpoint ());
-      SS.Client.make_to_shard ~shard:9
-        (Service.Client.make_get_commitment ());
-      SS.Client.make_to_shard ~shard:0 (Bytes.of_string "inner garbage");
+      to_shard 0 (Service.Client.make_get_commitment ());
+      to_shard 1 (Service.Client.make_get_proof ~jsn:0);
+      to_shard 1 (Service.Client.make_get_checkpoint ());
+      to_shard 0 (Service.Client.make_get_payload ~jsn:1);
+      to_shard 0 (Service.Client.make_get_journal ~jsn:0);
+      to_shard 1 (Service.Client.make_get_block ~height:0);
+      to_shard 0 (Service.Client.make_get_members ());
+      to_shard 1 (Service.Client.make_get_proof_bundle ~jsn:1);
+      to_shard 0 (Service.Client.make_get_clue_bundle ~clue:"f0" ());
+      to_shard 1
+        (Service.Client.make_query_page ~spec:(Range_query.Prefix "f")
+           ~page_size:2 ());
+      to_shard 9 (Service.Client.make_get_commitment ());
+      to_shard 0 (Bytes.of_string "inner garbage");
       Bytes.of_string "sharded garbage";
     ]
   in
-  List.iteri
-    (fun i req ->
-      let live = SS.handle fleet req in
-      match SS.handle_read fleet req with
-      | None -> Alcotest.failf "sharded request %d misclassified" i
-      | Some snap ->
-          if not (Bytes.equal live snap) then
-            Alcotest.failf "sharded request %d: snapshot ≠ locked" i)
-    battery;
+  let fleet_answers ctx =
+    answers ~ctx:("sharded:" ^ ctx) ~handle:(SS.handle fleet)
+      ~handle_read:(SS.handle_read fleet) battery
+  in
+  for i = 0 to 11 do append i done;
+  let unsealed = fleet_answers "unsealed" in
+  (match SL.seal_epoch fleet with Ok _ -> () | Error e -> Alcotest.fail e);
+  let sealed = fleet_answers "sealed" in
+  (* shards that commit past the sealed roots refuse composed proofs *)
+  append 12;
+  append 13;
+  let past_seal = fleet_answers "past_seal" in
+  check_goldens ~battery:"sharded" (unsealed @ sealed @ past_seal);
   (* fleet mutations stay on the locked path *)
   (match SS.handle_read fleet (SS.Client.make_seal_epoch ()) with
   | None -> ()
@@ -514,7 +701,11 @@ let suite =
     tc "differential: empty ledger" `Quick test_differential_empty_ledger;
     tc "mutations refused on the read path" `Quick
       test_mutations_refused_on_read_path;
-    qcheck prop_differential_random;
+    tc "golden: every read over a small domain" `Quick test_request_domain;
+    tc "served reads: no latency charge, receipts at publication" `Quick
+      test_served_read_semantics;
+    tc "dead store: typed refusal on every entry point" `Quick
+      test_dead_store_refused;
     tc "query pagination: epoch pin and Stale_r" `Quick test_query_pin;
     tc "concurrent readers vs mutating writer" `Slow test_concurrent_readers;
     tc "sharded: snapshot ≡ locked dispatch" `Slow test_sharded_differential;

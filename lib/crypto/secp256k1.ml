@@ -1195,7 +1195,9 @@ let double_scalar_mul a pa b pb =
 
 (* ECDSA's final comparison without leaving Jacobian coordinates: does
    pt have an affine x-coordinate congruent to [r] mod n?  x = X/Z^2, so
-   test X = c*Z^2 for c = r and (since x < p may exceed n) c = r + n. *)
+   test X = c*Z^2 for c = r and (since x < p may exceed n) c = r + n.
+   An r + n that wraps past 2^256 is no candidate: it would be read as
+   r - (2^256 - n). *)
 let has_x_mod_n pt r =
   if is_infinity pt then false
   else begin
@@ -1203,8 +1205,8 @@ let has_x_mod_n pt r =
     let matches c = Fe.equal (Fe.mul (Fe.of_u256 c) z2) pt.x in
     matches r
     ||
-    let rn = fst (Uint256.add r n) in
-    Uint256.compare rn p < 0 && matches rn
+    let rn, carry = Uint256.add r n in
+    (not carry) && Uint256.compare rn p < 0 && matches rn
   end
 
 (* --- public field helpers (Uint256 views over the fast kernel) ---------- *)

@@ -51,21 +51,14 @@ let targets ?only ~dir () =
 (* (start, length) of every intact CRC frame of a {!Framing} log, in file
    order — the cut points a torn-frame fault chooses between. *)
 let frame_spans path =
-  let ic = open_in_bin path in
-  let spans = ref [] in
-  (try
-     let continue = ref true in
-     while !continue do
-       let start = pos_in ic in
-       match Framing.read ic with
-       | Framing.Record _ -> spans := (start, pos_in ic - start) :: !spans
-       | Framing.End | Framing.Torn _ | Framing.Corrupt _ -> continue := false
-     done
-   with e ->
-     close_in_noerr ic;
-     raise e);
-  close_in ic;
-  List.rev !spans
+  let starts, ending =
+    Framing.fold path ~init:[] (fun starts ~offset _ -> Some (offset :: starts))
+  in
+  (* a frame ends where the next one, or the walk's stop, begins *)
+  snd
+    (List.fold_left
+       (fun (next, spans) start -> (start, (start, next - start) :: spans))
+       (ending.Framing.offset, []) starts)
 
 let plan ~seed ?(bit_flips = 0) ?(truncations = 0) ?(zero_ranges = 0)
     ?(torn_frames = 0) ?only ~dir () =

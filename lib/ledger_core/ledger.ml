@@ -337,17 +337,9 @@ let blocks t = List.rev t.blocks
 
 (* --- journal commitment ------------------------------------------------ *)
 
-let ensure_slot_capacity t =
-  if t.count >= Array.length t.slots then begin
-    let bigger = Array.make (2 * Array.length t.slots) t.slots.(0) in
-    Array.blit t.slots 0 bigger 0 t.count;
-    t.slots <- bigger
-  end
-
-(* Commit a fully formed journal: storage, fam, CM-Tree, world-state,
-   block fill.  Returns the slot. *)
-(* CM-Tree, cSL skip list and world-state entries for one journal —
-   shared by the sequential and batched commit paths. *)
+(* CM-Tree, cSL skip list, query index and world-state entries for one
+   journal — shared by the sequential and batched commit paths and by
+   snapshot replay. *)
 let index_clues t (j : Journal.t) tx =
   List.iter
     (fun clue ->
@@ -371,8 +363,15 @@ let index_clues t (j : Journal.t) tx =
       | None -> Hashtbl.replace t.state_index clue (ref [ leaf_index ])))
     j.Journal.clues
 
+(* Slot, indexes and the per-kind side effects of one stored and
+   accumulated journal: the one place that installs a journal, for the
+   commit paths and for snapshot replay alike.  No seal, no publish. *)
 let install_slot t (j : Journal.t) ~tx ~store_index =
-  ensure_slot_capacity t;
+  if t.count >= Array.length t.slots then begin
+    let bigger = Array.make (2 * Array.length t.slots) t.slots.(0) in
+    Array.blit t.slots 0 bigger 0 t.count;
+    t.slots <- bigger
+  end;
   let s = { journal = j; tx; store_index; request_hash = j.Journal.request_hash } in
   t.slots.(t.count) <- s;
   t.count <- t.count + 1;
@@ -380,10 +379,15 @@ let install_slot t (j : Journal.t) ~tx ~store_index =
   t.pending_txs <- tx :: t.pending_txs;
   (match j.Journal.kind with
   | Journal.Time _ -> t.time_journals <- j.Journal.jsn :: t.time_journals
-  | _ -> ());
-  Metrics.incr "ledger_appends_total";
-  Metrics.observe_int "ledger_payload_bytes" (Bytes.length j.Journal.payload);
+  | Journal.Occult { target_jsn; _ } -> Bitmap_index.set t.occult_bits target_jsn
+  | Journal.Pseudo_genesis _ -> t.pseudo_genesis_jsn <- Some j.Journal.jsn
+  | Journal.Normal | Journal.Purge _ -> ());
   s
+
+(* Replay installs journals too, so only the commit paths count appends. *)
+let count_append (j : Journal.t) =
+  Metrics.incr "ledger_appends_total";
+  Metrics.observe_int "ledger_payload_bytes" (Bytes.length j.Journal.payload)
 
 let commit_journal t (j : Journal.t) =
   let sp = Trace.enter "ledger.commit" in
@@ -396,6 +400,7 @@ let commit_journal t (j : Journal.t) =
   ignore (Fam.append t.fam tx);
   let s = install_slot t j ~tx ~store_index in
   Trace.exit sp_acc;
+  count_append j;
   if List.length t.pending_txs >= t.cfg.block_size then seal_block t;
   publish t;
   Trace.exit sp;
@@ -440,6 +445,7 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
           let slots =
             List.map2
               (fun (j : Journal.t) (tx, k) ->
+                count_append j;
                 install_slot t j ~tx ~store_index:(first_store + k))
               chunk
               (List.mapi (fun k tx -> (tx, k)) txs)
@@ -455,6 +461,23 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
   Metrics.observe_int "ledger_batch_size" (List.length journals);
   Trace.exit sp;
   slots
+
+(* A client journal, stamped with the server's current time. *)
+let normal_journal t ~jsn ~client_id ~payload ~clues ~client_ts ~nonce
+    ~request_hash ~signature ~cosigners =
+  {
+    Journal.jsn;
+    kind = Journal.Normal;
+    client_id;
+    payload;
+    clues;
+    client_ts;
+    server_ts = Clock.now t.clock;
+    nonce;
+    request_hash;
+    client_sig = Some signature;
+    cosigners;
+  }
 
 (* [blocks] newest first; [sign] produces π_s over the receipt digest *)
 let receipt_of s ~blocks ~timestamp ~sign =
@@ -523,19 +546,9 @@ let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
     invalid_arg "Ledger.append: bad client signature"
   end;
   let j =
-    {
-      Journal.jsn = t.count;
-      kind = Journal.Normal;
-      client_id = member.Roles.id;
-      payload = payload_bytes;
-      clues;
-      client_ts;
-      server_ts = Clock.now t.clock;
-      nonce = t.nonce;
-      request_hash;
-      client_sig = Some client_sig;
-      cosigners = cosigs;
-    }
+    normal_journal t ~jsn:t.count ~client_id:member.Roles.id
+      ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce ~request_hash
+      ~signature:client_sig ~cosigners:cosigs
   in
   let s = commit_journal t j in
   (* phase 3: LSP receipt (π_s) *)
@@ -559,19 +572,8 @@ let append_signed t ~member_id ~payload ~clues ~client_ts ~nonce ~signature =
       then Error "append: bad client signature"
       else begin
         let j =
-          {
-            Journal.jsn = t.count;
-            kind = Journal.Normal;
-            client_id = member_id;
-            payload;
-            clues;
-            client_ts;
-            server_ts = Clock.now t.clock;
-            nonce;
-            request_hash;
-            client_sig = Some signature;
-            cosigners = [];
-          }
+          normal_journal t ~jsn:t.count ~client_id:member_id ~payload ~clues
+            ~client_ts ~nonce ~request_hash ~signature ~cosigners:[]
         in
         let s = commit_journal t j in
         Ok (make_receipt t s)
@@ -602,19 +604,9 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
            its clock charge stays here so server_ts is byte-identical to
            the sequential sign-verify interleaving *)
         Crypto_profile.charge_verify t.cfg.crypto t.clock;
-        {
-          Journal.jsn = t.count + i;
-          kind = Journal.Normal;
-          client_id = member.Roles.id;
-          payload = payload_bytes;
-          clues;
-          client_ts;
-          server_ts = Clock.now t.clock;
-          nonce = t.nonce;
-          request_hash;
-          client_sig = Some client_sig;
-          cosigners = [];
-        })
+        normal_journal t ~jsn:(t.count + i) ~client_id:member.Roles.id
+          ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce
+          ~request_hash ~signature:client_sig ~cosigners:[])
       entries
   in
   let checks =
@@ -670,19 +662,9 @@ let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
                    i)
             else
               let j =
-                {
-                  Journal.jsn = t.count + i;
-                  kind = Journal.Normal;
-                  client_id = member_id;
-                  payload;
-                  clues;
-                  client_ts;
-                  server_ts = Clock.now t.clock;
-                  nonce;
-                  request_hash;
-                  client_sig = Some signature;
-                  cosigners = [];
-                }
+                normal_journal t ~jsn:(t.count + i) ~client_id:member_id
+                  ~payload ~clues ~client_ts ~nonce ~request_hash ~signature
+                  ~cosigners:[]
               in
               validate (i + 1) (j :: acc) rest checked_rest
         | _ -> assert false (* same length by construction *)
@@ -986,6 +968,14 @@ let time_journals t =
 let t_ledger t = t.t_ledger
 let tsa_pool t = t.tsa
 
+(* Physically erase a journal's stored payload and blank its slot; the
+   journal record stays as a tombstone (purge, sync occult, reorganize). *)
+let erase_payload t jsn =
+  let s = t.slots.(jsn) in
+  Stream_store.erase t.journal_stream s.store_index;
+  t.slots.(jsn) <-
+    { s with journal = { s.journal with Journal.payload = Bytes.empty } }
+
 (* --- purge --------------------------------------------------------------- *)
 
 type purge_request = {
@@ -1047,11 +1037,9 @@ let purge t ~request ~signers =
                 Stream_store.read_opt t.journal_stream (slot t jsn).store_index
               with
               | Some p ->
-                  let rec_ = Bytes.create (Bytes.length p + 16) in
-                  let tag = Printf.sprintf "%015d\000" jsn in
-                  Bytes.blit_string tag 0 rec_ 0 16;
-                  Bytes.blit p 0 rec_ 16 (Bytes.length p);
-                  ignore (Stream_store.append t.survival_stream rec_);
+                  ignore
+                    (Stream_store.append t.survival_stream
+                       (Snapshot.survivor_record ~jsn p));
                   Some jsn
               | None -> None
             end
@@ -1090,18 +1078,13 @@ let purge t ~request ~signers =
       ignore (commit_journal t pj);
       (* physical erasure *)
       for i = 0 to upto_jsn - 1 do
-        if not (List.mem i kept) && t.slots.(i).store_index >= 0 then begin
-          Stream_store.erase t.journal_stream t.slots.(i).store_index;
-          let s = t.slots.(i) in
-          t.slots.(i) <-
-            { s with journal = { s.journal with Journal.payload = Bytes.empty } }
-        end
+        if not (List.mem i kept) && t.slots.(i).store_index >= 0 then
+          erase_payload t i
       done;
       if erase_fam_nodes then begin
         let e, _ = Fam.epoch_of_jsn t.fam (upto_jsn - 1) in
         Fam.purge_epochs_before t.fam e
       end;
-      t.pseudo_genesis_jsn <- Some pg_jsn;
       seal_block t;
       publish t;
       notify_mutation t;
@@ -1121,12 +1104,9 @@ let survival_jsns t = List.sort compare t.survivor_jsns
 let read_survivor t jsn =
   let found = ref None in
   Stream_store.iter t.survival_stream (fun _ rec_ ->
-      if Bytes.length rec_ >= 16 then begin
-        match int_of_string_opt (String.trim (Bytes.sub_string rec_ 0 15)) with
-        | Some j when j = jsn ->
-            found := Some (Bytes.sub rec_ 16 (Bytes.length rec_ - 16))
-        | Some _ | None -> ()
-      end);
+      match Snapshot.survivor_of_record rec_ with
+      | Some (j, p) when j = jsn -> found := Some p
+      | Some _ | None -> ());
   !found
 
 (* --- occult --------------------------------------------------------------- *)
@@ -1158,17 +1138,12 @@ let occult t ~target_jsn ~mode ~signers ~reason =
       in
       let j = { j with Journal.cosigners = cosigs } in
       ignore (commit_journal t j);
-      Bitmap_index.set t.occult_bits target_jsn;
       Metrics.incr "ledger_occults_total";
       Log.info (fun m ->
           m "occulted journal %d (%s)" target_jsn
             (match mode with Sync -> "sync" | Async -> "async"));
       (match mode with
-      | Sync ->
-          let s = slot t target_jsn in
-          Stream_store.erase t.journal_stream s.store_index;
-          t.slots.(target_jsn) <-
-            { s with journal = { s.journal with Journal.payload = Bytes.empty } }
+      | Sync -> erase_payload t target_jsn
       | Async -> t.occult_pending <- target_jsn :: t.occult_pending);
       publish t;
       notify_mutation t;
@@ -1198,13 +1173,7 @@ let occult_by_clue t ~clue ~mode ~signers ~reason =
 
 let reorganize t =
   let n = List.length t.occult_pending in
-  List.iter
-    (fun jsn ->
-      let s = slot t jsn in
-      Stream_store.erase t.journal_stream s.store_index;
-      t.slots.(jsn) <-
-        { s with journal = { s.journal with Journal.payload = Bytes.empty } })
-    t.occult_pending;
+  List.iter (erase_payload t) t.occult_pending;
   t.occult_pending <- [];
   if n > 0 then begin
     publish t;
@@ -1320,22 +1289,10 @@ end
 
 (* --- persistence ------------------------------------------------------------ *)
 
-(* On-disk layout (directory):
-     journals.ldb   one CRC-32 frame ({!Framing}) per record; the frame
-                    payload is [32-byte tx][Journal_codec encoding] — the
-                    retained tx hash comes first (Protocol 2: occulted
-                    and purged journals cannot be re-hashed from content)
-     members.ldb    one "role\thex-pubkey\tcert\tname" line per member
-     blocks.ldb     one line per sealed block (all fields, hashes in hex)
-     survivors.ldb  one CRC-32 frame per survivor record
-     meta.ldb       name / size / nonce / commitment / clue root checkpoints
-
-   The CRC framing lets [load] tell a torn tail (crash mid-save: the
-   intact prefix is recoverable) from a corrupted record (checksum fails
-   on a complete frame: the snapshot is refused with the first bad jsn).
-   Above the framing, the replay re-derives every tree and compares the
-   recorded checkpoints, so framing-valid but semantically tampered
-   snapshots are still refused. *)
+(* A snapshot is a directory in the {!Snapshot} format.  [load] replays
+   it through [install_slot], rebuilding every tree and index, and
+   compares the recorded checkpoints, so framing-valid but semantically
+   tampered snapshots are still refused. *)
 
 type load_report = {
   replayed : int;
@@ -1348,300 +1305,150 @@ type load_report = {
 
 let save t ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let in_dir f = Filename.concat dir f in
-  let with_out name f =
-    let oc = open_out_bin (in_dir name) in
-    (try f oc with e -> close_out_noerr oc; raise e);
-    close_out oc
-  in
-  with_out "journals.ldb" (fun oc ->
+  let write = Snapshot.write ~dir in
+  write Snapshot.journals_file (fun oc ->
       for jsn = 0 to t.count - 1 do
         let s = t.slots.(jsn) in
         (* store the payload as it currently exists (erased => empty) *)
-        let current_payload =
+        let payload =
           if s.store_index < 0 then Bytes.empty
           else
-            match Stream_store.read_opt t.journal_stream s.store_index with
-            | Some p -> p
-            | None -> Bytes.empty
+            Option.value ~default:Bytes.empty
+              (Stream_store.read_opt t.journal_stream s.store_index)
         in
-        let j = { s.journal with Journal.payload = current_payload } in
-        let enc = Journal_codec.encode j in
-        let frame = Bytes.create (32 + Bytes.length enc) in
-        Bytes.blit (Hash.to_bytes s.tx) 0 frame 0 32;
-        Bytes.blit enc 0 frame 32 (Bytes.length enc);
-        Framing.write oc frame
+        Snapshot.output_journal oc ~tx:s.tx
+          (Journal_codec.encode { s.journal with Journal.payload })
       done);
-  with_out "members.ldb" (fun oc ->
+  write Snapshot.members_file (fun oc ->
       List.iter
         (fun (m : Roles.member) ->
-          let hex b =
-            String.concat ""
-              (List.init (Bytes.length b) (fun i ->
-                   Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
-          in
-          let pub_hex = hex (Ecdsa.public_key_to_bytes m.Roles.pub) in
-          let cert_hex =
-            match Roles.certificate_of t.registry m.Roles.id with
-            | Some cert -> hex (Ecdsa.signature_to_bytes cert.Roles.signature)
-            | None -> "-"
-          in
-          Printf.fprintf oc "%s\t%s\t%s\t%s\n"
-            (Roles.role_to_string m.Roles.role)
-            pub_hex cert_hex m.Roles.name)
+          Snapshot.output_member oc
+            ~role:(Roles.role_to_string m.Roles.role)
+            ~pub:(Ecdsa.public_key_to_bytes m.Roles.pub)
+            ~cert:
+              (Option.map
+                 (fun (c : Roles.certificate) ->
+                   Ecdsa.signature_to_bytes c.Roles.signature)
+                 (Roles.certificate_of t.registry m.Roles.id))
+            ~name:m.Roles.name)
         (Roles.members t.registry));
-  with_out "blocks.ldb" (fun oc ->
-      List.iter
-        (fun (b : Block.t) ->
-          Printf.fprintf oc "%d %d %d %s %s %s %s %s %Ld\n" b.Block.height
-            b.Block.start_jsn b.Block.count
-            (Hash.to_hex b.Block.prev_hash)
-            (Hash.to_hex b.Block.journal_commitment)
-            (Hash.to_hex b.Block.clue_root)
-            (Hash.to_hex b.Block.world_state_root)
-            (Hash.to_hex b.Block.tx_root)
-            b.Block.timestamp)
-        (blocks t));
-  with_out "survivors.ldb" (fun oc ->
-      Stream_store.iter t.survival_stream (fun _ rec_ -> Framing.write oc rec_));
-  with_out "meta.ldb" (fun oc ->
-      Printf.fprintf oc "name=%s\nsize=%d\nnonce=%d\ncommitment=%s\nclue_root=%s\npseudo_genesis=%s\n"
-        t.cfg.name t.count t.nonce
-        (if t.count = 0 then "" else Hash.to_hex (commitment t))
-        (Hash.to_hex (Cm_tree.root_hash t.cm))
-        (match t.pseudo_genesis_jsn with Some j -> string_of_int j | None -> "-"))
-
-let parse_meta path =
-  let ic = open_in path in
-  let tbl = Hashtbl.create 8 in
-  (try
-     while true do
-       let line = input_line ic in
-       match String.index_opt line '=' with
-       | Some i ->
-           Hashtbl.replace tbl
-             (String.sub line 0 i)
-             (String.sub line (i + 1) (String.length line - i - 1))
-       | None -> ()
-     done
-   with End_of_file -> close_in ic);
-  tbl
+  write Snapshot.blocks_file (fun oc ->
+      List.iter (Snapshot.output_block oc) (blocks t));
+  write Snapshot.survivors_file (fun oc ->
+      Stream_store.iter t.survival_stream (fun _ r -> Framing.write oc r));
+  write Snapshot.meta_file (fun oc ->
+      Snapshot.output_meta oc ~name:t.cfg.name ~size:t.count ~nonce:t.nonce
+        ~commitment:(commitment t) ~clue_root:(Cm_tree.root_hash t.cm)
+        ~pseudo_genesis:t.pseudo_genesis_jsn)
 
 let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
     ~clock ~dir () =
   let in_dir f = Filename.concat dir f in
   try
-    let meta = parse_meta (in_dir "meta.ldb") in
-    let find k = Hashtbl.find_opt meta k in
+    let meta = Snapshot.read_meta (in_dir Snapshot.meta_file) in
     let t = create ~config ?t_ledger ?tsa ~clock () in
-    (* members *)
-    let ic = open_in (in_dir "members.ldb") in
-    (try
-       while true do
-         let line = input_line ic in
-         let parse_hex h =
-           let b = Bytes.create (String.length h / 2) in
-           for i = 0 to Bytes.length b - 1 do
-             Bytes.set b i
-               (Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-           done;
-           b
-         in
-         match String.split_on_char '\t' line with
-         | role :: pub_hex :: rest ->
-             let cert_hex, name =
-               match rest with
-               | [ cert_hex; name ] -> (cert_hex, name)
-               | [ name ] -> ("-", name) (* legacy two-column format *)
-               | _ -> failwith "corrupt members record"
-             in
-             let role =
-               match role with
-               | "dba" -> Roles.Dba
-               | "regulator" -> Roles.Regulator
-               | _ -> Roles.Regular_user
-             in
-             (match Ecdsa.public_key_of_bytes (parse_hex pub_hex) with
-             | Some pub ->
-                 let certificate =
-                   if cert_hex = "-" then None
-                   else
-                     match Ecdsa.signature_of_bytes (parse_hex cert_hex) with
-                     | Some signature ->
-                         Some
-                           { Roles.subject = Ecdsa.public_key_id pub; signature }
-                     | None -> failwith ("corrupt certificate for " ^ name)
-                 in
-                 ignore (register_member t ?certificate ~name ~role pub)
-             | None -> failwith ("corrupt member key for " ^ name))
-         | _ -> ()
-       done
-     with End_of_file -> close_in ic);
-    (* journals: replay with retained tx hashes, suppressing auto-seal.
-       Each frame is CRC-checked before any byte reaches the codec; the
-       first complete-but-invalid frame names the first bad jsn and
-       refuses the snapshot, while a torn final frame (crash mid-save)
-       is recoverable when [recover] is set. *)
+    Snapshot.iter_members (in_dir Snapshot.members_file)
+      (fun ~name ~role ~certificate pub ->
+        ignore (register_member t ?certificate ~name ~role pub));
+    (* journals: replay with retained tx hashes through the commit path's
+       storage, accumulator and [install_slot], without its auto-seal and
+       per-journal publication.  Each frame is CRC-checked before any byte
+       reaches the codec; the first complete-but-invalid frame names the
+       first bad jsn and refuses the snapshot, while a torn final frame
+       (crash mid-save) is recoverable when [recover] is set. *)
+    let journals = in_dir Snapshot.journals_file in
+    let (), ending =
+      Snapshot.fold_journals journals ~init:() (fun () ~tx enc ->
+          match Journal_codec.decode enc with
+          | None ->
+              failwith
+                (Printf.sprintf
+                   "journals.ldb: undecodable record — first bad jsn %d" t.count)
+          | Some j when j.Journal.jsn <> t.count ->
+              failwith
+                (Printf.sprintf
+                   "journals.ldb: record claims jsn %d in slot %d — first bad \
+                    jsn %d"
+                   j.Journal.jsn t.count t.count)
+          | Some j ->
+              let store_index =
+                Stream_store.append t.journal_stream j.Journal.payload
+              in
+              ignore (Fam.append t.fam tx);
+              ignore (install_slot t j ~tx ~store_index);
+              Some ())
+    in
     let torn_tail = ref false in
     let dropped_bytes = ref 0 in
-    let torn_at = ref None in
-    let ic = open_in_bin (in_dir "journals.ldb") in
-    (try
-       let continue = ref true in
-       while !continue do
-         match Framing.read ic with
-         | Framing.End -> continue := false
-         | Framing.Corrupt { offset } ->
-             failwith
-               (Printf.sprintf
-                  "journals.ldb: corrupt record at byte %d — first bad jsn %d"
-                  offset t.count)
-         | Framing.Torn { offset; dropped_bytes = db } ->
-             if recover then begin
-               torn_tail := true;
-               dropped_bytes := db;
-               torn_at := Some offset;
-               continue := false
-             end
-             else
-               failwith
-                 (Printf.sprintf
-                    "journals.ldb: torn tail after jsn %d (%d trailing bytes); \
-                     recovery disabled"
-                    (t.count - 1) db)
-         | Framing.Record frame -> (
-             if Bytes.length frame < 32 then
-               failwith
-                 (Printf.sprintf
-                    "journals.ldb: short record — first bad jsn %d" t.count);
-             let tx = Hash.of_bytes (Bytes.sub frame 0 32) in
-             let enc = Bytes.sub frame 32 (Bytes.length frame - 32) in
-             match Journal_codec.decode enc with
-             | None ->
-                 failwith
-                   (Printf.sprintf
-                      "journals.ldb: undecodable record — first bad jsn %d"
-                      t.count)
-             | Some j when j.Journal.jsn <> t.count ->
-                 failwith
-                   (Printf.sprintf
-                      "journals.ldb: record claims jsn %d in slot %d — first \
-                       bad jsn %d"
-                      j.Journal.jsn t.count t.count)
-             | Some j ->
-             ensure_slot_capacity t;
-             let store_index = Stream_store.append t.journal_stream j.Journal.payload in
-             let s = { journal = j; tx; store_index; request_hash = j.Journal.request_hash } in
-             t.slots.(t.count) <- s;
-             t.count <- t.count + 1;
-             ignore (Fam.append t.fam tx);
-             List.iter
-               (fun clue ->
-                 ignore (Cm_tree.insert t.cm ~clue tx);
-                 (match Hashtbl.find_opt t.clue_index clue with
-                 | Some sl -> Cm_tree_index.append sl j.Journal.jsn
-                 | None ->
-                     let sl = Cm_tree_index.create () in
-                     Cm_tree_index.append sl j.Journal.jsn;
-                     Hashtbl.replace t.clue_index clue sl);
-                 let leaf_index =
-                   Accumulator.append t.world_state
-                     (Hash.combine (Hash.scatter clue) tx)
-                 in
-                 match Hashtbl.find_opt t.state_index clue with
-                 | Some r -> r := leaf_index :: !r
-                 | None -> Hashtbl.replace t.state_index clue (ref [ leaf_index ]))
-               j.Journal.clues;
-             (match j.Journal.kind with
-             | Journal.Time _ -> t.time_journals <- j.Journal.jsn :: t.time_journals
-             | Journal.Occult { target_jsn; _ } ->
-                 Bitmap_index.set t.occult_bits target_jsn
-             | Journal.Pseudo_genesis _ ->
-                 t.pseudo_genesis_jsn <- Some j.Journal.jsn
-             | Journal.Normal | Journal.Purge _ -> ()))
-       done;
-       close_in ic
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    (* a recovered torn tail is truncated off the file so the next
-       save/load cycle starts from a sound prefix *)
-    (match !torn_at with
-    | Some keep -> Framing.truncate_file (in_dir "journals.ldb") ~keep
-    | None -> ());
+    let recover_torn ~refusal (e : Framing.ending) =
+      if not recover then failwith refusal;
+      torn_tail := true;
+      dropped_bytes := !dropped_bytes + e.Framing.dropped_bytes
+    in
+    (match ending.Framing.stop with
+    | Framing.End -> ()
+    | Framing.Corrupt ->
+        failwith
+          (Printf.sprintf
+             "journals.ldb: corrupt record at byte %d — first bad jsn %d"
+             ending.Framing.offset t.count)
+    | Framing.Rejected ->
+        failwith
+          (Printf.sprintf "journals.ldb: short record — first bad jsn %d"
+             t.count)
+    | Framing.Torn ->
+        recover_torn ending
+          ~refusal:
+            (Printf.sprintf
+               "journals.ldb: torn tail after jsn %d (%d trailing bytes); \
+                recovery disabled"
+               (t.count - 1) ending.Framing.dropped_bytes);
+        (* a recovered torn tail is truncated off the file so the next
+           save/load cycle starts from a sound prefix *)
+        Framing.truncate_file journals ~keep:ending.Framing.offset);
     (* blocks: restore verbatim (timestamps included, so hashes match).
        After a torn-tail recovery, blocks covering journals that did not
        survive are dropped — they will be re-sealed as the ledger grows
        back. *)
-    let ic = open_in (in_dir "blocks.ldb") in
     let covered = ref 0 in
     let blocks_dropped = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         Scanf.sscanf line "%d %d %d %s %s %s %s %s %Ld"
-           (fun height start_jsn count prev jc cr wsr txr timestamp ->
-             let b =
-               { Block.height; start_jsn; count;
-                 prev_hash = Hash.of_hex prev;
-                 journal_commitment = Hash.of_hex jc;
-                 clue_root = Hash.of_hex cr;
-                 world_state_root = Hash.of_hex wsr;
-                 tx_root = Hash.of_hex txr; timestamp }
-             in
-             if !torn_tail && start_jsn + count > t.count then
-               incr blocks_dropped
-             else begin
-               t.blocks <- b :: t.blocks;
-               t.block_count <- t.block_count + 1;
-               covered := start_jsn + count
-             end)
-       done
-     with End_of_file -> close_in ic);
-    (* the tail journals (unsealed at save time) re-enter the open block *)
-    t.pending_txs <- [];
-    for jsn = t.count - 1 downto !covered do
-      t.pending_txs <- t.slots.(jsn).tx :: t.pending_txs
-    done;
-    t.pending_txs <- List.rev t.pending_txs;
+    List.iter
+      (fun (b : Block.t) ->
+        if !torn_tail && b.Block.start_jsn + b.Block.count > t.count then
+          incr blocks_dropped
+        else begin
+          t.blocks <- b :: t.blocks;
+          t.block_count <- t.block_count + 1;
+          covered := b.Block.start_jsn + b.Block.count
+        end)
+      (Snapshot.read_blocks (in_dir Snapshot.blocks_file));
+    (* replay queued every leaf, newest first; only the tail journals
+       (unsealed at save time) stay in the open block *)
+    t.pending_txs <- List.filteri (fun i _ -> i < t.count - !covered) t.pending_txs;
     (* survivors *)
-    let surv = in_dir "survivors.ldb" in
+    let surv = in_dir Snapshot.survivors_file in
     if Sys.file_exists surv then begin
-      let ic = open_in_bin surv in
-      let add rec_ =
-        ignore (Stream_store.append t.survival_stream rec_);
-        if Bytes.length rec_ >= 16 then
-          match int_of_string_opt (String.trim (Bytes.sub_string rec_ 0 15)) with
-          | Some jsn -> t.survivor_jsns <- jsn :: t.survivor_jsns
-          | None -> ()
+      let (), ending =
+        Framing.fold surv ~init:() (fun () ~offset:_ r ->
+            ignore (Stream_store.append t.survival_stream r);
+            Option.iter
+              (fun (jsn, _) -> t.survivor_jsns <- jsn :: t.survivor_jsns)
+              (Snapshot.survivor_of_record r);
+            Some ())
       in
-      (try
-         let continue = ref true in
-         while !continue do
-           match Framing.read ic with
-           | Framing.End -> continue := false
-           | Framing.Record rec_ -> add rec_
-           | Framing.Corrupt { offset } ->
-               failwith
-                 (Printf.sprintf "survivors.ldb: corrupt record at byte %d"
-                    offset)
-           | Framing.Torn { dropped_bytes = db; _ } ->
-               if recover then begin
-                 torn_tail := true;
-                 dropped_bytes := !dropped_bytes + db;
-                 continue := false
-               end
-               else
-                 failwith
-                   (Printf.sprintf
-                      "survivors.ldb: torn tail (%d trailing bytes); recovery \
-                       disabled"
-                      db)
-         done;
-         close_in ic
-       with e ->
-         close_in_noerr ic;
-         raise e)
+      match ending.Framing.stop with
+      | Framing.End -> ()
+      | Framing.Corrupt | Framing.Rejected ->
+          failwith
+            (Printf.sprintf "survivors.ldb: corrupt record at byte %d"
+               ending.Framing.offset)
+      | Framing.Torn ->
+          recover_torn ending
+            ~refusal:
+              (Printf.sprintf
+                 "survivors.ldb: torn tail (%d trailing bytes); recovery \
+                  disabled"
+                 ending.Framing.dropped_bytes)
     end;
     (* Re-derive each journal's leaf from its content.  A mismatch with a
        non-empty payload is tampering; with an empty payload it marks a
@@ -1649,23 +1456,20 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
     for jsn = 0 to t.count - 1 do
       let s = t.slots.(jsn) in
       if not (Hash.equal (Journal.tx_hash s.journal) s.tx) then begin
-        if Bytes.length s.journal.Journal.payload = 0 then
-          Stream_store.erase t.journal_stream s.store_index
+        if Bytes.length s.journal.Journal.payload = 0 then erase_payload t jsn
         else
           failwith
             (Printf.sprintf
                "journal %d: content does not match its retained leaf" jsn)
       end
     done;
-    (match find "nonce" with
-    | Some n -> t.nonce <- int_of_string n
-    | None -> ());
+    Option.iter (fun n -> t.nonce <- n) meta.Snapshot.nonce;
     (* integrity checkpoints.  After a torn-tail recovery the replayed
        prefix is shorter than the declared size, so the recorded
        commitment/clue-root cannot reproduce: the load still succeeds but
        the report says [`Partial] — callers must re-verify against an
        external anchor (T-Ledger entry, receipts) before trusting it. *)
-    let declared_size = Option.map int_of_string (find "size") in
+    let declared_size = meta.Snapshot.size in
     let partial =
       !torn_tail
       && match declared_size with Some n -> t.count < n | None -> false
@@ -1677,14 +1481,14 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
             (Printf.sprintf "size mismatch: meta says %d, replayed %d" n
                t.count)
       | Some _ | None -> ());
-      (match find "commitment" with
-      | Some hex when hex <> "" && t.count > 0 ->
-          if not (Hash.equal (Hash.of_hex hex) (commitment t)) then
+      (match meta.Snapshot.commitment with
+      | Some c when t.count > 0 ->
+          if not (Hash.equal c (commitment t)) then
             failwith "commitment mismatch after replay"
       | Some _ | None -> ());
-      match find "clue_root" with
-      | Some hex ->
-          if not (Hash.equal (Hash.of_hex hex) (Cm_tree.root_hash t.cm)) then
+      match meta.Snapshot.clue_root with
+      | Some root ->
+          if not (Hash.equal root (Cm_tree.root_hash t.cm)) then
             failwith "clue root mismatch after replay"
       | None -> ()
     end;

@@ -449,6 +449,7 @@ end
     snapshot is still refused. *)
 
 val save : t -> dir:string -> unit
+(** Write the snapshot in the {!Snapshot} format, which owns its bytes. *)
 
 type load_report = {
   replayed : int;  (** journals actually replayed *)
@@ -474,7 +475,10 @@ val load :
   unit ->
   (t, string) result
 (** Strict load: any damage — torn tail included — is refused with a
-    diagnostic naming the first bad jsn or the damaged file. *)
+    diagnostic naming the first bad jsn or the damaged file.  Replay
+    rebuilds every index through the commit path's [install_slot], the
+    query index included, so the loaded ledger answers range queries
+    like the one saved. *)
 
 val load_verbose :
   ?config:config ->

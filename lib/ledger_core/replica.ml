@@ -26,31 +26,12 @@ let error_to_string = function
 let staged_journals path =
   if not (Sys.file_exists path) then 0
   else begin
-    let ic = open_in_bin path in
-    let n = ref 0 in
-    let cut = ref None in
-    (try
-       let continue = ref true in
-       while !continue do
-         let offset = pos_in ic in
-         match Framing.read ic with
-         | Framing.End -> continue := false
-         | Framing.Record frame when Bytes.length frame >= 32 -> incr n
-         | Framing.Record _ | Framing.Corrupt _ ->
-             cut := Some offset;
-             continue := false
-         | Framing.Torn { offset; _ } ->
-             cut := Some offset;
-             continue := false
-       done;
-       close_in ic
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    (match !cut with
-    | Some keep -> Framing.truncate_file path ~keep
-    | None -> ());
-    !n
+    let n, ending =
+      Snapshot.fold_journals path ~init:0 (fun n ~tx:_ _ -> Some (n + 1))
+    in
+    if ending.Framing.stop <> Framing.End then
+      Framing.truncate_file path ~keep:ending.Framing.offset;
+    n
   end
 
 (* Pre-replay π_c screen: decode every staged journal frame and check
@@ -70,23 +51,11 @@ let staged_sig_precheck ~pool ~crypto ~members path =
         | Some pub -> Hashtbl.replace pubs (Ecdsa.public_key_id pub) pub
         | None -> ())
       members;
-    let ic = open_in_bin path in
-    let frames = ref [] in
-    (try
-       let continue = ref true in
-       while !continue do
-         match Framing.read ic with
-         | Framing.End -> continue := false
-         | Framing.Record frame when Bytes.length frame >= 32 ->
-             frames := Bytes.sub frame 32 (Bytes.length frame - 32) :: !frames
-         | Framing.Record _ | Framing.Corrupt _ | Framing.Torn _ ->
-             continue := false
-       done;
-       close_in ic
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    let encoded = Array.of_list (List.rev !frames) in
+    let frames, _ =
+      Snapshot.fold_journals path ~init:[] (fun frames ~tx:_ encoded ->
+          Some (encoded :: frames))
+    in
+    let encoded = Array.of_list (List.rev frames) in
     let first_bad = Atomic.make max_int in
     let note jsn =
       let rec go () =
@@ -161,8 +130,7 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
               config.Ledger.name))
     else begin
       if not (Sys.file_exists scratch_dir) then Sys.mkdir scratch_dir 0o755;
-      let in_dir f = Filename.concat scratch_dir f in
-      let journals_path = in_dir "journals.ldb" in
+      let journals_path = Filename.concat scratch_dir Snapshot.journals_file in
       let resumed_from =
         if not resume then begin
           if Sys.file_exists journals_path then Sys.remove journals_path;
@@ -179,34 +147,20 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
           else staged
         end
       in
-      let with_out ?(append = false) file f =
-        let flags =
-          if append then [ Open_wronly; Open_append; Open_creat; Open_binary ]
-          else [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-        in
-        let oc = open_out_gen flags 0o644 (in_dir file) in
-        let r = (try f oc with e -> close_out_noerr oc; raise e) in
-        close_out oc;
-        r
-      in
+      let write = Snapshot.write ~dir:scratch_dir in
       (* 2. membership *)
       let* members =
         rpc
           (function Service.Members_r m -> Some m | _ -> None)
           (Service.Client.make_get_members ())
       in
-      with_out "members.ldb" (fun oc ->
+      write Snapshot.members_file (fun oc ->
           List.iter
-            (fun (member_name, role, pub) ->
-              let hex =
-                String.concat ""
-                  (List.init (Bytes.length pub) (fun i ->
-                       Printf.sprintf "%02x" (Char.code (Bytes.get pub i))))
-              in
-              Printf.fprintf oc "%s\t%s\t%s\n" role hex member_name)
+            (fun (name, role, pub) ->
+              Snapshot.output_member oc ~role ~pub ~cert:None ~name)
             members);
       (* 3. every journal not already staged, with its retained leaf.
-         Frames match Ledger's snapshot format so the loader replays and
+         Frames are Snapshot journal frames, so the loader replays and
          re-verifies them; an interrupted loop leaves a resumable
          prefix. *)
       let fetch_journals () =
@@ -220,11 +174,8 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
                   | _ -> None)
                 (Service.Client.make_get_journal ~jsn)
             in
-            with_out ~append:true "journals.ldb" (fun oc ->
-                let frame = Bytes.create (32 + Bytes.length encoded) in
-                Bytes.blit (Hash.to_bytes tx) 0 frame 0 32;
-                Bytes.blit encoded 0 frame 32 (Bytes.length encoded);
-                Framing.write oc frame);
+            write ~append:true Snapshot.journals_file (fun oc ->
+                Snapshot.output_journal oc ~tx encoded);
             go (jsn + 1)
         in
         go resumed_from
@@ -240,29 +191,18 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
                 (function Service.Block_r b -> Some b | _ -> None)
                 (Service.Client.make_get_block ~height)
             in
-            Printf.fprintf oc "%d %d %d %s %s %s %s %s %Ld\n" b.Block.height
-              b.Block.start_jsn b.Block.count
-              (Hash.to_hex b.Block.prev_hash)
-              (Hash.to_hex b.Block.journal_commitment)
-              (Hash.to_hex b.Block.clue_root)
-              (Hash.to_hex b.Block.world_state_root)
-              (Hash.to_hex b.Block.tx_root)
-              b.Block.timestamp;
+            Snapshot.output_block oc b;
             go (height + 1)
         in
         go 0
       in
-      let* () = with_out "blocks.ldb" fetch_blocks in
+      let* () = write Snapshot.blocks_file fetch_blocks in
       (* 5. checkpoint metadata; the loader re-derives everything and
          compares against these values *)
-      with_out "meta.ldb" (fun oc ->
-          Printf.fprintf oc
-            "name=%s\nsize=%d\nnonce=%d\ncommitment=%s\nclue_root=%s\npseudo_genesis=%s\n"
-            name size nonce
-            (if size = 0 then "" else Hash.to_hex commitment)
-            (Hash.to_hex clue_root)
-            (match pseudo_genesis with Some j -> string_of_int j | None -> "-"));
-      with_out "survivors.ldb" (fun _ -> () (* not replicated *));
+      write Snapshot.meta_file (fun oc ->
+          Snapshot.output_meta oc ~name ~size ~nonce ~commitment ~clue_root
+            ~pseudo_genesis);
+      write Snapshot.survivors_file (fun _ -> () (* not replicated *));
       match
         (* π_c screen before any replay state is built; a poisoned
            resumed stage heals exactly like a failed load below *)

@@ -59,7 +59,9 @@ val pull :
     remote service's announced name (checked) — it determines block size,
     fractal height and the LSP key derivation.  Defaults to
     {!Transport.no_retry} and no resumption — the strict, fail-fast
-    behaviour. *)
+    behaviour.  The stage is written in the {!Snapshot} format and
+    replayed by {!Ledger.load}, so the replica rebuilds every index, the
+    query index included. *)
 
 val pull_verbose :
   transport:Transport.t ->

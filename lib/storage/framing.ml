@@ -5,22 +5,22 @@
    Record layout:   "LDBR"  len:u32be  payload  crc:u32be
    where crc = CRC-32 over (len:u32be ++ payload).
 
-   A reader distinguishes three failure shapes, because recovery policy
-   differs per shape:
+   [fold] is the one walker over a framed log.  It reports how the walk
+   ended, because recovery policy differs per shape:
+   - [End]: clean EOF at a record boundary.
    - [Torn]: the file ends in the middle of a record — the classic
      crash-during-append.  Safe to truncate back to the last boundary.
    - [Corrupt]: a complete record whose magic or checksum does not match —
      evidence of tampering or media rot, never of a clean crash.
-   - [End]: clean EOF at a record boundary. *)
+   - [Rejected]: the caller refused an intact record. *)
 
 let magic = "LDBR"
+(* longer claims are [Corrupt]: a flipped length bit would otherwise
+   masquerade as a torn tail *)
 let max_record_len = 1 lsl 30
 
-type read_result =
-  | Record of bytes
-  | Torn of { offset : int; dropped_bytes : int }
-  | Corrupt of { offset : int }
-  | End
+type stop = End | Torn | Corrupt | Rejected
+type ending = { stop : stop; offset : int; dropped_bytes : int }
 
 let u32_to_be v =
   let b = Bytes.create 4 in
@@ -59,33 +59,51 @@ let read_exactly ic n =
    with Exit | End_of_file -> ());
   if !got = n then Ok b else Error !got
 
+(* The next record, or the [stop] that ends the walk at this offset. *)
 let read ic =
-  let offset = pos_in ic in
-  let file_len = in_channel_length ic in
-  let torn () = Torn { offset; dropped_bytes = file_len - offset } in
   match read_exactly ic 4 with
-  | Error 0 -> End
-  | Error _ -> torn ()
-  | Ok m when Bytes.to_string m <> magic -> Corrupt { offset }
+  | Error 0 -> Error End
+  | Error _ -> Error Torn
+  | Ok m when Bytes.to_string m <> magic -> Error Corrupt
   | Ok _ -> (
       match read_exactly ic 4 with
-      | Error _ -> torn ()
+      | Error _ -> Error Torn
       | Ok len_be ->
           let len = be_to_u32 len_be in
-          if len > max_record_len then Corrupt { offset }
+          if len > max_record_len then Error Corrupt
           else (
             match read_exactly ic len with
-            | Error _ -> torn ()
+            | Error _ -> Error Torn
             | Ok payload -> (
                 match read_exactly ic 4 with
-                | Error _ -> torn ()
+                | Error _ -> Error Torn
                 | Ok crc_be ->
                     let crc =
                       Crc32.update (Crc32.bytes len_be) payload ~pos:0
                         ~len:(Bytes.length payload)
                     in
-                    if Bytes.equal (crc32_to_be crc) crc_be then Record payload
-                    else Corrupt { offset })))
+                    if Bytes.equal (crc32_to_be crc) crc_be then Ok payload
+                    else Error Corrupt)))
+
+let fold path ~init f =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let file_len = in_channel_length ic in
+      let ending stop offset =
+        { stop; offset; dropped_bytes = file_len - offset }
+      in
+      let rec go acc =
+        let offset = pos_in ic in
+        match read ic with
+        | Error stop -> (acc, ending stop offset)
+        | Ok record -> (
+            match f acc ~offset record with
+            | Some acc -> go acc
+            | None -> (acc, ending Rejected offset))
+      in
+      go init)
 
 let truncate_file path ~keep =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in

@@ -12,25 +12,27 @@
     tampering or media rot; must be surfaced, never silently dropped)
     drives every recovery policy above this module. *)
 
-type read_result =
-  | Record of bytes  (** next record, checksum verified *)
-  | Torn of { offset : int; dropped_bytes : int }
-      (** file ends mid-record; [offset] is the record's start — the safe
-          truncation point *)
-  | Corrupt of { offset : int }
-      (** complete record with bad magic or checksum at [offset] *)
-  | End  (** clean EOF at a record boundary *)
+type stop = End | Torn | Corrupt | Rejected
+(** How a {!fold} ended: clean EOF at a record boundary, a file ending
+    mid-record, a complete record with bad magic or checksum, or a record
+    the caller refused. *)
+
+type ending = { stop : stop; offset : int; dropped_bytes : int }
+(** [offset] is where the walk stopped: the start of the record that
+    ended it — the safe truncation point — or the file length at [End].
+    [dropped_bytes] runs from there to the end of the file. *)
 
 val write : out_channel -> bytes -> unit
 (** Append one framed record. *)
 
-val read : in_channel -> read_result
-(** Read the next framed record; never raises on damaged input. *)
+val fold :
+  string -> init:'a -> ('a -> offset:int -> bytes -> 'a option) -> 'a * ending
+(** [fold path ~init f] walks the framed log at [path] from its first
+    record, passing each checksum-verified record and its start offset to
+    [f]; [f] returns [None] to refuse the record and stop the walk.
+    Returns the last accumulator and how the walk ended.  Never raises on
+    damaged input; the file is closed even when [f] raises. *)
 
 val truncate_file : string -> keep:int -> unit
 (** Truncate the file at [keep] bytes — used to discard a torn tail after
-    {!read} reported it. *)
-
-val max_record_len : int
-(** Frames claiming a longer payload are classified [Corrupt] (a flipped
-    length bit would otherwise masquerade as a torn tail). *)
+    {!fold} reported it. *)

@@ -277,62 +277,42 @@ let recover ~dir () =
         let name = Filename.chop_suffix file ".log" in
         let path = Filename.concat dir file in
         let s = stream t name in
-        let ic = open_in_bin path in
-        let damage = ref Intact in
-        let dropped = ref 0 in
-        let stop_at = ref None in
-        (try
-           let continue = ref true in
-           while !continue do
-             let before = pos_in ic in
-             match Framing.read ic with
-             | Framing.End -> continue := false
-             | Framing.Record frame -> (
-                 match unframe_record frame with
-                 | Some (i, payload) when i = s.count ->
-                     ensure_capacity s;
-                     s.records.(s.count) <- { payload };
-                     s.count <- s.count + 1;
-                     (match payload with
-                     | Some p -> s.live_bytes <- s.live_bytes + Bytes.length p
-                     | None -> ())
-                 | Some _ | None ->
-                     (* sequence break inside a checksummed record: not a
-                        crash artefact, a corruption *)
-                     damage := Corrupt_record;
-                     dropped := in_channel_length ic - before;
-                     stop_at := Some before;
-                     continue := false)
-             | Framing.Torn { offset; dropped_bytes } ->
-                 damage := Torn_tail;
-                 dropped := dropped_bytes;
-                 stop_at := Some offset;
-                 continue := false
-             | Framing.Corrupt { offset } ->
-                 damage := Corrupt_record;
-                 dropped := in_channel_length ic - offset;
-                 stop_at := Some offset;
-                 continue := false
-           done
-         with e ->
-           close_in_noerr ic;
-           raise e);
-        close_in ic;
+        let (), ending =
+          Framing.fold path ~init:() (fun () ~offset:_ frame ->
+              match unframe_record frame with
+              | Some (i, payload) when i = s.count ->
+                  ensure_capacity s;
+                  s.records.(s.count) <- { payload };
+                  s.count <- s.count + 1;
+                  (match payload with
+                  | Some p -> s.live_bytes <- s.live_bytes + Bytes.length p
+                  | None -> ());
+                  Some ()
+              | Some _ | None ->
+                  (* sequence break inside a checksummed record: not a
+                     crash artefact, a corruption *)
+                  None)
+        in
+        let damage =
+          match ending.Framing.stop with
+          | Framing.End -> Intact
+          | Framing.Torn -> Torn_tail
+          | Framing.Corrupt | Framing.Rejected -> Corrupt_record
+        in
         (* truncate the log back to the last intact record so a subsequent
            append/persist cycle starts from a sound prefix *)
-        (match !stop_at with
-        | Some keep -> Framing.truncate_file path ~keep
-        | None -> ());
+        if damage <> Intact then
+          Framing.truncate_file path ~keep:ending.Framing.offset;
         Ledger_obs.Metrics.incr "storage_recovered_streams_total";
         Ledger_obs.Metrics.observe_int "storage_recovered_records" s.count;
-        (match !damage with
+        (match damage with
         | Intact -> ()
         | Torn_tail -> Ledger_obs.Metrics.incr "storage_torn_tails_total"
         | Corrupt_record ->
             Ledger_obs.Metrics.incr "storage_corrupt_records_total");
         reports :=
-          { stream = name; recovered_upto = s.count; damage = !damage;
-            dropped_bytes = !dropped }
+          { stream = name; recovered_upto = s.count; damage;
+            dropped_bytes = ending.Framing.dropped_bytes }
           :: !reports
       end)
     (Sys.readdir dir);

@@ -399,6 +399,18 @@ let test_curve_edges () =
   (* off-curve coordinates rejected *)
   Alcotest.(check bool) "off-curve" false
     (Secp256k1.is_on_curve Uint256.one Uint256.one);
+  (* ECDSA's x mod n comparison: r = x + (2^256 - n) is below n but not
+     congruent to x, and r + n wraps past 2^256 back to x *)
+  let pt = Secp256k1.scalar_mul_base (Uint256.of_int 12345) in
+  let x =
+    match Secp256k1.to_affine pt with Some (x, _) -> x | None -> assert false
+  in
+  let r, carry = Uint256.add x (fst (Uint256.sub Uint256.zero Secp256k1.n)) in
+  Alcotest.(check bool) "r = x + (2^256 - n) is a valid r" true
+    ((not carry) && Uint256.compare r Secp256k1.n < 0);
+  Alcotest.(check bool) "x itself matches" true (Secp256k1.has_x_mod_n pt x);
+  Alcotest.(check bool) "x + (2^256 - n) rejected" false
+    (Secp256k1.has_x_mod_n pt r);
   (* field helpers *)
   Alcotest.check_raises "inverse of zero"
     (Invalid_argument "Secp256k1.fe_inv: zero") (fun () ->

@@ -73,7 +73,9 @@ let test_roundtrip () =
       Alcotest.(check bool) "old receipt verifies" true
         (Ledger.verify_receipt restored r);
       Alcotest.(check bool) "old receipt tx matches" true
-        (Hash.equal r.Receipt.tx_hash (Ledger.tx_hash_of restored r.Receipt.jsn))
+        (Hash.equal r.Receipt.tx_hash (Ledger.tx_hash_of restored r.Receipt.jsn));
+      (* replay rebuilt the query index too *)
+      Scan_check.check_same_index ~origin:ledger ~prefix:"c" restored
 
 let test_roundtrip_with_mutations () =
   let ledger, config, _, (user, key), (dba, dba_key), (reg, reg_key), notary =
@@ -120,6 +122,7 @@ let test_roundtrip_with_mutations () =
         (Option.map Bytes.to_string (Ledger.read_survivor restored 4));
       Alcotest.(check bool) "pseudo genesis restored" true
         (Ledger.pseudo_genesis restored <> None);
+      Scan_check.check_same_index ~origin:ledger ~prefix:"c" restored;
       (* the restored ledger still passes a Dasein audit *)
       let report = Audit.run restored in
       if not report.Audit.ok then
@@ -281,18 +284,12 @@ let test_corrupt_record_names_first_bad_jsn () =
   (* find the on-disk offset of record 3 by walking the frames *)
   let target = 3 in
   let offset =
-    let ic = open_in_bin path in
-    let rec go i =
-      let off = pos_in ic in
-      if i = target then off
-      else
-        match Framing.read ic with
-        | Framing.Record _ -> go (i + 1)
-        | _ -> Alcotest.fail "snapshot unexpectedly short"
+    let offsets, _ =
+      Framing.fold path ~init:[] (fun offsets ~offset _ -> Some (offset :: offsets))
     in
-    let off = go 0 in
-    close_in ic;
-    off
+    match List.nth_opt (List.rev offsets) target with
+    | Some off -> off
+    | None -> Alcotest.fail "snapshot unexpectedly short"
   in
   (* flip one payload byte inside that frame (magic 4 + length 4 = +8) *)
   let ic = open_in_bin path in
@@ -366,4 +363,145 @@ let test_roundtrip_with_member_ca () =
 let ca_persist_suite =
   [ tc "roundtrip with member CA" `Quick test_roundtrip_with_member_ca ]
 
-let suite = base_suite @ ca_persist_suite
+(* --- golden snapshot ---------------------------------------------------- *)
+
+(* [golden_snapshot/] is a committed [Ledger.save] of [golden_origin], a
+   small ledger holding every journal kind: normal journals with clues,
+   T-Ledger and TSA time anchors, a sync and an async occult (erased by
+   [reorganize]) and a purge with a survivor, followed by an unsealed
+   tail.  [golden_snapshot.expected] records what the origin answered.
+   On a mismatch the test writes the computed snapshot to
+   [golden_snapshot.actual/] and the computed values to
+   [golden_snapshot.expected.actual] beside the running test binary;
+   copy them over the checked-in fixture only for an intended format
+   change. *)
+let golden_dir = "golden_snapshot"
+let golden_expected = "golden_snapshot.expected"
+let snapshot_files =
+  Snapshot.[ journals_file; members_file; blocks_file; survivors_file; meta_file ]
+
+let golden_config =
+  { Ledger.default_config with name = "golden"; block_size = 4; fam_delta = 3;
+    crypto = Crypto_profile.default_simulated }
+
+let golden_origin () =
+  let clock = Clock.create () in
+  let pool = Tsa.pool [ Tsa.create ~endorse_rtt_ms:1. ~clock "g" ] in
+  let tl = T_ledger.create ~clock ~tsa:pool () in
+  let ledger =
+    Ledger.create ~config:golden_config ~t_ledger:tl ~tsa:pool ~clock ()
+  in
+  let user, key =
+    Ledger.new_member ledger ~name:"guser" ~role:Roles.Regular_user
+  in
+  let dba = Ledger.new_member ledger ~name:"gdba" ~role:Roles.Dba in
+  let reg = Ledger.new_member ledger ~name:"greg" ~role:Roles.Regulator in
+  let append i =
+    Clock.advance_ms clock 100.;
+    ignore
+      (Ledger.append ledger ~member:user ~priv:key
+         ~clues:(("acct-" ^ string_of_int (i mod 3))
+                 :: (if i mod 4 = 0 then [ "item-" ^ string_of_int i ] else []))
+         (Bytes.of_string (Printf.sprintf "golden %d" i)))
+  in
+  let ok what = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  for i = 0 to 9 do append i done;
+  Clock.advance_ms clock 1100.;
+  (match Ledger.anchor_via_t_ledger ledger with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "T-Ledger anchor refused");
+  ok "sync occult"
+    (Ledger.occult ledger ~target_jsn:1 ~mode:Ledger.Sync ~signers:[ dba; reg ]
+       ~reason:"pii");
+  ok "async occult"
+    (Ledger.occult ledger ~target_jsn:8 ~mode:Ledger.Async ~signers:[ dba; reg ]
+       ~reason:"court order");
+  Alcotest.(check int) "reorganize erased the async target" 1
+    (Ledger.reorganize ledger);
+  ok "purge"
+    (Ledger.purge ledger
+       ~request:
+         { Ledger.upto_jsn = 6; survivors = [ 4 ]; erase_fam_nodes = false }
+       ~signers:[ dba; (user, key) ]);
+  for i = 10 to 12 do append i done;
+  ignore (Ledger.anchor_via_tsa ledger);
+  append 13;
+  (ledger, clock)
+
+(* The recorded values: size, commitment, clue root, query root and every
+   block, one per line. *)
+let golden_values ledger =
+  Printf.sprintf "size %d" (Ledger.size ledger)
+  :: Printf.sprintf "commitment %s" (Hash.to_hex (Ledger.commitment ledger))
+  :: Printf.sprintf "clue_root %s"
+       (Hash.to_hex (Ledger_cmtree.Cm_tree.root_hash (Ledger.cm_tree ledger)))
+  :: Printf.sprintf "query_root %s" (Hash.to_hex (Ledger.query_root ledger))
+  :: List.map
+       (fun (b : Block.t) ->
+         Printf.sprintf "block %d %d %d %s" b.Block.height b.Block.start_jsn
+           b.Block.count (Hash.to_hex (Block.hash b)))
+       (Ledger.blocks ledger)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let snapshot_differs ~dir =
+  List.filter
+    (fun f ->
+      read_file (Filename.concat dir f)
+      <> read_file (Filename.concat golden_dir f))
+    snapshot_files
+
+let test_golden_snapshot () =
+  let origin, clock = golden_origin () in
+  let values = golden_values origin in
+  let recorded =
+    String.split_on_char '\n' (String.trim (read_file golden_expected))
+  in
+  let dir = fresh_dir () in
+  Ledger.save origin ~dir;
+  let differing = snapshot_differs ~dir in
+  if differing <> [] || values <> recorded then begin
+    let actual = golden_dir ^ ".actual" in
+    if not (Sys.file_exists actual) then Sys.mkdir actual 0o755;
+    List.iter
+      (fun f ->
+        Out_channel.with_open_bin (Filename.concat actual f) (fun oc ->
+            output_string oc (read_file (Filename.concat dir f))))
+      snapshot_files;
+    Out_channel.with_open_bin (golden_expected ^ ".actual") (fun oc ->
+        output_string oc (String.concat "\n" values ^ "\n"));
+    Alcotest.failf "origin no longer matches the golden fixture (%s)"
+      (String.concat ", "
+         ((if values <> recorded then [ golden_expected ] else []) @ differing))
+  end;
+  let check_values what ledger =
+    Alcotest.(check (list string)) what recorded (golden_values ledger)
+  in
+  (* 1. loading the committed fixture reproduces every recorded value *)
+  (match Ledger.load ~config:golden_config ~clock ~dir:golden_dir () with
+  | Error e -> Alcotest.failf "golden snapshot refused: %s" e
+  | Ok loaded ->
+      check_values "loaded fixture" loaded;
+      Scan_check.check_same_index ~origin ~prefix:"acct-" loaded;
+      (* 2. re-saving the loaded ledger gives the same bytes *)
+      let again = fresh_dir () in
+      Ledger.save loaded ~dir:again;
+      Alcotest.(check (list string)) "re-saved files differ" []
+        (snapshot_differs ~dir:again));
+  (* 3. a replica pulled from the origin loads to the same values *)
+  match
+    Replica.pull ~transport:(Service.handle origin) ~config:golden_config ~clock
+      ~scratch_dir:(fresh_dir ()) ()
+  with
+  | Error e -> Alcotest.failf "replica of the golden origin refused: %s" e
+  | Ok replica ->
+      check_values "replica" replica;
+      Scan_check.check_same_index ~origin ~prefix:"acct-" replica
+
+let golden_suite =
+  [ tc "golden snapshot: load, re-save, replica" `Quick test_golden_snapshot ]
+
+let suite = base_suite @ ca_persist_suite @ golden_suite

@@ -57,7 +57,9 @@ let test_pull_and_audit () =
       Alcotest.(check bool) "replica audit passes" true report.Audit.ok;
       (* clue verification works on the replica *)
       Alcotest.(check bool) "clue verify on replica" true
-        (Ledger.verify_clue_server replica ~clue:"rc1")
+        (Ledger.verify_clue_server replica ~clue:"rc1");
+      (* range queries answer from the replica's rebuilt query index *)
+      Scan_check.check_same_index ~origin:remote ~prefix:"rc" replica
 
 let test_pull_detects_lying_transport () =
   let clock, remote, config, (tl, pool), _, _ = build_remote () in

@@ -106,6 +106,7 @@ let test_state_machine () =
   (* the seal checkpointed every shard and nothing was appended since,
      so the next due repair salvages the checkpoint locally — no replica
      source configured *)
+  let killed = Sharded_ledger.shard fleet 1 in
   Clock.advance clock 60_000L;
   Shard_supervisor.tick supervisor;
   (match Shard_supervisor.status supervisor 1 with
@@ -115,6 +116,9 @@ let test_state_machine () =
         (Shard_supervisor.status_to_string s));
   Alcotest.(check bool) "store probe healthy again" true
     (Sharded_ledger.shard_healthy fleet 1);
+  (* the salvaged kernel answers range queries like the one it replaced *)
+  Scan_check.check_same_index ~origin:killed ~prefix:"k"
+    (Sharded_ledger.shard fleet 1);
   let accepted, _ = fill supervisor ~member ~priv 12 in
   Alcotest.(check int) "repaired shard accepts appends" 12 accepted
 

@@ -26,10 +26,13 @@ let sign_pure t ~priv ~pub digest =
       ignore priv;
       simulated_signature pub digest
 
-let sign t clock ~priv ~pub digest =
-  (match t with
+let charge_sign t clock =
+  match t with
   | Real -> ()
-  | Simulated { sign_us; _ } -> charge clock sign_us);
+  | Simulated { sign_us; _ } -> charge clock sign_us
+
+let sign t clock ~priv ~pub digest =
+  charge_sign t clock;
   sign_pure t ~priv ~pub digest
 
 (* Pure signature predicate: no clock, no mutation — safe to evaluate

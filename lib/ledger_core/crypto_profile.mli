@@ -28,6 +28,8 @@ val default_simulated : t
 val sign :
   t -> Clock.t -> priv:Ecdsa.private_key -> pub:Ecdsa.public_key -> Hash.t ->
   Ecdsa.signature
+(** Charges the simulated sign cost, then signs — exactly [charge_sign]
+    followed by [sign_pure]. *)
 
 val sign_pure :
   t -> priv:Ecdsa.private_key -> pub:Ecdsa.public_key -> Hash.t ->
@@ -36,7 +38,11 @@ val sign_pure :
     clock.  Remote clients live outside the server's simulated-time
     boundary — a socket client signing π_c has no ledger clock to
     charge — so they sign with this and the wall clock pays the real
-    cost. *)
+    cost.  Pooled batch signing runs it across domains after charging
+    with {!charge_sign} in submission order. *)
+
+val charge_sign : t -> Clock.t -> unit
+(** Advance the clock by the simulated sign cost ([Real]: no-op). *)
 
 val verify : t -> Clock.t -> pub:Ecdsa.public_key -> Hash.t -> Ecdsa.signature -> bool
 (** Charges the simulated verify cost, then decides — exactly

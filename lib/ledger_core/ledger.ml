@@ -136,17 +136,9 @@ let dummy_slot =
 
 (* Build and atomically publish a fresh read snapshot.  Writer-only:
    always called with the mutation already complete, so the view captures
-   a committed state.  O(members + dirty-trie-path) per call. *)
+   a committed state.  O(dirty-trie-path) per call: the member wire list
+   is the registry's own, already sorted and encoded. *)
 let publish t =
-  let members =
-    Roles.members t.registry
-    |> List.sort (fun (a : Roles.member) (b : Roles.member) ->
-           String.compare a.Roles.name b.Roles.name)
-    |> List.map (fun (m : Roles.member) ->
-           ( m.Roles.name,
-             Roles.role_to_string m.Roles.role,
-             Ecdsa.public_key_to_bytes m.Roles.pub ))
-  in
   let v =
     {
       v_epoch = t.view_epoch;
@@ -158,7 +150,7 @@ let publish t =
       v_fam = Fam.freeze t.fam;
       v_cm = Cm_tree.freeze t.cm;
       v_query = Query_index.freeze t.query;
-      v_members = members;
+      v_members = Roles.members_wire t.registry;
       v_pseudo_genesis = t.pseudo_genesis_jsn;
       v_now = Clock.now t.clock;
       v_store = Stream_store.pin t.journal_stream;
@@ -479,8 +471,9 @@ let normal_journal t ~jsn ~client_id ~payload ~clues ~client_ts ~nonce
     cosigners;
   }
 
-(* [blocks] newest first; [sign] produces π_s over the receipt digest *)
-let receipt_of s ~blocks ~timestamp ~sign =
+(* A slot's receipt short of π_s: its signing digest, and the receipt
+   that signature completes.  [blocks] newest first. *)
+let unsigned_receipt s ~blocks ~timestamp =
   Metrics.incr "ledger_receipts_issued_total";
   let jsn = s.journal.Journal.jsn in
   let block_hash =
@@ -498,18 +491,40 @@ let receipt_of s ~blocks ~timestamp ~sign =
     Receipt.signing_digest ~jsn ~request_hash:s.request_hash ~tx_hash:s.tx
       ~block_hash ~timestamp
   in
-  {
-    Receipt.jsn;
-    request_hash = s.request_hash;
-    tx_hash = s.tx;
-    block_hash;
-    timestamp;
-    lsp_sig = sign digest;
-  }
+  ( digest,
+    fun lsp_sig ->
+      {
+        Receipt.jsn;
+        request_hash = s.request_hash;
+        tx_hash = s.tx;
+        block_hash;
+        timestamp;
+        lsp_sig;
+      } )
+
+(* Receipts for [slots]: timestamps, digests and the simulated sign
+   charges run in submission order, so every timestamp equals the one
+   slot-by-slot signing reads; only the pure π_s signatures fan out over
+   [pool].  ECDSA nonces are deterministic, so the receipts are
+   byte-identical to the sequential ones. *)
+let make_receipts ?(pool = Domain_pool.sequential) t slots =
+  let unsigned =
+    List.map
+      (fun s ->
+        let timestamp = Clock.now t.clock in
+        Crypto_profile.charge_sign t.cfg.crypto t.clock;
+        unsigned_receipt s ~blocks:t.blocks ~timestamp)
+      slots
+  in
+  Domain_pool.map_list pool ~label:"receipt_sign" ~min_chunk:2
+    (fun (digest, complete) ->
+      complete
+        (Crypto_profile.sign_pure t.cfg.crypto ~priv:t.lsp_priv ~pub:t.lsp_pub
+           digest))
+    unsigned
 
 let make_receipt t s =
-  receipt_of s ~blocks:t.blocks ~timestamp:(Clock.now t.clock)
-    ~sign:(sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub)
+  match make_receipts t [ s ] with [ r ] -> r | _ -> assert false
 
 let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
   (match Roles.find t.registry member.Roles.id with
@@ -622,7 +637,7 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
     invalid_arg "Ledger.append_batch: bad client signature";
   let slots = commit_batch ~pool t journals in
   if seal then seal_block t;
-  List.map (make_receipt t) slots
+  make_receipts ~pool t slots
 
 (* Remote batched append (the [Append_batch] wire request): every entry
    was signed client-side; the whole batch is validated before anything
@@ -674,7 +689,7 @@ let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
       | Ok journals ->
           let slots = commit_batch ~pool t journals in
           seal_block t;
-          Ok (List.map (make_receipt t) slots))
+          Ok (make_receipts ~pool t slots))
 
 let get_receipt t jsn = make_receipt t (slot t jsn)
 
@@ -1281,10 +1296,12 @@ module Read_view = struct
   let query_root v = Query_index.root v.v_query
 
   let receipt v jsn =
-    receipt_of (slot v jsn) ~blocks:v.v_blocks ~timestamp:v.v_now
-      ~sign:
-        (Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv
-           ~pub:v.v_lsp_pub)
+    let digest, complete =
+      unsigned_receipt (slot v jsn) ~blocks:v.v_blocks ~timestamp:v.v_now
+    in
+    complete
+      (Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv ~pub:v.v_lsp_pub
+         digest)
 end
 
 (* --- persistence ------------------------------------------------------------ *)

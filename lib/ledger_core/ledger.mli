@@ -111,7 +111,8 @@ module Read_view : sig
   val query_root : t -> Hash.t
   val members_wire : t -> (string * string * bytes) list
   (** (name, role tag, public-key bytes), sorted by name — the
-      [Get_members] wire form, precomputed at publication. *)
+      [Get_members] wire form: {!Roles.members_wire} as it stood at
+      publication. *)
 
   val pseudo_genesis_jsn : t -> int option
   val published_at : t -> int64
@@ -193,9 +194,11 @@ val append_batch :
     history is byte-identical to appending the entries one at a time.
 
     [pool] (default {!Ledger_par.Domain_pool.default}) fans the pure
-    work — leaf hashing, fam interior hashing, π_c checks — across
-    domains; signing, clock charges and accumulation stay sequential, so
-    the history is byte-identical for any pool size (DESIGN.md §12). *)
+    work — leaf hashing, fam interior hashing, π_c checks, the receipts'
+    π_s signatures — across domains; client signing, clock charges,
+    receipt timestamps and accumulation stay sequential, so the history
+    and the receipts are byte-identical for any pool size (DESIGN.md
+    §10, §12). *)
 
 val append_signed :
   t ->
@@ -222,7 +225,8 @@ val append_signed_batch :
     before any state mutation — and a bad entry rejects the whole batch
     atomically, with the same error and simulated-clock position as the
     sequential path.  Commits through the amortized batch pipeline and
-    seals the trailing block, so all receipts are final. *)
+    seals the trailing block, so all receipts are final; their π_s are
+    signed across [pool] as in {!append_batch}. *)
 
 val get_receipt : t -> int -> Receipt.t
 (** Final receipt for a jsn (re-signed with the block hash once the block

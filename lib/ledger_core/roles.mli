@@ -22,6 +22,13 @@ val register : registry -> name:string -> role:role -> Ecdsa.public_key -> membe
 val find : registry -> Hash.t -> member option
 val find_by_name : registry -> string -> member option
 val members : registry -> member list
+
+val members_wire : registry -> (string * string * bytes) list
+(** Every member as its [Get_members] wire triple [(name, role, public
+    key bytes)], sorted by name (equal names by key bytes).  Each triple
+    is encoded once, by {!register}, which replaces the list; reading it
+    is O(1), and a list already handed out never changes. *)
+
 val with_role : registry -> role -> member list
 val cardinal : registry -> int
 

@@ -512,12 +512,16 @@ let dispatch ledger = function
       | Error msg -> Error_r msg)
   | req -> read (Ledger.read_view ledger) req
 
+(* Anything else an arm raises is a bug, not a refusal: it is counted and
+   still answered, so it never escapes into a server's worker loop. *)
 let error_of_exn = function
   | Invalid_argument msg | Failure msg | Sys_error msg -> msg
   | Not_found -> "not found"
   | Ledger_storage.Stream_store.Read_error e ->
       Ledger_storage.Stream_store.read_error_to_string e
-  | e -> raise e
+  | e ->
+      Ledger_obs.Metrics.incr "service_internal_errors_total";
+      "internal error: " ^ Printexc.to_string e
 
 (* Decode → answer → encode, with the trace span and the request/error
    counters: the one wrapper behind both entry points. *)

@@ -123,8 +123,10 @@ val error_of_exn : exn -> string
 (** The refusal message for an exception raised while answering a
     request: bad input ([Invalid_argument], [Failure], [Not_found]) or
     failed storage ([Sys_error], {!Ledger_storage.Stream_store.Read_error}).
-    Any other exception is re-raised.  {!handle}, {!handle_read} and the
-    sharded service all refuse through this one mapping. *)
+    Any other exception is a bug: it becomes ["internal error: <exn>"]
+    and bumps [service_internal_errors_total], never a re-raise.
+    {!handle}, {!handle_read}, the sharded service and [Net_server]'s
+    dispatch all refuse through this one mapping. *)
 
 (** {1 Lock-free read path}
 

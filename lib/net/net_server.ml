@@ -114,19 +114,22 @@ let close_conn t c =
 (* Fast path first: a read handler answering [Some _] never touches
    [dispatch_mu] — it ran entirely against the published snapshot on
    this worker's domain.  [None] (a mutation, or no read handler
-   installed) falls back to the serialized backend. *)
+   installed) falls back to the serialized backend.  A handler that
+   raises is answered with a refusal instead of killing the worker. *)
 let dispatch t wid c req =
   let t0 = Unix.gettimeofday () in
   let resp =
-    match Option.bind t.read (fun read -> read req) with
-    | Some resp ->
-        Atomic.incr t.n_read_served;
-        Metrics.incr "net_read_dispatch_total";
-        Metrics.incr (Printf.sprintf "net_read_dispatch_domain_%d" wid);
-        resp
-    | None ->
-        Metrics.incr "net_locked_dispatch_total";
-        protect t.dispatch_mu (fun () -> t.backend req)
+    try
+      match Option.bind t.read (fun read -> read req) with
+      | Some resp ->
+          Atomic.incr t.n_read_served;
+          Metrics.incr "net_read_dispatch_total";
+          Metrics.incr (Printf.sprintf "net_read_dispatch_domain_%d" wid);
+          resp
+      | None ->
+          Metrics.incr "net_locked_dispatch_total";
+          protect t.dispatch_mu (fun () -> t.backend req)
+    with e -> refusal (Service.error_of_exn e)
   in
   let dt_us = (Unix.gettimeofday () -. t0) *. 1e6 in
   Atomic.incr t.n_served;

@@ -394,6 +394,39 @@ let test_reads_never_take_the_lock () =
   Metrics.reset ();
   Obs.disable ()
 
+(* regression: an exception no refusal maps used to escape [dispatch] and
+   kill the worker domain; it must come back as a typed refusal, counted,
+   and the same worker (the only one) must answer the next request *)
+let test_raising_backend_keeps_worker () =
+  let module Metrics = Ledger_obs.Metrics in
+  let module Obs = Ledger_obs.Obs in
+  let _, _, ledger, _ = build_ledger ~name:"raising" ~entries:2 () in
+  Obs.enable ();
+  Metrics.reset ();
+  let armed = Atomic.make true in
+  let backend req =
+    if Atomic.exchange armed false then raise Exit else Service.handle ledger req
+  in
+  with_server ~config:{ Net_server.default_config with workers = 1 } backend
+    (fun server ->
+      let ep, transport = loopback_transport server in
+      let req = Service.Client.make_get_commitment () in
+      (match Service.Client.parse (transport req) with
+      | Some (Service.Error_r msg) ->
+          Alcotest.(check string) "typed refusal" "internal error: Stdlib.Exit"
+            msg
+      | _ -> Alcotest.fail "raising backend did not answer a refusal");
+      Alcotest.(check int) "internal error counted" 1
+        (Metrics.counter_value "service_internal_errors_total");
+      (match Service.Client.parse (transport req) with
+      | Some (Service.Commitment_r _) -> ()
+      | _ -> Alcotest.fail "worker did not survive the raising backend");
+      Alcotest.(check int) "both requests served" 2
+        (Net_server.stats server).Net_server.served;
+      Net_transport.close ep);
+  Metrics.reset ();
+  Obs.disable ()
+
 (* regression: frames still queued (or arriving) while [stop] drains the
    connections must be answered on the lock-free read path, not dropped *)
 let test_drain_answers_reads () =
@@ -786,6 +819,8 @@ let suite =
       test_graceful_shutdown;
     tc "server: reads never take the dispatch lock" `Quick
       test_reads_never_take_the_lock;
+    tc "server: a raising backend is refused, worker survives" `Quick
+      test_raising_backend_keeps_worker;
     tc "server: stop-drain answers queued reads lock-free" `Quick
       test_drain_answers_reads;
     tc "server: signal begins a stop, owner's stop returns" `Quick

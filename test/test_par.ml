@@ -212,9 +212,9 @@ let diff_config =
     latency = Latency_model.free;
     crypto = Crypto_profile.Simulated { sign_us = 0.; verify_us = 0. } }
 
-let mk_ledger () =
+let mk_ledger ?(crypto = diff_config.Ledger.crypto) () =
   let clock = Clock.create () in
-  let ledger = Ledger.create ~config:diff_config ~clock () in
+  let ledger = Ledger.create ~config:{ diff_config with crypto } ~clock () in
   let user, key = Ledger.new_member ledger ~name:"puser" ~role:Roles.Regular_user in
   (clock, ledger, user, key)
 
@@ -295,7 +295,8 @@ let prop_pooled_append_batch =
    the pool server-side.  Accepted batches must be byte-identical; a
    poisoned batch must be rejected with the same error and the same
    simulated-clock position as the sequential validator. *)
-let signed_entries ledger ~member ~priv n ~poison =
+let signed_entries ?(crypto = diff_config.Ledger.crypto) ledger ~member ~priv
+    n ~poison =
   let scratch = Clock.create () in
   List.init n (fun i ->
       let payload = payload_of i and clues = clues_of (i mod 4) in
@@ -306,40 +307,98 @@ let signed_entries ledger ~member ~priv n ~poison =
       in
       let signed = if poison = Some i then Hash.digest_string "forged" else digest in
       let signature =
-        Crypto_profile.sign diff_config.Ledger.crypto scratch ~priv
-          ~pub:member.Roles.pub signed
+        Crypto_profile.sign crypto scratch ~priv ~pub:member.Roles.pub signed
       in
       (payload, clues, client_ts, nonce, signature))
 
-let test_pooled_signed_batch () =
-  with_pool (fun pool ->
-      let run pool =
-        let clock, ledger, user, key = mk_ledger () in
-        let entries = signed_entries ledger ~member:user ~priv:key 15 ~poison:None in
-        let receipts =
-          match
-            Ledger.append_signed_batch ~pool ledger ~member_id:user.Roles.id
-              entries
-          with
-          | Ok rs -> rs
-          | Error e -> Alcotest.failf "signed batch rejected: %s" e
+(* Whole receipts from both batch entry points, pooled (4 domains, so a
+   1-core host still fans out) against inline, under a charging
+   simulated profile and under [Real].  Each receipt must also stand on
+   its own: π_s checks against the digest of its own fields, and the
+   timestamps climb by one sign charge per receipt up to the final
+   clock — a sign charge moved before the timestamp read, or a π_s over
+   the wrong digest, fails here even if both sides share the bug. *)
+let charging = Crypto_profile.Simulated { sign_us = 30.; verify_us = 70. }
+
+let receipt_runs =
+  [
+    ( "append_batch",
+      fun ~pool ~crypto ->
+        let clock, ledger, user, key = mk_ledger ~crypto () in
+        let entries =
+          List.init 15 (fun i -> (payload_of i, clues_of (i mod 4)))
         in
-        (clock, ledger, user, key, receipts)
+        let rs = Ledger.append_batch ~pool ledger ~member:user ~priv:key entries in
+        (Clock.now clock, ledger, rs) );
+    ( "append_signed_batch",
+      fun ~pool ~crypto ->
+        let clock, ledger, user, key = mk_ledger ~crypto () in
+        let entries =
+          signed_entries ~crypto ledger ~member:user ~priv:key 15 ~poison:None
+        in
+        match
+          Ledger.append_signed_batch ~pool ledger ~member_id:user.Roles.id
+            entries
+        with
+        | Ok rs -> (Clock.now clock, ledger, rs)
+        | Error e -> Alcotest.failf "signed batch rejected: %s" e );
+  ]
+
+let check_receipts_stand_alone label ~crypto ~lsp_pub ~final_clock rs =
+  let sign_us =
+    match crypto with
+    | Crypto_profile.Simulated { sign_us; _ } -> Int64.of_float sign_us
+    | Crypto_profile.Real -> 0L
+  in
+  let n = List.length rs in
+  List.iteri
+    (fun i (r : Receipt.t) ->
+      let digest =
+        Receipt.signing_digest ~jsn:r.Receipt.jsn
+          ~request_hash:r.Receipt.request_hash ~tx_hash:r.Receipt.tx_hash
+          ~block_hash:r.Receipt.block_hash ~timestamp:r.Receipt.timestamp
       in
-      let _, par, _, _, r_par = run pool in
-      let _, seq, _, _, r_seq = run Domain_pool.sequential in
-      Alcotest.(check int) "receipt counts" (List.length r_seq)
-        (List.length r_par);
-      ignore (Test_batch_diff.check_equal_histories par seq);
-      List.iter2
-        (fun (a : Receipt.t) (b : Receipt.t) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "receipt %d identical" a.Receipt.jsn)
-            true
-            (a.Receipt.jsn = b.Receipt.jsn
-            && Hash.equal a.Receipt.tx_hash b.Receipt.tx_hash
-            && Hash.equal a.Receipt.block_hash b.Receipt.block_hash))
-        r_par r_seq)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: receipt %d pi_s checks" label i)
+        true
+        (Crypto_profile.check crypto ~pub:lsp_pub digest r.Receipt.lsp_sig);
+      Alcotest.(check int64)
+        (Printf.sprintf "%s: receipt %d timestamp" label i)
+        (Int64.sub final_clock (Int64.mul (Int64.of_int (n - i)) sign_us))
+        r.Receipt.timestamp)
+    rs
+
+let test_pooled_batch_receipts () =
+  with_pool (fun pool ->
+      List.iter
+        (fun (path, run) ->
+          List.iter
+            (fun (profile, crypto) ->
+              let label = path ^ "/" ^ profile in
+              (* clocks read at return: [check_equal_histories] re-signs *)
+              let now_p, par, r_par = run ~pool ~crypto in
+              let now_s, seq, r_seq = run ~pool:Domain_pool.sequential ~crypto in
+              ignore (Test_batch_diff.check_equal_histories par seq);
+              Alcotest.(check int) (label ^ ": receipt counts") 15
+                (List.length r_par);
+              List.iter2
+                (fun (a : Receipt.t) (b : Receipt.t) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: receipt %d identical" label a.Receipt.jsn)
+                    (Bytes.to_string (Test_batch_diff.receipt_bytes b))
+                    (Bytes.to_string (Test_batch_diff.receipt_bytes a)))
+                r_par r_seq;
+              Alcotest.(check int64) (label ^ ": same clock position") now_s now_p;
+              check_receipts_stand_alone label ~crypto
+                ~lsp_pub:(Ledger.lsp_public_key par) ~final_clock:now_p r_par;
+              if crypto = Crypto_profile.Real then
+                List.iter
+                  (fun r ->
+                    Alcotest.(check bool) (label ^ ": Receipt.verify") true
+                      (Receipt.verify ~lsp_pub:(Ledger.lsp_public_key par) r))
+                  r_par)
+            [ ("simulated", charging); ("real", Crypto_profile.Real) ])
+        receipt_runs)
 
 let test_pooled_signed_batch_rejection () =
   with_pool (fun pool ->
@@ -451,7 +510,7 @@ let suite =
     tc "hex writer vectors round-trip" `Quick test_hex_writer;
     tc "pooled fam append_many" `Quick test_pooled_fam_append_many;
     QCheck_alcotest.to_alcotest prop_pooled_append_batch;
-    tc "pooled signed batch" `Quick test_pooled_signed_batch;
+    tc "pooled signed batch" `Quick test_pooled_batch_receipts;
     tc "pooled signed batch rejection" `Quick
       test_pooled_signed_batch_rejection;
     tc "pooled shard fleet" `Quick test_pooled_shard_fleet;

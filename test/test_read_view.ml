@@ -694,6 +694,134 @@ let test_sharded_differential () =
   | None -> ()
   | Some _ -> Alcotest.fail "wrapped inner append served on the read path"
 
+(* The [Get_members] list is the registry's own, kept sorted at
+   registration rather than rebuilt per publication (DESIGN.md §10).
+   After every membership change, on every path that registers members,
+   the next view and the wire answer must equal a from-scratch rebuild
+   — sort by name (equal names by key bytes), then encode — however
+   unsorted the names arrive. *)
+let members_t = Alcotest.(list (triple string string string))
+
+let hex_wire l =
+  let hex b =
+    Bytes.fold_left (fun acc c -> acc ^ Printf.sprintf "%02x" (Char.code c)) "" b
+  in
+  List.map (fun (n, r, pub) -> (n, r, hex pub)) l
+
+let rebuilt_members ledger =
+  Roles.members (Ledger.registry ledger)
+  |> List.map (fun (m : Roles.member) ->
+         ( m.Roles.name,
+           Roles.role_to_string m.Roles.role,
+           Ecdsa.public_key_to_bytes m.Roles.pub ))
+  |> List.sort (fun (n1, _, p1) (n2, _, p2) -> compare (n1, p1) (n2, p2))
+
+let check_members label ledger =
+  let expect = hex_wire (rebuilt_members ledger) in
+  Alcotest.check members_t (label ^ ": view") expect
+    (hex_wire (Ledger.Read_view.members_wire (Ledger.read_view ledger)));
+  match Service.handle_read ledger (Service.Client.make_get_members ()) with
+  | Some resp -> (
+      match Service.Client.parse resp with
+      | Some (Service.Members_r l) ->
+          Alcotest.check members_t (label ^ ": Get_members") expect (hex_wire l)
+      | _ -> Alcotest.failf "%s: Get_members answered no member list" label)
+  | None -> Alcotest.failf "%s: Get_members left the read path" label
+
+let test_members_view () =
+  let clock = Clock.create () in
+  let config =
+    { Ledger.default_config with name = "members"; block_size = 4;
+      fam_delta = 3; latency = Latency_model.free;
+      crypto = Crypto_profile.default_simulated }
+  in
+  let ledger = Ledger.create ~config ~clock () in
+  check_members "empty" ledger;
+  let append (member, priv) i =
+    Clock.advance_ms clock 10.;
+    ignore
+      (Ledger.append ledger ~member ~priv
+         (Bytes.of_string (Printf.sprintf "m %d" i)))
+  in
+  (* unsorted names, appends in between, and two members sharing a name *)
+  List.iteri
+    (fun i (name, role) ->
+      let cred = Ledger.new_member ledger ~name ~role in
+      check_members ("registered " ^ name) ledger;
+      append cred i;
+      check_members ("appended after " ^ name) ledger)
+    [ ("zed", Roles.Regular_user); ("amy", Roles.Dba); ("mike", Roles.Regulator);
+      ("bo", Roles.Regular_user) ];
+  List.iter
+    (fun seed ->
+      let _, pub = Ecdsa.generate ~seed in
+      ignore (Ledger.register_member ledger ~name:"mike" ~role:Roles.Regular_user pub);
+      check_members ("second mike " ^ seed) ledger)
+    [ "mike-a"; "mike-b" ];
+  Alcotest.(check int) "six members" 6
+    (List.length (Ledger.Read_view.members_wire (Ledger.read_view ledger)));
+  (* reload and replica pull carry the same list *)
+  let origin = hex_wire (rebuilt_members ledger) in
+  let dir = Filename.temp_file "members" "snap" in
+  Sys.remove dir;
+  Ledger.save ledger ~dir;
+  (match Ledger.load ~config ~clock:(Clock.create ()) ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok loaded ->
+      check_members "loaded" loaded;
+      Alcotest.check members_t "loaded = origin" origin
+        (hex_wire (rebuilt_members loaded)));
+  let scratch_dir = Filename.temp_file "members" "stage" in
+  Sys.remove scratch_dir;
+  (match
+     Replica.pull ~transport:(Service.handle ledger) ~config
+       ~clock:(Clock.create ()) ~scratch_dir ()
+   with
+  | Error e -> Alcotest.fail e
+  | Ok replica ->
+      check_members "replica" replica;
+      Alcotest.check members_t "replica = origin" origin
+        (hex_wire (rebuilt_members replica)));
+  (* CA-certified members, then a reload that re-checks every certificate *)
+  let ca_priv, ca_pub = Ecdsa.generate ~seed:"members-ca" in
+  let ca_config = { config with name = "members-ca"; member_ca = Some ca_pub } in
+  let ca_ledger = Ledger.create ~config:ca_config ~clock () in
+  List.iter
+    (fun name ->
+      let member, priv =
+        Ledger.new_member ~ca_priv ca_ledger ~name ~role:Roles.Regular_user
+      in
+      check_members ("certified " ^ name) ca_ledger;
+      Clock.advance_ms clock 10.;
+      ignore (Ledger.append ca_ledger ~member ~priv (Bytes.of_string name));
+      check_members ("appended after certified " ^ name) ca_ledger)
+    [ "yara"; "cole"; "quin" ];
+  let ca_dir = Filename.temp_file "members" "ca" in
+  Sys.remove ca_dir;
+  Ledger.save ca_ledger ~dir:ca_dir;
+  (match Ledger.load ~config:ca_config ~clock:(Clock.create ()) ~dir:ca_dir () with
+  | Error e -> Alcotest.fail e
+  | Ok loaded ->
+      check_members "certified, loaded" loaded;
+      Alcotest.check members_t "certified loaded = origin"
+        (hex_wire (rebuilt_members ca_ledger))
+        (hex_wire (rebuilt_members loaded)));
+  (* a sharded fleet registers each member on every shard *)
+  let module SL = Ledger_shard.Sharded_ledger in
+  let fleet =
+    SL.create
+      ~config:{ SL.base = { config with name = "members-fleet" }; shards = 3 }
+      ~clock:(Clock.create ()) ()
+  in
+  List.iter
+    (fun name ->
+      ignore (SL.new_member fleet ~name ~role:Roles.Regular_user);
+      for i = 0 to SL.shard_count fleet - 1 do
+        check_members (Printf.sprintf "fleet shard %d after %s" i name)
+          (SL.shard fleet i)
+      done)
+    [ "wren"; "abe"; "nia" ]
+
 let suite =
   [
     tc "differential: every mutation boundary" `Slow
@@ -709,4 +837,6 @@ let suite =
     tc "query pagination: epoch pin and Stale_r" `Quick test_query_pin;
     tc "concurrent readers vs mutating writer" `Slow test_concurrent_readers;
     tc "sharded: snapshot ≡ locked dispatch" `Slow test_sharded_differential;
+    tc "members: view equals a rebuild after every change" `Quick
+      test_members_view;
   ]

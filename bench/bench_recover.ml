@@ -19,7 +19,9 @@
    count: degraded mode must shed exactly the victim's share of the
    workload, never hang, and never slow the surviving shards down.  Both
    repaired shards are checked byte-identical (size and commitment)
-   against the reference before any number is reported. *)
+   against the reference before any number is reported.  Beside each
+   simulated figure, [wall_us_mttr] and [wall_us_per_entry] report the
+   same run's wall time on the host (ungated, host-dependent). *)
 
 open Ledger_crypto
 open Ledger_storage
@@ -123,6 +125,7 @@ let measure_mttr ~entries mode =
   kill_shard subject victim;
   Sup.quarantine supervisor victim;
   let t0 = Clock.now (SL.fleet_clock subject) in
+  let wall0 = Unix.gettimeofday () in
   let ticks = ref 0 in
   while Sup.status supervisor victim <> Sup.Healthy do
     incr ticks;
@@ -134,6 +137,7 @@ let measure_mttr ~entries mode =
     barrier [ subject; reference ];
     Sup.tick supervisor
   done;
+  let wall_us = (Unix.gettimeofday () -. wall0) *. 1e6 in
   let mttr_us =
     Int64.to_float (Int64.sub (Clock.now (SL.fleet_clock subject)) t0)
   in
@@ -142,7 +146,7 @@ let measure_mttr ~entries mode =
     Ledger.size s <> Ledger.size r
     || not (Hash.equal (Ledger.commitment s) (Ledger.commitment r))
   then failwith "bench_recover: repaired shard diverges from the reference";
-  (mttr_us, !ticks, Ledger.size s)
+  (mttr_us, !ticks, Ledger.size s, wall_us)
 
 (* --- degraded-mode throughput ------------------------------------------------ *)
 
@@ -163,6 +167,7 @@ let measure_throughput ~entries =
   let run_phase n =
     barrier [ subject ];
     let t0 = Clock.now (SL.fleet_clock subject) in
+    let wall0 = Unix.gettimeofday () in
     let accepted = ref 0 and rejected = ref 0 in
     for _ = 1 to n do
       let payload, clues = payload_clues rng in
@@ -171,8 +176,10 @@ let measure_throughput ~entries =
       | Error _ -> incr rejected
     done;
     barrier [ subject ];
+    let wall_us = (Unix.gettimeofday () -. wall0) *. 1e6 in
     let us = Int64.to_float (Int64.sub (Clock.now (SL.fleet_clock subject)) t0) in
-    (us /. float_of_int (max 1 !accepted), !accepted, !rejected)
+    let per_accepted v = v /. float_of_int (max 1 !accepted) in
+    (per_accepted us, !accepted, !rejected, per_accepted wall_us)
   in
   let healthy = run_phase entries in
   (match Sup.seal_epoch supervisor with
@@ -181,7 +188,7 @@ let measure_throughput ~entries =
   kill_shard subject victim;
   Sup.quarantine supervisor victim;
   let degraded = run_phase entries in
-  let _, h_acc, h_rej = healthy and _, d_acc, d_rej = degraded in
+  let _, h_acc, h_rej, _ = healthy and _, d_acc, d_rej, _ = degraded in
   if h_rej <> 0 then failwith "bench_recover: healthy phase shed appends";
   if d_rej = 0 then
     failwith "bench_recover: degraded phase never hit the quarantined shard";
@@ -198,27 +205,36 @@ let run ?(smoke = false) ?json () =
     (Printf.sprintf
        "Shard repair: MTTR by path and degraded-mode throughput (%d journals)"
        entries);
-  let salvage_us, salvage_ticks, salvage_journals =
+  let salvage_us, salvage_ticks, salvage_journals, salvage_wall =
     measure_mttr ~entries Salvage
   in
-  let resync_us, resync_ticks, resync_journals = measure_mttr ~entries Resync in
-  let (healthy_us, healthy_acc, _), (degraded_us, degraded_acc, degraded_rej) =
+  let resync_us, resync_ticks, resync_journals, resync_wall =
+    measure_mttr ~entries Resync
+  in
+  let ( (healthy_us, healthy_acc, _, healthy_wall),
+        (degraded_us, degraded_acc, degraded_rej, degraded_wall) ) =
     measure_throughput ~entries
   in
   Table.print_table
-    ~header:[ "repair path"; "MTTR (ms)"; "ticks"; "journals restored" ]
+    ~header:
+      [ "repair path"; "MTTR (ms)"; "wall (ms)"; "ticks"; "journals restored" ]
     [
       [ "salvage"; Table.human_ms (salvage_us /. 1000.);
+        Table.human_ms (salvage_wall /. 1000.);
         string_of_int salvage_ticks; string_of_int salvage_journals ];
       [ "resync"; Table.human_ms (resync_us /. 1000.);
+        Table.human_ms (resync_wall /. 1000.);
         string_of_int resync_ticks; string_of_int resync_journals ];
     ];
   Table.print_table
-    ~header:[ "mode"; "per entry (us)"; "accepted"; "rejected" ]
+    ~header:
+      [ "mode"; "per entry (us)"; "wall/entry (us)"; "accepted"; "rejected" ]
     [
       [ "healthy"; Printf.sprintf "%.1f" healthy_us;
+        Printf.sprintf "%.1f" healthy_wall;
         string_of_int healthy_acc; "0" ];
       [ "degraded"; Printf.sprintf "%.1f" degraded_us;
+        Printf.sprintf "%.1f" degraded_wall;
         string_of_int degraded_acc; string_of_int degraded_rej ];
     ];
   (match json with
@@ -234,6 +250,7 @@ let run ?(smoke = false) ?json () =
                Obj
                  [
                    ("mttr_us", Float salvage_us);
+                   ("wall_us_mttr", Float salvage_wall);
                    ("ticks", Int salvage_ticks);
                    ("journals", Int salvage_journals);
                  ] );
@@ -241,6 +258,7 @@ let run ?(smoke = false) ?json () =
                Obj
                  [
                    ("mttr_us", Float resync_us);
+                   ("wall_us_mttr", Float resync_wall);
                    ("ticks", Int resync_ticks);
                    ("journals", Int resync_journals);
                  ] );
@@ -248,6 +266,7 @@ let run ?(smoke = false) ?json () =
                Obj
                  [
                    ("per_entry_us", Float healthy_us);
+                   ("wall_us_per_entry", Float healthy_wall);
                    ("accepted", Int healthy_acc);
                    ("rejected", Int 0);
                  ] );
@@ -255,6 +274,7 @@ let run ?(smoke = false) ?json () =
                Obj
                  [
                    ("per_entry_us", Float degraded_us);
+                   ("wall_us_per_entry", Float degraded_wall);
                    ("accepted", Int degraded_acc);
                    ("rejected", Int degraded_rej);
                  ] );

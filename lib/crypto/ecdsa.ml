@@ -1,5 +1,9 @@
 type private_key = Uint256.t
-type public_key = Secp256k1.point
+
+(* A finite key carries its verification table, built once; [None] is
+   the point at infinity, which verifies nothing. *)
+type public_key = Secp256k1.table option
+
 type signature = { r : Uint256.t; s : Uint256.t }
 
 let n = Secp256k1.n
@@ -15,11 +19,14 @@ let scalar_of_bytes b =
   in
   fst (Uint256.add v Uint256.one)
 
+let public_key_of_point pt =
+  if Secp256k1.is_infinity pt then None else Some (Secp256k1.precompute pt)
+
+let public_key d = public_key_of_point (Secp256k1.scalar_mul_base d)
+
 let generate ~seed =
   let d = scalar_of_bytes (Sha256.digest_string ("ledgerdb-key:" ^ seed)) in
-  (d, Secp256k1.scalar_mul_base d)
-
-let public_key d = Secp256k1.scalar_mul_base d
+  (d, public_key d)
 
 (* Deterministic nonce in the spirit of RFC 6979: chained HMAC over the
    private key and digest, with a retry counter. *)
@@ -33,46 +40,80 @@ let nonce d msg_hash attempt =
 let z_of_hash h =
   Secp256k1.Scalar.reduce (Uint256.of_bytes_be (Hash.to_bytes h))
 
-let sign d msg_hash =
-  let z = z_of_hash msg_hash in
-  let rec attempt i =
-    if i > 100 then failwith "Ecdsa.sign: could not find a valid nonce";
-    let k = nonce d msg_hash i in
-    let kg = Secp256k1.scalar_mul_base k in
-    match Secp256k1.to_affine kg with
-    | None -> attempt (i + 1)
-    | Some (x, _) ->
-        let r = Secp256k1.Scalar.reduce x in
-        if Uint256.is_zero r then attempt (i + 1)
-        else begin
-          let kinv = Secp256k1.Scalar.inv k in
-          let rd = Secp256k1.Scalar.mul r d in
-          let s = Secp256k1.Scalar.mul kinv (Secp256k1.Scalar.add z rd) in
-          if Uint256.is_zero s then attempt (i + 1) else { r; s }
-        end
+(* Every digest still unsigned tries nonce [i]; the x(kG) of the whole
+   round share one field inversion and the k share one scalar
+   inversion.  A nonce giving r = 0 or s = 0 sends its digest to round
+   i + 1, exactly as one-at-a-time signing would. *)
+let sign_many d digests =
+  let sigs = Array.make (Array.length digests) None in
+  let rec round i pending =
+    if pending <> [] then begin
+      if i > 100 then failwith "Ecdsa.sign: could not find a valid nonce";
+      let ks =
+        Array.of_list (List.map (fun j -> nonce d digests.(j) i) pending)
+      in
+      let xs =
+        Secp256k1.affine_x_batch (Array.map Secp256k1.scalar_mul_base ks)
+      in
+      let kinvs = Secp256k1.Scalar.inv_batch ks in
+      let signed m j =
+        match xs.(m) with
+        | None -> false
+        | Some x ->
+            let r = Secp256k1.Scalar.reduce x in
+            let s =
+              Secp256k1.Scalar.mul kinvs.(m)
+                (Secp256k1.Scalar.add (z_of_hash digests.(j))
+                   (Secp256k1.Scalar.mul r d))
+            in
+            if Uint256.is_zero r || Uint256.is_zero s then false
+            else begin
+              sigs.(j) <- Some { r; s };
+              true
+            end
+      in
+      round (i + 1) (List.filteri (fun m j -> not (signed m j)) pending)
+    end
   in
-  attempt 0
+  round 0 (List.init (Array.length digests) Fun.id);
+  Array.map Option.get sigs
+
+let sign d msg_hash = (sign_many d [| msg_hash |]).(0)
 
 let in_range v = not (Uint256.is_zero v) && Uint256.compare v n < 0
 
-let verify q msg_hash { r; s } =
-  if not (in_range r && in_range s) then false
-  else if Secp256k1.is_infinity q then false
-  else begin
-    let z = z_of_hash msg_hash in
-    let w = Secp256k1.Scalar.inv s in
-    let u1 = Secp256k1.Scalar.mul z w in
-    let u2 = Secp256k1.Scalar.mul r w in
-    let pt = Secp256k1.double_scalar_mul u1 Secp256k1.generator u2 q in
-    (* compare x(pt) to r without an affine conversion (saves a field
-       inversion): r is already known to be in [1, n) here *)
-    Secp256k1.has_x_mod_n pt r
-  end
+let verify_many q items =
+  let valid (_, { r; s }) = in_range r && in_range s in
+  match q with
+  | None -> Array.map (fun _ -> false) items
+  | Some tq ->
+      (* one shared inversion for every s; an out-of-range s stands in
+         as 1 and its result is never read *)
+      let ws =
+        Secp256k1.Scalar.inv_batch
+          (Array.map
+             (fun ((_, sg) as item) -> if valid item then sg.s else Uint256.one)
+             items)
+      in
+      Array.mapi
+        (fun i ((msg_hash, { r; _ }) as item) ->
+          valid item
+          &&
+          let z = z_of_hash msg_hash in
+          let u1 = Secp256k1.Scalar.mul z ws.(i) in
+          let u2 = Secp256k1.Scalar.mul r ws.(i) in
+          (* compare x(u1·G + u2·Q) to r without an affine conversion:
+             r is already known to be in [1, n) here *)
+          Secp256k1.has_x_mod_n (Secp256k1.double_scalar_mul_base u1 u2 tq) r)
+        items
+
+let verify q msg_hash signature = (verify_many q [| (msg_hash, signature) |]).(0)
 
 let public_key_to_bytes q =
-  match Secp256k1.to_affine q with
+  match q with
   | None -> invalid_arg "Ecdsa.public_key_to_bytes: infinity"
-  | Some (x, y) ->
+  | Some tq ->
+      let x, y = Secp256k1.table_affine tq in
       let b = Bytes.create 64 in
       Bytes.blit (Uint256.to_bytes_be x) 0 b 0 32;
       Bytes.blit (Uint256.to_bytes_be y) 0 b 32 32;
@@ -83,7 +124,9 @@ let public_key_of_bytes b =
   else begin
     let x = Uint256.of_bytes_be (Bytes.sub b 0 32) in
     let y = Uint256.of_bytes_be (Bytes.sub b 32 32) in
-    if Secp256k1.is_on_curve x y then Some (Secp256k1.of_affine x y) else None
+    if Secp256k1.is_on_curve x y then
+      Some (public_key_of_point (Secp256k1.of_affine x y))
+    else None
   end
 
 let public_key_id q = Hash.digest_bytes (public_key_to_bytes q)
@@ -156,11 +199,11 @@ module Ref = struct
      inputs. *)
   let verify q msg_hash { r; s } =
     if not (in_range r && in_range s) then false
-    else if Secp256k1.is_infinity q then false
     else begin
-      match Secp256k1.to_affine q with
+      match q with
       | None -> false
-      | Some (qx, qy) ->
+      | Some tq ->
+          let qx, qy = Secp256k1.table_affine tq in
           let q = Secp256k1.Ref.of_affine qx qy in
           let z = z_of_hash msg_hash in
           let w = Uint256.inv_mod s n in

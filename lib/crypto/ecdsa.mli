@@ -8,10 +8,11 @@
 
 type private_key
 
-type public_key = Secp256k1.point
-(** Transparent alias so callers (and the vector suite) can feed curve
-    points — including pathological ones like the point at infinity —
-    straight into {!verify}; [Secp256k1.point] itself stays abstract. *)
+type public_key
+(** A public key together with its verification table (odd multiples of
+    Q and λQ, about 2.5 KB), built once when the key is generated,
+    derived or parsed, so no {!verify} rebuilds it.  Immutable: one key
+    can be checked against from any number of domains at once. *)
 
 type signature = { r : Uint256.t; s : Uint256.t }
 
@@ -21,17 +22,39 @@ val generate : seed:string -> private_key * public_key
 
 val public_key : private_key -> public_key
 
+val public_key_of_point : Secp256k1.point -> public_key
+(** Wrap a curve point the caller vouches is on the curve (use
+    {!public_key_of_bytes} for untrusted input).  The point at infinity
+    is accepted and yields a key that verifies nothing, so pathological
+    keys fail closed in {!verify} rather than at construction. *)
+
 val sign : private_key -> Hash.t -> signature
-(** Sign a 32-byte message digest. *)
+(** Sign a 32-byte message digest: the one-element case of
+    {!sign_many}. *)
+
+val sign_many : private_key -> Hash.t array -> signature array
+(** Sign every digest, in order, with one key.  Each result is
+    byte-identical to signing that digest alone (nonces are
+    deterministic); the batch shares one field inversion for the x(kG)
+    and one scalar inversion for the k⁻¹ across all items. *)
 
 val verify : public_key -> Hash.t -> signature -> bool
-(** Check a signature against a digest; total (never raises). *)
+(** Check a signature against a digest; total (never raises): the
+    one-element case of {!verify_many}. *)
+
+val verify_many : public_key -> (Hash.t * signature) array -> bool array
+(** Check many (digest, signature) pairs against one key; each verdict
+    equals {!verify} on that pair.  The s⁻¹ of every in-range signature
+    share one scalar inversion. *)
 
 val public_key_to_bytes : public_key -> bytes
-(** 64-byte uncompressed encoding (x ∥ y). *)
+(** 64-byte uncompressed encoding (x ∥ y), read from the key's table (no
+    field inversion).  Raises [Invalid_argument] for the point at
+    infinity. *)
 
 val public_key_of_bytes : bytes -> public_key option
-(** Parse and validate a 64-byte encoding; [None] if not on the curve. *)
+(** Parse and validate a 64-byte encoding, building the key's table;
+    [None] if not on the curve. *)
 
 val public_key_id : public_key -> Hash.t
 (** Digest of the encoded public key — used as a member identifier. *)

@@ -222,6 +222,27 @@ module Ref = struct
     | None, Some _ | Some _, None -> false
 end
 
+(* Montgomery's trick: invert a whole array of nonzero elements with a
+   single modular inversion and 3(k-1) multiplications. *)
+let batch_invert ~one ~mul ~inv xs =
+  let k = Array.length xs in
+  if k = 0 then [||]
+  else begin
+    let prefix = Array.make k one in
+    let acc = ref one in
+    for i = 0 to k - 1 do
+      prefix.(i) <- !acc;
+      acc := mul !acc xs.(i)
+    done;
+    let out = Array.make k one in
+    let suffix = ref (inv !acc) in
+    for i = k - 1 downto 0 do
+      out.(i) <- mul !suffix prefix.(i);
+      suffix := mul !suffix xs.(i)
+    done;
+    out
+  end
+
 (* ======================================================================
    Fast field kernel: ten little-endian limbs of 26 bits.
 
@@ -747,26 +768,7 @@ module Fe = struct
     if is_zero a then invalid_arg "Secp256k1.fe_inv: zero";
     of_u256 (Uint256.inv_mod (to_u256 a) p)
 
-  (* Montgomery's trick: invert the whole array with a single modular
-     inversion and 3(k-1) multiplications. *)
-  let inv_batch xs =
-    let k = Array.length xs in
-    if k = 0 then [||]
-    else begin
-      let prefix = Array.make k [||] in
-      let acc = ref (one ()) in
-      for i = 0 to k - 1 do
-        prefix.(i) <- !acc;
-        acc := mul !acc xs.(i)
-      done;
-      let out = Array.make k [||] in
-      let suffix = ref (inv !acc) in
-      for i = k - 1 downto 0 do
-        out.(i) <- mul !suffix prefix.(i);
-        suffix := mul !suffix xs.(i)
-      done;
-      out
-    end
+  let inv_batch xs = batch_invert ~one:(one ()) ~mul ~inv xs
 end
 
 (* --- scalar arithmetic modulo the group order n ------------------------- *)
@@ -826,6 +828,7 @@ module Scalar = struct
   let add a b = Uint256.add_mod a b n
   let sub a b = Uint256.sub_mod a b n
   let inv x = Uint256.inv_mod x n
+  let inv_batch xs = batch_invert ~one:Uint256.one ~mul ~inv xs
 
   (* --- GLV scalar decomposition ---------------------------------------
      k = k1 + k2*lambda (mod n) with |k1|, |k2| <= 2^128: the standard
@@ -1098,13 +1101,55 @@ let endo_table t = Array.map (fun (x, y) -> (Fe.mul beta_fe x, y)) t
 
 (* Fixed-base tables for G and lambda*G: width-10 wNAF, 256 odd
    multiples each (~16 KB per table as affine pairs), built once at
-   module initialization (single-threaded, so safe under domains). *)
+   module initialization (single-threaded, so safe under domains).
+   Only the u1·G stream of verification reads them; k·G uses the comb
+   below. *)
 let g_window = 10
 let g_table = odd_multiples generator (1 lsl (g_window - 2))
 let lg_table = endo_table g_table
 
-(* Width for on-the-fly tables of arbitrary points (8 odd multiples). *)
+(* Fixed-base comb for k·G: window i holds j·16^i·G for j = 1..15 as
+   affine pairs at [comb.(15i + j - 1)], so k·G is one mixed addition per
+   nonzero nibble of k — at most 64, and no doublings.  960 entries
+   (~190 KB), built at module initialization from ~900 additions and 64
+   doublings.  Eight windows at a time share one inversion, so the build
+   holds at most 120 Jacobian points: one inversion for all 960 would
+   leave ~1 MB of promoted garbage in the major heap of every process. *)
+let comb_windows = 64
+let comb_group = 8
+
+let comb =
+  let out = Array.make (comb_windows * 15) (gx_fe, gy_fe) in
+  let base = ref generator in
+  for g = 0 to (comb_windows / comb_group) - 1 do
+    let jac = Array.make (15 * comb_group) !base in
+    for w = 0 to comb_group - 1 do
+      jac.(15 * w) <- !base;
+      for j = 1 to 14 do
+        jac.((15 * w) + j) <- add jac.((15 * w) + j - 1) !base
+      done;
+      base := double jac.((15 * w) + 7)
+    done;
+    Array.blit (to_affine_batch jac) 0 out (15 * comb_group * g)
+      (15 * comb_group)
+  done;
+  out
+
+(* Width for the tables of arbitrary points (8 odd multiples). *)
 let pt_window = 5
+
+(* A point's odd-multiples tables for itself and for lambda times
+   itself; entry 0 of [t] is the point in affine form. *)
+type table = { t : (Fe.t * Fe.t) array; lt : (Fe.t * Fe.t) array }
+
+let precompute pt =
+  if is_infinity pt then invalid_arg "Secp256k1.precompute: infinity";
+  let t = odd_multiples pt (1 lsl (pt_window - 2)) in
+  { t; lt = endo_table t }
+
+let table_affine tb =
+  let x, y = tb.t.(0) in
+  (Fe.to_u256 x, Fe.to_u256 y)
 
 let ladder_step acc digit table =
   if digit = 0 then acc
@@ -1118,80 +1163,70 @@ let ladder_step acc digit table =
 let is_generator pt =
   Fe.is_one pt.z && Fe.equal pt.x gx_fe && Fe.equal pt.y gy_fe
 
-(* All scalar multiplication goes through the GLV decomposition: the
-   256-bit ladder becomes two (or four) 128-bit wNAF digit streams over
-   P and lambda*P tables sharing one ~128-step doubling chain.  A
-   negated subscalar is handled by flipping its digit signs. *)
+let scalar_mul_base k =
+  let l = Uint256.limbs (Scalar.reduce k) in
+  let acc = ref infinity in
+  for i = 0 to comb_windows - 1 do
+    let d = (l.(i lsr 2) lsr ((i land 3) lsl 2)) land 15 in
+    if d <> 0 then begin
+      let x, y = comb.((15 * i) + d - 1) in
+      acc := madd !acc x y
+    end
+  done;
+  !acc
+
+(* Sum of k_i·P_i for [(k_i, w_i, table of P_i, table of lambda·P_i)]
+   with every k_i < n: each scalar is GLV-split into two 128-bit wNAF
+   digit streams, and all streams share one ~128-step doubling chain
+   (Shamir's trick).  A negated subscalar flips its digit signs. *)
+let ladder terms =
+  let streams =
+    List.concat_map
+      (fun (k, w, t, lt) ->
+        let (n1, k1), (n2, k2) = Scalar.split k in
+        [ (n1, wnaf k1 w, t); (n2, wnaf k2 w, lt) ])
+      terms
+  in
+  let len = List.fold_left (fun m (_, (_, l), _) -> max m l) 0 streams in
+  let acc = ref infinity in
+  for i = len - 1 downto 0 do
+    acc := double !acc;
+    List.iter
+      (fun (neg, (d, _), t) ->
+        acc := ladder_step !acc (if neg then -d.(i) else d.(i)) t)
+      streams
+  done;
+  !acc
+
 let scalar_mul k pt =
-  if Uint256.is_zero k || is_infinity pt then infinity
+  if is_generator pt then scalar_mul_base k
+  else if is_infinity pt then infinity
   else begin
-    let k = Scalar.reduce k in
-    if Uint256.is_zero k then infinity
-    else begin
-      let fixed = is_generator pt in
-      let w = if fixed then g_window else pt_window in
-      let t, lt =
-        if fixed then (g_table, lg_table)
-        else begin
-          let t = odd_multiples pt (1 lsl (w - 2)) in
-          (t, endo_table t)
-        end
-      in
-      let (n1, k1), (n2, k2) = Scalar.split k in
-      let d1, l1 = wnaf k1 w in
-      let d2, l2 = wnaf k2 w in
-      let acc = ref infinity in
-      for i = max l1 l2 - 1 downto 0 do
-        acc := double !acc;
-        acc := ladder_step !acc (if n1 then -d1.(i) else d1.(i)) t;
-        acc := ladder_step !acc (if n2 then -d2.(i) else d2.(i)) lt
-      done;
-      !acc
-    end
+    let tb = precompute pt in
+    ladder [ (Scalar.reduce k, pt_window, tb.t, tb.lt) ]
   end
 
-let scalar_mul_base k = scalar_mul k generator
+let double_scalar_mul_base a b tb =
+  ladder
+    [
+      (Scalar.reduce a, g_window, g_table, lg_table);
+      (Scalar.reduce b, pt_window, tb.t, tb.lt);
+    ]
 
-(* Shamir's trick with interleaved wNAF digits: one shared doubling
-   chain, mixed additions against per-point affine tables — four digit
-   streams after GLV decomposition of both scalars. *)
-let double_scalar_mul a pa b pb =
-  if is_infinity pa || Uint256.is_zero a then scalar_mul b pb
-  else if is_infinity pb || Uint256.is_zero b then scalar_mul a pa
-  else begin
-    let a = Scalar.reduce a and b = Scalar.reduce b in
-    if Uint256.is_zero a then scalar_mul b pb
-    else if Uint256.is_zero b then scalar_mul a pa
-    else begin
-      let a_fixed = is_generator pa in
-      let wa = if a_fixed then g_window else pt_window in
-      let ta, lta =
-        if a_fixed then (g_table, lg_table)
-        else begin
-          let t = odd_multiples pa (1 lsl (wa - 2)) in
-          (t, endo_table t)
-        end
-      in
-      let tb = odd_multiples pb (1 lsl (pt_window - 2)) in
-      let ltb = endo_table tb in
-      let (s1, a1), (s2, a2) = Scalar.split a in
-      let (s3, b1), (s4, b2) = Scalar.split b in
-      let da1, la1 = wnaf a1 wa in
-      let da2, la2 = wnaf a2 wa in
-      let db1, lb1 = wnaf b1 pt_window in
-      let db2, lb2 = wnaf b2 pt_window in
-      let len = max (max la1 la2) (max lb1 lb2) in
-      let acc = ref infinity in
-      for i = len - 1 downto 0 do
-        acc := double !acc;
-        acc := ladder_step !acc (if s1 then -da1.(i) else da1.(i)) ta;
-        acc := ladder_step !acc (if s2 then -da2.(i) else da2.(i)) lta;
-        acc := ladder_step !acc (if s3 then -db1.(i) else db1.(i)) tb;
-        acc := ladder_step !acc (if s4 then -db2.(i) else db2.(i)) ltb
-      done;
-      !acc
-    end
-  end
+(* Affine x-coordinates of many points with one shared inversion; None
+   for the point at infinity. *)
+let affine_x_batch pts =
+  (* the point at infinity (z = 0) stands in as z = 1; its inverse is
+     never read *)
+  let zinvs =
+    Fe.inv_batch
+      (Array.map (fun pt -> if is_infinity pt then Fe.one () else pt.z) pts)
+  in
+  Array.mapi
+    (fun i pt ->
+      if is_infinity pt then None
+      else Some (Fe.to_u256 (Fe.mul pt.x (Fe.sqr zinvs.(i)))))
+    pts
 
 (* ECDSA's final comparison without leaving Jacobian coordinates: does
    pt have an affine x-coordinate congruent to [r] mod n?  x = X/Z^2, so

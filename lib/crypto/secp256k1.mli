@@ -3,11 +3,12 @@
     The fast kernel represents field elements as ten 26-bit limbs in
     native ints with fused comba multiply + pseudo-Mersenne reduction
     (p = 2²⁵⁶ − 2³² − 977, so 2²⁶⁰ ≡ 2³⁶ + 15632), points in Jacobian
-    coordinates, and scalar multiplication as wNAF ladders over
-    precomputed affine odd-multiple tables (a fixed width-8 table for G,
-    on-the-fly width-5 tables for arbitrary points) with Shamir's trick
-    for the dual-scalar verify path.  {!Ref} keeps the original
-    straightforward implementation alive for differential testing. *)
+    coordinates, [k·G] as a fixed-base comb, and the dual-scalar verify
+    path as GLV/wNAF ladders with Shamir's trick over precomputed affine
+    odd-multiple tables (a fixed width-10 table for G, a width-5
+    {!table} per other point, built once by {!precompute}).  {!Ref}
+    keeps the original straightforward implementation alive for
+    differential testing. *)
 
 type fe = Uint256.t
 (** A field element, canonical (< p). *)
@@ -42,17 +43,40 @@ val add : point -> point -> point
 val negate : point -> point
 
 val scalar_mul : Uint256.t -> point -> point
-(** [scalar_mul k pt] by a wNAF windowed ladder; detects [pt = G] and
-    uses the precomputed fixed-base table. *)
+(** [scalar_mul k pt] by a GLV/wNAF ladder over a table of [pt] built
+    for the call; [pt = G] goes to {!scalar_mul_base}. *)
 
 val scalar_mul_base : Uint256.t -> point
-(** [scalar_mul_base k] is [k·G] over the fixed-base table — the signing
-    hot path. *)
+(** [scalar_mul_base k] is [k·G] by a fixed-base comb: 64 windows of 4
+    bits, each with the 15 affine multiples [j·16^i·G] precomputed at
+    module initialization (~190 KB), so one call is at most 64 mixed
+    additions and no doublings — the signing and key-generation hot
+    path.  [k] is reduced mod n first.  Like the wNAF ladders, it skips
+    zero nibbles, so its running time depends on the scalar. *)
 
-val double_scalar_mul : Uint256.t -> point -> Uint256.t -> point -> point
-(** [double_scalar_mul a pt_a b pt_b] computes [a·pt_a + b·pt_b] with a
-    single shared doubling chain and interleaved wNAF digits (Shamir's
-    trick) — the hot path of ECDSA verification. *)
+type table
+(** A finite point's precomputed odd multiples (width 5: P, 3P, …, 15P
+    and the same for λP under the GLV endomorphism), affine — about
+    2.5 KB.  Immutable, so one table can serve any number of domains. *)
+
+val precompute : point -> table
+(** Build a point's table (one doubling, seven additions and one shared
+    inversion).  Raises [Invalid_argument] on the point at infinity. *)
+
+val table_affine : table -> fe * fe
+(** The affine coordinates of the tabled point, read from the table
+    (no inversion). *)
+
+val double_scalar_mul_base : Uint256.t -> Uint256.t -> table -> point
+(** [double_scalar_mul_base a b tq] computes [a·G + b·Q] for the point
+    [Q] that [tq] tables: GLV-split scalars, four interleaved wNAF
+    streams over the fixed width-10 tables of G and λG and [tq]'s
+    tables, one shared doubling chain (Shamir's trick) — the hot path
+    of ECDSA verification. *)
+
+val affine_x_batch : point array -> fe option array
+(** The affine x-coordinates of many points with one shared field
+    inversion (Montgomery's trick); [None] for the point at infinity. *)
 
 val equal : point -> point -> bool
 (** Structural equality of the represented affine points (computed by
@@ -96,6 +120,11 @@ module Scalar : sig
 
   val inv : Uint256.t -> Uint256.t
   (** Modular inverse mod n; raises on zero. *)
+
+  val inv_batch : Uint256.t array -> Uint256.t array
+  (** Invert every element mod n with one modular inversion plus
+      3(k−1) multiplications (Montgomery's trick).  Every element must
+      be nonzero mod n; raises otherwise. *)
 end
 
 (** {1 Reference kernel}

@@ -26,6 +26,11 @@ let sign_pure t ~priv ~pub digest =
       ignore priv;
       simulated_signature pub digest
 
+let sign_many t ~priv ~pub digests =
+  match t with
+  | Real -> Ecdsa.sign_many priv digests
+  | Simulated _ -> Array.map (simulated_signature pub) digests
+
 let charge_sign t clock =
   match t with
   | Real -> ()
@@ -45,6 +50,12 @@ let check t ~pub digest signature =
       Ecdsa.signature_to_bytes (simulated_signature pub digest)
       = Ecdsa.signature_to_bytes signature
 
+let check_many t ~pub items =
+  match t with
+  | Real -> Ecdsa.verify_many pub items
+  | Simulated _ ->
+      Array.map (fun (digest, signature) -> check t ~pub digest signature) items
+
 let charge_verify t clock =
   match t with
   | Real -> ()
@@ -55,10 +66,10 @@ let verify t clock ~pub digest signature =
   check t ~pub digest signature
 
 (* Differential canary over the fast/reference kernel pair.  [Real]
-   routes every check through the wNAF/GLV pipeline; if that kernel ever
-   diverges from the retained long-division reference (bad build flags,
-   a miscompiled unrolled loop), signatures would silently stop matching
-   other verifiers.  This runs one fixed sign/verify through both
+   routes every sign through the comb and every check through the
+   GLV/wNAF pipeline; if that kernel ever diverges from the retained
+   long-division reference (bad build flags, a miscompiled unrolled
+   loop), signatures would silently stop matching other verifiers.  This runs one fixed sign/verify through both
    pipelines plus a SHA-256 cross-check and must return [true]. *)
 let self_check () =
   let msg = Bytes.of_string "crypto_profile differential canary" in

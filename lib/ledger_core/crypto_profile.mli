@@ -41,6 +41,14 @@ val sign_pure :
     cost.  Pooled batch signing runs it across domains after charging
     with {!charge_sign} in submission order. *)
 
+val sign_many :
+  t -> priv:Ecdsa.private_key -> pub:Ecdsa.public_key -> Hash.t array ->
+  Ecdsa.signature array
+(** {!sign_pure} over many digests, in order, touching no clock: [Real]
+    is {!Ecdsa.sign_many} (one shared inversion per call, each signature
+    byte-identical to {!sign_pure}'s), [Simulated] maps per item.  The
+    pooled receipt signer calls it once per pool chunk. *)
+
 val charge_sign : t -> Clock.t -> unit
 (** Advance the clock by the simulated sign cost ([Real]: no-op). *)
 
@@ -54,12 +62,20 @@ val check : t -> pub:Ecdsa.public_key -> Hash.t -> Ecdsa.signature -> bool
     the simulated clock byte-identical to the sequential path charge
     separately with {!charge_verify}, in submission order. *)
 
+val check_many :
+  t -> pub:Ecdsa.public_key -> (Hash.t * Ecdsa.signature) array -> bool array
+(** {!check} over many (digest, signature) pairs against one key,
+    touching no clock: [Real] is {!Ecdsa.verify_many} (one shared
+    inversion per call), [Simulated] maps per item.  Each verdict equals
+    {!check} on that pair.  The pooled batch appends call it once per
+    pool chunk. *)
+
 val charge_verify : t -> Clock.t -> unit
 (** Advance the clock by the simulated verify cost ([Real]: no-op). *)
 
 val self_check : unit -> bool
 (** Differential canary for the [Real] profile's fast kernel: signs a
-    fixed digest through both the wNAF/GLV pipeline and the retained
+    fixed digest through both the comb/GLV pipeline and the retained
     reference pipeline, checks the signatures are byte-identical and
     accepted by both verifiers, and cross-checks the two SHA-256
     implementations.  Returns [false] if the kernels have diverged.

@@ -246,12 +246,6 @@ let sign_with_profile t ~priv ~pub digest =
 let verify_with_profile t ~pub digest signature =
   Crypto_profile.verify t.cfg.crypto t.clock ~pub digest signature
 
-(* Pure check — no clock charge — for pooled batch verification; the
-   caller charges with {!Crypto_profile.charge_verify} in submission
-   order to keep the simulated clock byte-identical. *)
-let check_with_profile t ~pub digest signature =
-  Crypto_profile.check t.cfg.crypto ~pub digest signature
-
 let size t = t.count
 let store_healthy t = Stream_store.healthy t.store
 let backing_store t = t.store
@@ -505,23 +499,25 @@ let unsigned_receipt s ~blocks ~timestamp =
 (* Receipts for [slots]: timestamps, digests and the simulated sign
    charges run in submission order, so every timestamp equals the one
    slot-by-slot signing reads; only the pure π_s signatures fan out over
-   [pool].  ECDSA nonces are deterministic, so the receipts are
-   byte-identical to the sequential ones. *)
+   [pool], one [sign_many] (one shared inversion) per chunk.  ECDSA
+   nonces are deterministic, so the receipts are byte-identical to the
+   sequential ones. *)
 let make_receipts ?(pool = Domain_pool.sequential) t slots =
   let unsigned =
-    List.map
-      (fun s ->
-        let timestamp = Clock.now t.clock in
-        Crypto_profile.charge_sign t.cfg.crypto t.clock;
-        unsigned_receipt s ~blocks:t.blocks ~timestamp)
-      slots
+    Array.of_list
+      (List.map
+         (fun s ->
+           let timestamp = Clock.now t.clock in
+           Crypto_profile.charge_sign t.cfg.crypto t.clock;
+           unsigned_receipt s ~blocks:t.blocks ~timestamp)
+         slots)
   in
-  Domain_pool.map_list pool ~label:"receipt_sign" ~min_chunk:2
-    (fun (digest, complete) ->
-      complete
-        (Crypto_profile.sign_pure t.cfg.crypto ~priv:t.lsp_priv ~pub:t.lsp_pub
-           digest))
-    unsigned
+  let sigs =
+    Domain_pool.map_chunked pool ~label:"receipt_sign" ~min_chunk:2
+      (Crypto_profile.sign_many t.cfg.crypto ~priv:t.lsp_priv ~pub:t.lsp_pub)
+      (Array.map fst unsigned)
+  in
+  List.init (Array.length sigs) (fun i -> snd unsigned.(i) sigs.(i))
 
 let make_receipt t s =
   match make_receipts t [ s ] with [ r ] -> r | _ -> assert false
@@ -625,15 +621,15 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
       entries
   in
   let checks =
-    Domain_pool.map_list pool ~label:"sig_check" ~min_chunk:2
-      (fun (j : Journal.t) ->
-        match j.Journal.client_sig with
-        | Some s ->
-            check_with_profile t ~pub:member.Roles.pub j.Journal.request_hash s
-        | None -> false)
-      journals
+    Domain_pool.map_chunked pool ~label:"sig_check" ~min_chunk:2
+      (Crypto_profile.check_many t.cfg.crypto ~pub:member.Roles.pub)
+      (Array.of_list
+         (List.map
+            (fun (j : Journal.t) ->
+              (j.Journal.request_hash, Option.get j.Journal.client_sig))
+            journals))
   in
-  if List.exists not checks then
+  if Array.exists not checks then
     invalid_arg "Ledger.append_batch: bad client signature";
   let slots = commit_batch ~pool t journals in
   if seal then seal_block t;
@@ -648,22 +644,28 @@ let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
   | Some member ->
       Latency_model.charge_net t.cfg.latency t.clock;
       (* pooled pre-pass: re-derive every request digest and decide every
-         π_c purely, before any state mutation.  Clock charges and
-         journal construction stay sequential below, in submission
-         order, so accepted histories — and the clock at the moment a
-         bad entry rejects the batch — are byte-identical to the
-         sequential validation loop. *)
+         π_c purely (one [check_many] per chunk), before any state
+         mutation.  Clock charges and journal construction stay
+         sequential below, in submission order, so accepted histories —
+         and the clock at the moment a bad entry rejects the batch — are
+         byte-identical to the sequential validation loop. *)
       let checked =
-        Domain_pool.map_list pool ~label:"sig_check" ~min_chunk:2
-          (fun (payload, clues, client_ts, nonce, signature) ->
-            let request_hash =
-              Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal"
-                ~payload ~clues ~client_ts ~nonce
+        Domain_pool.map_chunked pool ~label:"sig_check" ~min_chunk:2
+          (fun chunk ->
+            let hashed =
+              Array.map
+                (fun (payload, clues, client_ts, nonce, signature) ->
+                  ( Journal.request_digest ~ledger_uri:(uri t)
+                      ~kind_tag:"normal" ~payload ~clues ~client_ts ~nonce,
+                    signature ))
+                chunk
             in
-            ( request_hash,
-              check_with_profile t ~pub:member.Roles.pub request_hash signature
-            ))
-          entries
+            Array.map2
+              (fun (request_hash, _) ok -> (request_hash, ok))
+              hashed
+              (Crypto_profile.check_many t.cfg.crypto ~pub:member.Roles.pub
+                 hashed))
+          (Array.of_list entries)
       in
       let rec validate i acc entries checked =
         match (entries, checked) with
@@ -684,7 +686,7 @@ let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
               validate (i + 1) (j :: acc) rest checked_rest
         | _ -> assert false (* same length by construction *)
       in
-      (match validate 0 [] entries checked with
+      (match validate 0 [] entries (Array.to_list checked) with
       | Error _ as e -> e
       | Ok journals ->
           let slots = commit_batch ~pool t journals in

@@ -100,17 +100,23 @@ let env_domains () =
       | Some n when n >= 1 -> Some n
       | Some _ | None -> None)
 
-let global : t option ref = ref None
+(* Read and published from any domain: two first callers may both
+   build a pool, but only one is published; the loser shuts its own
+   workers down instead of leaking them. *)
+let global : t option Atomic.t = Atomic.make None
 
-let default () =
-  match !global with
+let rec default () =
+  match Atomic.get global with
   | Some t -> t
   | None ->
       let t = create ?domains:(env_domains ()) () in
-      global := Some t;
-      t
+      if Atomic.compare_and_set global None (Some t) then t
+      else begin
+        shutdown t;
+        default ()
+      end
 
-let set_default t = global := Some t
+let set_default t = Atomic.set global (Some t)
 
 (* --- chunked execution ----------------------------------------------------- *)
 
@@ -218,6 +224,18 @@ let map_array t ?label ?min_chunk f arr =
         out.(i + 1) <- f arr.(i + 1));
     out
   end
+
+let map_chunked t ?label ?min_chunk f arr =
+  let n = Array.length arr in
+  (* chunk results land at their chunk's first index; the other slots
+     stay empty, so concatenating in index order restores item order *)
+  let parts = Array.make n [||] in
+  map_chunks t ?label ?min_chunk ~n (fun ~lo ~hi ->
+      let r = f (Array.sub arr lo (hi - lo)) in
+      if Array.length r <> hi - lo then
+        invalid_arg "Domain_pool.map_chunked: result length differs";
+      parts.(lo) <- r);
+  Array.concat (Array.to_list parts)
 
 let map_list t ?label ?min_chunk f l =
   match l with

@@ -36,7 +36,9 @@ val default : unit -> t
 (** The lazily created process-wide pool, sized from [LEDGERDB_DOMAINS]
     when that parses as a positive integer, else from
     [Domain.recommended_domain_count ()] (0, negatives and garbage fall
-    back rather than fail). *)
+    back rather than fail).  Safe to call from any domain: concurrent
+    first callers all get the one published pool, and a pool built by a
+    caller that lost the race is shut down. *)
 
 val env_domains : unit -> int option
 (** The [LEDGERDB_DOMAINS] override as {!default} would read it right
@@ -68,6 +70,16 @@ val map_array :
   t -> ?label:string -> ?min_chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map] with result order guaranteed identical to the
     sequential map.  [f] is applied exactly once per element. *)
+
+val map_chunked :
+  t -> ?label:string -> ?min_chunk:int -> ('a array -> 'b array) -> 'a array ->
+  'b array
+(** [map_chunked t f arr] applies [f] once to each chunk of [arr] (as
+    {!map_chunks} splits it, as a fresh sub-array) and concatenates the
+    results in item order.  [f] must return one result per item
+    ([Invalid_argument] otherwise); a batch primitive that shares work
+    across its items — one inversion for many signatures — runs once per
+    chunk this way. *)
 
 val map_list :
   t -> ?label:string -> ?min_chunk:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -233,7 +233,9 @@ let test_double_scalar_mul () =
     Secp256k1.add (Secp256k1.scalar_mul a g) (Secp256k1.scalar_mul b q)
   in
   Alcotest.(check bool) "shamir matches" true
-    (Secp256k1.equal (Secp256k1.double_scalar_mul a g b q) expected)
+    (Secp256k1.equal
+       (Secp256k1.double_scalar_mul_base a b (Secp256k1.precompute q))
+       expected)
 
 (* --- ECDSA --------------------------------------------------------------- *)
 

@@ -155,7 +155,9 @@ let prop_double_scalar_mul_differential =
         | None -> QCheck.assume_fail ()
       in
       let q_ref = Secp256k1.Ref.of_affine qx qy in
-      let fast = Secp256k1.double_scalar_mul a Secp256k1.generator b q in
+      let fast =
+        Secp256k1.double_scalar_mul_base a b (Secp256k1.precompute q)
+      in
       let refp =
         Secp256k1.Ref.double_scalar_mul a Secp256k1.Ref.generator b q_ref
       in
@@ -228,6 +230,144 @@ let prop_bitflip_rejection_agreement =
       Bool.equal
         (Ecdsa.verify pub' digest' s')
         (Ecdsa.Ref.verify pub' digest' s'))
+
+(* --- batched sign/verify ---------------------------------------------- *)
+
+let sig_bytes s = Bytes.to_string (Ecdsa.signature_to_bytes s)
+
+(* sign_many shares its inversions across the batch; every signature
+   must still be the one sign would produce alone. *)
+let test_sign_many_identical () =
+  let priv, _ = Ecdsa.generate ~seed:"sign-many" in
+  let digest i = Hash.digest_string ("sign-many:" ^ string_of_int i) in
+  let d0 = digest 0 in
+  List.iter
+    (fun (label, ds) ->
+      check
+        Alcotest.(array string)
+        label
+        (Array.map (fun d -> sig_bytes (Ecdsa.sign priv d)) ds)
+        (Array.map sig_bytes (Ecdsa.sign_many priv ds)))
+    [
+      ("empty", [||]);
+      ("singleton", [| d0 |]);
+      ("duplicate digests", [| d0; digest 1; d0; d0 |]);
+      ("257 entries", Array.init 257 digest);
+    ]
+
+(* A key whose signature (r, s) has x(R) = r + n: R is a point with
+   x >= n, and Q = r^-1 (s·R - z·G) makes (r, s) valid for digest z.
+   Only the verifier's r + n branch can accept it. *)
+let r_plus_n_case () =
+  let exp a e =
+    let acc = ref Uint256.one in
+    for i = Uint256.num_bits e - 1 downto 0 do
+      acc := Secp256k1.fe_sqr !acc;
+      if Uint256.bit e i then acc := Secp256k1.fe_mul !acc a
+    done;
+    !acc
+  in
+  let sqrt_exp =
+    (* (p + 1) / 4 *)
+    Uint256.of_hex
+      "3fffffffffffffffffffffffffffffffffffffffffffffffffffffffbfffff0c"
+  in
+  let rec find t =
+    let x = fst (Uint256.add n (Uint256.of_int t)) in
+    let rhs =
+      Secp256k1.fe_add
+        (Secp256k1.fe_mul (Secp256k1.fe_sqr x) x)
+        (Uint256.of_int 7)
+    in
+    let y = exp rhs sqrt_exp in
+    if Uint256.equal (Secp256k1.fe_sqr y) rhs then (x, y) else find (t + 1)
+  in
+  let rx, ry = find 1 in
+  let r = fst (Uint256.sub rx n) in
+  let digest = Hash.digest_string "r + n candidate" in
+  let z = Secp256k1.Scalar.reduce (Uint256.of_bytes_be (Hash.to_bytes digest)) in
+  let s = Uint256.of_int 0x1234567 in
+  let big_r = Secp256k1.of_affine rx ry in
+  let q =
+    Secp256k1.scalar_mul (Secp256k1.Scalar.inv r)
+      (Secp256k1.add (Secp256k1.scalar_mul s big_r)
+         (Secp256k1.negate (Secp256k1.scalar_mul_base z)))
+  in
+  (Ecdsa.public_key_of_point q, digest, { Ecdsa.r; s })
+
+(* verify_many must give, item by item, the verdicts of verify and of
+   the reference verifier — across the range checks, tampering and the
+   r + n comparison. *)
+let test_verify_many_agrees () =
+  let priv, pub = Ecdsa.generate ~seed:"verify-many" in
+  let _, other = Ecdsa.generate ~seed:"verify-many-other" in
+  let digest i = Hash.digest_string ("verify-many:" ^ string_of_int i) in
+  let signed i = (digest i, Ecdsa.sign priv (digest i)) in
+  let flip v =
+    let b = Uint256.to_bytes_be v in
+    Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) lxor 1));
+    Uint256.of_bytes_be b
+  in
+  let tamper f i =
+    let d, sg = signed i in
+    (d, f sg)
+  in
+  let items =
+    [|
+      signed 0;
+      tamper (fun sg -> { sg with Ecdsa.r = flip sg.Ecdsa.r }) 1;
+      signed 2;
+      tamper (fun sg -> { sg with Ecdsa.s = flip sg.Ecdsa.s }) 3;
+      tamper (fun sg -> { sg with Ecdsa.r = Uint256.zero }) 4;
+      tamper (fun sg -> { sg with Ecdsa.s = Uint256.zero }) 5;
+      tamper (fun sg -> { sg with Ecdsa.r = n }) 6;
+      tamper (fun sg -> { sg with Ecdsa.s = n }) 7;
+      (digest 9, snd (signed 8));
+      signed 10;
+    |]
+  in
+  let expect =
+    [| true; false; true; false; false; false; false; false; false; true |]
+  in
+  let against key items expect label =
+    check Alcotest.(array bool) (label ^ ": verify_many") expect
+      (Ecdsa.verify_many key items);
+    check Alcotest.(array bool) (label ^ ": verify") expect
+      (Array.map (fun (d, sg) -> Ecdsa.verify key d sg) items);
+    check Alcotest.(array bool) (label ^ ": Ref.verify") expect
+      (Array.map (fun (d, sg) -> Ecdsa.Ref.verify key d sg) items)
+  in
+  against pub items expect "mixed batch";
+  against other items (Array.map (fun _ -> false) items) "wrong key";
+  check Alcotest.(array bool) "empty" [||] (Ecdsa.verify_many pub [||]);
+  let key, d, sg = r_plus_n_case () in
+  let r_off = { sg with Ecdsa.r = flip sg.Ecdsa.r } in
+  against key [| (d, sg); (d, r_off) |] [| true; false |] "r + n candidate"
+
+(* A key's table is shared, never rebuilt: four domains verifying with
+   one key at once must all get every verdict right. *)
+let test_key_shared_across_domains () =
+  let priv, pub = Ecdsa.generate ~seed:"shared-key" in
+  let items =
+    Array.init 12 (fun i ->
+        let d = Hash.digest_string ("shared:" ^ string_of_int i) in
+        let sg = Ecdsa.sign priv d in
+        if i mod 3 = 2 then (Hash.digest_string "other", sg) else (d, sg))
+  in
+  let expect = Array.mapi (fun i _ -> i mod 3 <> 2) items in
+  let workers =
+    List.init 4 (fun w ->
+        Domain.spawn (fun () ->
+            List.init 5 (fun round ->
+                if (w + round) mod 2 = 0 then Ecdsa.verify_many pub items
+                else Array.map (fun (d, sg) -> Ecdsa.verify pub d sg) items)))
+  in
+  List.iter
+    (fun dom ->
+      List.iter
+        (check Alcotest.(array bool) "verdicts from a shared key" expect)
+        (Domain.join dom))
+    workers
 
 (* --- algebraic laws: Uint256 / field / scalar rings ---------------------- *)
 
@@ -440,4 +580,7 @@ let suite =
     tc "sealed ledger byte-identical across kernel swap" `Quick
       test_sealed_ledger_byte_identity;
     tc "crypto_profile self-check canary" `Quick test_profile_self_check;
+    tc "sign_many = sign per item" `Quick test_sign_many_identical;
+    tc "verify_many = verify = Ref.verify" `Quick test_verify_many_agrees;
+    tc "one key verifies from 4 domains" `Quick test_key_shared_across_domains;
   ]

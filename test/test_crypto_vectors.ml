@@ -178,6 +178,45 @@ let test_kg () =
   | None -> ()
   | Some _ -> Alcotest.fail "kG-n: n*G must be the point at infinity"
 
+(* The comb reads k one 4-bit window at a time: every window wall
+   (16^i ± 1), a full window (15), the first carry (16), n − 1 and
+   scalars at or above n (reduced first) must match the reference
+   double-and-add. *)
+let test_kg_comb_walls () =
+  let u = Uint256.of_hex in
+  let pow16 i =
+    let b = Bytes.make 32 '\x00' in
+    Bytes.set b (31 - (i / 2)) (Char.chr (1 lsl (4 * (i mod 2))));
+    Uint256.of_bytes_be b
+  in
+  let walls =
+    List.concat_map
+      (fun i ->
+        let w = pow16 i in
+        [ fst (Uint256.add w Uint256.one); fst (Uint256.sub w Uint256.one) ])
+      (List.init 63 (fun i -> i + 1))
+  in
+  let n = Secp256k1.n in
+  List.iter
+    (fun k ->
+      let id = "comb k=" ^ Uint256.to_hex k in
+      let fast = Secp256k1.to_affine (Secp256k1.scalar_mul_base k) in
+      let refp =
+        Secp256k1.Ref.to_affine
+          (Secp256k1.Ref.scalar_mul k Secp256k1.Ref.generator)
+      in
+      match (fast, refp) with
+      | None, None -> ()
+      | Some (x1, y1), Some (x2, y2) ->
+          Alcotest.(check string) (id ^ "/x") (Uint256.to_hex x2) (Uint256.to_hex x1);
+          Alcotest.(check string) (id ^ "/y") (Uint256.to_hex y2) (Uint256.to_hex y1)
+      | _ -> Alcotest.failf "%s: infinity on one side only" id)
+    ([ Uint256.one; Uint256.of_int 15; Uint256.of_int 16;
+       fst (Uint256.sub n Uint256.one); n; fst (Uint256.add n Uint256.one);
+       fst (Uint256.add n (Uint256.of_int 16));
+       u (String.make 64 'f') ]
+    @ walls)
+
 (* --- field and scalar arithmetic vectors -------------------------------- *)
 
 (* (a, b, a*b, a+b, a-b, a^-1) mod p *)
@@ -314,7 +353,13 @@ let test_ecdsa_infinity_pubkey () =
   Alcotest.(check bool) "infinity pubkey is infinity" true
     (Secp256k1.is_infinity q_inf);
   let digest = Hash.digest_string "vector" in
-  both_reject "ecdsa-inf-pubkey" q_inf digest (k1_sig ())
+  let key = Ecdsa.public_key_of_point q_inf in
+  both_reject "ecdsa-inf-pubkey" key digest (k1_sig ());
+  Alcotest.(check (array bool)) "ecdsa-inf-pubkey/many" [| false; false |]
+    (Ecdsa.verify_many key [| (digest, k1_sig ()); (digest, k1_sig ()) |]);
+  Alcotest.check_raises "ecdsa-inf-pubkey/encode"
+    (Invalid_argument "Ecdsa.public_key_to_bytes: infinity") (fun () ->
+      ignore (Ecdsa.public_key_to_bytes key))
 
 let test_pubkey_encodings () =
   let zeros n = String.concat "" (List.init n (fun _ -> "00")) in
@@ -378,6 +423,8 @@ let () =
           Alcotest.test_case "scalar multiples of G" `Quick test_kg;
           Alcotest.test_case "field arithmetic vectors" `Quick test_fe;
           Alcotest.test_case "scalar arithmetic vectors" `Quick test_scalar;
+          Alcotest.test_case "comb window walls = reference" `Quick
+            test_kg_comb_walls;
         ] );
       ( "ecdsa-edge",
         [

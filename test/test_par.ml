@@ -323,18 +323,18 @@ let charging = Crypto_profile.Simulated { sign_us = 30.; verify_us = 70. }
 let receipt_runs =
   [
     ( "append_batch",
-      fun ~pool ~crypto ->
+      fun ~pool ~crypto ~n ->
         let clock, ledger, user, key = mk_ledger ~crypto () in
         let entries =
-          List.init 15 (fun i -> (payload_of i, clues_of (i mod 4)))
+          List.init n (fun i -> (payload_of i, clues_of (i mod 4)))
         in
         let rs = Ledger.append_batch ~pool ledger ~member:user ~priv:key entries in
         (Clock.now clock, ledger, rs) );
     ( "append_signed_batch",
-      fun ~pool ~crypto ->
+      fun ~pool ~crypto ~n ->
         let clock, ledger, user, key = mk_ledger ~crypto () in
         let entries =
-          signed_entries ~crypto ledger ~member:user ~priv:key 15 ~poison:None
+          signed_entries ~crypto ledger ~member:user ~priv:key n ~poison:None
         in
         match
           Ledger.append_signed_batch ~pool ledger ~member_id:user.Roles.id
@@ -368,18 +368,22 @@ let check_receipts_stand_alone label ~crypto ~lsp_pub ~final_clock rs =
         r.Receipt.timestamp)
     rs
 
+(* Under [Real], 7 and 33 entries do not divide into the pool's chunks,
+   so the per-chunk [sign_many]/[check_many] calls see uneven chunks. *)
 let test_pooled_batch_receipts () =
   with_pool (fun pool ->
       List.iter
         (fun (path, run) ->
           List.iter
-            (fun (profile, crypto) ->
-              let label = path ^ "/" ^ profile in
+            (fun (profile, crypto, n) ->
+              let label = Printf.sprintf "%s/%s/%d" path profile n in
               (* clocks read at return: [check_equal_histories] re-signs *)
-              let now_p, par, r_par = run ~pool ~crypto in
-              let now_s, seq, r_seq = run ~pool:Domain_pool.sequential ~crypto in
+              let now_p, par, r_par = run ~pool ~crypto ~n in
+              let now_s, seq, r_seq =
+                run ~pool:Domain_pool.sequential ~crypto ~n
+              in
               ignore (Test_batch_diff.check_equal_histories par seq);
-              Alcotest.(check int) (label ^ ": receipt counts") 15
+              Alcotest.(check int) (label ^ ": receipt counts") n
                 (List.length r_par);
               List.iter2
                 (fun (a : Receipt.t) (b : Receipt.t) ->
@@ -397,31 +401,45 @@ let test_pooled_batch_receipts () =
                     Alcotest.(check bool) (label ^ ": Receipt.verify") true
                       (Receipt.verify ~lsp_pub:(Ledger.lsp_public_key par) r))
                   r_par)
-            [ ("simulated", charging); ("real", Crypto_profile.Real) ])
+            [
+              ("simulated", charging, 15);
+              ("real", Crypto_profile.Real, 7);
+              ("real", Crypto_profile.Real, 15);
+              ("real", Crypto_profile.Real, 33);
+            ])
         receipt_runs)
 
+(* The second case poisons entry 15 of 33 under [Real] on a 2-domain
+   pool, whose chunks are [0,5) [5,9) [9,13) [13,17) …: the bad entry
+   sits mid-chunk, inside one [check_many] call. *)
 let test_pooled_signed_batch_rejection () =
-  with_pool (fun pool ->
-      let run pool =
-        let clock, ledger, user, key = mk_ledger () in
-        let entries =
-          signed_entries ledger ~member:user ~priv:key 12 ~poison:(Some 7)
-        in
-        match
-          Ledger.append_signed_batch ~pool ledger ~member_id:user.Roles.id
-            entries
-        with
-        | Ok _ -> Alcotest.fail "poisoned batch accepted"
-        | Error e -> (e, Ledger.size ledger, Clock.now clock)
-      in
-      let e_par, size_par, clk_par = run pool in
-      let e_seq, size_seq, clk_seq = run Domain_pool.sequential in
-      Alcotest.(check string) "same rejection" e_seq e_par;
-      Alcotest.(check string) "names the poisoned entry"
-        "append_batch: bad client signature (entry 7)" e_par;
-      Alcotest.(check int) "nothing committed (pooled)" 0 size_par;
-      Alcotest.(check int) "nothing committed (sequential)" 0 size_seq;
-      Alcotest.(check int64) "same clock position" clk_seq clk_par)
+  List.iter
+    (fun (crypto, domains, n, poison) ->
+      with_pool ~domains (fun pool ->
+          let run pool =
+            let clock, ledger, user, key = mk_ledger ~crypto () in
+            let entries =
+              signed_entries ~crypto ledger ~member:user ~priv:key n
+                ~poison:(Some poison)
+            in
+            match
+              Ledger.append_signed_batch ~pool ledger ~member_id:user.Roles.id
+                entries
+            with
+            | Ok _ -> Alcotest.fail "poisoned batch accepted"
+            | Error e -> (e, Ledger.size ledger, Clock.now clock)
+          in
+          let e_par, size_par, clk_par = run pool in
+          let e_seq, size_seq, clk_seq = run Domain_pool.sequential in
+          Alcotest.(check string) "same rejection" e_seq e_par;
+          Alcotest.(check string) "names the poisoned entry"
+            (Printf.sprintf "append_batch: bad client signature (entry %d)"
+               poison)
+            e_par;
+          Alcotest.(check int) "nothing committed (pooled)" 0 size_par;
+          Alcotest.(check int) "nothing committed (sequential)" 0 size_seq;
+          Alcotest.(check int64) "same clock position" clk_seq clk_par))
+    [ (diff_config.Ledger.crypto, 4, 12, 7); (Crypto_profile.Real, 2, 33, 15) ]
 
 (* Shard fan-out: a 3-shard fleet driven through a pooled append/seal and
    an inline one must agree shard by shard and on the epoch super-root. *)

@@ -31,4 +31,5 @@ let () =
       ("par", Test_par.suite);
       ("net", Test_net.suite);
       ("read-view", Test_read_view.suite);
+      ("commit-path", Test_commit_path.suite);
     ]

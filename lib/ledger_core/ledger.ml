@@ -370,35 +370,40 @@ let install_slot t (j : Journal.t) ~tx ~store_index =
   | Journal.Normal | Journal.Purge _ -> ());
   s
 
-(* Replay installs journals too, so only the commit paths count appends. *)
+(* Replay installs journals too, so only [commit] counts appends. *)
 let count_append (j : Journal.t) =
   Metrics.incr "ledger_appends_total";
   Metrics.observe_int "ledger_payload_bytes" (Bytes.length j.Journal.payload)
 
-let commit_journal t (j : Journal.t) =
-  let sp = Trace.enter "ledger.commit" in
-  Trace.attr_int sp "jsn" j.Journal.jsn;
+(* Persist, accumulate and install one chunk of journals with leaves
+   [txs]: one storage append and one fam accumulation for the chunk.
+   The one place journals reach storage and the accumulator — [commit]
+   and snapshot replay both install through it.  No seal, no publish. *)
+let install_chunk ?(pool = Domain_pool.sequential) t journals txs =
   let sp_persist = Trace.enter "persist" in
-  let store_index = Stream_store.append t.journal_stream j.Journal.payload in
+  let first_store =
+    Stream_store.append_many t.journal_stream
+      (List.map (fun (j : Journal.t) -> j.Journal.payload) journals)
+  in
   Trace.exit sp_persist;
-  let tx = Journal.tx_hash j in
   let sp_acc = Trace.enter "accumulate" in
-  ignore (Fam.append t.fam tx);
-  let s = install_slot t j ~tx ~store_index in
+  ignore (Fam.append_many ~pool t.fam txs);
+  let slots =
+    List.mapi
+      (fun k (j, tx) -> install_slot t j ~tx ~store_index:(first_store + k))
+      (List.combine journals txs)
+  in
   Trace.exit sp_acc;
-  count_append j;
-  if List.length t.pending_txs >= t.cfg.block_size then seal_block t;
-  publish t;
-  Trace.exit sp;
-  s
+  slots
 
-(* Batched commit: one storage append and one fam accumulation per chunk,
-   at most one seal per filled block.  Chunks end exactly at block
-   boundaries so every auto-seal captures the same accumulator state a
-   sequential replay would have — batched and unbatched histories stay
-   byte-identical (locked down by test_batch_diff). *)
-let commit_batch ?(pool = Domain_pool.sequential) t journals =
-  let sp = Trace.enter "ledger.flush_batch" in
+(* The one commit, for client and system journals alike: chunks end
+   exactly at block boundaries, so every auto-seal captures the same
+   accumulator state one-at-a-time commits would have — a single journal
+   is the one-element case, and batched histories stay byte-identical
+   (locked down by test_batch_diff).  At most one seal per filled block,
+   one publication per call. *)
+let commit ?(pool = Domain_pool.sequential) t journals =
+  let sp = Trace.enter "ledger.commit" in
   Trace.attr_int sp "batch_size" (List.length journals);
   let rec split_at n acc = function
     | rest when n = 0 -> (List.rev acc, rest)
@@ -414,286 +419,267 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
           go acc js
         end
         else begin
-          let chunk, rest = split_at (min room (List.length js)) [] js in
-          let sp_persist = Trace.enter "persist" in
-          let first_store =
-            Stream_store.append_many t.journal_stream
-              (List.map (fun (j : Journal.t) -> j.Journal.payload) chunk)
-          in
-          Trace.exit sp_persist;
+          let chunk, rest = split_at room [] js in
           (* leaf hashing is pure per journal: fan it out, keep order *)
           let txs =
             Domain_pool.map_list pool ~label:"tx_hash" ~min_chunk:8
               Journal.tx_hash chunk
           in
-          let sp_acc = Trace.enter "accumulate" in
-          ignore (Fam.append_many ~pool t.fam txs);
-          let slots =
-            List.map2
-              (fun (j : Journal.t) (tx, k) ->
-                count_append j;
-                install_slot t j ~tx ~store_index:(first_store + k))
-              chunk
-              (List.mapi (fun k tx -> (tx, k)) txs)
-          in
-          Trace.exit sp_acc;
+          List.iter count_append chunk;
+          let slots = install_chunk ~pool t chunk txs in
           if List.length t.pending_txs >= t.cfg.block_size then seal_block t;
           go (List.rev_append slots acc) rest
         end
   in
   let slots = go [] journals in
   publish t;
-  Metrics.incr "ledger_batch_appends_total";
-  Metrics.observe_int "ledger_batch_size" (List.length journals);
   Trace.exit sp;
   slots
 
-(* A client journal, stamped with the server's current time. *)
-let normal_journal t ~jsn ~client_id ~payload ~clues ~client_ts ~nonce
-    ~request_hash ~signature ~cosigners =
-  {
-    Journal.jsn;
-    kind = Journal.Normal;
-    client_id;
-    payload;
-    clues;
-    client_ts;
-    server_ts = Clock.now t.clock;
-    nonce;
-    request_hash;
-    client_sig = Some signature;
-    cosigners;
-  }
-
-(* A slot's receipt short of π_s: its signing digest, and the receipt
-   that signature completes.  [blocks] newest first. *)
-let unsigned_receipt s ~blocks ~timestamp =
-  Metrics.incr "ledger_receipts_issued_total";
-  let jsn = s.journal.Journal.jsn in
-  let block_hash =
-    (* final only when the journal's block is sealed *)
-    match
-      List.find_opt
-        (fun (b : Block.t) ->
-          jsn >= b.Block.start_jsn && jsn < b.Block.start_jsn + b.Block.count)
-        blocks
-    with
-    | Some b -> Block.hash b
-    | None -> Hash.zero
-  in
-  let digest =
-    Receipt.signing_digest ~jsn ~request_hash:s.request_hash ~tx_hash:s.tx
-      ~block_hash ~timestamp
-  in
-  ( digest,
-    fun lsp_sig ->
-      {
-        Receipt.jsn;
-        request_hash = s.request_hash;
-        tx_hash = s.tx;
-        block_hash;
-        timestamp;
-        lsp_sig;
-      } )
-
-(* Receipts for [slots]: timestamps, digests and the simulated sign
-   charges run in submission order, so every timestamp equals the one
-   slot-by-slot signing reads; only the pure π_s signatures fan out over
+(* The one receipt maker, for commits and served reads alike.  In
+   submission order, [stamp] reads each receipt's timestamp (making the
+   simulated sign charge, on the writer) and the block hash and signing
+   digest are computed; only the pure π_s signatures fan out over
    [pool], one [sign_many] (one shared inversion) per chunk.  ECDSA
-   nonces are deterministic, so the receipts are byte-identical to the
-   sequential ones. *)
-let make_receipts ?(pool = Domain_pool.sequential) t slots =
+   nonces are deterministic, so the receipts are byte-identical to
+   slot-by-slot signing.  [blocks] newest first. *)
+let make_receipts ?(pool = Domain_pool.sequential) crypto ~priv ~pub ~blocks
+    ~stamp slots =
   let unsigned =
     Array.of_list
       (List.map
          (fun s ->
-           let timestamp = Clock.now t.clock in
-           Crypto_profile.charge_sign t.cfg.crypto t.clock;
-           unsigned_receipt s ~blocks:t.blocks ~timestamp)
+           let timestamp = stamp () in
+           Metrics.incr "ledger_receipts_issued_total";
+           let jsn = s.journal.Journal.jsn in
+           let block_hash =
+             (* final only when the journal's block is sealed *)
+             match
+               List.find_opt
+                 (fun (b : Block.t) ->
+                   jsn >= b.Block.start_jsn
+                   && jsn < b.Block.start_jsn + b.Block.count)
+                 blocks
+             with
+             | Some b -> Block.hash b
+             | None -> Hash.zero
+           in
+           ( Receipt.signing_digest ~jsn ~request_hash:s.request_hash
+               ~tx_hash:s.tx ~block_hash ~timestamp,
+             (s, block_hash, timestamp) ))
          slots)
   in
   let sigs =
     Domain_pool.map_chunked pool ~label:"receipt_sign" ~min_chunk:2
-      (Crypto_profile.sign_many t.cfg.crypto ~priv:t.lsp_priv ~pub:t.lsp_pub)
+      (Crypto_profile.sign_many crypto ~priv ~pub)
       (Array.map fst unsigned)
   in
-  List.init (Array.length sigs) (fun i -> snd unsigned.(i) sigs.(i))
+  List.init (Array.length sigs) (fun i ->
+      let s, block_hash, timestamp = snd unsigned.(i) in
+      { Receipt.jsn = s.journal.Journal.jsn; request_hash = s.request_hash;
+        tx_hash = s.tx; block_hash; timestamp; lsp_sig = sigs.(i) })
 
-let make_receipt t s =
-  match make_receipts t [ s ] with [ r ] -> r | _ -> assert false
+(* The writer's receipts: stamped from its clock, charged per receipt. *)
+let lsp_receipts ?pool t slots =
+  make_receipts ?pool t.cfg.crypto ~priv:t.lsp_priv ~pub:t.lsp_pub
+    ~blocks:t.blocks slots ~stamp:(fun () ->
+      let timestamp = Clock.now t.clock in
+      Crypto_profile.charge_sign t.cfg.crypto t.clock;
+      timestamp)
 
-let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
-  (match Roles.find t.registry member.Roles.id with
-  | Some _ -> ()
-  | None -> invalid_arg "Ledger.append: unknown member");
-  let sp = Trace.enter "ledger.append" in
-  Trace.attr_int sp "jsn" t.count;
+let one = function [ x ] -> x | _ -> assert false
+
+(* --- the append pipeline (Fig. 1) ---------------------------------------- *)
+
+(* A client request as the server receives it: payload and metadata, the
+   client's π_c and any cosignatures over the same request digest. *)
+type request = {
+  payload : bytes;
+  clues : string list;
+  client_ts : int64;
+  nonce : int;
+  signature : Ecdsa.signature;
+  cosigners : (Hash.t * Ecdsa.signature) list;
+}
+
+let request_digest ?(kind_tag = "normal") t ~payload ~clues ~client_ts ~nonce =
+  Journal.request_digest ~ledger_uri:(uri t) ~kind_tag ~payload ~clues
+    ~client_ts ~nonce
+
+(* The client side, in process: stamp and number a request, then sign
+   it as [member] (π_c) and as every cosigner. *)
+let sign_request t ~(member : Roles.member) ~priv ?(cosigners = []) payload
+    clues =
   let client_ts = Clock.now t.clock in
   t.nonce <- t.nonce + 1;
+  let nonce = t.nonce in
+  let digest = request_digest t ~payload ~clues ~client_ts ~nonce in
+  let sign (m : Roles.member) priv =
+    sign_with_profile t ~priv ~pub:m.Roles.pub digest
+  in
+  let signature = sign member priv in
+  let cosigners = List.map (fun (m, p) -> (m.Roles.id, sign m p)) cosigners in
+  { payload; clues; client_ts; nonce; signature; cosigners }
+
+(* Admission, the one place π_c is decided.  Every request digest is
+   re-derived and every π_c decided purely across [pool] — one
+   [check_many] per chunk — before any state mutation.  Then, in
+   submission order, each entry takes its verify charge and its journal
+   is stamped with the server's time, stopping at the first bad entry
+   with [Error i]: the clock stands where a sequential check loop would
+   have left it.  [stamps], when given, are server times the caller's
+   own loop already took, verify charges included. *)
+let admit ?(pool = Domain_pool.sequential) ?stamps t ~(member : Roles.member)
+    requests =
+  let checked =
+    Domain_pool.map_chunked pool ~label:"sig_check" ~min_chunk:2
+      (fun chunk ->
+        let items =
+          Array.map
+            (fun r ->
+              ( request_digest t ~payload:r.payload ~clues:r.clues
+                  ~client_ts:r.client_ts ~nonce:r.nonce,
+                r.signature ))
+            chunk
+        in
+        Array.map2
+          (fun (request_hash, _) ok -> (request_hash, ok))
+          items
+          (Crypto_profile.check_many t.cfg.crypto ~pub:member.Roles.pub items))
+      (Array.of_list requests)
+  in
+  let stamp i =
+    match stamps with
+    | Some ts -> ts.(i)
+    | None ->
+        Crypto_profile.charge_verify t.cfg.crypto t.clock;
+        Clock.now t.clock
+  in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | r :: rest ->
+        let server_ts = stamp i in
+        let request_hash, ok = checked.(i) in
+        if not ok then Error i
+        else
+          let j =
+            {
+              Journal.jsn = t.count + i;
+              kind = Journal.Normal;
+              client_id = member.Roles.id;
+              payload = r.payload;
+              clues = r.clues;
+              client_ts = r.client_ts;
+              server_ts;
+              nonce = r.nonce;
+              request_hash;
+              client_sig = Some r.signature;
+              cosigners = r.cosigners;
+            }
+          in
+          go (i + 1) (j :: acc) rest
+  in
+  go 0 [] requests
+
+(* The tail every admitted batch shares: commit, seal when asked, and
+   the LSP's π_s receipts. *)
+let commit_and_sign ?(pool = Domain_pool.sequential) ?(batch = false) t ~seal
+    journals =
+  let slots = commit ~pool t journals in
+  if batch then begin
+    Metrics.incr "ledger_batch_appends_total";
+    Metrics.observe_int "ledger_batch_size" (List.length journals)
+  end;
+  if seal then seal_block t;
+  lsp_receipts ~pool t slots
+
+let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
+  let known (m : Roles.member) = Roles.find t.registry m.Roles.id <> None in
+  if not (known member) then invalid_arg "Ledger.append: unknown member";
+  if not (List.for_all (fun (m, _) -> known m) cosigners) then
+    invalid_arg "Ledger.append: unknown cosigner";
+  let sp = Trace.enter "ledger.append" in
+  Trace.attr_int sp "jsn" t.count;
   (* phase 1: client signs the request (π_c) *)
-  let request_hash =
-    Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal"
-      ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce
-  in
   let sp_sign = Trace.enter "sign" in
-  let client_sig =
-    sign_with_profile t ~priv ~pub:member.Roles.pub request_hash
-  in
-  let cosigs =
-    List.map
-      (fun (m, p) ->
-        (m.Roles.id, sign_with_profile t ~priv:p ~pub:m.Roles.pub request_hash))
-      cosigners
-  in
+  let r = sign_request t ~member ~priv ~cosigners payload_bytes clues in
   Trace.exit sp_sign;
   (* phase 2: proxy ships payload to shared storage, digest to server *)
   Latency_model.charge_net t.cfg.latency t.clock;
   (* server checks π_c before committing (threat-A defence) *)
   let sp_pi_c = Trace.enter "verify_pi_c" in
-  let pi_c_ok = verify_with_profile t ~pub:member.Roles.pub request_hash client_sig in
+  let admitted = admit t ~member [ r ] in
   Trace.exit sp_pi_c;
-  if not pi_c_ok then begin
-    Trace.exit sp;
-    invalid_arg "Ledger.append: bad client signature"
-  end;
-  let j =
-    normal_journal t ~jsn:t.count ~client_id:member.Roles.id
-      ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce ~request_hash
-      ~signature:client_sig ~cosigners:cosigs
-  in
-  let s = commit_journal t j in
-  (* phase 3: LSP receipt (π_s) *)
-  let r = make_receipt t s in
-  Trace.exit sp;
-  r
+  match admitted with
+  | Error _ ->
+      Trace.exit sp;
+      invalid_arg "Ledger.append: bad client signature"
+  | Ok journals ->
+      (* phase 3: commit, LSP receipt (π_s) *)
+      let receipt = one (commit_and_sign t ~seal:false journals) in
+      Trace.exit sp;
+      receipt
 
 (* Fig. 1's actual service path: the client signed the request remotely
-   and ships (payload, metadata, pi_c); the server re-derives the request
-   hash, checks the signature, and commits. *)
+   and ships (payload, metadata, π_c). *)
 let append_signed t ~member_id ~payload ~clues ~client_ts ~nonce ~signature =
   match Roles.find t.registry member_id with
   | None -> Error "append: unknown member"
-  | Some member ->
-      let request_hash =
-        Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal" ~payload
-          ~clues ~client_ts ~nonce
-      in
+  | Some member -> (
       Latency_model.charge_net t.cfg.latency t.clock;
-      if not (verify_with_profile t ~pub:member.Roles.pub request_hash signature)
-      then Error "append: bad client signature"
-      else begin
-        let j =
-          normal_journal t ~jsn:t.count ~client_id:member_id ~payload ~clues
-            ~client_ts ~nonce ~request_hash ~signature ~cosigners:[]
-        in
-        let s = commit_journal t j in
-        Ok (make_receipt t s)
-      end
+      let r = { payload; clues; client_ts; nonce; signature; cosigners = [] } in
+      match admit t ~member [ r ] with
+      | Error _ -> Error "append: bad client signature"
+      | Ok journals -> Ok (one (commit_and_sign t ~seal:false journals)))
 
-(* Batched append: one network round trip, one storage append, one fam
-   accumulation and (with [seal]) one trailing block seal for the whole
-   batch — the ingestion path behind LedgerDB's 300K+ TPS claim. *)
+(* Batched append: one network round trip, one storage append and one
+   fam accumulation per block-sized chunk and (with [seal]) one trailing
+   block seal for the whole batch — the ingestion path behind LedgerDB's
+   300K+ TPS claim.  The client-side signing loop takes each entry's
+   verify charge and server time as it goes, so every server_ts is
+   byte-identical to the sequential sign-verify interleaving; admission
+   then decides the π_c in one pooled pass. *)
 let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
     ?(seal = true) entries =
   (match Roles.find t.registry member.Roles.id with
   | Some _ -> ()
   | None -> invalid_arg "Ledger.append_batch: unknown member");
   Latency_model.charge_net t.cfg.latency t.clock;
-  let journals =
-    List.mapi
-      (fun i (payload_bytes, clues) ->
-        let client_ts = Clock.now t.clock in
-        t.nonce <- t.nonce + 1;
-        let request_hash =
-          Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal"
-            ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce
-        in
-        let client_sig =
-          sign_with_profile t ~priv ~pub:member.Roles.pub request_hash
-        in
-        (* the π_c *decision* is deferred to one pooled pass below; only
-           its clock charge stays here so server_ts is byte-identical to
-           the sequential sign-verify interleaving *)
+  let signed =
+    List.map
+      (fun (payload, clues) ->
+        let r = sign_request t ~member ~priv payload clues in
         Crypto_profile.charge_verify t.cfg.crypto t.clock;
-        normal_journal t ~jsn:(t.count + i) ~client_id:member.Roles.id
-          ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce
-          ~request_hash ~signature:client_sig ~cosigners:[])
+        (r, Clock.now t.clock))
       entries
   in
-  let checks =
-    Domain_pool.map_chunked pool ~label:"sig_check" ~min_chunk:2
-      (Crypto_profile.check_many t.cfg.crypto ~pub:member.Roles.pub)
-      (Array.of_list
-         (List.map
-            (fun (j : Journal.t) ->
-              (j.Journal.request_hash, Option.get j.Journal.client_sig))
-            journals))
-  in
-  if Array.exists not checks then
-    invalid_arg "Ledger.append_batch: bad client signature";
-  let slots = commit_batch ~pool t journals in
-  if seal then seal_block t;
-  make_receipts ~pool t slots
+  let stamps = Array.of_list (List.map snd signed) in
+  match admit ~pool ~stamps t ~member (List.map fst signed) with
+  | Error _ -> invalid_arg "Ledger.append_batch: bad client signature"
+  | Ok journals -> commit_and_sign ~pool ~batch:true t ~seal journals
 
 (* Remote batched append (the [Append_batch] wire request): every entry
-   was signed client-side; the whole batch is validated before anything
+   was signed client-side; the whole batch is admitted before anything
    commits, so a bad signature rejects the batch atomically. *)
 let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
   match Roles.find t.registry member_id with
   | None -> Error "append_batch: unknown member"
-  | Some member ->
+  | Some member -> (
       Latency_model.charge_net t.cfg.latency t.clock;
-      (* pooled pre-pass: re-derive every request digest and decide every
-         π_c purely (one [check_many] per chunk), before any state
-         mutation.  Clock charges and journal construction stay
-         sequential below, in submission order, so accepted histories —
-         and the clock at the moment a bad entry rejects the batch — are
-         byte-identical to the sequential validation loop. *)
-      let checked =
-        Domain_pool.map_chunked pool ~label:"sig_check" ~min_chunk:2
-          (fun chunk ->
-            let hashed =
-              Array.map
-                (fun (payload, clues, client_ts, nonce, signature) ->
-                  ( Journal.request_digest ~ledger_uri:(uri t)
-                      ~kind_tag:"normal" ~payload ~clues ~client_ts ~nonce,
-                    signature ))
-                chunk
-            in
-            Array.map2
-              (fun (request_hash, _) ok -> (request_hash, ok))
-              hashed
-              (Crypto_profile.check_many t.cfg.crypto ~pub:member.Roles.pub
-                 hashed))
-          (Array.of_list entries)
+      let requests =
+        List.map
+          (fun (payload, clues, client_ts, nonce, signature) ->
+            { payload; clues; client_ts; nonce; signature; cosigners = [] })
+          entries
       in
-      let rec validate i acc entries checked =
-        match (entries, checked) with
-        | [], [] -> Ok (List.rev acc)
-        | ( (payload, clues, client_ts, nonce, signature) :: rest,
-            (request_hash, ok) :: checked_rest ) ->
-            Crypto_profile.charge_verify t.cfg.crypto t.clock;
-            if not ok then
-              Error
-                (Printf.sprintf "append_batch: bad client signature (entry %d)"
-                   i)
-            else
-              let j =
-                normal_journal t ~jsn:(t.count + i) ~client_id:member_id
-                  ~payload ~clues ~client_ts ~nonce ~request_hash ~signature
-                  ~cosigners:[]
-              in
-              validate (i + 1) (j :: acc) rest checked_rest
-        | _ -> assert false (* same length by construction *)
-      in
-      (match validate 0 [] entries (Array.to_list checked) with
-      | Error _ as e -> e
+      match admit ~pool t ~member requests with
+      | Error i ->
+          Error
+            (Printf.sprintf "append_batch: bad client signature (entry %d)" i)
       | Ok journals ->
-          let slots = commit_batch ~pool t journals in
-          seal_block t;
-          Ok (make_receipts ~pool t slots))
+          Ok (commit_and_sign ~pool ~batch:true t ~seal:true journals))
 
-let get_receipt t jsn = make_receipt t (slot t jsn)
+let get_receipt t jsn = one (lsp_receipts t [ slot t jsn ])
 
 let verify_receipt t (r : Receipt.t) =
   let sp = Trace.enter "verify.receipt" in
@@ -918,28 +904,30 @@ let verify_state_update t ~clue ~tx proof =
 
 (* --- time anchoring ----------------------------------------------------- *)
 
-let system_journal t kind payload_bytes =
+(* Build, cosign and commit one LSP-signed system journal (time anchor,
+   occult, pseudo-genesis, purge): a one-journal [commit]. *)
+let commit_system ?(signers = []) t kind payload =
   let client_ts = Clock.now t.clock in
   t.nonce <- t.nonce + 1;
   let request_hash =
-    Journal.request_digest ~ledger_uri:(uri t)
-      ~kind_tag:(Journal.kind_tag kind) ~payload:payload_bytes ~clues:[]
+    request_digest t ~kind_tag:(Journal.kind_tag kind) ~payload ~clues:[]
       ~client_ts ~nonce:t.nonce
   in
-  {
-    Journal.jsn = t.count;
-    kind;
-    client_id = t.lsp_id;
-    payload = payload_bytes;
-    clues = [];
-    client_ts;
-    server_ts = Clock.now t.clock;
-    nonce = t.nonce;
-    request_hash;
-    client_sig =
-      Some (sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub request_hash);
-    cosigners = [];
-  }
+  let sign priv pub = sign_with_profile t ~priv ~pub request_hash in
+  let client_sig = Some (sign t.lsp_priv t.lsp_pub) in
+  let server_ts = Clock.now t.clock in
+  let cosigners =
+    List.map
+      (fun ((m : Roles.member), p) -> (m.Roles.id, sign p m.Roles.pub))
+      signers
+  in
+  let j =
+    { Journal.jsn = t.count; kind; client_id = t.lsp_id; payload; clues = [];
+      client_ts; server_ts; nonce = t.nonce; request_hash; client_sig;
+      cosigners }
+  in
+  ignore (commit t [ j ]);
+  j
 
 let anchor_via_t_ledger t =
   match t.t_ledger with
@@ -959,8 +947,7 @@ let anchor_via_t_ledger t =
               (Journal.Via_t_ledger
                  { entry_index = entry.T_ledger.index; client_ts; digest })
           in
-          let j = system_journal t kind Bytes.empty in
-          ignore (commit_journal t j);
+          let j = commit_system t kind Bytes.empty in
           Metrics.incr "ledger_time_anchors_total";
           Log.info (fun m ->
               m "anchored commitment %s to T-Ledger entry %d"
@@ -974,8 +961,7 @@ let anchor_via_tsa t =
       let digest = commitment t in
       let token = Tsa.pool_endorse pool digest in
       let kind = Journal.Time (Journal.Direct_tsa token) in
-      let j = system_journal t kind Bytes.empty in
-      ignore (commit_journal t j);
+      let j = commit_system t kind Bytes.empty in
       Metrics.incr "ledger_time_anchors_total";
       j
 
@@ -1075,24 +1061,13 @@ let purge t ~request ~signers =
           member_roster = roster_digest t;
         }
       in
-      let pg = system_journal t (Journal.Pseudo_genesis snapshot) Bytes.empty in
-      ignore (commit_journal t pg);
+      ignore (commit_system t (Journal.Pseudo_genesis snapshot) Bytes.empty);
       let info =
         { Journal.purge_upto = upto_jsn; pseudo_genesis_jsn = pg_jsn;
           survivors = kept }
       in
-      let pj = system_journal t (Journal.Purge info) Bytes.empty in
-      (* gather the multi-signature over the purge journal's request *)
-      let cosigs =
-        List.map
-          (fun (m, p) ->
-            ( m.Roles.id,
-              sign_with_profile t ~priv:p ~pub:m.Roles.pub
-                pj.Journal.request_hash ))
-          signers
-      in
-      let pj = { pj with Journal.cosigners = cosigs } in
-      ignore (commit_journal t pj);
+      (* the purge journal carries the multi-signature over its request *)
+      let pj = commit_system ~signers t (Journal.Purge info) Bytes.empty in
       (* physical erasure *)
       for i = 0 to upto_jsn - 1 do
         if not (List.mem i kept) && t.slots.(i).store_index >= 0 then
@@ -1144,17 +1119,7 @@ let occult t ~target_jsn ~mode ~signers ~reason =
     else begin
       let retained_hash = tx_hash_of t target_jsn in
       let kind = Journal.Occult { target_jsn; retained_hash } in
-      let j = system_journal t kind (Bytes.of_string reason) in
-      let cosigs =
-        List.map
-          (fun (m, p) ->
-            ( m.Roles.id,
-              sign_with_profile t ~priv:p ~pub:m.Roles.pub
-                j.Journal.request_hash ))
-          signers
-      in
-      let j = { j with Journal.cosigners = cosigs } in
-      ignore (commit_journal t j);
+      let j = commit_system ~signers t kind (Bytes.of_string reason) in
       Metrics.incr "ledger_occults_total";
       Log.info (fun m ->
           m "occulted journal %d (%s)" target_jsn
@@ -1262,8 +1227,9 @@ end
 
 (* Accessors over a published view.  Lookups share their bodies with the
    writer's accessors above; payload reads go through the stream pin
-   (never the writer's latency clock) and receipts are signed with the
-   pure profile against the pinned publication time. *)
+   (never the writer's latency clock) and receipts come from the one
+   receipt maker, stamped with the pinned publication time and no
+   clock charge. *)
 module Read_view = struct
   type nonrec t = view
 
@@ -1298,18 +1264,15 @@ module Read_view = struct
   let query_root v = Query_index.root v.v_query
 
   let receipt v jsn =
-    let digest, complete =
-      unsigned_receipt (slot v jsn) ~blocks:v.v_blocks ~timestamp:v.v_now
-    in
-    complete
-      (Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv ~pub:v.v_lsp_pub
-         digest)
+    one
+      (make_receipts v.v_crypto ~priv:v.v_lsp_priv ~pub:v.v_lsp_pub
+         ~blocks:v.v_blocks ~stamp:(fun () -> v.v_now) [ slot v jsn ])
 end
 
 (* --- persistence ------------------------------------------------------------ *)
 
 (* A snapshot is a directory in the {!Snapshot} format.  [load] replays
-   it through [install_slot], rebuilding every tree and index, and
+   it through [install_chunk], rebuilding every tree and index, and
    compares the recorded checkpoints, so framing-valid but semantically
    tampered snapshots are still refused. *)
 
@@ -1370,8 +1333,7 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
       (fun ~name ~role ~certificate pub ->
         ignore (register_member t ?certificate ~name ~role pub));
     (* journals: replay with retained tx hashes through the commit path's
-       storage, accumulator and [install_slot], without its auto-seal and
-       per-journal publication.  Each frame is CRC-checked before any byte
+       [install_chunk], without its auto-seal and publication.  Each frame is CRC-checked before any byte
        reaches the codec; the first complete-but-invalid frame names the
        first bad jsn and refuses the snapshot, while a torn final frame
        (crash mid-save) is recoverable when [recover] is set. *)
@@ -1390,11 +1352,7 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
                     jsn %d"
                    j.Journal.jsn t.count t.count)
           | Some j ->
-              let store_index =
-                Stream_store.append t.journal_stream j.Journal.payload
-              in
-              ignore (Fam.append t.fam tx);
-              ignore (install_slot t j ~tx ~store_index);
+              ignore (install_chunk t [ j ] [ tx ]);
               Some ())
     in
     let torn_tail = ref false in

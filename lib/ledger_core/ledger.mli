@@ -127,7 +127,16 @@ end
 val read_view : t -> Read_view.t
 (** The current snapshot — one [Atomic.get], safe from any domain. *)
 
-(** {1 Append (journal-level commitment, Fig. 1)} *)
+(** {1 Append (journal-level commitment, Fig. 1)}
+
+    The four entry points below — {!append}, {!append_signed},
+    {!append_batch} and {!append_signed_batch} — are cases of one
+    pipeline: admission (every request digest re-derived, every π_c
+    decided in one pooled pass, journals stamped in submission order up
+    to the first bad entry), one commit over the admitted journals
+    (block-sized chunks, the same commit the system journals and
+    snapshot replay go through), an optional trailing seal, and the
+    receipts' π_s.  A single entry is the one-element case of a batch. *)
 
 val append :
   t ->
@@ -138,9 +147,12 @@ val append :
   bytes ->
   Receipt.t
 (** Sign the request as [member] (π_c), commit the journal, return the
-    LSP-signed receipt (π_s).  [cosigners] produce a multi-signed journal
-    (the Fig. 7 {e who} sweep).
-    @raise Invalid_argument if the member is unknown. *)
+    LSP-signed receipt (π_s): the one-entry, in-process case of the
+    append pipeline.  [cosigners] produce a multi-signed journal (the
+    Fig. 7 {e who} sweep).
+    @raise Invalid_argument if the member or a cosigner is unknown
+    (refused before any clock charge or state change), or on a bad
+    client signature. *)
 
 val size : t -> int
 
@@ -190,8 +202,15 @@ val append_batch :
     block-sized chunk, and (with [seal], the default) a single trailing
     block seal so all receipts are final.  [~seal:false] leaves a partial
     trailing block pending — exactly the state sequential {!append}s
-    would have left — for callers that keep batching.  The committed
-    history is byte-identical to appending the entries one at a time.
+    would have left — for callers that keep batching.  The in-process
+    batch case of the append pipeline: client signing and verify charges
+    interleave per entry, then admission decides every π_c in one pooled
+    pass.  When crypto and latency charges are zero (as in
+    test_batch_diff), the committed history is byte-identical to
+    appending the entries one at a time (then {!seal_block} with
+    [seal]).  With non-zero charges it is not: the batch takes one
+    network charge instead of one per entry and signs its receipts after
+    the whole commit, so the timestamps differ.
 
     [pool] (default {!Ledger_par.Domain_pool.default}) fans the pure
     work — leaf hashing, fam interior hashing, π_c checks, the receipts'
@@ -211,7 +230,9 @@ val append_signed :
   (Receipt.t, string) result
 (** Remote append (Fig. 1): the request was signed on the client side;
     the server re-derives the request hash and validates π_c before
-    committing. *)
+    committing — the one-entry case of {!append_signed_batch} without
+    the trailing seal.  [Error] on an unknown member or a bad
+    signature. *)
 
 val append_signed_batch :
   ?pool:Ledger_par.Domain_pool.t ->
@@ -224,7 +245,7 @@ val append_signed_batch :
     is validated — digests re-derived and π_c decided across [pool],
     before any state mutation — and a bad entry rejects the whole batch
     atomically, with the same error and simulated-clock position as the
-    sequential path.  Commits through the amortized batch pipeline and
+    sequential path.  The remote batch case of the append pipeline: it
     seals the trailing block, so all receipts are final; their π_s are
     signed across [pool] as in {!append_batch}. *)
 
@@ -480,7 +501,7 @@ val load :
   (t, string) result
 (** Strict load: any damage — torn tail included — is refused with a
     diagnostic naming the first bad jsn or the damaged file.  Replay
-    rebuilds every index through the commit path's [install_slot], the
+    rebuilds every index through the commit path's chunk installer, the
     query index included, so the loaded ledger answers range queries
     like the one saved. *)
 

@@ -72,17 +72,6 @@ let ensure_capacity s =
     s.records <- bigger
   end
 
-let append s payload =
-  stream_alive s;
-  ensure_capacity s;
-  let i = s.count in
-  s.records.(i) <- { payload = Some (Bytes.copy payload) };
-  s.count <- s.count + 1;
-  s.live_bytes <- s.live_bytes + Bytes.length payload;
-  Ledger_obs.Metrics.incr "storage_appends_total";
-  Ledger_obs.Metrics.observe_int "storage_record_bytes" (Bytes.length payload);
-  i
-
 let append_many s payloads =
   stream_alive s;
   let first = s.count in
@@ -98,6 +87,8 @@ let append_many s payloads =
     payloads;
   Ledger_obs.Metrics.incr "storage_batch_appends_total";
   first
+
+let append s payload = append_many s [ payload ]
 
 let length s = s.count
 

@@ -61,14 +61,15 @@ val stream : t -> string -> stream
 val stream_name : stream -> string
 
 val append : stream -> bytes -> int
-(** Append a record, returning its index (0-based, dense). *)
+(** Append a record, returning its index (0-based, dense): the
+    one-record case of {!append_many}. *)
 
 val append_many : stream -> bytes list -> int
 (** Append a whole batch of records in one storage operation, returning
     the index of the first (the pre-batch {!length} when the list is
-    empty).  Equivalent to sequential {!append}s record-for-record, but
-    counted as a single batch by the [storage_batch_appends_total]
-    metric. *)
+    empty).  Every record counts in [storage_appends_total] and
+    [storage_record_bytes]; the operation counts once in
+    [storage_batch_appends_total], whatever its size. *)
 
 val length : stream -> int
 (** Number of records ever appended (erased records still count). *)

@@ -107,6 +107,32 @@ let test_multisigned_append () =
   let j = Ledger.journal env.ledger r.Receipt.jsn in
   Alcotest.(check int) "two cosigners" 2 (List.length j.Journal.cosigners)
 
+(* A cosigner registered only on another ledger is refused before any
+   clock charge or state change: the audit would fail such a journal
+   with "cosigner: unknown member". *)
+let test_append_rejects_unknown_cosigner () =
+  let env = make_env () in
+  ignore (fill env 3);
+  let other = make_env () in
+  let outsider, outsider_key =
+    Ledger.new_member other.ledger ~name:"outsider" ~role:Roles.Regular_user
+  in
+  let size = Ledger.size env.ledger in
+  let commitment = Ledger.commitment env.ledger in
+  let now = Clock.now env.clock in
+  Alcotest.check_raises "unknown cosigner rejected"
+    (Invalid_argument "Ledger.append: unknown cosigner") (fun () ->
+      ignore
+        (Ledger.append env.ledger ~member:env.alice ~priv:env.alice_key
+           ~cosigners:[ (env.bob, env.bob_key); (outsider, outsider_key) ]
+           (Bytes.of_string "x")));
+  Alcotest.(check int) "size unchanged" size (Ledger.size env.ledger);
+  Alcotest.(check string) "commitment unchanged" (Hash.to_hex commitment)
+    (Hash.to_hex (Ledger.commitment env.ledger));
+  Alcotest.(check int64) "no clock charge" now (Clock.now env.clock);
+  Alcotest.(check bool) "audit still passes" true
+    (Audit.run env.ledger).Audit.ok
+
 (* --- blocks ------------------------------------------------------------------ *)
 
 let test_block_chain () =
@@ -374,6 +400,7 @@ let base_suite =
   [
     tc "append and receipts" `Quick test_append_and_receipts;
     tc "unknown member rejected" `Quick test_append_rejects_unknown_member;
+    tc "unknown cosigner rejected" `Quick test_append_rejects_unknown_cosigner;
     tc "multi-signed append" `Quick test_multisigned_append;
     tc "block chain" `Quick test_block_chain;
     tc "existence verification" `Quick test_existence_verification;

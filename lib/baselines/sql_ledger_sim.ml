@@ -52,8 +52,6 @@ let publish_digest t =
   t.published <- d :: t.published;
   d
 
-let published_digests t = t.published
-
 let verify t =
   match t.published with
   | [] -> `No_published_digest

@@ -29,9 +29,6 @@ val publish_digest : t -> Hash.t
 (** Push the current ledger digest to the external trusted storage;
     returns the digest published. *)
 
-val published_digests : t -> Hash.t list
-(** What the trusted storage holds (newest first). *)
-
 val verify : t -> [ `Ok | `Tampered | `No_published_digest ]
 (** Replay the history chain and compare with the newest published
     digest. *)

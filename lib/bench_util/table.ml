@@ -25,11 +25,6 @@ let print_table ~header rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
-let print_series ~title ~x_label ~y_label points =
-  print_title title;
-  print_table ~header:[ x_label; y_label ]
-    (List.map (fun (x, y) -> [ x; Printf.sprintf "%.3f" y ]) points)
-
 let print_multi_series ~title ~x_label ~series_labels points =
   print_title title;
   print_table

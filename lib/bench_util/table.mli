@@ -6,10 +6,6 @@ val print_title : string -> unit
 val print_table : header:string list -> string list list -> unit
 (** Column-aligned text table. *)
 
-val print_series : title:string -> x_label:string -> y_label:string ->
-  (string * float) list -> unit
-(** One named series printed as aligned (x, y) rows. *)
-
 val print_multi_series : title:string -> x_label:string ->
   series_labels:string list -> (string * float list) list -> unit
 (** Several y-columns per x (e.g. tim vs fam-5..fam-25). *)

@@ -22,7 +22,6 @@ let w_bytes buf b =
 
 let w_string buf s = w_bytes buf (Bytes.unsafe_of_string s)
 let w_hash buf h = Buffer.add_bytes buf (Hash.to_bytes h)
-let w_bool buf b = w_u8 buf (if b then 1 else 0)
 
 let w_list buf f l =
   w_int buf (List.length l);
@@ -82,9 +81,6 @@ let r_bytes r =
 
 let r_string r = Bytes.to_string (r_bytes r)
 let r_hash r = Hash.of_bytes (r_raw r 32)
-
-let r_bool r =
-  match r_u8 r with 0 -> false | 1 -> true | _ -> raise Corrupt
 
 let r_list ?(max = 1 lsl 24) r f =
   let n = r_int r in

@@ -22,7 +22,6 @@ val w_raw : writer -> bytes -> unit
 (** No length prefix (fixed-size fields). *)
 
 val w_hash : writer -> Hash.t -> unit
-val w_bool : writer -> bool -> unit
 val w_list : writer -> ('a -> unit) -> 'a list -> unit
 (** Count-prefixed. *)
 
@@ -41,7 +40,6 @@ val r_bytes : reader -> bytes
 val r_string : reader -> string
 val r_raw : reader -> int -> bytes
 val r_hash : reader -> Hash.t
-val r_bool : reader -> bool
 val r_list : ?max:int -> reader -> (unit -> 'a) -> 'a list
 val r_option : reader -> (unit -> 'a) -> 'a option
 val at_end : reader -> bool

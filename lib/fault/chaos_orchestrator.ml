@@ -13,13 +13,6 @@ type event =
   | Heal_partition
   | Equivocate of { epoch : int }
 
-let event_to_string = function
-  | Kill_shard i -> Printf.sprintf "kill shard %d" i
-  | Tear_checkpoint i -> Printf.sprintf "tear shard %d checkpoint" i
-  | Partition -> "partition repair transport"
-  | Heal_partition -> "heal partition"
-  | Equivocate { epoch } -> Printf.sprintf "equivocate at epoch %d" epoch
-
 type scenario = {
   name : string;
   seed : int;

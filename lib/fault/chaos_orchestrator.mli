@@ -45,8 +45,6 @@ type event =
       (** the service mints a second signed announcement for a sealed
           epoch; the gossip mesh must fold it into fork evidence *)
 
-val event_to_string : event -> string
-
 type scenario = {
   name : string;
   seed : int;

@@ -118,7 +118,3 @@ let tx_hash t =
       Buffer.add_bytes buf (Ecdsa.signature_to_bytes s))
     t.cosigners;
   Hash.digest_bytes (Buffer.to_bytes buf)
-
-let is_time_journal t = match t.kind with Time _ -> true | _ -> false
-
-let pp_kind fmt k = Format.pp_print_string fmt (kind_tag k)

@@ -75,5 +75,3 @@ val tx_hash : t -> Hash.t
     (Protocol 2 is applied by the ledger, not here). *)
 
 val kind_tag : kind -> string
-val is_time_journal : t -> bool
-val pp_kind : Format.formatter -> kind -> unit

@@ -223,5 +223,4 @@ let decode data =
       }
   with Corrupt -> None
 
-let encoded_size j = Bytes.length (encode j)
 let digest j = Hash.digest_bytes (encode j)

@@ -13,7 +13,5 @@ val encode : Journal.t -> bytes
 val decode : bytes -> Journal.t option
 (** Inverse of {!encode}; [None] on any framing or field corruption. *)
 
-val encoded_size : Journal.t -> int
-
 val digest : Journal.t -> Hash.t
 (** Digest of the encoding — stable across encode/decode round trips. *)

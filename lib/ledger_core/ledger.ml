@@ -1192,7 +1192,6 @@ let compact_storage t =
   reclaimed
 
 let stored_digests t = Fam.stored_digests t.fam + Cm_tree.stored_digests t.cm
-let journal_bytes t = Stream_store.total_bytes t.journal_stream
 
 module Unsafe = struct
   let rewrite_payload t ~jsn payload_bytes =

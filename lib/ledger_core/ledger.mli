@@ -434,7 +434,6 @@ val compact_storage : t -> int
     remapped transparently. *)
 
 val stored_digests : t -> int
-val journal_bytes : t -> int
 val sign_with_profile : t -> priv:Ecdsa.private_key -> pub:Ecdsa.public_key -> Hash.t -> Ecdsa.signature
 val verify_with_profile : t -> pub:Ecdsa.public_key -> Hash.t -> Ecdsa.signature -> bool
 

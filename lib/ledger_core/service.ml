@@ -557,18 +557,10 @@ module Client = struct
     priv : Ecdsa.private_key;
     crypto : Crypto_profile.t;
     mutable nonce : int;
-    auto_batch : int option;
-    mutable buffer :
-      (bytes * string list * int64 * int * Ecdsa.signature) list;
-      (* newest first; drained by flush *)
   }
 
-  let create ?auto_batch ?(crypto = Crypto_profile.Real) ~ledger_uri ~member
-      ~priv () =
-    (match auto_batch with
-    | Some n when n < 1 -> invalid_arg "Service.Client.create: bad auto_batch"
-    | Some _ | None -> ());
-    { ledger_uri; member; priv; crypto; nonce = 0; auto_batch; buffer = [] }
+  let create ?(crypto = Crypto_profile.Real) ~ledger_uri ~member ~priv () =
+    { ledger_uri; member; priv; crypto; nonce = 0 }
 
   let sign_entry t ?(clues = []) ~client_ts payload =
     t.nonce <- t.nonce + 1;
@@ -599,24 +591,6 @@ module Client = struct
         entries
     in
     encode_request (Append_batch { member_id = t.member.Roles.id; entries })
-
-  let pending t = List.length t.buffer
-
-  let flush t =
-    match t.buffer with
-    | [] -> None
-    | buffered ->
-        t.buffer <- [];
-        Some
-          (encode_request
-             (Append_batch
-                { member_id = t.member.Roles.id; entries = List.rev buffered }))
-
-  let buffer_append t ?clues ~client_ts payload =
-    t.buffer <- sign_entry t ?clues ~client_ts payload :: t.buffer;
-    match t.auto_batch with
-    | Some n when List.length t.buffer >= n -> flush t
-    | Some _ | None -> None
 
   let make_get_proof ~jsn = encode_request (Get_proof { jsn })
   let make_get_payload ~jsn = encode_request (Get_payload { jsn })

@@ -156,19 +156,16 @@ module Client : sig
   type t
 
   val create :
-    ?auto_batch:int ->
     ?crypto:Crypto_profile.t ->
     ledger_uri:string ->
     member:Roles.member ->
     priv:Ecdsa.private_key ->
     unit ->
     t
-  (** With [auto_batch], {!buffer_append} flushes itself every
-      [auto_batch] entries.  [crypto] (default {!Crypto_profile.Real})
-      selects how π_c is produced: a client of a simulated-profile
-      service must sign under the same profile for the service's
-      signature check to accept — see {!Crypto_profile.sign_pure}.
-      @raise Invalid_argument when [auto_batch < 1]. *)
+  (** [crypto] (default {!Crypto_profile.Real}) selects how π_c is
+      produced: a client of a simulated-profile service must sign under
+      the same profile for the service's signature check to accept — see
+      {!Crypto_profile.sign_pure}. *)
 
   val make_append : t -> ?clues:string list -> client_ts:int64 -> bytes -> bytes
   (** Sign the request locally (π_c) and encode it.  The nonce is
@@ -177,23 +174,6 @@ module Client : sig
   val make_append_batch : t -> (bytes * string list * int64) list -> bytes
   (** Sign each [(payload, clues, client_ts)] entry under the client's
       nonce sequence and encode one {!Append_batch} request. *)
-
-  (** {2 Auto-batching}
-
-      Instead of one round trip per append, a client can buffer signed
-      entries locally and ship them as a single {!Append_batch}. *)
-
-  val buffer_append :
-    t -> ?clues:string list -> client_ts:int64 -> bytes -> bytes option
-  (** Sign and buffer one entry.  Returns an encoded {!Append_batch}
-      request when the buffer just reached the [auto_batch] threshold
-      (the buffer is then empty again), [None] otherwise. *)
-
-  val flush : t -> bytes option
-  (** Encode and drain the buffer; [None] when nothing is buffered. *)
-
-  val pending : t -> int
-  (** Entries currently buffered. *)
 
   val make_get_proof : jsn:int -> bytes
   val make_get_payload : jsn:int -> bytes

@@ -23,46 +23,41 @@ let default_policy =
 
 let no_retry = { default_policy with max_attempts = 1 }
 
-(* Deterministic jitter: a splitmix-style mix of (seed, attempt) mapped to
-   [1 - jitter, 1], so concurrent clients with different seeds desynchronise
-   their retries while a fixed seed replays the exact same schedule. *)
-let jitter_factor policy ~seed ~attempt =
-  if policy.jitter <= 0. then 1.
-  else begin
-    let z =
-      Int64.add
-        (Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L)
-        (Int64.mul (Int64.of_int (attempt + 1)) 0xBF58476D1CE4E5B9L)
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    let unit_f =
-      Int64.to_float (Int64.logand z 0xFFFFFFL) /. float_of_int 0xFFFFFF
-    in
-    1. -. (policy.jitter *. unit_f)
-  end
-
-let backoff_ms policy ~seed ~attempt =
+(* Backoff before retry [attempt + 1]: exponential growth capped at
+   [max_backoff_ms], with a fraction [jitter * u] taken away for a jitter
+   draw [u] in [0,1]. *)
+let jittered_backoff_ms policy ~attempt u =
   let exp =
     policy.base_backoff_ms *. (2. ** float_of_int (max 0 (attempt - 1)))
   in
-  Float.min policy.max_backoff_ms exp *. jitter_factor policy ~seed ~attempt
+  let factor = if policy.jitter <= 0. then 1. else 1. -. (policy.jitter *. u) in
+  Float.min policy.max_backoff_ms exp *. factor
+
+(* Deterministic jitter: a splitmix-style mix of (seed, attempt) mapped to
+   [0, 1], so concurrent clients with different seeds desynchronise their
+   retries while a fixed seed replays the exact same schedule. *)
+let mixed_unit ~seed ~attempt =
+  let z =
+    Int64.add
+      (Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L)
+      (Int64.mul (Int64.of_int (attempt + 1)) 0xBF58476D1CE4E5B9L)
+  in
+  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  Int64.to_float (Int64.logand z 0xFFFFFFL) /. float_of_int 0xFFFFFF
+
+let backoff_ms policy ~seed ~attempt =
+  jittered_backoff_ms policy ~attempt (mixed_unit ~seed ~attempt)
 
 (* When the caller supplies a jitter source (e.g. the seeded fault-plan
    RNG), the backoff draw comes from it instead of the (seed, attempt)
    mix — one RNG then governs both the fault schedule and the retry
-   schedule, so a chaos scenario replays end to end from one seed. *)
-let backoff_ms_drawn policy ~seed ~attempt ~backoff_rng =
+   schedule, so a chaos scenario replays end to end from one seed.  The
+   source is drawn once per backoff, jitter or not. *)
+let drawn_backoff_ms policy ~seed ~attempt ~backoff_rng =
   match backoff_rng with
   | None -> backoff_ms policy ~seed ~attempt
   | Some draw ->
-      let exp =
-        policy.base_backoff_ms *. (2. ** float_of_int (max 0 (attempt - 1)))
-      in
-      let unit_f = Float.max 0. (Float.min 1. (draw ())) in
-      let factor =
-        if policy.jitter <= 0. then 1. else 1. -. (policy.jitter *. unit_f)
-      in
-      Float.min policy.max_backoff_ms exp *. factor
+      jittered_backoff_ms policy ~attempt (Float.max 0. (Float.min 1. (draw ())))
 
 type error = { attempts : int; reason : string }
 
@@ -77,51 +72,6 @@ let failure_to_string = function
   | Refused msg -> "service refused: " ^ msg
   | Transport e -> error_to_string e
 
-(* [count_failures] lets {!request_expect} reuse the single-attempt body
-   without its inner one-shot exhaustion being recorded as a terminal
-   transport failure — only the outer loop's give-up counts. *)
-let request_counted ?backoff_rng ~count_failures ~policy ~seed ~on_retry ~clock
-    transport payload =
-  let rec go attempt =
-    Ledger_obs.Metrics.incr "transport_attempts_total";
-    let t0 = Clock.now clock in
-    let outcome =
-      match transport payload with
-      | exception Timeout msg -> Error ("timeout: " ^ msg)
-      | raw -> (
-          let elapsed_ms = Clock.ms_of_us (Clock.elapsed_since clock t0) in
-          if elapsed_ms > policy.request_timeout_ms then
-            Error
-              (Printf.sprintf "response after %.1f ms exceeded %.1f ms budget"
-                 elapsed_ms policy.request_timeout_ms)
-          else
-            match Service.decode_response raw with
-            | Some resp -> Ok resp
-            | None -> Error "garbled response (undecodable)")
-    in
-    match outcome with
-    | Ok resp -> Ok resp
-    | Error reason ->
-        if attempt >= policy.max_attempts then begin
-          if count_failures then
-            Ledger_obs.Metrics.incr "transport_failures_total";
-          Error { attempts = attempt; reason }
-        end
-        else begin
-          Ledger_obs.Metrics.incr "transport_retries_total";
-          on_retry ~attempt ~reason;
-          Clock.advance_ms clock
-            (backoff_ms_drawn policy ~seed ~attempt ~backoff_rng);
-          go (attempt + 1)
-        end
-  in
-  go 1
-
-let request ?(policy = default_policy) ?(seed = 0) ?backoff_rng
-    ?(on_retry = fun ~attempt:_ ~reason:_ -> ()) ~clock transport payload =
-  request_counted ?backoff_rng ~count_failures:true ~policy ~seed ~on_retry
-    ~clock transport payload
-
 let request_expect ?(policy = default_policy) ?(seed = 0) ?backoff_rng
     ?(on_retry = fun ~attempt:_ ~reason:_ -> ()) ~clock ~decode transport
     payload =
@@ -130,19 +80,25 @@ let request_expect ?(policy = default_policy) ?(seed = 0) ?backoff_rng
      fault — the attempt budget is shared with byte-level faults.  An
      explicit [Error_r] is the service itself speaking: definitive, never
      retried. *)
-  let one_shot = { policy with max_attempts = 1 } in
-  let no_op_retry ~attempt:_ ~reason:_ = () in
   let rec go attempt =
-    match
-      request_counted ~count_failures:false ~policy:one_shot ~seed
-        ~on_retry:no_op_retry ~clock transport payload
-    with
-    | Error { reason; _ } -> transient attempt reason
-    | Ok (Service.Error_r msg) -> Error (Refused msg)
-    | Ok resp -> (
-        match decode resp with
-        | Some v -> Ok v
-        | None -> transient attempt "unexpected response shape")
+    Ledger_obs.Metrics.incr "transport_attempts_total";
+    let t0 = Clock.now clock in
+    match transport payload with
+    | exception Timeout msg -> transient attempt ("timeout: " ^ msg)
+    | raw -> (
+        let elapsed_ms = Clock.ms_of_us (Clock.elapsed_since clock t0) in
+        if elapsed_ms > policy.request_timeout_ms then
+          transient attempt
+            (Printf.sprintf "response after %.1f ms exceeded %.1f ms budget"
+               elapsed_ms policy.request_timeout_ms)
+        else
+          match Service.decode_response raw with
+          | None -> transient attempt "garbled response (undecodable)"
+          | Some (Service.Error_r msg) -> Error (Refused msg)
+          | Some resp -> (
+              match decode resp with
+              | Some v -> Ok v
+              | None -> transient attempt "unexpected response shape"))
   and transient attempt reason =
     if attempt >= policy.max_attempts then begin
       Ledger_obs.Metrics.incr "transport_failures_total";
@@ -151,8 +107,17 @@ let request_expect ?(policy = default_policy) ?(seed = 0) ?backoff_rng
     else begin
       Ledger_obs.Metrics.incr "transport_retries_total";
       on_retry ~attempt ~reason;
-      Clock.advance_ms clock (backoff_ms_drawn policy ~seed ~attempt ~backoff_rng);
+      Clock.advance_ms clock (drawn_backoff_ms policy ~seed ~attempt ~backoff_rng);
       go (attempt + 1)
     end
   in
   go 1
+
+let request ?policy ?seed ?backoff_rng ?on_retry ~clock transport payload =
+  match
+    request_expect ?policy ?seed ?backoff_rng ?on_retry ~clock
+      ~decode:Option.some transport payload
+  with
+  | Ok resp -> Ok resp
+  | Error (Refused msg) -> Ok (Service.Error_r msg)
+  | Error (Transport e) -> Error e

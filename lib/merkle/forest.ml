@@ -185,29 +185,6 @@ let prove_bagged t i =
   ignore n;
   within @ right_step @ left_steps
 
-let subtree_root t ~level:l ~index =
-  match get_node t l index with
-  | h -> h
-  | exception Not_found ->
-      (* Ragged region: bag the greedy aligned decomposition of the live
-         part of the subtree's leaf range. *)
-      let lo = index * (1 lsl l) in
-      let hi = min t.size ((index + 1) * (1 lsl l)) in
-      if lo >= hi then raise Not_found;
-      let rec decompose a acc =
-        if a >= hi then List.rev acc
-        else begin
-          let rec fit k =
-            if k = 0 then 0
-            else if a mod (1 lsl k) = 0 && a + (1 lsl k) <= hi then k
-            else fit (k - 1)
-          in
-          let k = fit l in
-          decompose (a + (1 lsl k)) (get_node t k (a / (1 lsl k)) :: acc)
-        end
-      in
-      bag (decompose lo [])
-
 let forget_subtree t ~level:l ~index =
   for lev = 0 to l - 1 do
     if lev < Array.length t.levels then begin

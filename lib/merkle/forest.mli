@@ -57,10 +57,6 @@ val prove_bagged : t -> int -> Proof.path
 (** Audit path from leaf [i] to {!bagged_root} — the tim proof, whose
     length grows with the forest size. *)
 
-val subtree_root : t -> level:int -> index:int -> Hash.t
-(** Like {!node} but also serves {e ragged} (incomplete) subtrees by
-    folding the peaks of the partial region. *)
-
 val forget_subtree : t -> level:int -> index:int -> unit
 (** Drop the stored digests strictly below the given complete node (the
     node's own digest is retained), reclaiming space after a purge. *)

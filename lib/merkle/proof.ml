@@ -23,13 +23,3 @@ let node_set_digest peaks =
   Hash.digest_bytes (Buffer.to_bytes buf)
 
 let node_set_equal a b = List.length a = List.length b && List.for_all2 Hash.equal a b
-
-let pp_path fmt path =
-  Format.fprintf fmt "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       (fun fmt { dir; digest } ->
-         Format.fprintf fmt "%s%a"
-           (match dir with Left -> "L:" | Right -> "R:")
-           Hash.pp digest))
-    path

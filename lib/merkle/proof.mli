@@ -30,5 +30,3 @@ val node_set_digest : node_set -> Hash.t
     as a CM-Tree1 value. *)
 
 val node_set_equal : node_set -> node_set -> bool
-
-val pp_path : Format.formatter -> path -> unit

@@ -19,17 +19,6 @@ let r_path r = Wire.r_list ~max:4096 r (fun () -> r_step r)
 let w_node_set w peaks = Wire.w_list w (Wire.w_hash w) peaks
 let r_node_set r = Wire.r_list ~max:256 r (fun () -> Wire.r_hash r)
 
-let w_shrubs_proof w { Shrubs.path; peak_index; peak_set } =
-  w_path w path;
-  Wire.w_int w peak_index;
-  w_node_set w peak_set
-
-let r_shrubs_proof r =
-  let path = r_path r in
-  let peak_index = Wire.r_int r in
-  let peak_set = r_node_set r in
-  { Shrubs.path; peak_index; peak_set }
-
 let w_fam_proof w { Fam.jsn; epoch_paths; peak_index; peak_set } =
   Wire.w_int w jsn;
   Wire.w_list w (w_path w) epoch_paths;
@@ -51,15 +40,6 @@ let w_fam_anchored w = function
   | Fam.Beyond_anchor proof ->
       Wire.w_u8 w 1;
       w_fam_proof w proof
-
-let r_fam_anchored r =
-  match Wire.r_u8 r with
-  | 0 ->
-      let epoch = Wire.r_int r in
-      let path = r_path r in
-      Fam.Within_sealed { epoch; path }
-  | 1 -> Fam.Beyond_anchor (r_fam_proof r)
-  | _ -> raise Wire.Corrupt
 
 let w_range_proof w { Range_proof.size; first; last; support; peak_set } =
   Wire.w_int w size;
@@ -95,7 +75,6 @@ let encode f v =
 let encode_fam_proof = encode w_fam_proof
 let decode_fam_proof b = Wire.decode b r_fam_proof
 let encode_fam_anchored = encode w_fam_anchored
-let decode_fam_anchored b = Wire.decode b r_fam_anchored
 let encode_range_proof = encode w_range_proof
 let decode_range_proof b = Wire.decode b r_range_proof
 

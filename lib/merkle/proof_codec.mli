@@ -14,14 +14,10 @@ val r_path : Wire.reader -> Proof.path
 val w_node_set : Wire.writer -> Proof.node_set -> unit
 val r_node_set : Wire.reader -> Proof.node_set
 
-val w_shrubs_proof : Wire.writer -> Shrubs.proof -> unit
-val r_shrubs_proof : Wire.reader -> Shrubs.proof
-
 val w_fam_proof : Wire.writer -> Fam.proof -> unit
 val r_fam_proof : Wire.reader -> Fam.proof
 
 val w_fam_anchored : Wire.writer -> Fam.anchored_proof -> unit
-val r_fam_anchored : Wire.reader -> Fam.anchored_proof
 
 val w_range_proof : Wire.writer -> Range_proof.t -> unit
 val r_range_proof : Wire.reader -> Range_proof.t
@@ -30,7 +26,6 @@ val encode_fam_proof : Fam.proof -> bytes
 val decode_fam_proof : bytes -> Fam.proof option
 
 val encode_fam_anchored : Fam.anchored_proof -> bytes
-val decode_fam_anchored : bytes -> Fam.anchored_proof option
 
 val encode_range_proof : Range_proof.t -> bytes
 val decode_range_proof : bytes -> Range_proof.t option

@@ -83,6 +83,3 @@ let verify ~known t =
     | peaks -> Proof.node_set_equal peaks t.peak_set
     | exception Missing -> false
   end
-
-let verify_against_commitment ~known ~commitment t =
-  Hash.equal (Proof.node_set_digest t.peak_set) commitment && verify ~known t

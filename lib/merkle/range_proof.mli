@@ -30,6 +30,3 @@ val verify : known:(int * Hash.t) list -> t -> bool
     (computed by the verifier from retrieved journal payloads).
     Reconstructs the peaks and compares with [peak_set]; the caller is
     responsible for checking [peak_set] against a trusted commitment. *)
-
-val verify_against_commitment : known:(int * Hash.t) list -> commitment:Hash.t -> t -> bool
-(** {!verify} plus the node-set digest check. *)

@@ -45,13 +45,6 @@ let prove t i =
   let path, peak_index = Forest.prove_to_peak t.forest i in
   { path; peak_index; peak_set = peaks t }
 
-let verify_against_peaks ~peaks ~leaf proof =
-  Proof.node_set_equal peaks proof.peak_set
-  &&
-  match List.nth_opt proof.peak_set proof.peak_index with
-  | None -> false
-  | Some peak -> Hash.equal (Proof.apply leaf proof.path) peak
-
 let verify ~commitment ~leaf proof =
   Hash.equal (Proof.node_set_digest proof.peak_set) commitment
   &&

@@ -52,9 +52,6 @@ val verify : commitment:Hash.t -> leaf:Hash.t -> proof -> bool
 (** The path must land on [peak_set.(peak_index)] and the node-set must
     digest to [commitment]. *)
 
-val verify_against_peaks : peaks:Proof.node_set -> leaf:Hash.t -> proof -> bool
-(** Variant when the verifier holds the raw trusted node-set. *)
-
 val stored_digests : t -> int
 val forest : t -> Forest.t
 (** Underlying forest, exposed for fam's epoch sealing. *)

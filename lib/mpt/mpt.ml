@@ -15,11 +15,10 @@ and branch = {
   mutable bhash : Hash.t option;
 }
 
-type t = { mutable root : node option; mutable cardinal : int; mutable nodes : int }
+type t = { mutable root : node option; mutable cardinal : int }
 
-let create () = { root = None; cardinal = 0; nodes = 0 }
+let create () = { root = None; cardinal = 0 }
 let cardinal t = t.cardinal
-let node_count t = t.nodes
 
 (* --- hashing ----------------------------------------------------------- *)
 
@@ -83,24 +82,16 @@ let root_hash t =
 
 (* --- insertion --------------------------------------------------------- *)
 
-let mk_leaf t path value =
-  t.nodes <- t.nodes + 1;
-  Leaf { lpath = path; lvalue = value; lhash = None }
-
-let mk_branch t =
-  t.nodes <- t.nodes + 1;
-  { children = Array.make 16 None; bvalue = None; bhash = None }
-
-let mk_ext t path child =
-  t.nodes <- t.nodes + 1;
-  Ext { epath = path; echild = child; ehash = None }
+let mk_leaf path value = Leaf { lpath = path; lvalue = value; lhash = None }
+let mk_branch () = { children = Array.make 16 None; bvalue = None; bhash = None }
+let mk_ext path child = Ext { epath = path; echild = child; ehash = None }
 
 (* Attach a remainder (possibly empty) of a key into a branch. *)
-let attach_to_branch t branch path value =
+let attach_to_branch branch path value =
   if Array.length path = 0 then branch.bvalue <- Some value
   else
     branch.children.(path.(0)) <-
-      Some (mk_leaf t (Nibble.sub path 1 (Array.length path - 1)) value)
+      Some (mk_leaf (Nibble.sub path 1 (Array.length path - 1)) value)
 
 (* Insertion is path-copying: every node along the descent is replaced
    by a fresh record rather than mutated, so any previously captured
@@ -115,15 +106,14 @@ let rec insert_node t node key ki value =
         (* same key: fresh leaf, snapshots keep the old value *)
         Leaf { lpath = l.lpath; lvalue = value; lhash = None }
       else begin
-        let branch = mk_branch t in
+        let branch = mk_branch () in
         let old_rest = Nibble.sub l.lpath cp (Array.length l.lpath - cp) in
         let new_rest = Nibble.sub rest_new cp (Array.length rest_new - cp) in
-        attach_to_branch t branch old_rest l.lvalue;
-        t.nodes <- t.nodes - 1 (* the old leaf is replaced, not kept *);
-        attach_to_branch t branch new_rest value;
+        attach_to_branch branch old_rest l.lvalue;
+        attach_to_branch branch new_rest value;
         t.cardinal <- t.cardinal + 1;
         let bnode = Branch branch in
-        if cp = 0 then bnode else mk_ext t (Nibble.sub rest_new 0 cp) bnode
+        if cp = 0 then bnode else mk_ext (Nibble.sub rest_new 0 cp) bnode
       end
   | Ext e ->
       let cp = Nibble.common_prefix_length e.epath 0 key ki in
@@ -136,20 +126,19 @@ let rec insert_node t node key ki value =
           }
       else begin
         (* split the extension *)
-        let branch = mk_branch t in
+        let branch = mk_branch () in
         let pivot = e.epath.(cp) in
         let tail_len = Array.length e.epath - cp - 1 in
         let inner =
           if tail_len = 0 then e.echild
-          else mk_ext t (Nibble.sub e.epath (cp + 1) tail_len) e.echild
+          else mk_ext (Nibble.sub e.epath (cp + 1) tail_len) e.echild
         in
         branch.children.(pivot) <- Some inner;
         let new_rest = Nibble.sub key (ki + cp) (Array.length key - ki - cp) in
-        attach_to_branch t branch new_rest value;
+        attach_to_branch branch new_rest value;
         t.cardinal <- t.cardinal + 1;
         let bnode = Branch branch in
-        t.nodes <- t.nodes - 1 (* old ext replaced *);
-        if cp = 0 then bnode else mk_ext t (Nibble.sub e.epath 0 cp) bnode
+        if cp = 0 then bnode else mk_ext (Nibble.sub e.epath 0 cp) bnode
       end
   | Branch b ->
       if ki = Array.length key then begin
@@ -163,7 +152,7 @@ let rec insert_node t node key ki value =
         (match b.children.(c) with
         | None ->
             children.(c) <-
-              Some (mk_leaf t (Nibble.sub key (ki + 1) (Array.length key - ki - 1)) value);
+              Some (mk_leaf (Nibble.sub key (ki + 1) (Array.length key - ki - 1)) value);
             t.cardinal <- t.cardinal + 1
         | Some child -> children.(c) <- Some (insert_node t child key (ki + 1) value));
         Branch { children; bvalue = b.bvalue; bhash = None }
@@ -173,7 +162,7 @@ let insert t ~key value =
   if Array.length key = 0 then invalid_arg "Mpt.insert: empty key";
   match t.root with
   | None ->
-      t.root <- Some (mk_leaf t (Array.copy key) value);
+      t.root <- Some (mk_leaf (Array.copy key) value);
       t.cardinal <- 1
   | Some root -> t.root <- Some (insert_node t root key 0 value)
 
@@ -186,7 +175,7 @@ let insert_string t ~key value = insert t ~key:(Nibble.of_hash (Hash.scatter key
    frozen root can reach). *)
 let freeze t =
   ignore (root_hash t);
-  { root = t.root; cardinal = t.cardinal; nodes = t.nodes }
+  { root = t.root; cardinal = t.cardinal }
 
 (* --- lookup ------------------------------------------------------------ *)
 
@@ -307,8 +296,6 @@ let verify_proof ~root ~key ~value proof =
 let verify_proof_string ~root ~key ~value proof =
   verify_proof ~root ~key:(Nibble.of_hash (Hash.scatter key)) ~value proof
 
-let proof_length = List.length
-
 (* --- wire codec ---------------------------------------------------------- *)
 
 let w_nibbles w path =
@@ -417,11 +404,6 @@ let rec iter_in_range node q ~lo ~hi f =
 let iter_range t ~lo ?hi f =
   match t.root with None -> () | Some n -> iter_in_range n [||] ~lo ~hi f
 
-let fold_range t ~lo ?hi f acc =
-  let acc = ref acc in
-  iter_range t ~lo ?hi (fun k v -> acc := f !acc k v);
-  !acc
-
 exception Enough
 
 let take_range t ~lo ?hi n =
@@ -436,390 +418,6 @@ let take_range t ~lo ?hi n =
          incr count)
    with Enough -> ());
   (List.rev !out, !more)
-
-let rec min_in node q =
-  match node with
-  | Leaf l -> (Array.append q l.lpath, l.lvalue)
-  | Ext e -> min_in e.echild (Array.append q e.epath)
-  | Branch b -> (
-      match b.bvalue with
-      | Some v -> (q, v)
-      | None ->
-          let rec first i =
-            if i = 16 then invalid_arg "Mpt: malformed branch"
-            else
-              match b.children.(i) with
-              | Some n -> min_in n (Array.append q [| i |])
-              | None -> first (i + 1)
-          in
-          first 0)
-
-let rec max_in node q =
-  match node with
-  | Leaf l -> (Array.append q l.lpath, l.lvalue)
-  | Ext e -> max_in e.echild (Array.append q e.epath)
-  | Branch b ->
-      let rec last i =
-        if i < 0 then
-          match b.bvalue with
-          | Some v -> (q, v)
-          | None -> invalid_arg "Mpt: malformed branch"
-        else
-          match b.children.(i) with
-          | Some n -> max_in n (Array.append q [| i |])
-          | None -> last (i - 1)
-      in
-      last 15
-
-let min_binding t = Option.map (fun n -> min_in n [||]) t.root
-let max_binding t = Option.map (fun n -> max_in n [||]) t.root
-
-(* Smallest binding strictly extending prefix [q] (the binding at [q]
-   itself, if any, is skipped). *)
-let min_after_exact node q =
-  match node with
-  | Leaf l ->
-      if Array.length l.lpath > 0 then Some (Array.append q l.lpath, l.lvalue)
-      else None
-  | Ext e -> Some (min_in e.echild (Array.append q e.epath))
-  | Branch b ->
-      let rec first i =
-        if i = 16 then None
-        else
-          match b.children.(i) with
-          | Some n -> Some (min_in n (Array.append q [| i |]))
-          | None -> first (i + 1)
-      in
-      first 0
-
-(* Invariant for both searches: on entry, [q] is a strict prefix of [key],
-   so the subtree at [q] straddles [key]. *)
-let rec pred_search node q key =
-  match node with
-  | Leaf l ->
-      let k = Array.append q l.lpath in
-      if compare_keys k key < 0 then Some (k, l.lvalue) else None
-  | Ext e ->
-      let q' = Array.append q e.epath in
-      if is_strict_prefix q' key then pred_search e.echild q' key
-      else if compare_keys q' key < 0 then Some (max_in e.echild q')
-      else None
-  | Branch b -> (
-      let ki = Array.length q in
-      let c = key.(ki) in
-      let from_child =
-        match b.children.(c) with
-        | None -> None
-        | Some n ->
-            let q' = Array.append q [| c |] in
-            if is_strict_prefix q' key then pred_search n q' key
-            else None (* q' = key: everything below sorts at or after key *)
-      in
-      match from_child with
-      | Some _ as r -> r
-      | None ->
-          let rec scan i =
-            if i < 0 then
-              match b.bvalue with Some v -> Some (q, v) | None -> None
-            else
-              match b.children.(i) with
-              | Some n -> Some (max_in n (Array.append q [| i |]))
-              | None -> scan (i - 1)
-          in
-          scan (c - 1))
-
-let rec succ_search node q key =
-  match node with
-  | Leaf l ->
-      let k = Array.append q l.lpath in
-      if compare_keys k key > 0 then Some (k, l.lvalue) else None
-  | Ext e ->
-      let q' = Array.append q e.epath in
-      if is_strict_prefix q' key then succ_search e.echild q' key
-      else if compare_keys q' key > 0 then Some (min_in e.echild q')
-      else if compare_keys q' key = 0 then min_after_exact e.echild q'
-      else None
-  | Branch b -> (
-      let ki = Array.length q in
-      let c = key.(ki) in
-      let from_child =
-        match b.children.(c) with
-        | None -> None
-        | Some n ->
-            let q' = Array.append q [| c |] in
-            if is_strict_prefix q' key then succ_search n q' key
-            else min_after_exact n q'
-      in
-      match from_child with
-      | Some _ as r -> r
-      | None ->
-          let rec scan i =
-            if i = 16 then None
-            else
-              match b.children.(i) with
-              | Some n -> Some (min_in n (Array.append q [| i |]))
-              | None -> scan (i + 1)
-          in
-          scan (c + 1))
-
-let predecessor t ~key =
-  match t.root with
-  | None -> None
-  | Some n -> if Array.length key = 0 then None else pred_search n [||] key
-
-let successor t ~key =
-  match t.root with
-  | None -> None
-  | Some n ->
-      if Array.length key = 0 then min_after_exact n [||]
-      else succ_search n [||] key
-
-(* --- non-membership proofs --------------------------------------------- *)
-
-type absence_proof = {
-  ab_walk : proof;
-  ab_pred : (int array * bytes * proof) option;
-  ab_succ : (int array * bytes * proof) option;
-}
-
-let prove_absent t ~key =
-  match find t ~key with
-  | Some _ -> None
-  | None ->
-      let walk =
-        match t.root with
-        | None -> []
-        | Some root ->
-            let rec go node ki acc =
-              match node with
-              | Leaf l ->
-                  List.rev
-                    (Leaf_node { path = Array.copy l.lpath; value = l.lvalue } :: acc)
-              | Ext e ->
-                  let cp = Nibble.common_prefix_length e.epath 0 key ki in
-                  let pn =
-                    Extension_node
-                      { path = Array.copy e.epath; child = node_hash e.echild }
-                  in
-                  if cp = Array.length e.epath then go e.echild (ki + cp) (pn :: acc)
-                  else List.rev (pn :: acc)
-              | Branch b ->
-                  if ki = Array.length key then
-                    List.rev
-                      (Branch_node
-                         { children = branch_child_hashes b;
-                           value = b.bvalue;
-                           descend = -1 }
-                      :: acc)
-                  else
-                    let pn c =
-                      Branch_node
-                        { children = branch_child_hashes b;
-                          value = b.bvalue;
-                          descend = c }
-                    in
-                    let c = key.(ki) in
-                    (match b.children.(c) with
-                    | Some child -> go child (ki + 1) (pn c :: acc)
-                    | None -> List.rev (pn c :: acc))
-            in
-            go root 0 []
-      in
-      let with_proof (k, v) = (k, v, Option.get (prove t ~key:k)) in
-      Some
-        {
-          ab_walk = walk;
-          ab_pred = Option.map with_proof (predecessor t ~key);
-          ab_succ = Option.map with_proof (successor t ~key);
-        }
-
-(* The predecessor's inclusion proof must descend rightmost once it leaves
-   the shared prefix with [key]: any right sibling below the divergence
-   would hold a key strictly between pred and [key]. *)
-let boundary_max_check pr pk key =
-  let dp = Nibble.common_prefix_length pk 0 key 0 in
-  let rec go q = function
-    | [] -> true
-    | Leaf_node _ :: rest -> rest = []
-    | Extension_node { path; _ } :: rest -> go (q + Array.length path) rest
-    | Branch_node { children; descend; _ } :: rest ->
-        let side_ok =
-          if q <= dp then true
-          else if descend = -1 then
-            Array.for_all (fun h -> Hash.equal h Hash.zero) children
-          else begin
-            let ok = ref true in
-            for i = descend + 1 to 15 do
-              if not (Hash.equal children.(i) Hash.zero) then ok := false
-            done;
-            !ok
-          end
-        in
-        side_ok && (if descend = -1 then rest = [] else go (q + 1) rest)
-  in
-  go 0 pr
-
-(* Mirror image: the successor's proof must descend leftmost (and cross no
-   branch value) below the divergence. *)
-let boundary_min_check pr sk key =
-  let ds = Nibble.common_prefix_length sk 0 key 0 in
-  let rec go q = function
-    | [] -> true
-    | Leaf_node _ :: rest -> rest = []
-    | Extension_node { path; _ } :: rest -> go (q + Array.length path) rest
-    | Branch_node { children; value; descend } :: rest ->
-        let side_ok =
-          if q <= ds then true
-          else if descend = -1 then true (* the branch value is the minimum *)
-          else begin
-            let ok = ref (value = None) in
-            for i = 0 to descend - 1 do
-              if not (Hash.equal children.(i) Hash.zero) then ok := false
-            done;
-            !ok
-          end
-        in
-        side_ok && (if descend = -1 then rest = [] else go (q + 1) rest)
-  in
-  go 0 pr
-
-let verify_absence ~root ~key p =
-  if Hash.equal root Hash.zero then
-    p.ab_walk = [] && p.ab_pred = None && p.ab_succ = None
-  else begin
-    let pk = Option.map (fun (k, _, _) -> k) p.ab_pred in
-    let sk = Option.map (fun (k, _, _) -> k) p.ab_succ in
-    let klen = Array.length key in
-    let order_ok =
-      (match pk with Some k -> compare_keys k key < 0 | None -> true)
-      && (match sk with Some k -> compare_keys k key > 0 | None -> true)
-    in
-    let incl_ok =
-      (match p.ab_pred with
-      | Some (k, v, pr) ->
-          verify_proof ~root ~key:k ~value:v pr && boundary_max_check pr k key
-      | None -> true)
-      && (match p.ab_succ with
-         | Some (k, v, pr) ->
-             verify_proof ~root ~key:k ~value:v pr && boundary_min_check pr k key
-         | None -> true)
-    in
-    let dp =
-      match pk with Some k -> Nibble.common_prefix_length k 0 key 0 | None -> -1
-    in
-    let ds =
-      match sk with Some k -> Nibble.common_prefix_length k 0 key 0 | None -> -1
-    in
-    (* [key] extends the walk prefix at depth [q] with nibble [c] smaller
-       (resp. larger) than its own next nibble: every key under that child
-       lies strictly between pred and key (resp. key and succ) unless it
-       sits at or beyond the claimed boundary. *)
-    let left_ok q c =
-      match pk with
-      | None -> false
-      | Some pkk ->
-          if q < dp then true
-          else if q = dp then dp < Array.length pkk && c <= pkk.(dp)
-          else false
-    in
-    let right_ok q c =
-      match sk with
-      | None -> false
-      | Some skk ->
-          if q < ds then true
-          else if q = ds then ds < Array.length skk && c >= skk.(ds)
-          else false
-    in
-    (* A branch value at walk depth q is the prefix-key key[0..q), which
-       sorts below [key]; it is legal only while that prefix is also a
-       prefix of pred. *)
-    let bvalue_ok q = pk <> None && q <= dp in
-    (* Successor must extend [key] itself, branching with nibble [c]. *)
-    let succ_extends_key c =
-      match sk with
-      | Some skk ->
-          Array.length skk > klen
-          && Nibble.common_prefix_length skk 0 key 0 = klen
-          && skk.(klen) = c
-      | None -> false
-    in
-    let rec go expected q nodes =
-      match nodes with
-      | [] -> false
-      | node :: rest -> (
-          Hash.equal (proof_node_hash node) expected
-          &&
-          match node with
-          | Leaf_node { path; value = _ } ->
-              rest = []
-              &&
-              let lk = Array.append (Array.sub key 0 q) path in
-              let c = compare_keys lk key in
-              if c = 0 then false
-              else if c < 0 then
-                (match pk with Some k -> compare_keys k lk = 0 | None -> false)
-              else (match sk with Some k -> compare_keys k lk = 0 | None -> false)
-          | Extension_node { path; child } ->
-              let cp = Nibble.common_prefix_length path 0 key q in
-              if cp = Array.length path then rest <> [] && go child (q + cp) rest
-              else
-                rest = []
-                && (if q + cp = klen then
-                      (* key exhausted inside the extension: the whole
-                         subtree strictly extends key *)
-                      succ_extends_key path.(cp)
-                    else if path.(cp) < key.(q + cp) then
-                      match pk with
-                      | Some pkk ->
-                          dp = q + cp
-                          && dp < Array.length pkk
-                          && pkk.(dp) = path.(cp)
-                      | None -> false
-                    else
-                      match sk with
-                      | Some skk ->
-                          ds = q + cp
-                          && ds < Array.length skk
-                          && skk.(ds) = path.(cp)
-                      | None -> false)
-          | Branch_node { children; value; descend } ->
-              let side_ok = ref true in
-              let limit = if q < klen then key.(q) else -1 in
-              if value <> None && q < klen && not (bvalue_ok q) then
-                side_ok := false;
-              for i = 0 to 15 do
-                if not (Hash.equal children.(i) Hash.zero) then begin
-                  if q >= klen then begin
-                    (* children of the terminal branch all strictly extend
-                       key; the successor must be the leftmost of them *)
-                    let ok =
-                      match sk with
-                      | Some skk ->
-                          Array.length skk > klen
-                          && Nibble.common_prefix_length skk 0 key 0 = klen
-                          && i >= skk.(klen)
-                      | None -> false
-                    in
-                    if not ok then side_ok := false
-                  end
-                  else if i < limit then begin
-                    if not (left_ok q i) then side_ok := false
-                  end
-                  else if i > limit then
-                    if not (right_ok q i) then side_ok := false
-                end
-              done;
-              !side_ok
-              &&
-              if descend = -1 then rest = [] && q = klen && value = None
-              else
-                q < klen && descend = key.(q) && descend >= 0 && descend < 16
-                &&
-                if Hash.equal children.(descend) Hash.zero then rest = []
-                else rest <> [] && go children.(descend) (q + 1) rest)
-    in
-    order_ok && incl_ok && go root 0 p.ab_walk
-  end
 
 (* --- range proofs (pruned subtrie) -------------------------------------- *)
 
@@ -890,39 +488,6 @@ let verify_range ~root ~lo ~hi proof =
     let d = digest proof [||] in
     if Hash.equal d root then Some (List.rev !out) else None
   with Bad_range -> None
-
-let rec range_proof_nodes = function
-  | R_zero -> 0
-  | R_pruned _ | R_leaf _ -> 1
-  | R_ext { child; _ } -> 1 + range_proof_nodes child
-  | R_branch { children; _ } ->
-      Array.fold_left (fun a c -> a + range_proof_nodes c) 1 children
-
-(* --- wire codecs for the new proof forms --------------------------------- *)
-
-let w_kv_proof w (k, v, pr) =
-  w_nibbles w k;
-  Wire.w_bytes w v;
-  w_proof w pr
-
-let r_deep_proof r = Wire.r_list ~max:4096 r (fun () -> r_proof_node r)
-
-let r_kv_proof r =
-  let k = r_nibbles r in
-  let v = Wire.r_bytes r in
-  let pr = r_deep_proof r in
-  (k, v, pr)
-
-let w_absence w p =
-  w_proof w p.ab_walk;
-  Wire.w_option w (w_kv_proof w) p.ab_pred;
-  Wire.w_option w (w_kv_proof w) p.ab_succ
-
-let r_absence r =
-  let ab_walk = r_deep_proof r in
-  let ab_pred = Wire.r_option r (fun () -> r_kv_proof r) in
-  let ab_succ = Wire.r_option r (fun () -> r_kv_proof r) in
-  { ab_walk; ab_pred; ab_succ }
 
 let w_range_proof w proof =
   let rec go = function

@@ -8,7 +8,9 @@
 
     Inclusion proofs present every node on the root-to-leaf walk with just
     enough material to recompute its digest; {!verify_proof} replays the
-    walk against a trusted root.
+    walk against a trusted root.  Non-membership has one proof form, the
+    pruned-subtrie range proof ({!prove_range}); a point miss is the range
+    proof over a single-key interval (see {!compare_keys}).
 
     The trie also tracks the depth of each lookup so callers can model the
     paper's "top-layers cached in memory, bottom layers on disk" split
@@ -62,11 +64,6 @@ val prove_string : t -> key:string -> proof option
 val verify_proof : root:Hash.t -> key:int array -> value:bytes -> proof -> bool
 val verify_proof_string : root:Hash.t -> key:string -> value:bytes -> proof -> bool
 
-val proof_length : proof -> int
-
-val node_count : t -> int
-(** Total nodes — a storage metric. *)
-
 (** {1 Wire codec} *)
 
 val w_proof : Ledger_crypto.Wire.writer -> proof -> unit
@@ -78,7 +75,12 @@ val r_proof : Ledger_crypto.Wire.reader -> proof
     proper prefix sorts before every extension of itself.  Raw byte-string
     keys mapped through {!Nibble.of_string} therefore iterate in plain
     lexicographic byte order.  All ranges are half-open [[lo, hi)]; [hi =
-    None] means unbounded. *)
+    None] means unbounded.
+
+    No key sorts strictly between [k] and [k·0] ([k] extended by nibble
+    0), so [[k, k·0)] holds [k] alone: {!verify_range} over it yields
+    [Some []] exactly when [k] is absent, which makes the range proof the
+    point non-membership proof too. *)
 
 val compare_keys : int array -> int array -> int
 
@@ -88,41 +90,10 @@ val iter_range :
   t -> lo:int array -> ?hi:int array -> (int array -> bytes -> unit) -> unit
 (** Visit every binding in [[lo, hi)] in ascending key order. *)
 
-val fold_range :
-  t -> lo:int array -> ?hi:int array -> ('a -> int array -> bytes -> 'a) -> 'a -> 'a
-
 val take_range :
   t -> lo:int array -> ?hi:int array -> int -> (int array * bytes) list * bool
 (** First [n] bindings of the range in key order, plus a flag telling
     whether more remain — the pagination primitive. *)
-
-val min_binding : t -> (int array * bytes) option
-val max_binding : t -> (int array * bytes) option
-
-val predecessor : t -> key:int array -> (int array * bytes) option
-(** Largest binding strictly below [key] ([key] itself need not exist). *)
-
-val successor : t -> key:int array -> (int array * bytes) option
-
-(** {1 Non-membership proofs}
-
-    An absence proof is the root-to-divergence walk along the missing key
-    (the shared-prefix divergence witness) together with inclusion proofs
-    of the two adjacent keys.  {!verify_absence} checks that the walk
-    hash-chains to the root and genuinely diverges, and that the claimed
-    predecessor/successor are exactly adjacent to [key] — no binding can
-    hide between them. *)
-
-type absence_proof = {
-  ab_walk : proof;
-  ab_pred : (int array * bytes * proof) option;
-  ab_succ : (int array * bytes * proof) option;
-}
-
-val prove_absent : t -> key:int array -> absence_proof option
-(** [None] when the key is present. *)
-
-val verify_absence : root:Hash.t -> key:int array -> absence_proof -> bool
 
 (** {1 Range proofs (pruned subtrie)}
 
@@ -153,9 +124,5 @@ val verify_range :
 (** [Some bindings] (in ascending key order) iff the proof re-hashes to
     [root] and every pruned subtree is disjoint from the range. *)
 
-val range_proof_nodes : range_proof -> int
-
-val w_absence : Ledger_crypto.Wire.writer -> absence_proof -> unit
-val r_absence : Ledger_crypto.Wire.reader -> absence_proof
 val w_range_proof : Ledger_crypto.Wire.writer -> range_proof -> unit
 val r_range_proof : Ledger_crypto.Wire.reader -> range_proof

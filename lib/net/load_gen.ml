@@ -165,7 +165,7 @@ let must ~what = function
         (Printf.sprintf "load_gen: %s: %s" what (Transport.failure_to_string f))
 
 let d_checkpoint = function
-  | Service.Checkpoint_r { name; _ } -> Some name
+  | Service.Checkpoint_r { name; size; _ } -> Some (name, size)
   | _ -> None
 
 let d_members = function Service.Members_r ms -> Some ms | _ -> None
@@ -198,7 +198,7 @@ let run (cfg : config) : result =
   let ctl = Net_transport.connect ~host:cfg.host ~port:cfg.port () in
   let ctl_tr = Net_transport.transport ctl in
   let ctl_clock = Clock.create () in
-  let lname =
+  let lname, start_size =
     must ~what:"checkpoint"
       (rpc ~clock:ctl_clock ~transport:ctl_tr ~decode:d_checkpoint
          (Service.Client.make_get_checkpoint ()))
@@ -325,7 +325,9 @@ let run (cfg : config) : result =
               svc =
                 Service.Client.create ~crypto:cfg.crypto ~ledger_uri ~member
                   ~priv ();
-              own_clue = Printf.sprintf "own-%d" j;
+              (* the server's size at run start tells this run's clues
+                 apart from every earlier run's against the same server *)
+              own_clue = Printf.sprintf "own-%d-%d" start_size j;
               own_rev = [];
               own_n = 0;
             }

@@ -157,4 +157,3 @@ let first_at_or_after t ~clue jsn =
 (* --- point proofs -------------------------------------------------------- *)
 
 let prove_clue t ~clue = Mpt.prove t.trie ~key:(key_of_clue clue)
-let prove_absent_clue t ~clue = Mpt.prove_absent t.trie ~key:(key_of_clue clue)

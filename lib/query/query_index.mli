@@ -40,7 +40,8 @@ val entries : t -> int
 (** Total (clue, jsn) pairs indexed. *)
 
 val trie : t -> Mpt.t
-(** The underlying ordered trie — range/absence proofs are taken here. *)
+(** The underlying ordered trie — range proofs, single-key ones for a
+    missing clue included, are taken here. *)
 
 val freeze : t -> t
 (** O(1) immutable snapshot: {!Ledger_mpt.Mpt.freeze} of the trie plus
@@ -79,4 +80,3 @@ val first_at_or_after : t -> clue:string -> int -> int
 (** {1 Point proofs} *)
 
 val prove_clue : t -> clue:string -> Mpt.proof option
-val prove_absent_clue : t -> clue:string -> Mpt.absence_proof option

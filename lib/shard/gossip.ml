@@ -27,10 +27,6 @@ let announcement_valid ~service_pub a =
        ~sealed_at:a.sealed_at)
     a.signature
 
-let announcement_to_string a =
-  Printf.sprintf "%s epoch %d → %s @%Ldus" a.ledger a.epoch
-    (Hash.short_hex a.super) a.sealed_at
-
 let w_announcement w a =
   Wire.w_string w a.ledger;
   Wire.w_int w a.epoch;
@@ -123,8 +119,6 @@ type t = {
 
 let create ?(name = "peer") ~service_pub ~ledger () =
   { name; service_pub; ledger; seen = Hashtbl.create 16; evidence_rev = [] }
-
-let peer_name t = t.name
 
 let observe t (a : announcement) =
   Metrics.incr "gossip_announcements_total";

@@ -48,8 +48,6 @@ val sign :
 val announcement_valid : service_pub:Ecdsa.public_key -> announcement -> bool
 (** Real-ECDSA check of the service signature. *)
 
-val announcement_to_string : announcement -> string
-
 val w_announcement : Wire.writer -> announcement -> unit
 val r_announcement : Wire.reader -> announcement
 val encode_announcement : announcement -> bytes
@@ -98,8 +96,6 @@ type t
 val create : ?name:string -> service_pub:Ecdsa.public_key -> ledger:string -> unit -> t
 (** [name] labels this peer in metrics/audit records (default
     ["peer"]). *)
-
-val peer_name : t -> string
 
 val observe : t -> announcement -> verdict
 (** Fold one announcement into the peer state.  A [Forked] verdict

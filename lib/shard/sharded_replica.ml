@@ -48,21 +48,6 @@ let shard_transport transport shard : Transport.t =
    failure string alone. *)
 let fleet_request ?backoff_rng ~transport ~policy ~clock req =
   let max_attempts = max 1 policy.Transport.max_attempts in
-  let backoff ~attempt =
-    match backoff_rng with
-    | None -> Transport.backoff_ms policy ~seed:0 ~attempt
-    | Some rng ->
-        let exp =
-          policy.Transport.base_backoff_ms
-          *. (2. ** float_of_int (max 0 (attempt - 1)))
-        in
-        let unit_f = Float.max 0. (Float.min 1. (rng ())) in
-        let factor =
-          if policy.Transport.jitter <= 0. then 1.
-          else 1. -. (policy.Transport.jitter *. unit_f)
-        in
-        Float.min policy.Transport.max_backoff_ms exp *. factor
-  in
   let rec go attempt =
     let outcome =
       match transport req with
@@ -75,7 +60,8 @@ let fleet_request ?backoff_rng ~transport ~policy ~clock req =
     match outcome with
     | Ok r -> Ok r
     | Error _ when attempt < max_attempts ->
-        Clock.advance_ms clock (backoff ~attempt);
+        Clock.advance_ms clock
+          (Transport.drawn_backoff_ms policy ~seed:0 ~attempt ~backoff_rng);
         go (attempt + 1)
     | Error reason ->
         Metrics.incr "transport_failures_total";

@@ -3,8 +3,6 @@ open Ledger_merkle
 
 type presence = Sealed | Carried
 
-let presence_to_string = function Sealed -> "sealed" | Carried -> "carried"
-
 type sealed = {
   epoch : int;
   sealed_at : int64;

@@ -31,8 +31,6 @@ type presence =
       (** the shard was absent (quarantined/dead); its last sealed root
           and size are carried forward, flagged in the leaf domain *)
 
-val presence_to_string : presence -> string
-
 type sealed = {
   epoch : int;  (** 0-based seal sequence number *)
   sealed_at : int64;  (** fleet clock at the seal barrier *)

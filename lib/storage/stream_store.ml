@@ -152,8 +152,6 @@ let pin s =
   { p_name = s.name; p_records = s.records; p_count = s.count;
     p_killed = s.killed }
 
-let pinned_length p = p.p_count
-
 let read_pinned p i =
   check_alive p.p_killed;
   if i < 0 || i >= p.p_count then
@@ -251,11 +249,6 @@ type recovery = {
   damage : damage;
   dropped_bytes : int;
 }
-
-let damage_to_string = function
-  | Intact -> "intact"
-  | Torn_tail -> "torn tail"
-  | Corrupt_record -> "corrupt record"
 
 let recover ~dir () =
   if not (Sys.file_exists dir) then

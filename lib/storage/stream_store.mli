@@ -104,8 +104,6 @@ type pinned
 val pin : stream -> pinned
 (** Capture the stream's current length as an immutable read prefix. *)
 
-val pinned_length : pinned -> int
-
 val read_pinned : pinned -> int -> bytes option
 (** Like {!read_opt} against the pinned prefix: [None] for erased
     records.  @raise Read_error when the index is outside the pinned
@@ -146,8 +144,6 @@ type recovery = {
   damage : damage;
   dropped_bytes : int;  (** bytes discarded after the last intact record *)
 }
-
-val damage_to_string : damage -> string
 
 val recover : dir:string -> unit -> t * recovery list
 (** Reopen a persisted store.  Every [<stream>.log] in [dir] is replayed

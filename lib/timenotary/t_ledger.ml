@@ -134,5 +134,4 @@ let anchors_between t lo hi =
   |> List.filter_map (fun e ->
          if e.index >= lo && e.index <= hi then verified_anchor t e else None)
 
-let delta_tau_us t = t.anchor_interval_us
 let tau_delta_us t = t.tau_delta_us

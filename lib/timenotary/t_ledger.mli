@@ -68,5 +68,4 @@ val verify_entry_time : t -> int -> (int64 option * int64 option) option
 val anchors_between : t -> int -> int -> Tsa.token list
 (** All TSA anchor tokens with indices in the inclusive range. *)
 
-val delta_tau_us : t -> int64
 val tau_delta_us : t -> int64

@@ -748,6 +748,39 @@ let test_read_ratio_knob () =
         ((Net_server.stats server).Net_server.read_served
         >= r.Load_gen.verifies + r.Load_gen.lineages))
 
+(* Each run's logical clients verify the whole lineage of a private
+   clue they believe they alone wrote, so a second run against the same
+   server must not reuse the first run's clues. *)
+let test_load_rerun () =
+  let crypto = Crypto_profile.default_simulated in
+  let _, _, ledger, _ =
+    build_ledger ~name:"rerun-load" ~crypto ~members:8 ~entries:4 ()
+  in
+  with_server
+    ~config:{ Net_server.default_config with port = 0; workers = 2 }
+    ~read:(Service.handle_read ledger)
+    (Service.handle ledger)
+    (fun server ->
+      let cfg =
+        {
+          Load_gen.default_config with
+          port = Net_server.port server;
+          logical_clients = 20;
+          connections = 2;
+          total_ops = 120;
+          pulls = 0;
+          seed = 7;
+          crypto;
+        }
+      in
+      List.iter
+        (fun run ->
+          let r = Load_gen.run cfg in
+          Alcotest.(check int) (run ^ ": all ops completed") 120 r.Load_gen.ops;
+          Alcotest.(check int) (run ^ ": no verification failures") 0
+            r.Load_gen.verify_failures)
+        [ "first run"; "second run" ])
+
 (* ------------------------------------------------------------------ *)
 (* metrics satellites                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -834,6 +867,8 @@ let suite =
       test_mini_load_run;
     tc "load: read-ratio knob drives a read-heavy mix" `Quick
       test_read_ratio_knob;
+    tc "load: a second run against the same server verifies" `Quick
+      test_load_rerun;
     tc "metrics: summary + prometheus quantiles" `Quick test_metrics_summary;
     tc "workload: zipf sampler" `Quick test_zipf;
   ]

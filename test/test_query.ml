@@ -2,9 +2,11 @@
 
    Three rings of defence, inside out:
 
-   - lib/mpt ordered-key machinery: iteration/predecessor/successor agree
-     with a sorted model; absence proofs and pruned-subtrie range proofs
-     verify honestly and reject adversarial boundary substitution;
+   - lib/mpt ordered-key machinery: iteration agrees with a sorted model;
+     pruned-subtrie range proofs verify honestly, and over a single-key
+     interval [k, k·0) they prove membership or a point miss, reject a
+     miss's gap pruned, and reject a present key's holder pruned or its
+     value dropped;
    - lib/query: verified paged scans are differentially equal to a naive
      filter over everything ever appended, and every tampering move the
      issue names (omitted/extra/altered row, hidden window epoch,
@@ -50,6 +52,11 @@ let to_bindings l =
 
 (* --- ordered iteration --------------------------------------------------- *)
 
+let range_list t ~lo ?hi () =
+  let out = ref [] in
+  Mpt.iter_range t ~lo ?hi (fun k v -> out := (k, v) :: !out);
+  List.rev !out
+
 let ordered_iteration_agrees =
   QCheck.Test.make ~name:"fold_range = sorted model filter" ~count:120
     QCheck.(triple arb_bindings arb_nibble_key (option arb_nibble_key))
@@ -59,17 +66,12 @@ let ordered_iteration_agrees =
       let model = model_of_bindings bs in
       let lo = key_of_list lo_l in
       let hi = Option.map key_of_list hi_l in
-      let got =
-        List.rev (Mpt.fold_range t ~lo ?hi (fun acc k v -> (k, v) :: acc) [])
-      in
       let expect =
         List.filter (fun (k, _) -> Mpt.key_in_range k ~lo ~hi) model
       in
-      got = expect
-      &&
+      range_list t ~lo ?hi () = expect
       (* unbounded scan = full model *)
-      List.rev (Mpt.fold_range t ~lo:[||] (fun acc k v -> (k, v) :: acc) [])
-      = model)
+      && range_list t ~lo:[||] () = model)
 
 let take_range_agrees =
   QCheck.Test.make ~name:"take_range = first n of fold_range" ~count:120
@@ -83,119 +85,164 @@ let take_range_agrees =
       got = List.filteri (fun i _ -> i < expect_n) model
       && more = (List.length model > n))
 
-let adjacent_agrees =
-  QCheck.Test.make ~name:"predecessor/successor = model" ~count:200
-    QCheck.(pair arb_bindings arb_nibble_key)
-    (fun (raw, probe_l) ->
-      let bs = to_bindings raw in
-      let t = trie_of_bindings bs in
-      let model = model_of_bindings bs in
-      let probe = key_of_list probe_l in
-      let expect_pred =
-        List.fold_left
-          (fun acc (k, v) -> if Mpt.compare_keys k probe < 0 then Some (k, v) else acc)
-          None model
-      in
-      let expect_succ =
-        List.fold_left
-          (fun acc (k, v) ->
-            match acc with
-            | Some _ -> acc
-            | None -> if Mpt.compare_keys k probe > 0 then Some (k, v) else None)
-          None model
-      in
-      Mpt.predecessor t ~key:probe = expect_pred
-      && Mpt.successor t ~key:probe = expect_succ
-      && Mpt.min_binding t
-         = (match model with [] -> None | b :: _ -> Some b)
-      && Mpt.max_binding t
-         = (match List.rev model with [] -> None | b :: _ -> Some b))
+(* --- point misses: single-key range proofs ------------------------------- *)
 
-(* --- absence proofs ------------------------------------------------------ *)
+(* No key sorts strictly between [k] and [k·0], so the range proof over
+   [[k, k·0)] is the point proof: membership, or a miss. *)
+let point_hi k = Some (Array.append k [| 0 |])
+let prove_point t k = Mpt.prove_range t ~lo:k ~hi:(point_hi k)
+let verify_point ~root k p = Mpt.verify_range ~root ~lo:k ~hi:(point_hi k) p
+
+(* Over the empty interval [[], []) every subtree is out of range, so a
+   proof verifies there iff it re-hashes to [root]: a forgery passing this
+   is rejected for its range, not for a wrong digest. *)
+let rehashes_to ~root p = Mpt.verify_range ~root ~lo:[||] ~hi:(Some [||]) p = Some []
+
+(* The digest of the node at depth [d] on present key [j]'s inclusion walk,
+   read off its parent (the root digest at depth 0). *)
+let walk_hash t j d =
+  if d = 0 then Mpt.root_hash t
+  else
+    match List.nth (Option.get (Mpt.prove t ~key:j)) (d - 1) with
+    | Mpt.Branch_node { children; descend; _ } -> children.(descend)
+    | Mpt.Extension_node { child; _ } -> child
+    | Mpt.Leaf_node _ -> invalid_arg "walk_hash"
+
+(* Rewrite the entry of a range proof that holds key [k] — the leaf ending
+   at [k], or the branch whose value sits at [k]. *)
+let rewrite_holder k f proof =
+  let rec go q = function
+    | Mpt.R_leaf _ as e -> f e
+    | Mpt.R_ext { path; child } ->
+        Mpt.R_ext { path; child = go (q + Array.length path) child }
+    | Mpt.R_branch { children; value } as e ->
+        if q = Array.length k then f e
+        else
+          let children = Array.copy children in
+          children.(k.(q)) <- go (q + 1) children.(k.(q));
+          Mpt.R_branch { children; value }
+    | e -> e
+  in
+  go 0 proof
+
+let holder_hash t k =
+  walk_hash t k (List.length (Option.get (Mpt.prove t ~key:k)) - 1)
+
+(* Rewrite the entry of a range proof where absent key [k]'s miss shows —
+   an empty slot, a leaf or extension leaving [k]'s path, or the valueless
+   branch at [k].  [f] also gets the entry's position and walk depth. *)
+let rewrite_gap k f proof =
+  let n = Array.length k in
+  let rec go q d = function
+    | Mpt.R_ext { path; child } as e ->
+        let m = Array.length path in
+        if q + m <= n && Array.sub k q m = path then
+          Mpt.R_ext { path; child = go (q + m) (d + 1) child }
+        else f e (Array.sub k 0 q) d
+    | Mpt.R_branch { children; value } when q < n ->
+        let children = Array.copy children in
+        children.(k.(q)) <- go (q + 1) (d + 1) children.(k.(q));
+        Mpt.R_branch { children; value }
+    | e -> f e (Array.sub k 0 q) d
+  in
+  go 0 0 proof
+
+(* A probe: a random key, or (with [pick]) a key of the trie, an
+   extension of one, or its parent prefix. *)
+let probe_key bs probe_l pick ~present =
+  match pick with
+  | Some i when bs <> [] ->
+      let j = fst (List.nth bs (i mod List.length bs)) in
+      if present then j
+      else if i land 1 = 0 || Array.length j = 1 then
+        Array.append j (key_of_list probe_l)
+      else Array.sub j 0 (Array.length j - 1)
+  | _ -> key_of_list probe_l
 
 let absence_roundtrip =
   QCheck.Test.make ~name:"absence proofs verify (incl. wire roundtrip)" ~count:200
-    QCheck.(pair arb_bindings arb_nibble_key)
-    (fun (raw, probe_l) ->
+    QCheck.(triple arb_bindings arb_nibble_key (option small_nat))
+    (fun (raw, probe_l, pick) ->
       let bs = to_bindings raw in
       let t = trie_of_bindings bs in
-      let probe = key_of_list probe_l in
       let root = Mpt.root_hash t in
-      match Mpt.prove_absent t ~key:probe with
-      | None -> Mpt.find t ~key:probe <> None
-      | Some p ->
-          Mpt.find t ~key:probe = None
-          && Mpt.verify_absence ~root ~key:probe p
-          && (let w = Wire.writer () in
-              Mpt.w_absence w p;
-              match Wire.decode (Wire.contents w) Mpt.r_absence with
-              | Some p' -> Mpt.verify_absence ~root ~key:probe p'
-              | None -> false))
+      (* half the probes are keys of the trie, so both outcomes occur *)
+      let k = probe_key bs probe_l pick ~present:true in
+      let proof = prove_point t k in
+      let expect =
+        match Mpt.find t ~key:k with None -> [] | Some v -> [ (k, v) ]
+      in
+      verify_point ~root k proof = Some expect
+      && (let w = Wire.writer () in
+          Mpt.w_range_proof w proof;
+          match Wire.decode (Wire.contents w) Mpt.r_range_proof with
+          | Some p' -> verify_point ~root k p' = Some expect
+          | None -> false))
 
 let absence_rejects_wrong_boundaries =
   QCheck.Test.make ~name:"absence proof rejects non-adjacent boundaries" ~count:200
-    QCheck.(pair arb_bindings arb_nibble_key)
-    (fun (raw, probe_l) ->
+    QCheck.(triple arb_bindings arb_nibble_key (option small_nat))
+    (fun (raw, probe_l, pick) ->
       let bs = to_bindings raw in
       let t = trie_of_bindings bs in
-      let probe = key_of_list probe_l in
       let root = Mpt.root_hash t in
-      match Mpt.prove_absent t ~key:probe with
-      | None -> QCheck.assume_fail ()
-      | Some p ->
-          let with_proof k v = (k, v, Option.get (Mpt.prove t ~key:k)) in
-          (* replace the claimed predecessor by the *predecessor of the
-             predecessor* — a real key with a genuine inclusion proof, just
-             not adjacent.  Same on the successor side. *)
-          let weaker_pred =
-            match p.Mpt.ab_pred with
-            | Some (pk, _, _) ->
-                Option.map
-                  (fun (k, v) ->
-                    { p with Mpt.ab_pred = Some (with_proof k v) })
-                  (Mpt.predecessor t ~key:pk)
-            | None -> None
-          in
-          let weaker_succ =
-            match p.Mpt.ab_succ with
-            | Some (sk, _, _) ->
-                Option.map
-                  (fun (k, v) ->
-                    { p with Mpt.ab_succ = Some (with_proof k v) })
-                  (Mpt.successor t ~key:sk)
-            | None -> None
-          in
-          let dropped_pred =
-            if p.Mpt.ab_pred = None then None
-            else Some { p with Mpt.ab_pred = None }
-          in
-          let dropped_succ =
-            if p.Mpt.ab_succ = None then None
-            else Some { p with Mpt.ab_succ = None }
-          in
-          List.for_all
-            (function
-              | None -> true
-              | Some forged -> not (Mpt.verify_absence ~root ~key:probe forged))
-            [ weaker_pred; weaker_succ; dropped_pred; dropped_succ ])
+      let k = probe_key bs probe_l pick ~present:false in
+      QCheck.assume (Mpt.find t ~key:k = None);
+      (* the gap's boundary pruned to its genuine digest: the root still
+         matches, but the gap is no longer shown *)
+      let empty_slot = ref false in
+      let pruned =
+        rewrite_gap k
+          (fun e p d ->
+            match e with
+            | Mpt.R_zero ->
+                empty_slot := true;
+                Mpt.R_pruned Hash.zero
+            | _ ->
+                let j = fst (List.hd (fst (Mpt.take_range t ~lo:p 1))) in
+                Mpt.R_pruned (walk_hash t j d))
+          (prove_point t k)
+      in
+      (!empty_slot || rehashes_to ~root pruned)
+      && verify_point ~root k pruned = None
+      (* genuine point proofs of the trie's keys, replayed for [k], never
+         claim a binding at [k] *)
+      && List.for_all
+           (fun (j, _) ->
+             match verify_point ~root k (prove_point t j) with
+             | None | Some [] -> true
+             | Some _ -> false)
+           bs)
 
 let absence_rejects_present_key =
   QCheck.Test.make ~name:"absence proof cannot target a present key" ~count:100
-    arb_bindings
-    (fun raw ->
+    QCheck.(pair arb_bindings small_nat)
+    (fun (raw, i) ->
       let bs = to_bindings raw in
       QCheck.assume (bs <> []);
       let t = trie_of_bindings bs in
       let root = Mpt.root_hash t in
-      let k, _ = List.nth bs (List.length bs / 2) in
-      (* an absence proof built for a *different* absent key must not
-         verify when replayed against a present key *)
-      Mpt.prove_absent t ~key:k = None
+      let k, _ = List.nth bs (i mod List.length bs) in
+      let proof = prove_point t k in
+      (* two forged "absent" proofs: the holder pruned to its genuine
+         digest, and the value at [k] dropped *)
+      let pruned = rewrite_holder k (fun _ -> Mpt.R_pruned (holder_hash t k)) proof in
+      let dropped =
+        rewrite_holder k
+          (function
+            | Mpt.R_branch b -> Mpt.R_branch { b with value = None }
+            | _ -> Mpt.R_zero)
+          proof
+      in
+      rehashes_to ~root pruned
+      && verify_point ~root k pruned = None
+      && verify_point ~root k dropped = None
+      (* a point proof built for an absent extension of [k] must not pass
+         as [k]'s miss when replayed against [k] *)
       &&
       let far = Array.append k [| 0; 0; 0; 0; 0; 0; 0; 0; 0 |] in
-      match Mpt.prove_absent t ~key:far with
-      | None -> false
-      | Some p -> not (Mpt.verify_absence ~root ~key:k p))
+      Mpt.find t ~key:far = None
+      && verify_point ~root k (prove_point t far) <> Some [])
 
 (* --- range proofs -------------------------------------------------------- *)
 
@@ -784,7 +831,6 @@ let suite =
   [
     qcheck ordered_iteration_agrees;
     qcheck take_range_agrees;
-    qcheck adjacent_agrees;
     qcheck absence_roundtrip;
     qcheck absence_rejects_wrong_boundaries;
     qcheck absence_rejects_present_key;

@@ -352,51 +352,11 @@ let test_append_batch_atomic_rejection () =
       Alcotest.(check int) "all committed" 4 (List.length rs)
   | _ -> Alcotest.fail "clean batch rejected"
 
-let test_auto_batch_client () =
-  let clock, ledger, _ = make_service () in
-  let member, priv =
-    Ledger.new_member ledger ~name:"auto" ~role:Roles.Regular_user
-  in
-  let client =
-    Service.Client.create ~auto_batch:3 ~ledger_uri:(Ledger.uri ledger) ~member
-      ~priv ()
-  in
-  let flushed = ref [] in
-  for i = 0 to 4 do
-    Clock.advance_ms clock 10.;
-    match
-      Service.Client.buffer_append client ~client_ts:(Clock.now clock)
-        (Bytes.of_string (Printf.sprintf "auto %d" i))
-    with
-    | Some req ->
-        if i <> 2 then
-          Alcotest.failf "auto-flush at entry %d (expected at 2)" i;
-        flushed := req :: !flushed
-    | None -> ()
-  done;
-  Alcotest.(check int) "one auto-flush" 1 (List.length !flushed);
-  Alcotest.(check int) "two entries pending" 2 (Service.Client.pending client);
-  (match Service.Client.flush client with
-  | Some req -> flushed := req :: !flushed
-  | None -> Alcotest.fail "manual flush returned nothing");
-  Alcotest.(check int) "buffer drained" 0 (Service.Client.pending client);
-  Alcotest.(check (option bool)) "empty flush is None" None
-    (Option.map (fun _ -> true) (Service.Client.flush client));
-  List.iter
-    (fun req ->
-      match roundtrip ledger req with
-      | Some (Service.Receipts_r _) -> ()
-      | Some (Service.Error_r e) -> Alcotest.fail e
-      | _ -> Alcotest.fail "unexpected response")
-    (List.rev !flushed);
-  Alcotest.(check int) "all five committed" 5 (Ledger.size ledger)
-
 let batch_suite =
   [
     tc "append_batch over the wire" `Quick test_append_batch_over_wire;
     tc "batch with one bad signature rejected atomically" `Quick
       test_append_batch_atomic_rejection;
-    tc "client auto-batching" `Quick test_auto_batch_client;
   ]
 
 let suite = base_suite @ fuzz_suite @ extension_suite @ members_suite @ batch_suite

@@ -26,7 +26,7 @@ let test_fig7_ecdsa_verify_ref =
   let digest = Hash.digest_string "bench message" in
   let signature = Ecdsa.sign priv digest in
   Test.make ~name:"fig7/ecdsa-verify-ref"
-    (Staged.stage (fun () -> assert (Ecdsa.Ref.verify pub digest signature)))
+    (Staged.stage (fun () -> assert (Ecdsa_ref.verify pub digest signature)))
 
 let test_fig7_ecdsa_sign =
   (* the π_s / π_c signing primitive: k·G over the fixed-base comb *)
@@ -39,7 +39,7 @@ let test_fig7_ecdsa_sign_ref =
   let priv, _ = Ecdsa.generate ~seed:"bench" in
   let digest = Hash.digest_string "bench message" in
   Test.make ~name:"fig7/ecdsa-sign-ref"
-    (Staged.stage (fun () -> ignore (Ecdsa.Ref.sign priv digest)))
+    (Staged.stage (fun () -> ignore (Ecdsa_ref.sign priv digest)))
 
 let test_fig8_fam_append =
   let fam = Fam.create ~delta:15 in
@@ -211,19 +211,26 @@ let run ?(smoke = false) ?json () =
     let signature = Ecdsa.sign priv digest in
     alternating_speedup ~rounds ~budget
       (fun () -> assert (Ecdsa.verify pub digest signature))
-      (fun () -> assert (Ecdsa.Ref.verify pub digest signature))
+      (fun () -> assert (Ecdsa_ref.verify pub digest signature))
   in
   let sign_speedup =
     let priv, _ = Ecdsa.generate ~seed:"bench" in
     let digest = Hash.digest_string "bench message" in
     alternating_speedup ~rounds ~budget
       (fun () -> ignore (Ecdsa.sign priv digest))
-      (fun () -> ignore (Ecdsa.Ref.sign priv digest))
+      (fun () -> ignore (Ecdsa_ref.sign priv digest))
+  in
+  (* Minor-heap words per item of sign_many and verify_many over 256
+     items; reported here, bounded by test_crypto_props *)
+  let sign_minor_words, verify_minor_words, _ =
+    Ecdsa_ref.minor_words_per_item ~seed:"bench" 256
   in
   Printf.printf "ecdsa sign speedup (ref/fast, median of %d rounds): %.1fx\n"
     rounds sign_speedup;
   Printf.printf "ecdsa verify speedup (ref/fast, median of %d rounds): %.1fx\n"
     rounds verify_speedup;
+  Printf.printf "ecdsa minor words per item: sign %.0f, verify %.0f\n"
+    sign_minor_words verify_minor_words;
   (* Speedup gate: the kernel must keep ECDSA verification at least 10x
      faster than the reference pipeline (3x in smoke runs, whose short
      rounds are noisier) — enough to catch an accidental fallback to the
@@ -254,6 +261,8 @@ let run ?(smoke = false) ?json () =
              ("smoke", Bool smoke);
              ("verify_speedup", Float verify_speedup);
              ("sign_speedup", Float sign_speedup);
+             ("sign_minor_words", Float sign_minor_words);
+             ("verify_minor_words", Float verify_minor_words);
              ("tests", Obj tests);
            ]);
       Printf.printf "wrote %s\n" path

@@ -150,70 +150,3 @@ let pp_signature fmt { r; s } =
   Format.fprintf fmt "sig(r=%s…, s=%s…)"
     (String.sub (Uint256.to_hex r) 0 8)
     (String.sub (Uint256.to_hex s) 0 8)
-
-(* ----------------------------------------------------------------------
-   Reference signer/verifier over Secp256k1.Ref: the pre-kernel pipeline
-   (long-division scalar arithmetic, double-and-add ladders).  The
-   differential suites assert sign/verify agree bit-for-bit with the
-   fast path above.
-   ---------------------------------------------------------------------- *)
-
-module Ref = struct
-  let z_of_hash h =
-    snd (Uint256.div_mod (Uint256.of_bytes_be (Hash.to_bytes h)) n)
-
-  let scalar_of_bytes b =
-    let v = Uint256.of_bytes_be b in
-    let v = snd (Uint256.div_mod v n_minus_1) in
-    fst (Uint256.add v Uint256.one)
-
-  let nonce d msg_hash attempt =
-    let key = Uint256.to_bytes_be d in
-    let data = Bytes.create 33 in
-    Bytes.blit (Hash.to_bytes msg_hash) 0 data 0 32;
-    Bytes.set data 32 (Char.chr (attempt land 0xFF));
-    scalar_of_bytes (Hmac_sha256.mac ~key data)
-
-  let sign d msg_hash =
-    let z = z_of_hash msg_hash in
-    let rec attempt i =
-      if i > 100 then failwith "Ecdsa.Ref.sign: could not find a valid nonce";
-      let k = nonce d msg_hash i in
-      let kg = Secp256k1.Ref.scalar_mul k Secp256k1.Ref.generator in
-      match Secp256k1.Ref.to_affine kg with
-      | None -> attempt (i + 1)
-      | Some (x, _) ->
-          let r = snd (Uint256.div_mod x n) in
-          if Uint256.is_zero r then attempt (i + 1)
-          else begin
-            let kinv = Uint256.inv_mod k n in
-            let rd = Uint256.mul_mod r d n in
-            let s = Uint256.mul_mod kinv (Uint256.add_mod z rd n) n in
-            if Uint256.is_zero s then attempt (i + 1) else { r; s }
-          end
-    in
-    attempt 0
-
-  (* Accepts the fast-representation public key and re-expresses it for
-     the reference ladder, so both verifiers can be run on identical
-     inputs. *)
-  let verify q msg_hash { r; s } =
-    if not (in_range r && in_range s) then false
-    else begin
-      match q with
-      | None -> false
-      | Some tq ->
-          let qx, qy = Secp256k1.table_affine tq in
-          let q = Secp256k1.Ref.of_affine qx qy in
-          let z = z_of_hash msg_hash in
-          let w = Uint256.inv_mod s n in
-          let u1 = Uint256.mul_mod z w n in
-          let u2 = Uint256.mul_mod r w n in
-          let pt =
-            Secp256k1.Ref.double_scalar_mul u1 Secp256k1.Ref.generator u2 q
-          in
-          (match Secp256k1.Ref.to_affine pt with
-          | None -> false
-          | Some (x, _) -> Uint256.equal (snd (Uint256.div_mod x n)) r)
-    end
-end

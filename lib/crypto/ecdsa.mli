@@ -6,7 +6,10 @@
     from HMAC-SHA256, so signing is deterministic and needs no entropy
     source inside the sealed test environment. *)
 
-type private_key
+type private_key = private Uint256.t
+(** A scalar in [1, n).  Readable as a [Uint256.t] (the reference
+    signer of the test suites needs it) but never built from one: keys
+    come from {!generate}. *)
 
 type public_key
 (** A public key together with its verification table (odd multiples of
@@ -65,15 +68,3 @@ val signature_to_bytes : signature -> bytes
 val signature_of_bytes : bytes -> signature option
 
 val pp_signature : Format.formatter -> signature -> unit
-
-(** {1 Reference pipeline}
-
-    Signer/verifier over {!Secp256k1.Ref} — the pre-kernel long-division
-    scalar arithmetic and double-and-add ladders.  Nonce derivation is
-    identical, so [Ref.sign] must produce bit-for-bit the same signature
-    as {!sign}; the differential suites assert this on every build. *)
-
-module Ref : sig
-  val sign : private_key -> Hash.t -> signature
-  val verify : public_key -> Hash.t -> signature -> bool
-end

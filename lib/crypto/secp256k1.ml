@@ -16,10 +16,6 @@ let gy =
   Uint256.of_hex
     "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8"
 
-let p_minus_2 =
-  Uint256.of_hex
-    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2d"
-
 (* GLV endomorphism: (x, y) -> (beta*x, y) equals multiplication by
    lambda, where beta^3 = 1 (mod p) and lambda^3 = 1 (mod n). *)
 let beta =
@@ -29,198 +25,6 @@ let beta =
 let lambda =
   Uint256.of_hex
     "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72"
-
-(* ======================================================================
-   Reference kernel.
-
-   The straightforward implementation the fast kernel below is checked
-   against: generic 16-bit-limb field arithmetic through
-   [Uint256.mul_wide], plain MSB-first double-and-add, and the naive
-   two-table Shamir ladder.  Kept alive verbatim so the differential and
-   vector suites compare fast-vs-reference on every build; performance
-   is irrelevant here.
-   ====================================================================== *)
-
-module Ref = struct
-  let limb_mask = 0xFFFF
-  let limb_bits = 16
-
-  (* p = 2^256 - c with c = 2^32 + 977: fold the high half down repeatedly. *)
-  let reduce_wide w =
-    let significant a =
-      let rec go i =
-        if i < 0 then 0 else if a.(i) <> 0 then i + 1 else go (i - 1)
-      in
-      go (Array.length a - 1)
-    in
-    let current = ref (Array.copy w) in
-    let len = ref (significant !current) in
-    while !len > 16 do
-      let a = !current in
-      let hi_len = !len - 16 in
-      (* acc = lo + (hi << 32) + 977 * hi *)
-      let acc = Array.make (max 16 (hi_len + 3) + 1) 0 in
-      Array.blit a 0 acc 0 16;
-      (* add hi * 977 at offset 0 *)
-      let carry = ref 0 in
-      for i = 0 to hi_len - 1 do
-        let s = acc.(i) + (a.(16 + i) * 977) + !carry in
-        acc.(i) <- s land limb_mask;
-        carry := s lsr limb_bits
-      done;
-      let k = ref hi_len in
-      while !carry <> 0 do
-        let s = acc.(!k) + !carry in
-        acc.(!k) <- s land limb_mask;
-        carry := s lsr limb_bits;
-        incr k
-      done;
-      (* add hi << 32 (two limbs) *)
-      carry := 0;
-      for i = 0 to hi_len - 1 do
-        let s = acc.(i + 2) + a.(16 + i) + !carry in
-        acc.(i + 2) <- s land limb_mask;
-        carry := s lsr limb_bits
-      done;
-      let k = ref (hi_len + 2) in
-      while !carry <> 0 do
-        let s = acc.(!k) + !carry in
-        acc.(!k) <- s land limb_mask;
-        carry := s lsr limb_bits;
-        incr k
-      done;
-      current := acc;
-      len := significant acc
-    done;
-    let r = Array.make 16 0 in
-    Array.blit !current 0 r 0 (min 16 (Array.length !current));
-    let v = ref (Uint256.of_limbs r) in
-    while Uint256.compare !v p >= 0 do
-      v := fst (Uint256.sub !v p)
-    done;
-    !v
-
-  let fe_add a b = Uint256.add_mod a b p
-  let fe_sub a b = Uint256.sub_mod a b p
-  let fe_mul a b = reduce_wide (Uint256.mul_wide a b)
-  let fe_sqr a = fe_mul a a
-
-  let fe_pow b e =
-    let result = ref Uint256.one and base = ref b in
-    let nb = Uint256.num_bits e in
-    for i = 0 to nb - 1 do
-      if Uint256.bit e i then result := fe_mul !result !base;
-      base := fe_sqr !base
-    done;
-    !result
-
-  let fe_inv a =
-    if Uint256.is_zero a then invalid_arg "Secp256k1.fe_inv: zero";
-    fe_pow a p_minus_2
-
-  let fe_of_int = Uint256.of_int
-  let fe_dbl a = fe_add a a
-
-  type point = { x : fe; y : fe; z : fe }
-
-  let infinity = { x = Uint256.one; y = Uint256.one; z = Uint256.zero }
-  let is_infinity pt = Uint256.is_zero pt.z
-  let of_affine x y = { x; y; z = Uint256.one }
-  let generator = of_affine gx gy
-
-  let is_on_curve x y =
-    if Uint256.compare x p >= 0 || Uint256.compare y p >= 0 then false
-    else
-      let lhs = fe_sqr y in
-      let rhs = fe_add (fe_mul (fe_sqr x) x) (fe_of_int 7) in
-      Uint256.equal lhs rhs
-
-  let to_affine pt =
-    if is_infinity pt then None
-    else begin
-      let zinv = fe_inv pt.z in
-      let zinv2 = fe_sqr zinv in
-      let x = fe_mul pt.x zinv2 in
-      let y = fe_mul pt.y (fe_mul zinv2 zinv) in
-      Some (x, y)
-    end
-
-  let negate pt =
-    if is_infinity pt then pt
-    else { pt with y = Uint256.sub_mod Uint256.zero pt.y p }
-
-  let double pt =
-    if is_infinity pt || Uint256.is_zero pt.y then infinity
-    else begin
-      let a = fe_sqr pt.x in
-      let b = fe_sqr pt.y in
-      let c = fe_sqr b in
-      let d =
-        let t = fe_sqr (fe_add pt.x b) in
-        fe_dbl (fe_sub (fe_sub t a) c)
-      in
-      let e = fe_add (fe_dbl a) a in
-      let f = fe_sqr e in
-      let x3 = fe_sub f (fe_dbl d) in
-      let y3 =
-        let c8 = fe_dbl (fe_dbl (fe_dbl c)) in
-        fe_sub (fe_mul e (fe_sub d x3)) c8
-      in
-      let z3 = fe_dbl (fe_mul pt.y pt.z) in
-      { x = x3; y = y3; z = z3 }
-    end
-
-  let add p1 p2 =
-    if is_infinity p1 then p2
-    else if is_infinity p2 then p1
-    else begin
-      let z1z1 = fe_sqr p1.z and z2z2 = fe_sqr p2.z in
-      let u1 = fe_mul p1.x z2z2 and u2 = fe_mul p2.x z1z1 in
-      let s1 = fe_mul p1.y (fe_mul z2z2 p2.z) in
-      let s2 = fe_mul p2.y (fe_mul z1z1 p1.z) in
-      let h = fe_sub u2 u1 and r = fe_sub s2 s1 in
-      if Uint256.is_zero h then
-        if Uint256.is_zero r then double p1 else infinity
-      else begin
-        let h2 = fe_sqr h in
-        let h3 = fe_mul h h2 in
-        let u1h2 = fe_mul u1 h2 in
-        let x3 = fe_sub (fe_sub (fe_sqr r) h3) (fe_dbl u1h2) in
-        let y3 = fe_sub (fe_mul r (fe_sub u1h2 x3)) (fe_mul s1 h3) in
-        let z3 = fe_mul h (fe_mul p1.z p2.z) in
-        { x = x3; y = y3; z = z3 }
-      end
-    end
-
-  let scalar_mul k pt =
-    let nb = Uint256.num_bits k in
-    let acc = ref infinity in
-    for i = nb - 1 downto 0 do
-      acc := double !acc;
-      if Uint256.bit k i then acc := add !acc pt
-    done;
-    !acc
-
-  let double_scalar_mul a pa b pb =
-    let sum = add pa pb in
-    let nb = max (Uint256.num_bits a) (Uint256.num_bits b) in
-    let acc = ref infinity in
-    for i = nb - 1 downto 0 do
-      acc := double !acc;
-      (match (Uint256.bit a i, Uint256.bit b i) with
-      | true, true -> acc := add !acc sum
-      | true, false -> acc := add !acc pa
-      | false, true -> acc := add !acc pb
-      | false, false -> ())
-    done;
-    !acc
-
-  let equal p1 p2 =
-    match (to_affine p1, to_affine p2) with
-    | None, None -> true
-    | Some (x1, y1), Some (x2, y2) -> Uint256.equal x1 x2 && Uint256.equal y1 y2
-    | None, Some _ | Some _, None -> false
-end
 
 (* Montgomery's trick: invert a whole array of nonzero elements with a
    single modular inversion and 3(k-1) multiplications. *)
@@ -251,9 +55,17 @@ let batch_invert ~one ~mul ~inv xs =
    63-bit native int.  The pseudo-Mersenne structure folds in one shot:
    2^260 ≡ 2^36 + 15632 (mod p), so a high limb h at weight 2^(260+26j)
    contributes h·15632 at limb j and h·2^10 at limb j+1.  Every exported
-   operation returns a canonical value (< p, limbs < 2^26); arrays are
-   never mutated after creation, so values can be shared freely across
-   domains.
+   operation returns a canonical value (< p, limbs < 2^26).
+
+   Multiplication, squaring, negation and the lazy sums below have
+   destination-passing forms [op_into r ...] that write the result into
+   storage the caller owns and allocate nothing; where an allocating
+   form exists it is a wrapper over the [_into] one.  Every [_into] form
+   reads all of its input limbs before it writes [r], so [r] may alias
+   an input.  Only the point formulas below write into arrays,
+   and only into scratch allocated for one call: an array that has left
+   that call as part of a value is never mutated again, so values can
+   be shared freely across domains.
    ====================================================================== *)
 
 module Fe = struct
@@ -276,29 +88,36 @@ module Fe = struct
     a.(0) <- 1;
     a
 
+  (* Loops rather than local recursive functions: a local function that
+     closes over [a] is a fresh heap closure on every call, and these
+     tests run several times per group operation. *)
   let is_zero a =
-    let rec go i = i >= nl || (Array.unsafe_get a i = 0 && go (i + 1)) in
-    go 0
+    let acc = ref 0 in
+    for i = 0 to nl - 1 do
+      acc := !acc lor Array.unsafe_get a i
+    done;
+    !acc = 0
 
   let is_one a =
-    a.(0) = 1
-    &&
-    let rec go i = i >= nl || (a.(i) = 0 && go (i + 1)) in
-    go 1
+    let acc = ref (Array.unsafe_get a 0 lxor 1) in
+    for i = 1 to nl - 1 do
+      acc := !acc lor Array.unsafe_get a i
+    done;
+    !acc = 0
 
   let equal a b =
-    let rec go i =
-      i >= nl || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1))
-    in
-    go 0
+    let acc = ref 0 in
+    for i = 0 to nl - 1 do
+      acc := !acc lor (Array.unsafe_get a i lxor Array.unsafe_get b i)
+    done;
+    !acc = 0
 
   let ge_p a =
-    let rec go i =
-      if i < 0 then true
-      else if a.(i) <> p_limbs.(i) then a.(i) > p_limbs.(i)
-      else go (i - 1)
-    in
-    go (nl - 1)
+    let i = ref (nl - 1) in
+    while !i >= 0 && a.(!i) = p_limbs.(!i) do
+      decr i
+    done;
+    !i < 0 || a.(!i) > p_limbs.(!i)
 
   let sub_p_inplace a =
     let borrow = ref 0 in
@@ -360,17 +179,16 @@ module Fe = struct
       (* the final carry is impossible: the folded value is < 2^260 and
          shrinks by o·p > 0 on every pass *)
     done;
-    if ge_p r then sub_p_inplace r;
-    r
+    if ge_p r then sub_p_inplace r
 
   (* Fully-unrolled comba multiplication with fused reduction: the ten
      26-bit limbs are lifted into local variables, the nineteen product
      columns are accumulated with a running carry (each column sums at
      most ten 52-bit products plus a sub-2^31 carry, staying below 2^56),
      and the high half is folded straight down without materializing the
-     20-limb intermediate.  Generated mechanically; checked against
-     [Ref.fe_mul] by the differential suites. *)
-  let mul a b =
+     20-limb intermediate, straight into [r].  Generated mechanically;
+     checked against the reference field of the test suites. *)
+  let mul_into r a b =
     let a0 = Array.unsafe_get a 0 in
     let a1 = Array.unsafe_get a 1 in
     let a2 = Array.unsafe_get a 2 in
@@ -514,7 +332,6 @@ module Fe = struct
     let r9 = s land mask in
     let c = s lsr 26 in
     (* any carry past limb 9 re-enters at 2^260; normalize eats it *)
-    let r = Array.make nl 0 in
     Array.unsafe_set r 0 r0;
     Array.unsafe_set r 1 r1;
     Array.unsafe_set r 2 r2;
@@ -527,7 +344,12 @@ module Fe = struct
     Array.unsafe_set r 9 (r9 lor (c lsl 26));
     normalize r
 
-  let sqr a =
+  let mul a b =
+    let r = Array.make nl 0 in
+    mul_into r a b;
+    r
+
+  let sqr_into r a =
     let a0 = Array.unsafe_get a 0 in
     let a1 = Array.unsafe_get a 1 in
     let a2 = Array.unsafe_get a 2 in
@@ -661,7 +483,6 @@ module Fe = struct
     let r9 = s land mask in
     let c = s lsr 26 in
     (* any carry past limb 9 re-enters at 2^260; normalize eats it *)
-    let r = Array.make nl 0 in
     Array.unsafe_set r 0 r0;
     Array.unsafe_set r 1 r1;
     Array.unsafe_set r 2 r2;
@@ -674,6 +495,11 @@ module Fe = struct
     Array.unsafe_set r 9 (r9 lor (c lsl 26));
     normalize r
 
+  let sqr a =
+    let r = Array.make nl 0 in
+    sqr_into r a;
+    r
+
   let add a b =
     let r = Array.make nl 0 in
     let c = ref 0 in
@@ -683,50 +509,46 @@ module Fe = struct
       c := s lsr 26
     done;
     (* canonical inputs sum below 2^257: no carry escapes limb 9 *)
-    normalize r
+    normalize r;
+    r
 
   (* --- lazy (non-canonical) arithmetic for the point formulas ---------
 
      A value of magnitude m has limbs < m·2^26 (limb 9 < m·2^22) and is
      congruent to the represented element without being reduced.  The
      caller tracks magnitudes: canonical values (every [mul]/[sqr]
-     output) have m = 1, [add_nc] sums magnitudes, [neg_nc m a] of a
-     magnitude-m value yields magnitude 2m.  Values may flow into
-     [mul]/[sqr] only while m <= 8 (keeps comba columns below 2^62) and
-     must pass through [normalize_nc] before being stored in a point or
-     zero-tested.  This is what lets the Jacobian ladders skip ~10 full
-     normalizations per group operation. *)
+     output) have m = 1, [add_nc_into] sums magnitudes, [sub_nc_into r m
+     a b] adds 2m to a's and [mul_int_nc_into r k a] multiplies a's by k.
+     Values may flow into [mul]/[sqr] only while m <= 8 (keeps comba
+     columns below 2^62) and must pass through [normalize_nc] before
+     being stored in a point or zero-tested.  This is what lets the
+     Jacobian ladders skip ~10 full normalizations per group
+     operation. *)
 
-  let add_nc a b =
-    let r = Array.make nl 0 in
+  let add_nc_into r a b =
     for j = 0 to nl - 1 do
       Array.unsafe_set r j (Array.unsafe_get a j + Array.unsafe_get b j)
-    done;
-    r
+    done
 
   (* a - b in one pass, where b has magnitude <= m; result mag(a)+2m *)
-  let sub_nc m a b =
-    let r = Array.make nl 0 in
+  let sub_nc_into r m a b =
     let m2 = 2 * m in
     for j = 0 to nl - 1 do
       Array.unsafe_set r j
         (Array.unsafe_get a j
         + (m2 * Array.unsafe_get p_limbs j)
         - Array.unsafe_get b j)
-    done;
-    r
+    done
 
   (* k·a for a small constant k; result mag k·mag(a) *)
-  let mul_int_nc k a =
-    let r = Array.make nl 0 in
+  let mul_int_nc_into r k a =
     for j = 0 to nl - 1 do
       Array.unsafe_set r j (k * Array.unsafe_get a j)
-    done;
-    r
+    done
 
-  (* Carry-propagate a freshly built non-canonical value (mutated in
-     place), then reduce to canonical form.  The carry past limb 9
-     re-enters at 2^260 exactly as in [mul]'s tail. *)
+  (* Carry-propagate a non-canonical value in place, then reduce it to
+     canonical form.  The carry past limb 9 re-enters at 2^260 exactly
+     as in [mul_into]'s tail. *)
   let normalize_nc r =
     let c = ref 0 in
     for j = 0 to nl - 1 do
@@ -736,6 +558,19 @@ module Fe = struct
     done;
     Array.unsafe_set r 9 (Array.unsafe_get r 9 lor (!c lsl 26));
     normalize r
+
+  (* -a: 2p - a (magnitude 2) carried down to canonical form, so a = 0
+     gives 0 *)
+  let zero_limbs = zero ()
+
+  let neg_into r a =
+    sub_nc_into r 1 zero_limbs a;
+    normalize_nc r
+
+  let neg a =
+    let r = Array.make nl 0 in
+    neg_into r a;
+    r
 
   let sub a b =
     let r = Array.make nl 0 in
@@ -761,8 +596,6 @@ module Fe = struct
       done
     end;
     r
-
-  let neg a = if is_zero a then zero () else sub (zero ()) a
 
   let inv a =
     if is_zero a then invalid_arg "Secp256k1.fe_inv: zero";
@@ -914,90 +747,154 @@ let to_affine pt =
 
 let negate pt = if is_infinity pt then pt else { pt with y = Fe.neg pt.y }
 
-(* dbl-2009-l, a = 0: 2M + 5S.  Formula-internal sums use the lazy
-   magnitude-tracked ops (magnitudes in comments); stored coordinates
-   are always canonical. *)
+(* --- the group law over a mutable accumulator ---------------------------
+
+   The ladders below run hundreds of group operations per call.  Each
+   call keeps its running point in one [acc]: three coordinate arrays
+   updated in place and the temporaries of one doubling or addition,
+   about 120 words allocated once per call.  An [acc] never outlives the
+   call that made it and is never shared.  A module-level buffer would
+   be shared by every domain (pooled π_c verifies and read-path π_s
+   signs run at once), and a [Domain.DLS] slot by every systhread of one
+   domain, which the runtime may switch between mid-ladder.  [freeze]
+   hands the coordinates over as an immutable [point], after which the
+   [acc] is dropped.  An acc whose z is zero is the point at infinity,
+   whatever its x and y. *)
+
+type acc = {
+  ax : Fe.t;
+  ay : Fe.t;
+  az : Fe.t;
+  t0 : Fe.t;
+  t1 : Fe.t;
+  t2 : Fe.t;
+  t3 : Fe.t;
+  t4 : Fe.t;
+  t5 : Fe.t;
+  ny : Fe.t; (* a negated table y, read by [add_into] but never written *)
+}
+
+let new_acc () =
+  let f () = Array.make Fe.nl 0 in
+  { ax = f (); ay = f (); az = f (); t0 = f (); t1 = f (); t2 = f ();
+    t3 = f (); t4 = f (); t5 = f (); ny = f () }
+
+let acc_of pt =
+  let s = new_acc () in
+  Array.blit pt.x 0 s.ax 0 Fe.nl;
+  Array.blit pt.y 0 s.ay 0 Fe.nl;
+  Array.blit pt.z 0 s.az 0 Fe.nl;
+  s
+
+let freeze s = if Fe.is_zero s.az then infinity else { x = s.ax; y = s.ay; z = s.az }
+let set_infinity s = Array.fill s.az 0 Fe.nl 0
+
+(* dbl-2009-l, a = 0: 2M + 5S, in place.  Formula-internal sums use the
+   lazy magnitude-tracked ops (magnitudes in comments); stored
+   coordinates are always canonical. *)
+let double_into s =
+  if Fe.is_zero s.az || Fe.is_zero s.ay then set_infinity s
+  else begin
+    let a = s.t0 and b = s.t1 and c = s.t2 and d = s.t3 in
+    Fe.sqr_into a s.ax;
+    Fe.sqr_into b s.ay;
+    Fe.sqr_into c b;
+    (* z3 = 2·y·z, while y is still the input's *)
+    Fe.mul_into s.az s.ay s.az;
+    Fe.mul_int_nc_into s.az 2 s.az;
+    Fe.normalize_nc s.az;
+    (* d = 2((x + b)² - a - c): arg mag 2; 1 + 2 + 2 doubled = mag 10 *)
+    Fe.add_nc_into d s.ax b;
+    Fe.sqr_into d d;
+    Fe.sub_nc_into d 1 d a;
+    Fe.sub_nc_into d 1 d c;
+    Fe.mul_int_nc_into d 2 d;
+    Fe.normalize_nc d;
+    (* e = 3a (mag 3), kept in a; f = e² *)
+    Fe.mul_int_nc_into a 3 a;
+    Fe.sqr_into b a;
+    (* x3 = f - 2d *)
+    Fe.mul_int_nc_into s.ax 2 d;
+    Fe.sub_nc_into s.ax 2 b s.ax;
+    Fe.normalize_nc s.ax;
+    (* y3 = e(d - x3) - 8c: mag 3 into the product, then 1 + 16 *)
+    Fe.sub_nc_into d 1 d s.ax;
+    Fe.mul_into d a d;
+    Fe.mul_int_nc_into c 8 c;
+    Fe.sub_nc_into s.ay 8 d c;
+    Fe.normalize_nc s.ay
+  end
+
+(* s += (x2, y2, z2) in place, where [z2 = None] means an affine operand
+   (z = 1): general Jacobian addition is 11M + 5S, mixed addition 7M +
+   4S.  The operand's arrays must not be ones this function writes (the
+   accumulator's coordinates or t0..t5). *)
+let add_into s x2 y2 z2 =
+  if Fe.is_zero s.az then begin
+    Array.blit x2 0 s.ax 0 Fe.nl;
+    Array.blit y2 0 s.ay 0 Fe.nl;
+    match z2 with
+    | Some z2 -> Array.blit z2 0 s.az 0 Fe.nl
+    | None ->
+        Array.fill s.az 0 Fe.nl 0;
+        s.az.(0) <- 1
+  end
+  else if match z2 with Some z2 -> Fe.is_zero z2 | None -> false then ()
+  else begin
+    (* u1 = x1·z2², s1 = y1·z2³: just x1 and y1 for an affine operand *)
+    let u1, s1 =
+      match z2 with
+      | None -> (s.ax, s.ay)
+      | Some z2 ->
+          Fe.sqr_into s.t4 z2;
+          Fe.mul_into s.t5 s.t4 z2;
+          Fe.mul_into s.t4 s.ax s.t4;
+          Fe.mul_into s.t5 s.ay s.t5;
+          (s.t4, s.t5)
+    in
+    let r = s.t0 and h = s.t1 and h2 = s.t2 and h3 = s.t3 in
+    (* h = x2·z1² - u1, r = y2·z1³ - s1 *)
+    Fe.sqr_into r s.az;
+    Fe.mul_into h x2 r;
+    Fe.mul_into r r s.az;
+    Fe.mul_into r y2 r;
+    Fe.sub_nc_into h 1 h u1;
+    Fe.normalize_nc h;
+    Fe.sub_nc_into r 1 r s1;
+    Fe.normalize_nc r;
+    if Fe.is_zero h then if Fe.is_zero r then double_into s else set_infinity s
+    else begin
+      (* z3 = z1·h·z2 *)
+      Fe.mul_into s.az s.az h;
+      (match z2 with Some z2 -> Fe.mul_into s.az s.az z2 | None -> ());
+      Fe.sqr_into h2 h;
+      Fe.mul_into h3 h h2;
+      (* u1h2 into h2 and s1h3 into h, before x1 and y1 are overwritten *)
+      Fe.mul_into h2 u1 h2;
+      Fe.mul_into h s1 h3;
+      (* x3 = r² - h3 - 2·u1h2: mag 1 + 2 + 4 *)
+      Fe.sqr_into s.ax r;
+      Fe.sub_nc_into s.ax 1 s.ax h3;
+      Fe.mul_int_nc_into h3 2 h2;
+      Fe.sub_nc_into s.ax 2 s.ax h3;
+      Fe.normalize_nc s.ax;
+      (* y3 = r(u1h2 - x3) - s1h3: arg mag 3 *)
+      Fe.sub_nc_into h2 1 h2 s.ax;
+      Fe.mul_into h2 r h2;
+      Fe.sub_nc_into s.ay 1 h2 h;
+      Fe.normalize_nc s.ay
+    end
+  end
+
 let double pt =
-  if is_infinity pt || Fe.is_zero pt.y then infinity
-  else begin
-    let a = Fe.sqr pt.x in
-    let b = Fe.sqr pt.y in
-    let c = Fe.sqr b in
-    let d =
-      let t = Fe.sqr (Fe.add_nc pt.x b) (* arg mag 2 *) in
-      (* 2(t - a - c): 1 + 2 + 2 doubled = mag 10, then canonical *)
-      Fe.normalize_nc (Fe.mul_int_nc 2 (Fe.sub_nc 1 (Fe.sub_nc 1 t a) c))
-    in
-    let e = Fe.mul_int_nc 3 a (* mag 3 *) in
-    let f = Fe.sqr e in
-    let x3 = Fe.normalize_nc (Fe.sub_nc 2 f (Fe.mul_int_nc 2 d)) in
-    let y3 =
-      let dx = Fe.sub_nc 1 d x3 (* mag 3 *) in
-      let c8 = Fe.mul_int_nc 8 c (* mag 8 *) in
-      Fe.normalize_nc (Fe.sub_nc 8 (Fe.mul e dx) c8)
-    in
-    let z3 = Fe.normalize_nc (Fe.mul_int_nc 2 (Fe.mul pt.y pt.z)) in
-    { x = x3; y = y3; z = z3 }
-  end
+  let s = acc_of pt in
+  double_into s;
+  freeze s
 
-(* general Jacobian addition: 11M + 5S *)
 let add p1 p2 =
-  if is_infinity p1 then p2
-  else if is_infinity p2 then p1
-  else begin
-    let z1z1 = Fe.sqr p1.z and z2z2 = Fe.sqr p2.z in
-    let u1 = Fe.mul p1.x z2z2 and u2 = Fe.mul p2.x z1z1 in
-    let s1 = Fe.mul p1.y (Fe.mul z2z2 p2.z) in
-    let s2 = Fe.mul p2.y (Fe.mul z1z1 p1.z) in
-    let h = Fe.normalize_nc (Fe.sub_nc 1 u2 u1) in
-    let r = Fe.normalize_nc (Fe.sub_nc 1 s2 s1) in
-    if Fe.is_zero h then if Fe.is_zero r then double p1 else infinity
-    else begin
-      let h2 = Fe.sqr h in
-      let h3 = Fe.mul h h2 in
-      let u1h2 = Fe.mul u1 h2 in
-      let x3 =
-        (* r² - h3 - 2·u1h2: mag 1 + 2 + 4 *)
-        Fe.normalize_nc
-          (Fe.sub_nc 2 (Fe.sub_nc 1 (Fe.sqr r) h3) (Fe.mul_int_nc 2 u1h2))
-      in
-      let y3 =
-        Fe.normalize_nc
-          (Fe.sub_nc 1
-             (Fe.mul r (Fe.sub_nc 1 u1h2 x3) (* arg mag 3 *))
-             (Fe.mul s1 h3))
-      in
-      let z3 = Fe.mul h (Fe.mul p1.z p2.z) in
-      { x = x3; y = y3; z = z3 }
-    end
-  end
-
-(* mixed addition with an affine (z = 1) second operand: 7M + 4S *)
-let madd p1 x2 y2 =
-  if is_infinity p1 then { x = x2; y = y2; z = Fe.one () }
-  else begin
-    let z1z1 = Fe.sqr p1.z in
-    let u2 = Fe.mul x2 z1z1 in
-    let s2 = Fe.mul y2 (Fe.mul z1z1 p1.z) in
-    let h = Fe.normalize_nc (Fe.sub_nc 1 u2 p1.x) in
-    let r = Fe.normalize_nc (Fe.sub_nc 1 s2 p1.y) in
-    if Fe.is_zero h then if Fe.is_zero r then double p1 else infinity
-    else begin
-      let h2 = Fe.sqr h in
-      let h3 = Fe.mul h h2 in
-      let u1h2 = Fe.mul p1.x h2 in
-      let x3 =
-        Fe.normalize_nc
-          (Fe.sub_nc 2 (Fe.sub_nc 1 (Fe.sqr r) h3) (Fe.mul_int_nc 2 u1h2))
-      in
-      let y3 =
-        Fe.normalize_nc
-          (Fe.sub_nc 1 (Fe.mul r (Fe.sub_nc 1 u1h2 x3)) (Fe.mul p1.y h3))
-      in
-      let z3 = Fe.mul p1.z h in
-      { x = x3; y = y3; z = z3 }
-    end
-  end
+  let s = acc_of p1 in
+  add_into s p2.x p2.y (Some p2.z);
+  freeze s
 
 (* projective cross-comparison: x1·z2² = x2·z1² ∧ y1·z2³ = y2·z1³ *)
 let equal p1 p2 =
@@ -1151,29 +1048,31 @@ let table_affine tb =
   let x, y = tb.t.(0) in
   (Fe.to_u256 x, Fe.to_u256 y)
 
-let ladder_step acc digit table =
-  if digit = 0 then acc
-  else if digit > 0 then
+let ladder_step s digit table =
+  if digit > 0 then begin
     let x, y = table.(digit lsr 1) in
-    madd acc x y
-  else
+    add_into s x y None
+  end
+  else if digit < 0 then begin
     let x, y = table.((-digit) lsr 1) in
-    madd acc x (Fe.neg y)
+    Fe.neg_into s.ny y;
+    add_into s x s.ny None
+  end
 
 let is_generator pt =
   Fe.is_one pt.z && Fe.equal pt.x gx_fe && Fe.equal pt.y gy_fe
 
 let scalar_mul_base k =
   let l = Uint256.limbs (Scalar.reduce k) in
-  let acc = ref infinity in
+  let s = new_acc () in
   for i = 0 to comb_windows - 1 do
     let d = (l.(i lsr 2) lsr ((i land 3) lsl 2)) land 15 in
     if d <> 0 then begin
       let x, y = comb.((15 * i) + d - 1) in
-      acc := madd !acc x y
+      add_into s x y None
     end
   done;
-  !acc
+  freeze s
 
 (* Sum of k_i·P_i for [(k_i, w_i, table of P_i, table of lambda·P_i)]
    with every k_i < n: each scalar is GLV-split into two 128-bit wNAF
@@ -1181,22 +1080,23 @@ let scalar_mul_base k =
    (Shamir's trick).  A negated subscalar flips its digit signs. *)
 let ladder terms =
   let streams =
-    List.concat_map
-      (fun (k, w, t, lt) ->
-        let (n1, k1), (n2, k2) = Scalar.split k in
-        [ (n1, wnaf k1 w, t); (n2, wnaf k2 w, lt) ])
-      terms
+    Array.of_list
+      (List.concat_map
+         (fun (k, w, t, lt) ->
+           let (n1, k1), (n2, k2) = Scalar.split k in
+           [ (n1, wnaf k1 w, t); (n2, wnaf k2 w, lt) ])
+         terms)
   in
-  let len = List.fold_left (fun m (_, (_, l), _) -> max m l) 0 streams in
-  let acc = ref infinity in
+  let len = Array.fold_left (fun m (_, (_, l), _) -> max m l) 0 streams in
+  let s = new_acc () in
   for i = len - 1 downto 0 do
-    acc := double !acc;
-    List.iter
-      (fun (neg, (d, _), t) ->
-        acc := ladder_step !acc (if neg then -d.(i) else d.(i)) t)
-      streams
+    double_into s;
+    for j = 0 to Array.length streams - 1 do
+      let neg, (d, _), t = streams.(j) in
+      ladder_step s (if neg then -d.(i) else d.(i)) t
+    done
   done;
-  !acc
+  freeze s
 
 let scalar_mul k pt =
   if is_generator pt then scalar_mul_base k

@@ -1,14 +1,22 @@
 (** The secp256k1 elliptic curve: y² = x³ + 7 over F_p.
 
-    The fast kernel represents field elements as ten 26-bit limbs in
-    native ints with fused comba multiply + pseudo-Mersenne reduction
-    (p = 2²⁵⁶ − 2³² − 977, so 2²⁶⁰ ≡ 2³⁶ + 15632), points in Jacobian
+    The kernel represents field elements as ten 26-bit limbs in native
+    ints with fused comba multiply + pseudo-Mersenne reduction (p =
+    2²⁵⁶ − 2³² − 977, so 2²⁶⁰ ≡ 2³⁶ + 15632), points in Jacobian
     coordinates, [k·G] as a fixed-base comb, and the dual-scalar verify
     path as GLV/wNAF ladders with Shamir's trick over precomputed affine
     odd-multiple tables (a fixed width-10 table for G, a width-5
-    {!table} per other point, built once by {!precompute}).  {!Ref}
-    keeps the original straightforward implementation alive for
-    differential testing. *)
+    {!table} per other point, built once by {!precompute}).
+
+    Every field operation writes into caller-provided storage, and each
+    ladder runs its group law in place on one accumulator allocated per
+    call (about 120 words), so a whole [k·G] or [a·G + b·Q] allocates
+    almost nothing on the field side.  No storage is shared between
+    calls: every function here is safe to run from any number of
+    domains and threads at once, and every {!point} and {!table} it
+    returns is immutable.  The reference implementation the test suites
+    check this kernel against lives in the test-only [crypto_ref]
+    library. *)
 
 type fe = Uint256.t
 (** A field element, canonical (< p). *)
@@ -125,33 +133,4 @@ module Scalar : sig
   (** Invert every element mod n with one modular inversion plus
       3(k−1) multiplications (Montgomery's trick).  Every element must
       be nonzero mod n; raises otherwise. *)
-end
-
-(** {1 Reference kernel}
-
-    The original implementation — generic 16-bit-limb arithmetic through
-    [Uint256.mul_wide], repeated-fold reduction, MSB-first
-    double-and-add — kept alive verbatim so the vector and differential
-    suites can check the fast kernel against it on every build. *)
-
-module Ref : sig
-  type point
-
-  val generator : point
-  val infinity : point
-  val is_infinity : point -> bool
-  val of_affine : fe -> fe -> point
-  val to_affine : point -> (fe * fe) option
-  val is_on_curve : fe -> fe -> bool
-  val double : point -> point
-  val add : point -> point -> point
-  val negate : point -> point
-  val scalar_mul : Uint256.t -> point -> point
-  val double_scalar_mul : Uint256.t -> point -> Uint256.t -> point -> point
-  val equal : point -> point -> bool
-  val fe_add : fe -> fe -> fe
-  val fe_sub : fe -> fe -> fe
-  val fe_mul : fe -> fe -> fe
-  val fe_sqr : fe -> fe
-  val fe_inv : fe -> fe
 end

@@ -28,13 +28,3 @@ val digest_bytes : bytes -> bytes
 
 val digest_string : string -> bytes
 (** One-shot digest of a string. *)
-
-(** {1 Reference implementation}
-
-    The original rotr-helper compression loop with checked accesses and
-    per-step masking, kept for differential testing of the fast loop. *)
-
-module Ref : sig
-  val digest_bytes : bytes -> bytes
-  val digest_string : string -> bytes
-end

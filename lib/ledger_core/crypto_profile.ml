@@ -64,20 +64,3 @@ let charge_verify t clock =
 let verify t clock ~pub digest signature =
   charge_verify t clock;
   check t ~pub digest signature
-
-(* Differential canary over the fast/reference kernel pair.  [Real]
-   routes every sign through the comb and every check through the
-   GLV/wNAF pipeline; if that kernel ever diverges from the retained
-   long-division reference (bad build flags, a miscompiled unrolled
-   loop), signatures would silently stop matching other verifiers.  This runs one fixed sign/verify through both
-   pipelines plus a SHA-256 cross-check and must return [true]. *)
-let self_check () =
-  let msg = Bytes.of_string "crypto_profile differential canary" in
-  let digest = Hash.of_bytes (Sha256.digest_bytes msg) in
-  let priv, pub = Ecdsa.generate ~seed:"crypto-profile-canary" in
-  let s_fast = Ecdsa.sign priv digest in
-  let s_ref = Ecdsa.Ref.sign priv digest in
-  Bytes.equal (Ecdsa.signature_to_bytes s_fast) (Ecdsa.signature_to_bytes s_ref)
-  && Ecdsa.verify pub digest s_fast
-  && Ecdsa.Ref.verify pub digest s_fast
-  && Bytes.equal (Sha256.digest_bytes msg) (Sha256.Ref.digest_bytes msg)

@@ -72,11 +72,3 @@ val check_many :
 
 val charge_verify : t -> Clock.t -> unit
 (** Advance the clock by the simulated verify cost ([Real]: no-op). *)
-
-val self_check : unit -> bool
-(** Differential canary for the [Real] profile's fast kernel: signs a
-    fixed digest through both the comb/GLV pipeline and the retained
-    reference pipeline, checks the signatures are byte-identical and
-    accepted by both verifiers, and cross-checks the two SHA-256
-    implementations.  Returns [false] if the kernels have diverged.
-    Cheap enough (~2 signs + 2 verifies) to run at process start-up. *)

@@ -3,8 +3,8 @@
    Every optimisation in lib/crypto (26-bit-limb field, wNAF/GLV ladders,
    binary-gcd inversion, unrolled SHA-256 compression) must be
    observationally identical to the retained reference implementations
-   (Secp256k1.Ref, Ecdsa.Ref, Sha256.Ref).  These suites pin that down
-   three ways:
+   (Secp256k1_ref, Ecdsa_ref and Sha256_ref, in the test-only crypto_ref
+   library).  These suites pin that down three ways:
 
    - differential qcheck gates: fast ≡ reference on random AND structured
      inputs, for field/scalar ops, scalar multiplication, sign/verify,
@@ -73,7 +73,7 @@ let structured_scalars =
   @ walls
 
 let affine_of_fast pt = Secp256k1.to_affine pt
-let affine_of_ref pt = Secp256k1.Ref.to_affine pt
+let affine_of_ref pt = Secp256k1_ref.to_affine pt
 
 let check_same_point name fast ref_pt =
   match (affine_of_fast fast, affine_of_ref ref_pt) with
@@ -91,11 +91,12 @@ let prop_fe_ops_differential =
     (QCheck.pair arb_u256 arb_u256) (fun (a0, b0) ->
       let a = snd (Uint256.div_mod a0 p) and b = snd (Uint256.div_mod b0 p) in
       let open Secp256k1 in
-      Uint256.equal (fe_add a b) (Ref.fe_add a b)
-      && Uint256.equal (fe_sub a b) (Ref.fe_sub a b)
-      && Uint256.equal (fe_mul a b) (Ref.fe_mul a b)
-      && Uint256.equal (fe_sqr a) (Ref.fe_sqr a)
-      && (Uint256.is_zero a || Uint256.equal (fe_inv a) (Ref.fe_inv a)))
+      Uint256.equal (fe_add a b) (Secp256k1_ref.fe_add a b)
+      && Uint256.equal (fe_sub a b) (Secp256k1_ref.fe_sub a b)
+      && Uint256.equal (fe_mul a b) (Secp256k1_ref.fe_mul a b)
+      && Uint256.equal (fe_sqr a) (Secp256k1_ref.fe_sqr a)
+      && (Uint256.is_zero a
+         || Uint256.equal (fe_inv a) (Secp256k1_ref.fe_inv a)))
 
 let test_fe_ops_structured () =
   let open Secp256k1 in
@@ -105,13 +106,13 @@ let test_fe_ops_structured () =
       List.iter
         (fun b0 ->
           let b = snd (Uint256.div_mod b0 p) in
-          check u256 "mul" (Ref.fe_mul a b) (fe_mul a b);
-          check u256 "add" (Ref.fe_add a b) (fe_add a b);
-          check u256 "sub" (Ref.fe_sub a b) (fe_sub a b))
+          check u256 "mul" (Secp256k1_ref.fe_mul a b) (fe_mul a b);
+          check u256 "add" (Secp256k1_ref.fe_add a b) (fe_add a b);
+          check u256 "sub" (Secp256k1_ref.fe_sub a b) (fe_sub a b))
         structured_scalars;
-      check u256 "sqr" (Ref.fe_sqr a) (fe_sqr a);
+      check u256 "sqr" (Secp256k1_ref.fe_sqr a) (fe_sqr a);
       if not (Uint256.is_zero a) then
-        check u256 "inv" (Ref.fe_inv a) (fe_inv a))
+        check u256 "inv" (Secp256k1_ref.fe_inv a) (fe_inv a))
     structured_scalars
 
 let prop_scalar_ops_differential =
@@ -130,7 +131,7 @@ let prop_scalar_mul_differential =
     (fun k ->
       let fast = Secp256k1.scalar_mul_base k in
       let fast2 = Secp256k1.scalar_mul k Secp256k1.generator in
-      let refp = Secp256k1.Ref.scalar_mul k Secp256k1.Ref.generator in
+      let refp = Secp256k1_ref.scalar_mul k Secp256k1_ref.generator in
       check_same_point "kG base" fast refp;
       check_same_point "kG generic" fast2 refp;
       true)
@@ -141,7 +142,7 @@ let test_scalar_mul_structured () =
       check_same_point
         ("k=" ^ Uint256.to_hex k)
         (Secp256k1.scalar_mul_base k)
-        (Secp256k1.Ref.scalar_mul k Secp256k1.Ref.generator))
+        (Secp256k1_ref.scalar_mul k Secp256k1_ref.generator))
     structured_scalars
 
 let prop_double_scalar_mul_differential =
@@ -154,12 +155,12 @@ let prop_double_scalar_mul_differential =
         | Some xy -> xy
         | None -> QCheck.assume_fail ()
       in
-      let q_ref = Secp256k1.Ref.of_affine qx qy in
+      let q_ref = Secp256k1_ref.of_affine qx qy in
       let fast =
         Secp256k1.double_scalar_mul_base a b (Secp256k1.precompute q)
       in
       let refp =
-        Secp256k1.Ref.double_scalar_mul a Secp256k1.Ref.generator b q_ref
+        Secp256k1_ref.double_scalar_mul a Secp256k1_ref.generator b q_ref
       in
       check_same_point "aG+bQ" fast refp;
       true)
@@ -172,7 +173,7 @@ let prop_sha256_differential =
     (fun msg ->
       Bytes.equal
         (Sha256.digest_string msg)
-        (Sha256.Ref.digest_string msg))
+        (Sha256_ref.digest_string msg))
 
 (* --- differential: ECDSA sign/verify ------------------------------------- *)
 
@@ -182,12 +183,12 @@ let prop_sign_byte_identical =
       let priv, pub = Ecdsa.generate ~seed in
       let digest = Hash.digest_string msg in
       let s_fast = Ecdsa.sign priv digest in
-      let s_ref = Ecdsa.Ref.sign priv digest in
+      let s_ref = Ecdsa_ref.sign priv digest in
       Bytes.equal
         (Ecdsa.signature_to_bytes s_fast)
         (Ecdsa.signature_to_bytes s_ref)
       && Ecdsa.verify pub digest s_fast
-      && Ecdsa.Ref.verify pub digest s_fast)
+      && Ecdsa_ref.verify pub digest s_fast)
 
 let prop_bitflip_rejection_agreement =
   (* Flip one bit of signature, message digest, or public key: both
@@ -229,7 +230,7 @@ let prop_bitflip_rejection_agreement =
       in
       Bool.equal
         (Ecdsa.verify pub' digest' s')
-        (Ecdsa.Ref.verify pub' digest' s'))
+        (Ecdsa_ref.verify pub' digest' s'))
 
 (* --- batched sign/verify ---------------------------------------------- *)
 
@@ -335,7 +336,7 @@ let test_verify_many_agrees () =
     check Alcotest.(array bool) (label ^ ": verify") expect
       (Array.map (fun (d, sg) -> Ecdsa.verify key d sg) items);
     check Alcotest.(array bool) (label ^ ": Ref.verify") expect
-      (Array.map (fun (d, sg) -> Ecdsa.Ref.verify key d sg) items)
+      (Array.map (fun (d, sg) -> Ecdsa_ref.verify key d sg) items)
   in
   against pub items expect "mixed batch";
   against other items (Array.map (fun _ -> false) items) "wrong key";
@@ -368,6 +369,85 @@ let test_key_shared_across_domains () =
         (check Alcotest.(array bool) "verdicts from a shared key" expect)
         (Domain.join dom))
     workers
+
+(* The kernel under concurrency: four domains at once, each with its
+   own key and 256 digests (every fifth tampered before verifying), run
+   sign_many, verify_many and generate for 5 rounds.  Every result must
+   equal, byte for byte, what the same calls gave sequentially before
+   any domain was spawned.  Scratch storage shared between calls on
+   different domains would corrupt a ladder mid-flight here. *)
+let test_kernel_stress_across_domains () =
+  let domains = 4 and rounds = 5 and items = 256 in
+  let job w =
+    let priv, pub = Ecdsa.generate ~seed:(Printf.sprintf "stress-%d" w) in
+    let digests =
+      Array.init items (fun i ->
+          Hash.digest_string (Printf.sprintf "stress:%d:%d" w i))
+    in
+    fun round ->
+      let sigs = Ecdsa.sign_many priv digests in
+      let claims =
+        Array.mapi
+          (fun i d ->
+            if i mod 5 = 4 then (Hash.digest_string "tampered", sigs.(i))
+            else (d, sigs.(i)))
+          digests
+      in
+      let _, key =
+        Ecdsa.generate ~seed:(Printf.sprintf "stress-gen-%d-%d" w round)
+      in
+      ( Array.map sig_bytes sigs,
+        Ecdsa.verify_many pub claims,
+        Bytes.to_string (Ecdsa.public_key_to_bytes key) )
+  in
+  let jobs = Array.init domains job in
+  let expect =
+    Array.map (fun job -> Array.init rounds (fun round -> job round)) jobs
+  in
+  Array.iter
+    (fun per_round ->
+      let _, verdicts, _ = per_round.(0) in
+      check Alcotest.(array bool) "sequential verdicts"
+        (Array.init items (fun i -> i mod 5 <> 4))
+        verdicts)
+    expect;
+  let workers =
+    Array.map
+      (fun job -> Domain.spawn (fun () -> List.init rounds job))
+      jobs
+  in
+  Array.iteri
+    (fun w dom ->
+      List.iteri
+        (fun round (sigs, verdicts, key) ->
+          let e_sigs, e_verdicts, e_key = expect.(w).(round) in
+          let label what = Printf.sprintf "domain %d round %d: %s" w round what in
+          check Alcotest.(array string) (label "signatures") e_sigs sigs;
+          check Alcotest.(array bool) (label "verdicts") e_verdicts verdicts;
+          check Alcotest.string (label "generated key") e_key key)
+        (Domain.join dom))
+    workers
+
+(* Minor-heap words per item of sign_many and verify_many over 256
+   items on one domain.  With a fixed key and digests the count repeats
+   exactly, so this gate does not depend on timing.  When every field
+   operation returned a fresh array these were 17 135 words per sign and
+   53 696 per verify; with per-call scratch they are 1 335 and 2 241.
+   The bounds allow about twice the latter: the same kernel with its
+   zero and range tests written as closures (about 5 400 and 13 400)
+   fails. *)
+let test_allocation_bound () =
+  let sign_words, verify_words, verified =
+    Ecdsa_ref.minor_words_per_item ~seed:"alloc-bound" 256
+  in
+  check Alcotest.bool "every signature verifies" true verified;
+  let within label words bound =
+    if words > bound then
+      Alcotest.failf "%s: %.0f minor words per item, bound %.0f" label words
+        bound
+  in
+  within "sign_many" sign_words 2_700.;
+  within "verify_many" verify_words 4_500.
 
 (* --- algebraic laws: Uint256 / field / scalar rings ---------------------- *)
 
@@ -504,7 +584,7 @@ let test_sealed_ledger_byte_identity () =
           ~timestamp:final.timestamp
       in
       Alcotest.(check bool) "receipt verifies (ref kernel)" true
-        (Ecdsa.Ref.verify lsp_pub digest final.lsp_sig))
+        (Ecdsa_ref.verify lsp_pub digest final.lsp_sig))
     !receipts;
   (* journals: π_c must be byte-identical to a reference-kernel re-sign *)
   let checked = ref 0 in
@@ -521,7 +601,7 @@ let test_sealed_ledger_byte_identity () =
               ~kind_tag:(Journal.kind_tag j.kind) ~payload:j.payload
               ~clues:j.clues ~client_ts:j.client_ts ~nonce:j.nonce
           in
-          let sig_ref = Ecdsa.Ref.sign key digest in
+          let sig_ref = Ecdsa_ref.sign key digest in
           Alcotest.(check string)
             "journal sig byte-identical across kernels"
             (Fmt.str "%a" Ecdsa.pp_signature sig_ref)
@@ -532,12 +612,12 @@ let test_sealed_ledger_byte_identity () =
                (Ecdsa.signature_to_bytes sig_ref)
                (Ecdsa.signature_to_bytes sig_fast));
           Alcotest.(check bool) "ref verifier accepts" true
-            (Ecdsa.Ref.verify member.pub digest sig_fast);
+            (Ecdsa_ref.verify member.pub digest sig_fast);
           (* the encoded journal digests identically under the reference
              SHA-256, so block tx-roots are pinned too *)
           let enc = Journal_codec.encode j in
           Alcotest.(check string) "encoding digest stable"
-            (Fmt.str "%a" Hash.pp (Hash.of_bytes (Sha256.Ref.digest_bytes enc)))
+            (Fmt.str "%a" Hash.pp (Hash.of_bytes (Sha256_ref.digest_bytes enc)))
             (Fmt.str "%a" Hash.pp (Hash.of_bytes (Sha256.digest_bytes enc)));
           incr checked);
   Alcotest.(check bool) "client-signed journals were checked" true (!checked >= 8);
@@ -550,12 +630,12 @@ let test_sealed_ledger_byte_identity () =
           (Block.links_to (List.nth blocks (i - 1)) b))
     blocks
 
-(* The start-up canary must agree with everything this suite checks the
-   long way round. *)
+(* The differential canary must agree with everything this suite checks
+   the long way round. *)
 let test_profile_self_check () =
   Alcotest.(check bool)
-    "Crypto_profile.self_check" true
-    (Crypto_profile.self_check ())
+    "Ecdsa_ref.self_check" true
+    (Ecdsa_ref.self_check ())
 
 let suite =
   [
@@ -583,4 +663,8 @@ let suite =
     tc "sign_many = sign per item" `Quick test_sign_many_identical;
     tc "verify_many = verify = Ref.verify" `Quick test_verify_many_agrees;
     tc "one key verifies from 4 domains" `Quick test_key_shared_across_domains;
+    tc "sign, verify and generate from 4 domains = sequential" `Slow
+      test_kernel_stress_across_domains;
+    tc "minor words per sign and per verify are bounded" `Quick
+      test_allocation_bound;
   ]

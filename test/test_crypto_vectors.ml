@@ -66,7 +66,7 @@ let test_sha256 () =
     (fun (id, msg_hex, digest_hex) ->
       let msg = bytes_of_hex msg_hex in
       check_hex id digest_hex (Sha256.digest_bytes msg);
-      check_hex (id ^ "/ref") digest_hex (Sha256.Ref.digest_bytes msg))
+      check_hex (id ^ "/ref") digest_hex (Sha256_ref.digest_bytes msg))
     sha256_vectors
 
 let test_sha256_million_a () =
@@ -83,7 +83,7 @@ let test_sha256_million_a () =
   Sha256.update ctx (Bytes.make (1_000_000 - !fed) 'a');
   check_hex "sha256-million-a" expect (Sha256.finalize ctx);
   check_hex "sha256-million-a/ref" expect
-    (Sha256.Ref.digest_bytes (Bytes.make 1_000_000 'a'))
+    (Sha256_ref.digest_bytes (Bytes.make 1_000_000 'a'))
 
 (* --- HMAC-SHA256 (RFC 4231 cases 1-7) ----------------------------------- *)
 
@@ -168,7 +168,7 @@ let test_kg () =
       | Some (x, y) ->
           Alcotest.(check string) (id ^ "/x") x_hex (Uint256.to_hex x);
           Alcotest.(check string) (id ^ "/y") y_hex (Uint256.to_hex y));
-      match Secp256k1.Ref.to_affine (Secp256k1.Ref.scalar_mul k Secp256k1.Ref.generator) with
+      match Secp256k1_ref.to_affine (Secp256k1_ref.scalar_mul k Secp256k1_ref.generator) with
       | None -> Alcotest.failf "%s/ref: got infinity" id
       | Some (x, y) ->
           Alcotest.(check string) (id ^ "/ref-x") x_hex (Uint256.to_hex x);
@@ -202,8 +202,8 @@ let test_kg_comb_walls () =
       let id = "comb k=" ^ Uint256.to_hex k in
       let fast = Secp256k1.to_affine (Secp256k1.scalar_mul_base k) in
       let refp =
-        Secp256k1.Ref.to_affine
-          (Secp256k1.Ref.scalar_mul k Secp256k1.Ref.generator)
+        Secp256k1_ref.to_affine
+          (Secp256k1_ref.scalar_mul k Secp256k1_ref.generator)
       in
       match (fast, refp) with
       | None, None -> ()
@@ -264,8 +264,8 @@ let test_fe () =
       chk "/sub" diff (Secp256k1.fe_sub a b);
       chk "/inv" inv (Secp256k1.fe_inv a);
       chk "/sqr-mulself" (Uint256.to_hex (Secp256k1.fe_mul a a)) (Secp256k1.fe_sqr a);
-      chk "/ref-mul" prod (Secp256k1.Ref.fe_mul a b);
-      chk "/ref-inv" inv (Secp256k1.Ref.fe_inv a))
+      chk "/ref-mul" prod (Secp256k1_ref.fe_mul a b);
+      chk "/ref-inv" inv (Secp256k1_ref.fe_inv a))
     fe_vectors;
   (* boundary products around p *)
   let pm1 = "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2e" in
@@ -311,14 +311,14 @@ let pub_of_d1 () =
 
 let both_reject id q digest signature =
   Alcotest.(check bool) (id ^ "/fast") false (Ecdsa.verify q digest signature);
-  Alcotest.(check bool) (id ^ "/ref") false (Ecdsa.Ref.verify q digest signature)
+  Alcotest.(check bool) (id ^ "/ref") false (Ecdsa_ref.verify q digest signature)
 
 let test_ecdsa_k1 () =
   let q = pub_of_d1 () in
   let digest = Hash.digest_string "vector" in
   let signature = k1_sig () in
   Alcotest.(check bool) "ecdsa-k1/fast" true (Ecdsa.verify q digest signature);
-  Alcotest.(check bool) "ecdsa-k1/ref" true (Ecdsa.Ref.verify q digest signature)
+  Alcotest.(check bool) "ecdsa-k1/ref" true (Ecdsa_ref.verify q digest signature)
 
 let test_ecdsa_degenerate () =
   let q = pub_of_d1 () in
@@ -345,7 +345,7 @@ let test_ecdsa_malleability () =
   Alcotest.(check bool) "ecdsa-highs/fast" true
     (Ecdsa.verify q digest { Ecdsa.r; s = s' });
   Alcotest.(check bool) "ecdsa-highs/ref" true
-    (Ecdsa.Ref.verify q digest { Ecdsa.r; s = s' })
+    (Ecdsa_ref.verify q digest { Ecdsa.r; s = s' })
 
 let test_ecdsa_infinity_pubkey () =
   (* n*G is the point at infinity; verification must fail closed *)

@@ -13,9 +13,11 @@
       either completes against that snapshot or gets a typed [Stale_r]
       refusal, never a silently cross-snapshot page;
    3. concurrently — reader domains hammer the snapshot path while a
-      writer appends, seals and reorganizes; every proof must verify
-      against the commitment shipped in the {e same} response, and no
-      scan may mix two epochs without a [Stale_r].
+      writer appends, seals, reorganizes and commits signed batches over
+      a domain pool; every proof must verify against the commitment
+      shipped in the {e same} response, no scan may mix two epochs
+      without a [Stale_r], and every receipt signed on the read path
+      must verify against the LSP key.
 
    Two smaller tests pin what serving from the snapshot means (no
    storage latency charged, receipts signed at publication time) and
@@ -562,7 +564,40 @@ let test_concurrent_readers () =
         done;
         !n)
   in
-  let readers = List.init 3 reader in
+  (* receipt readers: every π_s served on the read path is signed there,
+     on the reader's domain, while the writer's pool verifies π_c on
+     others; each must check against the LSP key *)
+  let lsp_pub = Ledger.lsp_public_key ledger in
+  let check_receipt jsn =
+    match
+      Option.map Service.Client.parse
+        (Service.handle_read ledger (Service.Client.make_get_receipt ~jsn))
+    with
+    | Some (Some (Service.Receipt_r r)) ->
+        let digest =
+          Receipt.signing_digest ~jsn:r.jsn ~request_hash:r.request_hash
+            ~tx_hash:r.tx_hash ~block_hash:r.block_hash ~timestamp:r.timestamp
+        in
+        if r.jsn <> jsn then record "receipt for another jsn"
+        else if not (Ecdsa.verify lsp_pub digest r.lsp_sig) then
+          record (Printf.sprintf "receipt %d: pi_s does not verify" jsn)
+    | Some _ -> record "receipt: unexpected response"
+    | None -> record "read request misrouted to the mutation path"
+  in
+  let receipt_reader rid =
+    Domain.spawn (fun () ->
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          incr n;
+          let size = Ledger.Read_view.size (Ledger.read_view ledger) in
+          (* alternate the newest receipts with a sweep over all *)
+          check_receipt
+            (if !n mod 2 = 0 then size - 1 - (!n / 2 mod min size 32)
+             else (rid + !n) mod size)
+        done;
+        !n)
+  in
+  let readers = List.init 3 reader @ List.init 2 receipt_reader in
   (* writer: appends under fresh clues, seals blocks, occults + reorganizes *)
   for i = 0 to 11 do
     Clock.advance_ms clock 10.;
@@ -581,6 +616,39 @@ let test_concurrent_readers () =
       ignore (Ledger.reorganize ledger)
     end
   done;
+  (* then 32-entry signed batches, their π_c checked across a 2-domain
+     pool; every batch must be admitted and every receipt verify *)
+  let pool = Ledger_par.Domain_pool.create ~domains:2 () in
+  for b = 0 to 5 do
+    let entries =
+      List.init 32 (fun k ->
+          let payload = Bytes.of_string (Printf.sprintf "batch %d/%d" b k) in
+          let clues = [ Printf.sprintf "b-%d" (k mod 4) ] in
+          (payload, clues, Clock.now clock, 1_000 + (32 * b) + k))
+    in
+    let digests =
+      Array.of_list
+        (List.map
+           (fun (payload, clues, client_ts, nonce) ->
+             Journal.request_digest ~ledger_uri:(Ledger.uri ledger)
+               ~kind_tag:"normal" ~payload ~clues ~client_ts ~nonce)
+           entries)
+    in
+    let sigs = Ecdsa.sign_many alice_key digests in
+    match
+      Ledger.append_signed_batch ~pool ledger ~member_id:alice.Roles.id
+        (List.mapi
+           (fun k (payload, clues, client_ts, nonce) ->
+             (payload, clues, client_ts, nonce, sigs.(k)))
+           entries)
+    with
+    | Ok rs ->
+        if List.length rs <> 32 then record "batch: wrong receipt count";
+        if not (List.for_all (Receipt.verify ~lsp_pub) rs) then
+          record (Printf.sprintf "batch %d: a receipt does not verify" b)
+    | Error e -> record (Printf.sprintf "batch %d refused: %s" b e)
+  done;
+  Ledger_par.Domain_pool.shutdown pool;
   Atomic.set stop true;
   let iterations = List.map Domain.join readers in
   (match Atomic.get failure with

@@ -225,6 +225,18 @@ let run ?(smoke = false) ?json () =
   let sign_minor_words, verify_minor_words, _ =
     Ecdsa_ref.minor_words_per_item ~seed:"bench" 256
   in
+  (* One SHA-3 clue scatter (paper §IV-B2), run two or three times per
+     committed entry: wall ns per call, and minor-heap words of one call
+     (bounded by test_crypto_props) *)
+  let clue = "acct/00001234" in
+  let scatter_ns = block_ns ~budget (fun () -> ignore (Hash.scatter clue)) in
+  let scatter_minor_words =
+    let before = Gc.minor_words () in
+    ignore (Hash.scatter clue);
+    Gc.minor_words () -. before
+  in
+  Printf.printf "clue scatter: %.0f ns, %.0f minor words\n" scatter_ns
+    scatter_minor_words;
   Printf.printf "ecdsa sign speedup (ref/fast, median of %d rounds): %.1fx\n"
     rounds sign_speedup;
   Printf.printf "ecdsa verify speedup (ref/fast, median of %d rounds): %.1fx\n"
@@ -263,6 +275,8 @@ let run ?(smoke = false) ?json () =
              ("sign_speedup", Float sign_speedup);
              ("sign_minor_words", Float sign_minor_words);
              ("verify_minor_words", Float verify_minor_words);
+             ("scatter_ns", Float scatter_ns);
+             ("scatter_minor_words", Float scatter_minor_words);
              ("tests", Obj tests);
            ]);
       Printf.printf "wrote %s\n" path

@@ -45,6 +45,8 @@ let hash t = Hashtbl.hash (Bytes.unsafe_to_string t)
 let zero = Bytes.make size '\000'
 let digest_bytes b = Sha256.digest_bytes b
 let digest_string s = Sha256.digest_string s
+let absorb ctx t = Sha256.update ctx t
+let finalize ctx = Sha256.finalize ctx
 
 (* Inner Merkle nodes: every [t] is exactly [size] bytes by module
    invariant, so the blits below cannot go out of bounds. *)

@@ -27,6 +27,12 @@ val digest_bytes : bytes -> t
 val digest_string : string -> t
 (** SHA-256 of a string. *)
 
+val absorb : Sha256.ctx -> t -> unit
+(** Feed a digest's 32 bytes to a SHA-256 context, without a copy. *)
+
+val finalize : Sha256.ctx -> t
+(** SHA-256 of everything the context absorbed, as a digest. *)
+
 val combine : t -> t -> t
 (** [combine l r] is the digest of the concatenation [l ∥ r]: the interior
     node rule of every Merkle structure in this library. *)

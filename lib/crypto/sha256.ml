@@ -138,6 +138,15 @@ let update_sub ctx b off len =
     ctx.buf_len <- !remaining
   end
 
+let update_char ctx c =
+  Bytes.unsafe_set ctx.buf ctx.buf_len c;
+  ctx.total <- ctx.total + 1;
+  ctx.buf_len <- ctx.buf_len + 1;
+  if ctx.buf_len = 64 then begin
+    compress ctx ctx.buf 0;
+    ctx.buf_len <- 0
+  end
+
 let update ctx b = update_sub ctx b 0 (Bytes.length b)
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 

@@ -18,6 +18,9 @@ val update_sub : ctx -> bytes -> int -> int -> unit
 
 val update_string : ctx -> string -> unit
 
+val update_char : ctx -> char -> unit
+(** Absorb one byte. *)
+
 val finalize : ctx -> bytes
 (** Produce the 32-byte digest of everything absorbed so far.
     Non-destructive: the context stays valid, so callers may keep

@@ -18,13 +18,6 @@ type t
 val zero : t
 val one : t
 
-val of_int : int -> t
-(** [of_int n] converts a non-negative OCaml integer.
-    @raise Invalid_argument if [n < 0]. *)
-
-val to_int_opt : t -> int option
-(** [to_int_opt x] is [Some n] when [x] fits in a non-negative OCaml [int]. *)
-
 val of_bytes_be : bytes -> t
 (** [of_bytes_be b] interprets up to 32 big-endian bytes.
     @raise Invalid_argument if [Bytes.length b > 32]. *)
@@ -45,11 +38,6 @@ val is_zero : t -> bool
 val is_odd : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val num_bits : t -> int
-(** Position of the highest set bit plus one; [num_bits zero = 0]. *)
-
-val bit : t -> int -> bool
-(** [bit x i] is the [i]-th bit (little-endian), [false] for [i >= 256]. *)
 
 (** {1 Arithmetic modulo 2^256} *)
 
@@ -59,21 +47,10 @@ val add : t -> t -> t * bool
 val sub : t -> t -> t * bool
 (** Difference and borrow-out ([true] when the result wrapped). *)
 
-val shift_left : t -> int -> t
-val shift_right : t -> int -> t
-
 val mul_wide : t -> t -> int array
 (** Full 512-bit product as 32 little-endian 16-bit limbs. *)
 
-(** {1 Modular arithmetic (arbitrary modulus)} *)
-
-val div_mod : t -> t -> t * t
-(** [div_mod a m] is [(a / m, a mod m)].
-    @raise Division_by_zero if [m] is zero. *)
-
-val mod_wide : int array -> t -> t
-(** [mod_wide w m] reduces a 512-bit value (32 limbs as produced by
-    {!mul_wide}) modulo [m]. *)
+(** {1 Modular arithmetic} *)
 
 val add_mod : t -> t -> t -> t
 (** [add_mod a b m] is [(a + b) mod m]; requires [a, b < m]. *)
@@ -81,16 +58,12 @@ val add_mod : t -> t -> t -> t
 val sub_mod : t -> t -> t -> t
 (** [sub_mod a b m] is [(a - b) mod m]; requires [a, b < m]. *)
 
-val mul_mod : t -> t -> t -> t
-(** [mul_mod a b m] is [(a * b) mod m]. *)
-
-val pow_mod : t -> t -> t -> t
-(** [pow_mod b e m] is [b^e mod m] by square-and-multiply. *)
-
 val inv_mod : t -> t -> t
 (** [inv_mod x m] is the multiplicative inverse of [x] modulo an odd
-    modulus [m], computed with the binary extended-GCD algorithm.
-    @raise Invalid_argument if [m] is even, [x] is zero, or not coprime. *)
+    modulus [m] of full width, [2^255 <= m] (secp256k1's p and n), computed
+    with the binary extended-GCD algorithm.
+    @raise Invalid_argument if [m] is even or below [2^255], [x] is zero
+    modulo [m], or not coprime. *)
 
 (** {1 Internal access (used by Secp256k1's specialised reduction)} *)
 

@@ -22,32 +22,38 @@ let cardinal t = t.cardinal
 
 (* --- hashing ----------------------------------------------------------- *)
 
+(* Each node's fields stream straight into one SHA-256 context:
+   leaf  = H('L' || hex path || 0x00 || value),
+   ext   = H('E' || hex path || 0x00 || child),
+   branch = H('B' || child_0 || ... || child_15 [|| 'V' || value]). *)
 let hash_leaf_fields path value =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf 'L';
-  Buffer.add_string buf (Nibble.to_string path);
-  Buffer.add_char buf '\000';
-  Buffer.add_bytes buf value;
-  Hash.digest_bytes (Buffer.to_bytes buf)
+  let ctx = Sha256.init () in
+  Sha256.update_char ctx 'L';
+  Nibble.absorb ctx path;
+  Sha256.update_char ctx '\000';
+  Sha256.update ctx value;
+  Hash.finalize ctx
 
 let hash_ext_fields path child_hash =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf 'E';
-  Buffer.add_string buf (Nibble.to_string path);
-  Buffer.add_char buf '\000';
-  Buffer.add_bytes buf (Hash.to_bytes child_hash);
-  Hash.digest_bytes (Buffer.to_bytes buf)
+  let ctx = Sha256.init () in
+  Sha256.update_char ctx 'E';
+  Nibble.absorb ctx path;
+  Sha256.update_char ctx '\000';
+  Hash.absorb ctx child_hash;
+  Hash.finalize ctx
 
 let hash_branch_fields child_hashes value =
-  let buf = Buffer.create 600 in
-  Buffer.add_char buf 'B';
-  Array.iter (fun h -> Buffer.add_bytes buf (Hash.to_bytes h)) child_hashes;
+  let ctx = Sha256.init () in
+  Sha256.update_char ctx 'B';
+  for i = 0 to Array.length child_hashes - 1 do
+    Hash.absorb ctx child_hashes.(i)
+  done;
   (match value with
   | Some v ->
-      Buffer.add_char buf 'V';
-      Buffer.add_bytes buf v
+      Sha256.update_char ctx 'V';
+      Sha256.update ctx v
   | None -> ());
-  Hash.digest_bytes (Buffer.to_bytes buf)
+  Hash.finalize ctx
 
 let rec node_hash = function
   | Leaf l -> (

@@ -16,5 +16,10 @@ let common_prefix_length a ai b bi =
 
 let sub = Array.sub
 
-let to_string nibbles =
-  String.init (Array.length nibbles) (fun i -> "0123456789abcdef".[nibbles.(i)])
+let hex = "0123456789abcdef"
+let to_string nibbles = String.init (Array.length nibbles) (fun i -> hex.[nibbles.(i)])
+
+let absorb ctx nibbles =
+  for i = 0 to Array.length nibbles - 1 do
+    Sha256.update_char ctx hex.[nibbles.(i)]
+  done

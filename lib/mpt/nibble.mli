@@ -20,3 +20,7 @@ val common_prefix_length : int array -> int -> int array -> int -> int
 val sub : int array -> int -> int -> int array
 val to_string : int array -> string
 (** Hex rendering, for display and node serialization. *)
+
+val absorb : Sha256.ctx -> int array -> unit
+(** Feed the bytes of [to_string path] to a SHA-256 context, without
+    building the string: how trie node hashes cover their paths. *)

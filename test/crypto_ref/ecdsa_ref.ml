@@ -11,11 +11,11 @@ let n_minus_1 = fst (Uint256.sub n Uint256.one)
 let in_range v = not (Uint256.is_zero v) && Uint256.compare v n < 0
 
 let z_of_hash h =
-  snd (Uint256.div_mod (Uint256.of_bytes_be (Hash.to_bytes h)) n)
+  snd (Uint256_ref.div_mod (Uint256.of_bytes_be (Hash.to_bytes h)) n)
 
 let scalar_of_bytes b =
   let v = Uint256.of_bytes_be b in
-  let v = snd (Uint256.div_mod v n_minus_1) in
+  let v = snd (Uint256_ref.div_mod v n_minus_1) in
   fst (Uint256.add v Uint256.one)
 
 let nonce d msg_hash attempt =
@@ -35,12 +35,12 @@ let sign (priv : Ecdsa.private_key) msg_hash =
     match Secp256k1_ref.to_affine kg with
     | None -> attempt (i + 1)
     | Some (x, _) ->
-        let r = snd (Uint256.div_mod x n) in
+        let r = snd (Uint256_ref.div_mod x n) in
         if Uint256.is_zero r then attempt (i + 1)
         else begin
           let kinv = Uint256.inv_mod k n in
-          let rd = Uint256.mul_mod r d n in
-          let s = Uint256.mul_mod kinv (Uint256.add_mod z rd n) n in
+          let rd = Uint256_ref.mul_mod r d n in
+          let s = Uint256_ref.mul_mod kinv (Uint256.add_mod z rd n) n in
           if Uint256.is_zero s then attempt (i + 1) else { Ecdsa.r; s }
         end
   in
@@ -63,12 +63,12 @@ let verify q msg_hash { Ecdsa.r; s } =
         in
         let z = z_of_hash msg_hash in
         let w = Uint256.inv_mod s n in
-        let u1 = Uint256.mul_mod z w n in
-        let u2 = Uint256.mul_mod r w n in
+        let u1 = Uint256_ref.mul_mod z w n in
+        let u2 = Uint256_ref.mul_mod r w n in
         let pt = Secp256k1_ref.double_scalar_mul u1 Secp256k1_ref.generator u2 q in
         (match Secp256k1_ref.to_affine pt with
         | None -> false
-        | Some (x, _) -> Uint256.equal (snd (Uint256.div_mod x n)) r)
+        | Some (x, _) -> Uint256.equal (snd (Uint256_ref.div_mod x n)) r)
 
 (* Differential canary over the fast/reference pair: one fixed digest
    signed through the comb/GLV pipeline and through this one must give

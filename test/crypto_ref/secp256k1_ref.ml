@@ -9,7 +9,7 @@ open Ledger_crypto
 
 let p = Secp256k1.p
 
-let p_minus_2 = fst (Uint256.sub p (Uint256.of_int 2))
+let p_minus_2 = fst (Uint256.sub p (Uint256_ref.of_int 2))
 
 let gx =
   Uint256.of_hex
@@ -86,9 +86,9 @@ let fe_sqr a = fe_mul a a
 
 let fe_pow b e =
   let result = ref Uint256.one and base = ref b in
-  let nb = Uint256.num_bits e in
+  let nb = Uint256_ref.num_bits e in
   for i = 0 to nb - 1 do
-    if Uint256.bit e i then result := fe_mul !result !base;
+    if Uint256_ref.bit e i then result := fe_mul !result !base;
     base := fe_sqr !base
   done;
   !result
@@ -160,21 +160,21 @@ let add p1 p2 =
   end
 
 let scalar_mul k pt =
-  let nb = Uint256.num_bits k in
+  let nb = Uint256_ref.num_bits k in
   let acc = ref infinity in
   for i = nb - 1 downto 0 do
     acc := double !acc;
-    if Uint256.bit k i then acc := add !acc pt
+    if Uint256_ref.bit k i then acc := add !acc pt
   done;
   !acc
 
 let double_scalar_mul a pa b pb =
   let sum = add pa pb in
-  let nb = max (Uint256.num_bits a) (Uint256.num_bits b) in
+  let nb = max (Uint256_ref.num_bits a) (Uint256_ref.num_bits b) in
   let acc = ref infinity in
   for i = nb - 1 downto 0 do
     acc := double !acc;
-    (match (Uint256.bit a i, Uint256.bit b i) with
+    (match (Uint256_ref.bit a i, Uint256_ref.bit b i) with
     | true, true -> acc := add !acc sum
     | true, false -> acc := add !acc pa
     | false, true -> acc := add !acc pb

@@ -106,21 +106,21 @@ let arb_u256 =
     (QCheck.quad QCheck.int64 QCheck.int64 QCheck.int64 QCheck.int64)
 
 let test_u256_basics () =
-  check u256 "of_int 0" Uint256.zero (Uint256.of_int 0);
+  check u256 "of_int 0" Uint256.zero (Uint256_ref.of_int 0);
   check (Alcotest.option Alcotest.int) "to_int" (Some 123456)
-    (Uint256.to_int_opt (Uint256.of_int 123456));
-  check Alcotest.int "num_bits 1" 1 (Uint256.num_bits Uint256.one);
+    (Uint256_ref.to_int_opt (Uint256_ref.of_int 123456));
+  check Alcotest.int "num_bits 1" 1 (Uint256_ref.num_bits Uint256.one);
   check Alcotest.int "num_bits 255"
     256
-    (Uint256.num_bits
+    (Uint256_ref.num_bits
        (Uint256.of_hex
           "8000000000000000000000000000000000000000000000000000000000000000"));
   let x = Uint256.of_hex "deadbeef" in
-  check Alcotest.bool "bit 0" true (Uint256.bit x 0);
-  check Alcotest.bool "bit 4" false (Uint256.bit x 4);
+  check Alcotest.bool "bit 0" true (Uint256_ref.bit x 0);
+  check Alcotest.bool "bit 4" false (Uint256_ref.bit x 4);
   (* shifting *)
   check u256 "shift roundtrip" x
-    (Uint256.shift_right (Uint256.shift_left x 13) 13)
+    (Uint256_ref.shift_right (Uint256_ref.shift_left x 13) 13)
 
 let prop_add_sub_roundtrip =
   QCheck.Test.make ~name:"u256 (a+b)-b = a" ~count:300
@@ -135,7 +135,7 @@ let prop_mul_matches_divmod =
     (QCheck.pair arb_u256 arb_u256)
     (fun (a, m) ->
       QCheck.assume (not (Uint256.is_zero m));
-      let q, r = Uint256.div_mod a m in
+      let q, r = Uint256_ref.div_mod a m in
       (* a = q*m + r with r < m; verify via wide arithmetic mod 2^512 *)
       let qm = Uint256.mul_wide q m in
       let rl = Uint256.limbs r in
@@ -164,18 +164,18 @@ let prop_modinv =
   QCheck.Test.make ~name:"u256 x * inv(x) = 1 mod n" ~count:100 arb_u256
     (fun x ->
       let n = Secp256k1.n in
-      let x = snd (Uint256.div_mod x n) in
+      let x = snd (Uint256_ref.div_mod x n) in
       QCheck.assume (not (Uint256.is_zero x));
       let xi = Uint256.inv_mod x n in
-      Uint256.equal (Uint256.mul_mod x xi n) Uint256.one)
+      Uint256.equal (Uint256_ref.mul_mod x xi n) Uint256.one)
 
 let test_pow_mod () =
   (* Fermat: a^(p-1) = 1 mod p for prime p *)
   let p = Secp256k1.p in
   let p_minus_1 = fst (Uint256.sub p Uint256.one) in
   let a = Uint256.of_hex "1234567890abcdef" in
-  check u256 "fermat" Uint256.one (Uint256.pow_mod a p_minus_1 p);
-  check u256 "pow 0" Uint256.one (Uint256.pow_mod a Uint256.zero p)
+  check u256 "fermat" Uint256.one (Uint256_ref.pow_mod a p_minus_1 p);
+  check u256 "pow 0" Uint256.one (Uint256_ref.pow_mod a Uint256.zero p)
 
 (* --- secp256k1 ----------------------------------------------------------- *)
 
@@ -192,7 +192,7 @@ let test_curve_known_multiples () =
   let expect k hex =
     match
       Secp256k1.to_affine
-        (Secp256k1.scalar_mul (Uint256.of_int k) Secp256k1.generator)
+        (Secp256k1.scalar_mul (Uint256_ref.of_int k) Secp256k1.generator)
     with
     | Some (x, _) -> check Alcotest.string (string_of_int k) hex (Uint256.to_hex x)
     | None -> Alcotest.fail "unexpected infinity"
@@ -205,7 +205,7 @@ let test_curve_group_laws () =
   let g = Secp256k1.generator in
   let two_g = Secp256k1.double g in
   let three_a = Secp256k1.add two_g g in
-  let three_b = Secp256k1.scalar_mul (Uint256.of_int 3) g in
+  let three_b = Secp256k1.scalar_mul (Uint256_ref.of_int 3) g in
   Alcotest.(check bool) "2G+G = 3G" true (Secp256k1.equal three_a three_b);
   Alcotest.(check bool) "G + (-G) = inf" true
     (Secp256k1.is_infinity (Secp256k1.add g (Secp256k1.negate g)));
@@ -217,18 +217,18 @@ let prop_scalar_distributes =
     (QCheck.pair (QCheck.int_range 1 100000) (QCheck.int_range 1 100000))
     (fun (a, b) ->
       let g = Secp256k1.generator in
-      let lhs = Secp256k1.scalar_mul (Uint256.of_int (a + b)) g in
+      let lhs = Secp256k1.scalar_mul (Uint256_ref.of_int (a + b)) g in
       let rhs =
         Secp256k1.add
-          (Secp256k1.scalar_mul (Uint256.of_int a) g)
-          (Secp256k1.scalar_mul (Uint256.of_int b) g)
+          (Secp256k1.scalar_mul (Uint256_ref.of_int a) g)
+          (Secp256k1.scalar_mul (Uint256_ref.of_int b) g)
       in
       Secp256k1.equal lhs rhs)
 
 let test_double_scalar_mul () =
   let g = Secp256k1.generator in
-  let q = Secp256k1.scalar_mul (Uint256.of_int 777) g in
-  let a = Uint256.of_int 123 and b = Uint256.of_int 456 in
+  let q = Secp256k1.scalar_mul (Uint256_ref.of_int 777) g in
+  let a = Uint256_ref.of_int 123 and b = Uint256_ref.of_int 456 in
   let expected =
     Secp256k1.add (Secp256k1.scalar_mul a g) (Secp256k1.scalar_mul b q)
   in
@@ -357,14 +357,14 @@ let test_u256_edges () =
   Alcotest.(check bool) "0 - 1 borrows to max" true (borrow && Uint256.equal m max);
   (* shifts at boundaries *)
   Alcotest.(check bool) "shift out" true
-    (Uint256.is_zero (Uint256.shift_left Uint256.one 256));
+    (Uint256.is_zero (Uint256_ref.shift_left Uint256.one 256));
   Alcotest.(check bool) "shift 255 round trip" true
     (Uint256.equal Uint256.one
-       (Uint256.shift_right (Uint256.shift_left Uint256.one 255) 255));
+       (Uint256_ref.shift_right (Uint256_ref.shift_left Uint256.one 255) 255));
   (* division edge cases *)
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
-      ignore (Uint256.div_mod Uint256.one Uint256.zero));
-  let q, r = Uint256.div_mod max max in
+      ignore (Uint256_ref.div_mod Uint256.one Uint256.zero));
+  let q, r = Uint256_ref.div_mod max max in
   Alcotest.(check bool) "x / x" true
     (Uint256.equal q Uint256.one && Uint256.is_zero r);
   (* hex validation *)
@@ -403,7 +403,7 @@ let test_curve_edges () =
     (Secp256k1.is_on_curve Uint256.one Uint256.one);
   (* ECDSA's x mod n comparison: r = x + (2^256 - n) is below n but not
      congruent to x, and r + n wraps past 2^256 back to x *)
-  let pt = Secp256k1.scalar_mul_base (Uint256.of_int 12345) in
+  let pt = Secp256k1.scalar_mul_base (Uint256_ref.of_int 12345) in
   let x =
     match Secp256k1.to_affine pt with Some (x, _) -> x | None -> assert false
   in

@@ -211,9 +211,9 @@ let test_kg_comb_walls () =
           Alcotest.(check string) (id ^ "/x") (Uint256.to_hex x2) (Uint256.to_hex x1);
           Alcotest.(check string) (id ^ "/y") (Uint256.to_hex y2) (Uint256.to_hex y1)
       | _ -> Alcotest.failf "%s: infinity on one side only" id)
-    ([ Uint256.one; Uint256.of_int 15; Uint256.of_int 16;
+    ([ Uint256.one; Uint256_ref.of_int 15; Uint256_ref.of_int 16;
        fst (Uint256.sub n Uint256.one); n; fst (Uint256.add n Uint256.one);
-       fst (Uint256.add n (Uint256.of_int 16));
+       fst (Uint256.add n (Uint256_ref.of_int 16));
        u (String.make 64 'f') ]
     @ walls)
 

@@ -10,7 +10,9 @@
    and latency-charged payload reads, the warm pass answers from cached
    verdicts.  Beside each simulated per-entry cost, [wall_us_per_entry]
    reports the same run's wall time on the host (ungated,
-   host-dependent). *)
+   host-dependent), and [resident_bytes_per_entry] the growth of
+   everything reachable from the ledger per committed entry: a count of
+   heap words, not a time, so it repeats exactly for fixed inputs. *)
 
 open Ledger_crypto
 open Ledger_storage
@@ -33,10 +35,14 @@ let build_ledger name =
 
 let payload_of i = Bytes.of_string (Printf.sprintf "batch-bench-payload-%06d" i)
 
+let reachable_bytes v = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
+
 (* Commit [entries] journals in batches of [k]; simulated µs per entry,
-   then wall-clock µs per entry on the host running the bench. *)
+   wall-clock µs per entry on the host running the bench, and resident
+   bytes per entry. *)
 let measure_batch ~entries k =
   let clock, ledger, member, priv = build_ledger (Printf.sprintf "bb-%d" k) in
+  let resident0 = reachable_bytes ledger in
   let t0 = Clock.now clock in
   let wall0 = Unix.gettimeofday () in
   let i = ref 0 in
@@ -52,7 +58,12 @@ let measure_batch ~entries k =
   Ledger.seal_block ledger;
   let wall_us = (Unix.gettimeofday () -. wall0) *. 1e6 in
   let total_us = Int64.to_float (Int64.sub (Clock.now clock) t0) in
-  (total_us, total_us /. float_of_int entries, wall_us /. float_of_int entries)
+  let resident = reachable_bytes ledger - resident0 in
+  let per_entry x = x /. float_of_int entries in
+  ( total_us,
+    per_entry total_us,
+    per_entry wall_us,
+    per_entry (float_of_int resident) )
 
 (* One verification workload (existence with payload digest + receipt
    check per jsn), replayed cold then warm against one attached cache. *)
@@ -95,20 +106,23 @@ let run ?(smoke = false) ?json () =
   ;
   let results = List.map (fun k -> (k, measure_batch ~entries k)) batch_sizes in
   Table.print_table
-    ~header:[ "batch"; "total (ms)"; "per entry (us)"; "wall per entry (us)" ]
+    ~header:
+      [ "batch"; "total (ms)"; "per entry (us)"; "wall per entry (us)";
+        "resident per entry (B)" ]
     (List.map
-       (fun (k, (total_us, per_entry_us, wall_us_per_entry)) ->
+       (fun (k, (total_us, per_entry_us, wall_us_per_entry, resident)) ->
          [
            string_of_int k;
            Table.human_ms (total_us /. 1000.);
            Printf.sprintf "%.1f" per_entry_us;
            Printf.sprintf "%.1f" wall_us_per_entry;
+           Printf.sprintf "%.0f" resident;
          ])
        results);
   (* the acceptance shape: amortization must actually amortize *)
   ignore
     (List.fold_left
-       (fun prev (k, (_, per_entry_us, _)) ->
+       (fun prev (k, (_, per_entry_us, _, _)) ->
          (match prev with
          | Some (pk, prev_us) when per_entry_us >= prev_us ->
              failwith
@@ -131,7 +145,8 @@ let run ?(smoke = false) ?json () =
   | None -> ()
   | Some path ->
       let open Json_out in
-      let size_obj (k, (total_us, per_entry_us, wall_us_per_entry)) =
+      let size_obj
+          (k, (total_us, per_entry_us, wall_us_per_entry, resident)) =
         ( "b" ^ string_of_int k,
           Obj
             [
@@ -139,6 +154,7 @@ let run ?(smoke = false) ?json () =
               ("total_us", Float total_us);
               ("per_entry_us", Float per_entry_us);
               ("wall_us_per_entry", Float wall_us_per_entry);
+              ("resident_bytes_per_entry", Float resident);
             ] )
       in
       write_file path

@@ -17,7 +17,13 @@ type public_key
     derived or parsed, so no {!verify} rebuilds it.  Immutable: one key
     can be checked against from any number of domains at once. *)
 
-type signature = { r : Uint256.t; s : Uint256.t }
+type signature
+(** An immutable signature, held as its 64-byte encoding r ∥ s (32 bytes
+    each, big-endian): 10 words resident, where a record of two
+    [Uint256.t] took 37.  {!sign_many} encodes it once; {!verify_many}
+    decodes r and s once per item.  Built only by signing or by
+    {!signature_of_bytes}, so every value is exactly 64 bytes; r and s
+    are range-checked by the verifier, not here. *)
 
 val generate : seed:string -> private_key * public_key
 (** Derive a keypair deterministically from a seed string.  Distinct seeds
@@ -63,8 +69,11 @@ val public_key_id : public_key -> Hash.t
 (** Digest of the encoded public key — used as a member identifier. *)
 
 val signature_to_bytes : signature -> bytes
-(** 64-byte encoding (r ∥ s). *)
+(** 64-byte encoding (r ∥ s): a fresh copy of the held bytes. *)
 
 val signature_of_bytes : bytes -> signature option
+(** [None] unless exactly 64 bytes; any 64 bytes are accepted (out-of-range
+    r or s fail {!verify}), and {!signature_to_bytes} gives them back
+    unchanged. *)
 
 val pp_signature : Format.formatter -> signature -> unit

@@ -78,7 +78,7 @@ let append_many s payloads =
   List.iter
     (fun payload ->
       ensure_capacity s;
-      s.records.(s.count) <- { payload = Some (Bytes.copy payload) };
+      s.records.(s.count) <- { payload = Some payload };
       s.count <- s.count + 1;
       s.live_bytes <- s.live_bytes + Bytes.length payload;
       Ledger_obs.Metrics.incr "storage_appends_total";

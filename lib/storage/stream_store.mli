@@ -60,14 +60,24 @@ val stream : t -> string -> stream
 
 val stream_name : stream -> string
 
+(** {1 Ownership}
+
+    A store takes ownership of the bytes it is given: {!append} and
+    {!append_many} keep the caller's buffer as the record, with no copy,
+    so the caller must not mutate it afterwards.  Every read hands out a
+    fresh copy.  This lets a ledger hold one resident copy per payload,
+    shared by its journal and its record. *)
+
 val append : stream -> bytes -> int
 (** Append a record, returning its index (0-based, dense): the
-    one-record case of {!append_many}. *)
+    one-record case of {!append_many}.  The store owns [bytes] from
+    here on. *)
 
 val append_many : stream -> bytes list -> int
 (** Append a whole batch of records in one storage operation, returning
     the index of the first (the pre-batch {!length} when the list is
-    empty).  Every record counts in [storage_appends_total] and
+    empty).  The store owns every buffer in the list from here on.
+    Every record counts in [storage_appends_total] and
     [storage_record_bytes]; the operation counts once in
     [storage_batch_appends_total], whatever its size. *)
 

@@ -10,6 +10,17 @@ let n = Secp256k1.n
 let n_minus_1 = fst (Uint256.sub n Uint256.one)
 let in_range v = not (Uint256.is_zero v) && Uint256.compare v n < 0
 
+(* A signature is abstract and held as its 64-byte encoding r ∥ s;
+   the batteries build and take apart edge vectors through these. *)
+let signature ~r ~s =
+  Option.get
+    (Ecdsa.signature_of_bytes
+       (Bytes.cat (Uint256.to_bytes_be r) (Uint256.to_bytes_be s)))
+
+let half sg off = Uint256.of_bytes_be (Bytes.sub (Ecdsa.signature_to_bytes sg) off 32)
+let sig_r sg = half sg 0
+let sig_s sg = half sg 32
+
 let z_of_hash h =
   snd (Uint256_ref.div_mod (Uint256.of_bytes_be (Hash.to_bytes h)) n)
 
@@ -41,7 +52,7 @@ let sign (priv : Ecdsa.private_key) msg_hash =
           let kinv = Uint256.inv_mod k n in
           let rd = Uint256_ref.mul_mod r d n in
           let s = Uint256_ref.mul_mod kinv (Uint256.add_mod z rd n) n in
-          if Uint256.is_zero s then attempt (i + 1) else { Ecdsa.r; s }
+          if Uint256.is_zero s then attempt (i + 1) else signature ~r ~s
         end
   in
   attempt 0
@@ -50,7 +61,8 @@ let sign (priv : Ecdsa.private_key) msg_hash =
    its 64-byte encoding, for the reference ladder, so both verifiers
    can be run on identical inputs.  The key at infinity has no encoding
    and verifies nothing. *)
-let verify q msg_hash { Ecdsa.r; s } =
+let verify q msg_hash sg =
+  let r = sig_r sg and s = sig_s sg in
   if not (in_range r && in_range s) then false
   else
     match Ecdsa.public_key_to_bytes q with

@@ -223,6 +223,55 @@ let test_skiplist_logarithmic_search () =
   Alcotest.(check bool) "multiple levels in use" true
     (Clue_skiplist.level_count sl > 5)
 
+(* Every read against a sorted-list model, over lists of up to 5 000
+   keys: long enough that the head and finger arrays, which start one
+   level high, double several times.  The seed varies the level draws;
+   probes reach below the first key and past the last. *)
+let prop_skiplist_doublings =
+  QCheck.Test.make
+    ~name:"skip list agrees with its model across capacity doublings"
+    ~count:30
+    QCheck.(
+      triple int
+        (list_of_size Gen.(int_range 0 5000) (int_range 0 3))
+        (list_of_size Gen.(int_range 1 20)
+           (pair (int_range (-2) 20_002) (int_range (-2) 20_002))))
+    (fun (seed, deltas, probes) ->
+      let sl = Clue_skiplist.create ~seed () in
+      let keys =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (last, acc) d ->
+                  let k = last + 1 + d in
+                  Clue_skiplist.append sl k;
+                  (k, k :: acc))
+                (-1, []) deltas))
+      in
+      let model = Array.of_list keys in
+      let n = Array.length model in
+      let present = Hashtbl.create n in
+      Array.iter (fun k -> Hashtbl.replace present k ()) model;
+      let top = if n = 0 then 0 else model.(n - 1) + 1 in
+      Clue_skiplist.to_list sl = keys
+      && Clue_skiplist.length sl = n
+      && Clue_skiplist.min_elt sl = (if n = 0 then None else Some model.(0))
+      && Clue_skiplist.max_elt sl
+         = (if n = 0 then None else Some model.(n - 1))
+      && List.for_all
+           (fun i ->
+             Clue_skiplist.nth sl i
+             = if i >= 0 && i < n then Some model.(i) else None)
+           (List.init (n + 2) (fun i -> i - 1))
+      && List.for_all
+           (fun k -> Clue_skiplist.mem sl k = Hashtbl.mem present k)
+           (List.init (top + 2) (fun k -> k - 1))
+      && List.for_all
+           (fun (lo, hi) ->
+             Clue_skiplist.range sl ~lo ~hi
+             = List.filter (fun k -> lo <= k && k <= hi) keys)
+           probes)
+
 let skiplist_suite =
   [
     tc "skip list basics" `Quick test_skiplist_basics;
@@ -271,4 +320,6 @@ let test_clue_extension () =
 
 let extension_suite = [ tc "clue lineage extension" `Quick test_clue_extension ]
 
-let suite = base_suite @ skiplist_suite @ extension_suite
+let suite =
+  base_suite @ skiplist_suite @ extension_suite
+  @ [ qcheck prop_skiplist_doublings ]

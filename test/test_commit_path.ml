@@ -295,8 +295,106 @@ let test_batch_allocation_bound () =
     Alcotest.failf "append_signed_batch: %.0f minor words per entry, bound 10 000"
       words
 
+(* Resident words per committed entry: the growth of everything
+   reachable from a ledger over [measured] entries committed after a
+   [warm_up], in signed batches of 32 on [Domain_pool.sequential].  A
+   count of heap words, not a time: it repeats exactly for fixed
+   inputs.  Entry [i] carries a [payload]-byte payload and the clue
+   [clue i].  Each bound is the figure of one resident copy per
+   payload, 64-byte signatures and level-sized cSLs plus about 10 %;
+   with a second payload copy in the stream record, two-limb-array
+   signatures and 24-level cSL heads the three shapes held 729, 537
+   and 230 words per entry (480, 384 and 165 now). *)
+let resident_words_per_entry ?(warm_up = 256) ?(measured = 1024) ~payload
+    ~clue () =
+  let crypto = Crypto_profile.default_simulated in
+  let ledger =
+    Ledger.create
+      ~config:{ Ledger.default_config with name = "resident"; crypto }
+      ~clock:(Clock.create ()) ()
+  in
+  let member, priv =
+    Ledger.new_member ledger ~name:"writer" ~role:Roles.Regular_user
+  in
+  let entry i =
+    let payload = Bytes.init payload (fun k -> Char.chr ((i + k) land 0xFF)) in
+    let clues = [ clue i ] in
+    let client_ts = Int64.of_int i and nonce = i + 1 in
+    let request_hash =
+      Journal.request_digest ~ledger_uri:(Ledger.uri ledger) ~kind_tag:"normal"
+        ~payload ~clues ~client_ts ~nonce
+    in
+    let signature =
+      Crypto_profile.sign_pure crypto ~priv ~pub:member.Roles.pub request_hash
+    in
+    (payload, clues, client_ts, nonce, signature)
+  in
+  let commit first n =
+    let i = ref first in
+    while !i < first + n do
+      let k = min 32 (first + n - !i) in
+      (match
+         Ledger.append_signed_batch ~pool:Ledger_par.Domain_pool.sequential
+           ledger ~member_id:member.Roles.id
+           (List.init k (fun j -> entry (!i + j)))
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "batch rejected: %s" e);
+      i := !i + k
+    done
+  in
+  let words () = Obj.reachable_words (Obj.repr ledger) in
+  commit 0 warm_up;
+  let before = words () in
+  commit warm_up measured;
+  float_of_int (words () - before) /. float_of_int measured
+
+let check_resident label ~bound words =
+  if words > bound then
+    Alcotest.failf "%s: %.1f resident words per entry, bound %.0f" label words
+      bound
+
+let test_resident_unique_1k () =
+  check_resident "unique clues, 1 KiB payloads" ~bound:528.
+    (resident_words_per_entry ~payload:1024
+       ~clue:(Printf.sprintf "acct/%08d") ())
+
+let test_resident_unique_256 () =
+  check_resident "unique clues, 256 B payloads" ~bound:422.
+    (resident_words_per_entry ~payload:256
+       ~clue:(Printf.sprintf "acct/%08d") ())
+
+let test_resident_shared_256 () =
+  check_resident "16 clues, 256 B payloads" ~bound:182.
+    (resident_words_per_entry ~payload:256
+       ~clue:(fun i -> Printf.sprintf "acct/%02d" (i mod 16)) ())
+
+(* Two structures behind the gap: a π_c held as its 64-byte encoding
+   (10 words; a record of two limb arrays took 37), and a clue's skip
+   list sized to the levels it uses (41 words for one element; 24-level
+   head and finger arrays took 128). *)
+let test_resident_units () =
+  let priv, _ = Ecdsa.generate ~seed:"resident" in
+  let signature = Ecdsa.sign priv (Hash.digest_string "resident") in
+  let sig_words = Obj.reachable_words (Obj.repr signature) in
+  if sig_words > 12 then
+    Alcotest.failf "one signature holds %d words, bound 12" sig_words;
+  let sl = Clue_skiplist.create () in
+  Clue_skiplist.append sl 0;
+  let sl_words = Obj.reachable_words (Obj.repr sl) in
+  if sl_words > 48 then
+    Alcotest.failf "a one-element cSL holds %d words, bound 48" sl_words
+
 let suite =
   [ tc "golden: every entry point, system journal and reload" `Quick
       test_commit_path_golden;
     tc "minor words per committed entry are bounded" `Quick
-      test_batch_allocation_bound ]
+      test_batch_allocation_bound;
+    tc "resident words: unique clues, 1 KiB payloads" `Quick
+      test_resident_unique_1k;
+    tc "resident words: unique clues, 256 B payloads" `Quick
+      test_resident_unique_256;
+    tc "resident words: 16 clues, 256 B payloads" `Quick
+      test_resident_shared_256;
+    tc "resident words: one signature, one-element cSL" `Quick
+      test_resident_units ]

@@ -315,7 +315,7 @@ let r_plus_n_case () =
       (Secp256k1.add (Secp256k1.scalar_mul s big_r)
          (Secp256k1.negate (Secp256k1.scalar_mul_base z)))
   in
-  (Ecdsa.public_key_of_point q, digest, { Ecdsa.r; s })
+  (Ecdsa.public_key_of_point q, digest, Ecdsa_ref.signature ~r ~s)
 
 (* verify_many must give, item by item, the verdicts of verify and of
    the reference verifier — across the range checks, tampering and the
@@ -337,13 +337,13 @@ let test_verify_many_agrees () =
   let items =
     [|
       signed 0;
-      tamper (fun sg -> { sg with Ecdsa.r = flip sg.Ecdsa.r }) 1;
+      tamper (fun sg -> Ecdsa_ref.signature ~r:(flip (Ecdsa_ref.sig_r sg)) ~s:(Ecdsa_ref.sig_s sg)) 1;
       signed 2;
-      tamper (fun sg -> { sg with Ecdsa.s = flip sg.Ecdsa.s }) 3;
-      tamper (fun sg -> { sg with Ecdsa.r = Uint256.zero }) 4;
-      tamper (fun sg -> { sg with Ecdsa.s = Uint256.zero }) 5;
-      tamper (fun sg -> { sg with Ecdsa.r = n }) 6;
-      tamper (fun sg -> { sg with Ecdsa.s = n }) 7;
+      tamper (fun sg -> Ecdsa_ref.signature ~r:(Ecdsa_ref.sig_r sg) ~s:(flip (Ecdsa_ref.sig_s sg))) 3;
+      tamper (fun sg -> Ecdsa_ref.signature ~r:Uint256.zero ~s:(Ecdsa_ref.sig_s sg)) 4;
+      tamper (fun sg -> Ecdsa_ref.signature ~r:(Ecdsa_ref.sig_r sg) ~s:Uint256.zero) 5;
+      tamper (fun sg -> Ecdsa_ref.signature ~r:n ~s:(Ecdsa_ref.sig_s sg)) 6;
+      tamper (fun sg -> Ecdsa_ref.signature ~r:(Ecdsa_ref.sig_r sg) ~s:n) 7;
       (digest 9, snd (signed 8));
       signed 10;
     |]
@@ -363,7 +363,7 @@ let test_verify_many_agrees () =
   against other items (Array.map (fun _ -> false) items) "wrong key";
   check Alcotest.(array bool) "empty" [||] (Ecdsa.verify_many pub [||]);
   let key, d, sg = r_plus_n_case () in
-  let r_off = { sg with Ecdsa.r = flip sg.Ecdsa.r } in
+  let r_off = Ecdsa_ref.signature ~r:(flip (Ecdsa_ref.sig_r sg)) ~s:(Ecdsa_ref.sig_s sg) in
   against key [| (d, sg); (d, r_off) |] [| true; false |] "r + n candidate"
 
 (* A key's table is shared, never rebuilt: four domains verifying with

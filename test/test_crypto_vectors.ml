@@ -299,10 +299,8 @@ let gx_hex = "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
 (* d = 1, k = 1, message "vector": r = x(G) and s = z + r mod n, verified
    against an independent implementation *)
 let k1_sig () =
-  {
-    Ecdsa.r = u256 gx_hex;
-    s = u256 "2a9382d7c2967da0ae9b41ac965a806b56e23d995e0719f62dd07eddebaf621d";
-  }
+  Ecdsa_ref.signature ~r:(u256 gx_hex)
+    ~s:(u256 "2a9382d7c2967da0ae9b41ac965a806b56e23d995e0719f62dd07eddebaf621d")
 
 let pub_of_d1 () =
   match Ecdsa.public_key_of_bytes (bytes_of_hex (gx_hex ^ "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8")) with
@@ -323,29 +321,32 @@ let test_ecdsa_k1 () =
 let test_ecdsa_degenerate () =
   let q = pub_of_d1 () in
   let digest = Hash.digest_string "vector" in
-  let { Ecdsa.r; s } = k1_sig () in
+  let k1 = k1_sig () in
+  let r = Ecdsa_ref.sig_r k1 and s = Ecdsa_ref.sig_s k1 in
   let n = Secp256k1.n in
-  both_reject "ecdsa-r0" q digest { Ecdsa.r = Uint256.zero; s };
-  both_reject "ecdsa-s0" q digest { Ecdsa.r; s = Uint256.zero };
-  both_reject "ecdsa-r=n" q digest { Ecdsa.r = n; s };
-  both_reject "ecdsa-s=n" q digest { Ecdsa.r; s = n };
-  both_reject "ecdsa-r0s0" q digest { Ecdsa.r = Uint256.zero; s = Uint256.zero };
+  let sg r s = Ecdsa_ref.signature ~r ~s in
+  both_reject "ecdsa-r0" q digest (sg Uint256.zero s);
+  both_reject "ecdsa-s0" q digest (sg r Uint256.zero);
+  both_reject "ecdsa-r=n" q digest (sg n s);
+  both_reject "ecdsa-s=n" q digest (sg r n);
+  both_reject "ecdsa-r0s0" q digest (sg Uint256.zero Uint256.zero);
   (* r > n aliasing: a value that reduces to a small r mod n must be
      rejected by the range check, not silently reduced and accepted *)
   let r_alias = fst (Uint256.add n Uint256.one) in
-  both_reject "ecdsa-r-gt-n" q digest { Ecdsa.r = r_alias; s }
+  both_reject "ecdsa-r-gt-n" q digest (sg r_alias s)
 
 let test_ecdsa_malleability () =
   (* (r, n - s) verifies too: this implementation does not enforce
      low-s, and fast and reference must agree on accepting it *)
   let q = pub_of_d1 () in
   let digest = Hash.digest_string "vector" in
-  let { Ecdsa.r; s } = k1_sig () in
-  let s' = fst (Uint256.sub Secp256k1.n s) in
+  let k1 = k1_sig () in
+  let s' = fst (Uint256.sub Secp256k1.n (Ecdsa_ref.sig_s k1)) in
+  let high_s = Ecdsa_ref.signature ~r:(Ecdsa_ref.sig_r k1) ~s:s' in
   Alcotest.(check bool) "ecdsa-highs/fast" true
-    (Ecdsa.verify q digest { Ecdsa.r; s = s' });
+    (Ecdsa.verify q digest high_s);
   Alcotest.(check bool) "ecdsa-highs/ref" true
-    (Ecdsa_ref.verify q digest { Ecdsa.r; s = s' })
+    (Ecdsa_ref.verify q digest high_s)
 
 let test_ecdsa_infinity_pubkey () =
   (* n*G is the point at infinity; verification must fail closed *)

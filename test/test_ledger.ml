@@ -519,7 +519,114 @@ let test_multi_clue_journal () =
   Alcotest.(check (list int)) "empty range" []
     (Ledger.clue_jsns_in_range env.ledger "customs" ~lo:5 ~hi:10)
 
+(* --- duplicate clues ---------------------------------------------------------- *)
+
+(* An entry that names one clue twice is refused before any clock charge
+   or state change, through every entry point; the clue's lineage still
+   verifies afterwards.  Without the refusal the journal was stored and
+   accumulated, then indexed twice under the clue, so its CM-Tree
+   entries and its cSL disagreed and every later lineage proof of the
+   clue failed. *)
+let signed_request env ~clues text =
+  let payload = Bytes.of_string text in
+  let client_ts = Clock.now env.clock and nonce = 700 + Ledger.size env.ledger in
+  let request_hash =
+    Journal.request_digest ~ledger_uri:(Ledger.uri env.ledger)
+      ~kind_tag:"normal" ~payload ~clues ~client_ts ~nonce
+  in
+  let signature =
+    Crypto_profile.sign_pure Crypto_profile.default_simulated
+      ~priv:env.alice_key ~pub:env.alice.Roles.pub request_hash
+  in
+  (payload, clues, client_ts, nonce, signature)
+
+(* [refuse env] must leave size and clock where they were; then one more
+   entry under "y" commits and y's lineage proof verifies. *)
+let check_duplicate_refused refuse =
+  let env = make_env () in
+  ignore (append env ~clues:[ "y" ] `Alice "y first");
+  let size = Ledger.size env.ledger and now = Clock.now env.clock in
+  refuse env;
+  Alcotest.(check int) "size unchanged" size (Ledger.size env.ledger);
+  Alcotest.(check int64) "clock unchanged" now (Clock.now env.clock);
+  ignore (append env ~clues:[ "y" ] `Bob "y second");
+  Ledger.seal_block env.ledger;
+  Alcotest.(check (list int)) "clue jsns" [ 0; 1 ]
+    (Ledger.clue_jsns env.ledger "y");
+  Alcotest.(check int) "clue entries" 2 (Ledger.clue_entries env.ledger "y");
+  let proof = Option.get (Ledger.prove_clue env.ledger ~clue:"y" ()) in
+  Alcotest.(check bool) "lineage verifies" true
+    (Ledger.verify_clue_client env.ledger proof)
+
+let test_duplicate_clue_append () =
+  check_duplicate_refused (fun env ->
+      Alcotest.check_raises "append refused"
+        (Invalid_argument "Ledger.append: duplicate clue") (fun () ->
+          ignore
+            (Ledger.append env.ledger ~member:env.alice ~priv:env.alice_key
+               ~clues:[ "y"; "y" ] (Bytes.of_string "twice"))))
+
+let test_duplicate_clue_append_batch () =
+  check_duplicate_refused (fun env ->
+      Alcotest.check_raises "append_batch refused"
+        (Invalid_argument "Ledger.append_batch: duplicate clue (entry 1)")
+        (fun () ->
+          ignore
+            (Ledger.append_batch env.ledger ~member:env.alice
+               ~priv:env.alice_key
+               [ (Bytes.of_string "ok", [ "y" ]);
+                 (Bytes.of_string "twice", [ "y"; "x"; "y" ]) ])))
+
+let test_duplicate_clue_append_signed () =
+  check_duplicate_refused (fun env ->
+      let payload, clues, client_ts, nonce, signature =
+        signed_request env ~clues:[ "y"; "y" ] "twice"
+      in
+      Alcotest.(check (result reject string)) "append_signed refused"
+        (Error "append: duplicate clue")
+        (Result.map ignore
+           (Ledger.append_signed env.ledger ~member_id:env.alice.Roles.id
+              ~payload ~clues ~client_ts ~nonce ~signature)))
+
+let test_duplicate_clue_append_signed_batch () =
+  check_duplicate_refused (fun env ->
+      let ok = signed_request env ~clues:[ "y" ] "ok" in
+      let twice = signed_request env ~clues:[ "z"; "y"; "y" ] "twice" in
+      Alcotest.(check (result reject string)) "append_signed_batch refused"
+        (Error "append_batch: duplicate clue (entry 1)")
+        (Result.map ignore
+           (Ledger.append_signed_batch env.ledger
+              ~member_id:env.alice.Roles.id [ ok; twice ])))
+
+let test_duplicate_clue_service () =
+  check_duplicate_refused (fun env ->
+      let client =
+        Service.Client.create ~crypto:Crypto_profile.default_simulated
+          ~ledger_uri:(Ledger.uri env.ledger) ~member:env.alice
+          ~priv:env.alice_key ()
+      in
+      let frame =
+        Service.Client.make_append client ~clues:[ "y"; "y" ]
+          ~client_ts:(Clock.now env.clock) (Bytes.of_string "twice")
+      in
+      match Service.Client.parse (Service.handle env.ledger frame) with
+      | Some (Service.Error_r msg) ->
+          Alcotest.(check string) "refusal" "append: duplicate clue" msg
+      | _ -> Alcotest.fail "expected a refusal")
+
 let multi_clue_suite = [ tc "multi-clue journal" `Quick test_multi_clue_journal ]
+
+let duplicate_clue_suite =
+  [ tc "duplicate clue: append refused, lineage intact" `Quick
+      test_duplicate_clue_append;
+    tc "duplicate clue: append_batch refused, lineage intact" `Quick
+      test_duplicate_clue_append_batch;
+    tc "duplicate clue: append_signed refused, lineage intact" `Quick
+      test_duplicate_clue_append_signed;
+    tc "duplicate clue: append_signed_batch refused, lineage intact" `Quick
+      test_duplicate_clue_append_signed_batch;
+    tc "duplicate clue: Service.handle frame refused, lineage intact" `Quick
+      test_duplicate_clue_service ]
 
 
 
@@ -633,4 +740,4 @@ let ca_suite = [ tc "member CA certification" `Quick test_member_ca ]
 
 let suite =
   base_suite @ world_state_suite @ compaction_suite @ multi_clue_suite
-  @ list_tx_suite @ batch_suite @ ca_suite
+  @ list_tx_suite @ batch_suite @ ca_suite @ duplicate_clue_suite

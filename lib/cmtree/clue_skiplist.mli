@@ -8,7 +8,15 @@
 
     This implementation is a classic randomised skip list specialised for
     monotone tail insertion, with deterministic level pseudo-randomness
-    (seeded per list) so tests and benches are reproducible. *)
+    (seeded per list) so tests and benches are reproducible.
+
+    A list is sized to the levels it uses: the head and the per-level
+    tail fingers start one level high and double, up to 24 levels, when a
+    drawn level outgrows them, and forward links end at one shared
+    sentinel rather than an option box.  A one-element list holds about
+    40 words (128 with fixed 24-level arrays), which matters because the
+    ledger keeps one list per clue.  Level draws do not depend on the
+    sizing, so {!level_count} and {!search_steps} are as before. *)
 
 type t
 

@@ -136,7 +136,13 @@ val read_view : t -> Read_view.t
     to the first bad entry), one commit over the admitted journals
     (block-sized chunks, the same commit the system journals and
     snapshot replay go through), an optional trailing seal, and the
-    receipts' π_s.  A single entry is the one-element case of a batch. *)
+    receipts' π_s.  A single entry is the one-element case of a batch.
+
+    Every entry point first refuses an entry whose clue list names one
+    clue twice, before any clock charge, signing or state change.
+    Admission copies each payload once; that copy is shared by the
+    journal and its stream record, so a committed journal's [payload] is
+    the ledger's own and must not be mutated. *)
 
 val append :
   t ->
@@ -150,9 +156,9 @@ val append :
     LSP-signed receipt (π_s): the one-entry, in-process case of the
     append pipeline.  [cosigners] produce a multi-signed journal (the
     Fig. 7 {e who} sweep).
-    @raise Invalid_argument if the member or a cosigner is unknown
-    (refused before any clock charge or state change), or on a bad
-    client signature. *)
+    @raise Invalid_argument if the member or a cosigner is unknown or
+    a clue repeats (refused before any clock charge or state change),
+    or on a bad client signature. *)
 
 val size : t -> int
 
@@ -231,8 +237,8 @@ val append_signed :
 (** Remote append (Fig. 1): the request was signed on the client side;
     the server re-derives the request hash and validates π_c before
     committing — the one-entry case of {!append_signed_batch} without
-    the trailing seal.  [Error] on an unknown member or a bad
-    signature. *)
+    the trailing seal.  [Error] on an unknown member, a repeated clue
+    (["append: duplicate clue"]) or a bad signature. *)
 
 val append_signed_batch :
   ?pool:Ledger_par.Domain_pool.t ->
@@ -247,7 +253,9 @@ val append_signed_batch :
     atomically, with the same error and simulated-clock position as the
     sequential path.  The remote batch case of the append pipeline: it
     seals the trailing block, so all receipts are final; their π_s are
-    signed across [pool] as in {!append_batch}. *)
+    signed across [pool] as in {!append_batch}.  An entry that repeats a
+    clue rejects the batch with ["append_batch: duplicate clue (entry i)"]
+    before anything is charged. *)
 
 val get_receipt : t -> int -> Receipt.t
 (** Final receipt for a jsn (re-signed with the block hash once the block

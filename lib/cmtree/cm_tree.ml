@@ -5,18 +5,18 @@ module Wire = Ledger_crypto.Wire
 
 module SMap = Map.Make (String)
 
+(* [clues] is the only per-clue table, shared by the writer and every
+   {!freeze}.  A published [Shrubs.t] is never appended to: {!insert}
+   appends to a header copy ({!Shrubs.freeze}) of the clue's latest one
+   and publishes the copy.  The copy shares the node arrays, but the one
+   writer only writes past the latest count, which is at or past every
+   count a published header pins. *)
 type t = {
   trie : Mpt.t; (* CM-Tree1 *)
-  accumulators : (string, Shrubs.t) Hashtbl.t; (* CM-Tree2, writer side *)
-  mutable fcells : Shrubs.t SMap.t;
-      (* read-side mirror: a {!Shrubs.freeze} of each clue's accumulator,
-         republished on every insert, so {!freeze} is O(1) and reads are
-         domain-safe against a concurrently-inserting writer *)
+  mutable clues : Shrubs.t SMap.t; (* CM-Tree2 of every clue *)
 }
 
-let create () =
-  { trie = Mpt.create (); accumulators = Hashtbl.create 64;
-    fcells = SMap.empty }
+let create () = { trie = Mpt.create (); clues = SMap.empty }
 
 (* The CM-Tree1 value: size and peak set of the clue's CM-Tree2, so a
    verifier can rebuild the node-set commitment from the trie alone. *)
@@ -45,28 +45,19 @@ let decode_value b =
             Some (size, peaks)
           end)
 
-let accumulator t clue =
-  match Hashtbl.find_opt t.accumulators clue with
-  | Some s -> s
-  | None ->
-      let s = Shrubs.create () in
-      Hashtbl.replace t.accumulators clue s;
-      s
-
 let insert t ~clue digest =
-  let shrubs = accumulator t clue in
+  let shrubs =
+    match SMap.find_opt clue t.clues with
+    | Some s -> Shrubs.freeze s
+    | None -> Shrubs.create ()
+  in
   let version = Shrubs.append shrubs digest in
-  t.fcells <- SMap.add clue (Shrubs.freeze shrubs) t.fcells;
+  t.clues <- SMap.add clue shrubs t.clues;
   Mpt.insert_string t.trie ~key:clue (encode_value shrubs);
   version
 
-let freeze t =
-  { trie = Mpt.freeze t.trie; accumulators = Hashtbl.create 1;
-    fcells = t.fcells }
-
-(* All reads resolve clue accumulators through the frozen mirror so they
-   behave identically on the live tree and on a {!freeze} snapshot. *)
-let find_accumulator t clue = SMap.find_opt clue t.fcells
+let freeze t = { trie = Mpt.freeze t.trie; clues = t.clues }
+let find_accumulator t clue = SMap.find_opt clue t.clues
 
 let entries t ~clue =
   match find_accumulator t clue with
@@ -78,7 +69,7 @@ let entry t ~clue i =
   | Some s -> Shrubs.leaf s i
   | None -> invalid_arg "Cm_tree.entry: unknown clue"
 
-let clue_count t = SMap.cardinal t.fcells
+let clue_count t = SMap.cardinal t.clues
 let root_hash t = Mpt.root_hash t.trie
 
 let clue_commitment t ~clue =
@@ -141,7 +132,7 @@ let verify_clue_server t ~known ~clue =
            known
 
 let stored_digests t =
-  SMap.fold (fun _ s acc -> acc + Shrubs.stored_digests s) t.fcells 0
+  SMap.fold (fun _ s acc -> acc + Shrubs.stored_digests s) t.clues 0
 
 (* --- wire codec ------------------------------------------------------------ *)
 

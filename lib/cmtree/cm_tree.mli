@@ -24,13 +24,18 @@ val create : unit -> t
 val insert : t -> clue:string -> Hash.t -> int
 (** [insert t ~clue digest] appends a journal digest to the clue's
     CM-Tree2 and refreshes CM-Tree1; returns the journal's version index
-    (0-based) within the clue. *)
+    (0-based) within the clue.  Single writer: the clue's published
+    CM-Tree2 is left as it is; the digest goes into a header copy of it
+    ({!Ledger_merkle.Shrubs.freeze}) that shares its node arrays, is
+    written only past the published counts, and replaces it in the
+    tree's one persistent clue map. *)
 
 val freeze : t -> t
 (** O(1) immutable snapshot: {!Ledger_mpt.Mpt.freeze} of CM-Tree1 plus
-    the persistent frozen-accumulator mirror.  All reads and proofs work
-    on the result from any domain while the original keeps inserting.
-    Only read on the result. *)
+    the persistent clue map as it stands.  Because {!insert} never
+    writes at or below a count a published CM-Tree2 pins, all reads and
+    proofs work on the result from any domain while the original keeps
+    inserting.  Only read on the result. *)
 
 val entries : t -> clue:string -> int
 (** Number of journals recorded under the clue. *)

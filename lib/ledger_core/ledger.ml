@@ -74,6 +74,11 @@ type view = {
   v_crypto : Crypto_profile.t;
 }
 
+(* One clue's retrieval state: its cSL of jsns and, for each version
+   [v < Cm_tree_index.length csl], the world-state leaf [leaves.(v)] of
+   that state transition. *)
+type clue_state = { csl : Cm_tree_index.t; mutable leaves : int array }
+
 type t = {
   cfg : config;
   clock : Clock.t;
@@ -96,8 +101,7 @@ type t = {
   lsp_id : Hash.t;
   t_ledger : T_ledger.t option;
   tsa : Tsa.pool option;
-  clue_index : (string, Cm_tree_index.t) Hashtbl.t; (* clue -> jsn skip list *)
-  state_index : (string, int list ref) Hashtbl.t; (* clue -> world-state leaves *)
+  clue_states : (string, clue_state) Hashtbl.t; (* cSL and world-state leaves *)
   query : Query_index.t; (* ordered clue trie for verifiable range scans *)
   mutable time_journals : int list; (* jsns, newest first *)
   mutable pseudo_genesis_jsn : int option;
@@ -193,8 +197,7 @@ let create ?(config = default_config) ?t_ledger ?tsa ~clock () =
     lsp_id = Ecdsa.public_key_id lsp_pub;
     t_ledger;
     tsa;
-    clue_index = Hashtbl.create 64;
-    state_index = Hashtbl.create 64;
+    clue_states = Hashtbl.create 64;
     query = Query_index.create ();
     time_journals = [];
     pseudo_genesis_jsn = None;
@@ -330,23 +333,27 @@ let index_clues t (j : Journal.t) tx =
   List.iter
     (fun clue ->
       ignore (Cm_tree.insert t.cm ~clue tx);
-      let index =
-        match Hashtbl.find_opt t.clue_index clue with
-        | Some sl -> sl
+      let cs =
+        match Hashtbl.find_opt t.clue_states clue with
+        | Some cs -> cs
         | None ->
-            let sl = Cm_tree_index.create () in
-            Hashtbl.replace t.clue_index clue sl;
-            sl
+            let cs = { csl = Cm_tree_index.create (); leaves = [||] } in
+            Hashtbl.replace t.clue_states clue cs;
+            cs
       in
-      Cm_tree_index.append index j.Journal.jsn;
+      let version = Cm_tree_index.length cs.csl in
+      Cm_tree_index.append cs.csl j.Journal.jsn;
       Query_index.add t.query ~clue ~jsn:j.Journal.jsn ~tx;
       (* world-state: one entry per clue-state transition *)
       let leaf_index =
         Accumulator.append t.world_state (Hash.combine (Hash.scatter clue) tx)
       in
-      (match Hashtbl.find_opt t.state_index clue with
-      | Some r -> r := leaf_index :: !r
-      | None -> Hashtbl.replace t.state_index clue (ref [ leaf_index ])))
+      if version = Array.length cs.leaves then begin
+        let bigger = Array.make (max 1 (2 * version)) 0 in
+        Array.blit cs.leaves 0 bigger 0 version;
+        cs.leaves <- bigger
+      end;
+      cs.leaves.(version) <- leaf_index)
     j.Journal.clues
 
 (* Slot, indexes and the per-kind side effects of one stored and
@@ -799,13 +806,13 @@ let query_index t = t.query
 let query_root t = Query_index.root t.query
 
 let clue_jsns t clue =
-  match Hashtbl.find_opt t.clue_index clue with
-  | Some sl -> Cm_tree_index.to_list sl
+  match Hashtbl.find_opt t.clue_states clue with
+  | Some cs -> Cm_tree_index.to_list cs.csl
   | None -> []
 
 let clue_jsns_in_range t clue ~lo ~hi =
-  match Hashtbl.find_opt t.clue_index clue with
-  | Some sl -> Cm_tree_index.range sl ~lo ~hi
+  match Hashtbl.find_opt t.clue_states clue with
+  | Some cs -> Cm_tree_index.range cs.csl ~lo ~hi
   | None -> []
 
 let clue_entries t clue = Cm_tree.entries t.cm ~clue
@@ -911,18 +918,12 @@ let world_state_size t = Accumulator.size t.world_state
 let state_leaf ~clue ~tx = Hash.combine (Hash.scatter clue) tx
 
 let prove_state_update t ~clue ~version =
-  match Hashtbl.find_opt t.state_index clue with
+  match Hashtbl.find_opt t.clue_states clue with
   | None -> None
-  | Some r ->
-      let leaves = List.rev !r in
-      (match List.nth_opt leaves version with
-      | None -> None
-      | Some leaf_index ->
-          let jsns = clue_jsns t clue in
-          (match List.nth_opt jsns version with
-          | None -> None
-          | Some jsn ->
-              Some (jsn, Accumulator.prove t.world_state leaf_index)))
+  | Some cs ->
+      Option.map
+        (fun jsn -> (jsn, Accumulator.prove t.world_state cs.leaves.(version)))
+        (Cm_tree_index.nth cs.csl version)
 
 let verify_state_update t ~clue ~tx proof =
   match world_state_root t with

@@ -70,7 +70,9 @@ val freeze : t -> t
     forest are invisible through the snapshot, which stays safe to read
     from other domains.  {!forget_subtree} erasures remain visible
     (purged digests cannot be resurrected through an old snapshot).
-    Only read on the result. *)
+    Only read on the result, unless it replaces [t] as the single
+    writer's copy: [t] is then never appended to again, and appends to
+    the result write only past every count a snapshot pins. *)
 
 (** {1 Consistency (append-only extension) proofs}
 

@@ -58,7 +58,10 @@ val forest : t -> Forest.t
 
 val freeze : t -> t
 (** Immutable snapshot ({!Forest.freeze} of the underlying forest):
-    read-only, safe to share across domains. *)
+    read-only, safe to share across domains.  The result may instead
+    become the single writer's copy, in place of [t], which is then
+    never appended to again: appends to it write only past the counts
+    [t] and every earlier snapshot pin. *)
 
 (** {1 Consistency proofs} *)
 

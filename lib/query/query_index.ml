@@ -2,27 +2,23 @@ open Ledger_crypto
 open Ledger_mpt
 
 type entry = { e_jsn : int; e_tx : Hash.t; e_chain : Hash.t }
-type cell = { mutable count : int; mutable arr : entry array }
 
 module SMap = Map.Make (String)
 
-(* Frozen view of a cell: the entry array is shared with the live cell
-   (the writer appends only at indices >= [fn]; capacity growth swaps in
-   a fresh array), the count is pinned.  Kept in a persistent map that is
-   republished on every {!add}, so {!freeze} is O(1) and reads never
-   touch the writer's hashtable. *)
+(* A clue's entries: the first [fn] slots of [fa].  A published cell is
+   never written again: {!add} writes slot [fn] (or a grown copy of [fa])
+   and publishes a successor cell.  The one writer only writes past the
+   latest count, which is at or past every count a published cell pins,
+   so a {!freeze} shares [cells] and its arrays as they are. *)
 type fcell = { fa : entry array; fn : int }
 
 type t = {
   trie : Mpt.t;
-  tbl : (string, cell) Hashtbl.t;  (* writer-side mutable cells *)
-  mutable fcells : fcell SMap.t;  (* read-side frozen mirror *)
+  mutable cells : fcell SMap.t;  (* the only per-clue table *)
   mutable entries : int;
 }
 
-let create () =
-  { trie = Mpt.create (); tbl = Hashtbl.create 64; fcells = SMap.empty;
-    entries = 0 }
+let create () = { trie = Mpt.create (); cells = SMap.empty; entries = 0 }
 let trie t = t.trie
 let root t = Mpt.root_hash t.trie
 let cardinal t = Mpt.cardinal t.trie
@@ -69,64 +65,54 @@ let decode_value b =
 
 (* --- maintenance --------------------------------------------------------- *)
 
-let cell_push cell e =
-  let cap = Array.length cell.arr in
-  if cell.count = cap then begin
-    let bigger =
-      Array.make (if cap = 0 then 4 else 2 * cap)
-        { e_jsn = 0; e_tx = Hash.zero; e_chain = Hash.zero }
-    in
-    Array.blit cell.arr 0 bigger 0 cell.count;
-    cell.arr <- bigger
-  end;
-  cell.arr.(cell.count) <- e;
-  cell.count <- cell.count + 1
+(* The successor of [c] with [e] in slot [fn]. *)
+let cell_push c e =
+  let cap = Array.length c.fa in
+  let fa =
+    if c.fn < cap then c.fa
+    else begin
+      let bigger = Array.make (if cap = 0 then 4 else 2 * cap) e in
+      Array.blit c.fa 0 bigger 0 c.fn;
+      bigger
+    end
+  in
+  fa.(c.fn) <- e;
+  { fa; fn = c.fn + 1 }
+
+let empty_cell = { fa = [||]; fn = 0 }
 
 let add t ~clue ~jsn ~tx =
   if String.length clue = 0 then ()
   else begin
-    let cell =
-      match Hashtbl.find_opt t.tbl clue with
-      | Some c -> c
-      | None ->
-          let c = { count = 0; arr = [||] } in
-          Hashtbl.replace t.tbl clue c;
-          c
+    let c =
+      match SMap.find_opt clue t.cells with Some c -> c | None -> empty_cell
     in
-    let prev =
-      if cell.count = 0 then chain_seed clue
-      else cell.arr.(cell.count - 1).e_chain
-    in
-    if cell.count > 0 && cell.arr.(cell.count - 1).e_jsn = jsn then
+    if c.fn > 0 && c.fa.(c.fn - 1).e_jsn = jsn then
       (* a journal listing the same clue twice contributes one entry *)
       ()
     else begin
-      if cell.count > 0 && cell.arr.(cell.count - 1).e_jsn > jsn then
+      if c.fn > 0 && c.fa.(c.fn - 1).e_jsn > jsn then
         invalid_arg "Query_index.add: jsns must be strictly increasing per clue";
-      cell_push cell { e_jsn = jsn; e_tx = tx; e_chain = chain_step prev jsn tx };
+      let prev = if c.fn = 0 then chain_seed clue else c.fa.(c.fn - 1).e_chain in
+      let chain = chain_step prev jsn tx in
+      let c = cell_push c { e_jsn = jsn; e_tx = tx; e_chain = chain } in
       t.entries <- t.entries + 1;
-      t.fcells <- SMap.add clue { fa = cell.arr; fn = cell.count } t.fcells;
+      t.cells <- SMap.add clue c t.cells;
       Mpt.insert t.trie ~key:(key_of_clue clue)
-        (committed_value ~count:cell.count
-           ~chain:cell.arr.(cell.count - 1).e_chain)
+        (committed_value ~count:c.fn ~chain)
     end
   end
 
-let freeze t =
-  { trie = Mpt.freeze t.trie; tbl = Hashtbl.create 1; fcells = t.fcells;
-    entries = t.entries }
+let freeze t = { trie = Mpt.freeze t.trie; cells = t.cells; entries = t.entries }
 
 (* --- per-clue reads ------------------------------------------------------ *)
 
-(* All reads go through the frozen mirror so they behave identically on
-   the live index and on a {!freeze} snapshot read from another domain. *)
-
 let clue_count t ~clue =
-  match SMap.find_opt clue t.fcells with Some c -> c.fn | None -> 0
+  match SMap.find_opt clue t.cells with Some c -> c.fn | None -> 0
 
 let slice t ~clue ~offset ~limit =
   if offset < 0 || limit < 0 then invalid_arg "Query_index.slice";
-  match SMap.find_opt clue t.fcells with
+  match SMap.find_opt clue t.cells with
   | None -> []
   | Some c ->
       let n = min limit (max 0 (c.fn - offset)) in
@@ -138,13 +124,13 @@ let slice t ~clue ~offset ~limit =
 let chain_at t ~clue n =
   if n = 0 then chain_seed clue
   else
-    match SMap.find_opt clue t.fcells with
+    match SMap.find_opt clue t.cells with
     | Some c when n <= c.fn -> c.fa.(n - 1).e_chain
     | _ -> invalid_arg "Query_index.chain_at"
 
 (* Index of the first entry with jsn >= [jsn]; [count] when none. *)
 let first_at_or_after t ~clue jsn =
-  match SMap.find_opt clue t.fcells with
+  match SMap.find_opt clue t.cells with
   | None -> 0
   | Some c ->
       let lo = ref 0 and hi = ref c.fn in

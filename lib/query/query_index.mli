@@ -29,7 +29,11 @@ val create : unit -> t
 val add : t -> clue:string -> jsn:int -> tx:Hash.t -> unit
 (** Record that journal [jsn] (in transaction [tx]) carries [clue].
     Empty clues are ignored (they have no nibble path); a journal listing
-    the same clue twice contributes one entry.
+    the same clue twice contributes one entry.  Single writer: the
+    clue's published entry array is written only at its pinned count
+    (or copied into a larger array when full), and a successor cell
+    with the count one higher replaces it in the index's one persistent
+    clue map.
     @raise Invalid_argument if [jsn] decreases for a clue. *)
 
 val root : t -> Hash.t
@@ -45,10 +49,11 @@ val trie : t -> Mpt.t
 
 val freeze : t -> t
 (** O(1) immutable snapshot: {!Ledger_mpt.Mpt.freeze} of the trie plus
-    the persistent per-clue mirror.  Every read ({!clue_count}, {!slice},
-    {!chain_at}, {!first_at_or_after}, proofs, range scans) works on the
-    result from any domain while the original keeps indexing.  Only read
-    on the result. *)
+    the persistent clue map as it stands.  Since {!add} never writes at
+    or below a count a published cell pins, every read ({!clue_count},
+    {!slice}, {!chain_at}, {!first_at_or_after}, proofs, range scans)
+    works on the result from any domain while the original keeps
+    indexing.  Only read on the result. *)
 
 (** {1 Key and commitment formats} *)
 

@@ -320,6 +320,79 @@ let test_clue_extension () =
 
 let extension_suite = [ tc "clue lineage extension" `Quick test_clue_extension ]
 
+(* Every answer a CM-Tree gives about [clues], as one digest: roots,
+   counts, leaves, commitments, clue proofs over every prefix and
+   suffix range, extension proofs from every old size and the
+   server-side check. *)
+let cm_answers cm clues =
+  let w = Wire.writer () in
+  let w_opt f = function
+    | None -> Wire.w_u8 w 0
+    | Some x -> Wire.w_u8 w 1; f x
+  in
+  Wire.w_hash w (Cm_tree.root_hash cm);
+  Wire.w_int w (Cm_tree.clue_count cm);
+  Wire.w_int w (Cm_tree.stored_digests cm);
+  List.iter
+    (fun clue ->
+      let n = Cm_tree.entries cm ~clue in
+      Wire.w_int w n;
+      Wire.w_int w (Cm_tree.mpt_lookup_depth cm ~clue);
+      let leaves = List.init n (fun i -> (i, Cm_tree.entry cm ~clue i)) in
+      List.iter (fun (_, h) -> Wire.w_hash w h) leaves;
+      w_opt (Wire.w_hash w) (Cm_tree.clue_commitment cm ~clue);
+      Wire.w_u8 w
+        (Bool.to_int (Cm_tree.verify_clue_server cm ~known:leaves ~clue));
+      w_opt (Cm_tree.w_clue_proof w) (Cm_tree.prove_clue cm ~clue ());
+      for k = 0 to n - 1 do
+        w_opt (Cm_tree.w_clue_proof w)
+          (Cm_tree.prove_clue cm ~clue ~first:k ~last:(n - 1) ());
+        w_opt (Cm_tree.w_clue_proof w)
+          (Cm_tree.prove_clue cm ~clue ~first:0 ~last:k ());
+        w_opt
+          (Wire.w_list w (Wire.w_list w (Wire.w_hash w)))
+          (Cm_tree.prove_clue_extension cm ~clue ~old_size:(k + 1))
+      done)
+    clues;
+  Hash.to_hex (Hash.digest_bytes (Wire.contents w))
+
+(* A frozen CM-Tree shares its clues' node arrays with the writer, which
+   appends past every pinned count.  Freeze after each of 40 inserts,
+   then grow every clue far enough to regrow each node array several
+   times and add forest levels: every frozen view must still give the
+   answers it gave when it was taken. *)
+let test_frozen_view_stays_put () =
+  let cm = Cm_tree.create () in
+  let clues = [ "a"; "b"; "c"; "d" ] in
+  let next = ref 0 in
+  let insert clue =
+    incr next;
+    ignore (Cm_tree.insert cm ~clue (jd !next))
+  in
+  let views =
+    List.init 40 (fun step ->
+        insert "a";
+        if step mod 3 = 0 then insert "b";
+        if step = 5 then insert "c";
+        let view = Cm_tree.freeze cm in
+        (step, view, cm_answers view clues))
+  in
+  for i = 1 to 300 do
+    insert "a";
+    insert "b";
+    insert "c";
+    if i mod 2 = 0 then insert "d"
+  done;
+  Alcotest.(check int) "live tree grew" 340 (Cm_tree.entries cm ~clue:"a");
+  List.iter
+    (fun (step, view, before) ->
+      Alcotest.(check string)
+        (Printf.sprintf "view after step %d" step)
+        before (cm_answers view clues))
+    views
+
 let suite =
   base_suite @ skiplist_suite @ extension_suite
-  @ [ qcheck prop_skiplist_doublings ]
+  @ [ qcheck prop_skiplist_doublings;
+      tc "frozen view stays put under further inserts" `Quick
+        test_frozen_view_stays_put ]

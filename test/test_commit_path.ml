@@ -301,10 +301,13 @@ let test_batch_allocation_bound () =
    count of heap words, not a time: it repeats exactly for fixed
    inputs.  Entry [i] carries a [payload]-byte payload and the clue
    [clue i].  Each bound is the figure of one resident copy per
-   payload, 64-byte signatures and level-sized cSLs plus about 10 %;
-   with a second payload copy in the stream record, two-limb-array
-   signatures and 24-level cSL heads the three shapes held 729, 537
-   and 230 words per entry (480, 384 and 165 now). *)
+   payload, 64-byte signatures, level-sized cSLs and one table per
+   clue's CM-Tree2, query cell and cSL plus about 10 %.  With a second
+   payload copy in the stream record, two-limb-array signatures and
+   24-level cSL heads the three shapes held 729, 537 and 230 words per
+   entry; with writer tables beside the published clue maps and
+   separate cSL and world-state tables, 480, 384 and 165 (446, 350 and
+   164 now). *)
 let resident_words_per_entry ?(warm_up = 256) ?(measured = 1024) ~payload
     ~clue () =
   let crypto = Crypto_profile.default_simulated in
@@ -355,17 +358,17 @@ let check_resident label ~bound words =
       bound
 
 let test_resident_unique_1k () =
-  check_resident "unique clues, 1 KiB payloads" ~bound:528.
+  check_resident "unique clues, 1 KiB payloads" ~bound:491.
     (resident_words_per_entry ~payload:1024
        ~clue:(Printf.sprintf "acct/%08d") ())
 
 let test_resident_unique_256 () =
-  check_resident "unique clues, 256 B payloads" ~bound:422.
+  check_resident "unique clues, 256 B payloads" ~bound:385.
     (resident_words_per_entry ~payload:256
        ~clue:(Printf.sprintf "acct/%08d") ())
 
 let test_resident_shared_256 () =
-  check_resident "16 clues, 256 B payloads" ~bound:182.
+  check_resident "16 clues, 256 B payloads" ~bound:180.
     (resident_words_per_entry ~payload:256
        ~clue:(fun i -> Printf.sprintf "acct/%02d" (i mod 16)) ())
 

@@ -827,6 +827,72 @@ let sharded_adversarial () =
   let sc2 = SQ.scatter fleet ~spec ~page_size () in
   expect_reject "post-seal answer pinned to old epoch" (merge sc2)
 
+(* Every answer a query index gives about [clues], as one digest: root,
+   counts, every slice, every chain digest, the first entry at or after
+   every jsn in range, and each clue's point proof. *)
+let index_answers qi clues ~max_jsn =
+  let w = Wire.writer () in
+  Wire.w_hash w (Query_index.root qi);
+  Wire.w_int w (Query_index.cardinal qi);
+  Wire.w_int w (Query_index.entries qi);
+  List.iter
+    (fun clue ->
+      let n = Query_index.clue_count qi ~clue in
+      Wire.w_int w n;
+      for offset = 0 to n do
+        List.iter
+          (fun (jsn, tx) -> Wire.w_int w jsn; Wire.w_hash w tx)
+          (Query_index.slice qi ~clue ~offset ~limit:3)
+      done;
+      for k = 0 to n do
+        Wire.w_hash w (Query_index.chain_at qi ~clue k)
+      done;
+      for jsn = 0 to max_jsn + 1 do
+        Wire.w_int w (Query_index.first_at_or_after qi ~clue jsn)
+      done;
+      match Query_index.prove_clue qi ~clue with
+      | None -> Wire.w_u8 w 0
+      | Some p -> Wire.w_u8 w 1; Mpt.w_proof w p)
+    clues;
+  Hash.to_hex (Hash.digest_bytes (Wire.contents w))
+
+(* A frozen index shares its clues' entry arrays with the writer, which
+   writes past every pinned count.  Freeze after each of 40 adds, then
+   add far enough to regrow each entry array several times (4, 8, ...,
+   512): every frozen view must still give the answers it gave when it
+   was taken. *)
+let frozen_view_stays_put () =
+  let qi = Query_index.create () in
+  let clues = [ "a"; "ab"; "b"; "c" ] in
+  let jsn = ref 0 in
+  let add clue =
+    jsn := !jsn + 2;
+    Query_index.add qi ~clue ~jsn:!jsn
+      ~tx:(Hash.digest_string (string_of_int !jsn))
+  in
+  let views =
+    List.init 40 (fun step ->
+        add "a";
+        if step mod 3 = 0 then add "ab";
+        if step = 5 then add "b";
+        let view = Query_index.freeze qi in
+        (step, view, !jsn, index_answers view clues ~max_jsn:!jsn))
+  in
+  for i = 1 to 300 do
+    add "a";
+    add "ab";
+    add "b";
+    if i mod 2 = 0 then add "c"
+  done;
+  Alcotest.(check int) "live index grew" 340 (Query_index.clue_count qi ~clue:"a");
+  List.iter
+    (fun (step, view, max_jsn, before) ->
+      Alcotest.(check string)
+        (Printf.sprintf "view after step %d" step)
+        before
+        (index_answers view clues ~max_jsn))
+    views
+
 let suite =
   [
     qcheck ordered_iteration_agrees;
@@ -849,4 +915,6 @@ let suite =
     tc "e2e: Verify API target + cache" `Quick verify_api_query_target;
     tc "e2e: sharded scatter/merge differential" `Quick sharded_scatter_merge;
     tc "e2e: sharded adversarial gates" `Quick sharded_adversarial;
+    tc "frozen view stays put under further adds" `Quick
+      frozen_view_stays_put;
   ]

@@ -97,9 +97,21 @@ let run_read_heavy ~smoke ~clients ~connections ~workers =
     (r, s)
   in
   (* one run per server is decided by host jitter: alternate the two
-     servers [rounds] times and keep each side's median-throughput run *)
-  let rounds = 5 in
-  let runs = List.init rounds (fun _ -> let s = one 1 in (s, one workers)) in
+     servers [rounds] times, the single worker first in even rounds and
+     second in odd ones so neither side always runs on the warmer host,
+     and keep each side's median-throughput run.  With 5 rounds, the
+     single worker first in every round, the gate failed 2 of 12
+     standalone smoke runs on a 2-vCPU host. *)
+  let rounds = 31 in
+  let runs =
+    List.init rounds (fun i ->
+        if i mod 2 = 0 then
+          let s = one 1 in
+          (s, one workers)
+        else
+          let m = one workers in
+          (one 1, m))
+  in
   let median side =
     List.nth
       (List.sort

@@ -13,7 +13,7 @@ type private_key = private Uint256.t
 
 type public_key
 (** A public key together with its verification table (odd multiples of
-    Q and λQ, about 2.5 KB), built once when the key is generated,
+    Q, λQ, 2⁶⁴Q and λ2⁶⁴Q, 491 words), built once when the key is generated,
     derived or parsed, so no {!verify} rebuilds it.  Immutable: one key
     can be checked against from any number of domains at once. *)
 

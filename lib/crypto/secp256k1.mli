@@ -1,16 +1,18 @@
 (** The secp256k1 elliptic curve: y² = x³ + 7 over F_p.
 
-    The kernel represents field elements as ten 26-bit limbs in native
-    ints with fused comba multiply + pseudo-Mersenne reduction (p =
-    2²⁵⁶ − 2³² − 977, so 2²⁶⁰ ≡ 2³⁶ + 15632), points in Jacobian
-    coordinates, [k·G] as a fixed-base comb, and the dual-scalar verify
-    path as GLV/wNAF ladders with Shamir's trick over precomputed affine
-    odd-multiple tables (a fixed width-10 table for G, a width-5
-    {!table} per other point, built once by {!precompute}).
+    The kernel represents field elements as ten 26-bit limbs, each an
+    unboxed [int64] in an 80-byte [Bytes], with fused comba multiply +
+    pseudo-Mersenne reduction (p = 2²⁵⁶ − 2³² − 977, so 2²⁶⁰ ≡ 2³⁶ +
+    15632) that reduces only weakly (below 2p); points in Jacobian
+    coordinates; [k·G] as a signed-digit multi-comb; and the dual-scalar
+    verify path as one wNAF ladder over GLV halves, each half split once
+    more at 2⁶⁴, so every stream is ~64 digits long and they share ~64
+    doublings (a fixed width-10 table for G, a width-5 {!table} per
+    other point, built once by {!precompute}).
 
     Every field operation writes into caller-provided storage, and each
     ladder runs its group law in place on one accumulator allocated per
-    call (about 120 words), so a whole [k·G] or [a·G + b·Q] allocates
+    call (about 130 words), so a whole [k·G] or [a·G + b·Q] allocates
     almost nothing on the field side.  No storage is shared between
     calls: every function here is safe to run from any number of
     domains and threads at once, and every {!point} and {!table} it
@@ -55,21 +57,29 @@ val scalar_mul : Uint256.t -> point -> point
     for the call; [pt = G] goes to {!scalar_mul_base}. *)
 
 val scalar_mul_base : Uint256.t -> point
-(** [scalar_mul_base k] is [k·G] by a fixed-base comb: 64 windows of 4
-    bits, each with the 15 affine multiples [j·16^i·G] precomputed at
-    module initialization (~190 KB), so one call is at most 64 mixed
-    additions and no doublings — the signing and key-generation hot
-    path.  [k] is reduced mod n first.  Like the wNAF ladders, it skips
-    zero nibbles, so its running time depends on the scalar. *)
+(** [scalar_mul_base k] is [k·G] by a signed-digit multi-comb (4 blocks
+    × 8 teeth × spacing 8, libsecp256k1's [ecmult_gen] layout): 512
+    affine points precomputed at module initialization (~80 KB), and
+    every call is exactly 32 mixed additions and 7 doublings — the
+    signing and key-generation hot path.  [k] is reduced mod n first.
+    Its table reads are indexed by the scalar's bits, so it is not
+    constant-time. *)
 
 type table
-(** A finite point's precomputed odd multiples (width 5: P, 3P, …, 15P
-    and the same for λP under the GLV endomorphism), affine — about
-    2.5 KB.  Immutable, so one table can serve any number of domains. *)
+(** A finite point's precomputed odd multiples for width-5 wNAF digits
+    (P, 3P, …, 15P and the same for 2⁶⁴·P, plus the x-coordinates of
+    their images under the GLV endomorphism), affine, in two flat
+    [Bytes] — 489 words.  Immutable, so one table can serve any number
+    of domains. *)
 
 val precompute : point -> table
-(** Build a point's table (one doubling, seven additions and one shared
+(** Build a point's table (66 doublings, 14 additions and one shared
     inversion).  Raises [Invalid_argument] on the point at infinity. *)
+
+val resident_words : unit -> int
+(** Words held by the fixed tables built at module initialization (the
+    comb of {!scalar_mul_base} and G's wNAF table), as
+    [Obj.reachable_words] counts them. *)
 
 val table_affine : table -> fe * fe
 (** The affine coordinates of the tabled point, read from the table
@@ -77,10 +87,11 @@ val table_affine : table -> fe * fe
 
 val double_scalar_mul_base : Uint256.t -> Uint256.t -> table -> point
 (** [double_scalar_mul_base a b tq] computes [a·G + b·Q] for the point
-    [Q] that [tq] tables: GLV-split scalars, four interleaved wNAF
-    streams over the fixed width-10 tables of G and λG and [tq]'s
-    tables, one shared doubling chain (Shamir's trick) — the hot path
-    of ECDSA verification. *)
+    [Q] that [tq] tables: GLV-split scalars, each half's wNAF string run
+    as two streams (digits below 2⁶⁴ against the multiples of P, the
+    rest against those of 2⁶⁴·P), eight streams over the fixed width-10
+    table of G and [tq] on one shared chain of ~64 doublings (Shamir's
+    trick) — the hot path of ECDSA verification. *)
 
 val affine_x_batch : point array -> fe option array
 (** The affine x-coordinates of many points with one shared field

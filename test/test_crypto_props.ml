@@ -674,6 +674,128 @@ let test_profile_self_check () =
     "Ecdsa_ref.self_check" true
     (Ecdsa_ref.self_check ())
 
+(* --- the chunked ladder and the multi-comb at their walls ------------------
+
+   [double_scalar_mul_base] runs each GLV half's wNAF string as two
+   streams split at digit 64 (the multiples of P, then those of 2^64·P),
+   and [scalar_mul_base] reads 32 teeth of 8 bits from d = (k + 2^256 −
+   1)/2.  The scalars below sit where those cuts are: 2^64 ± 1, 2^128,
+   λ, and scalars built from chosen GLV halves, negative or with bit 63
+   set, all against the reference double-and-add. *)
+
+let lambda =
+  Uint256.of_hex
+    "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72"
+
+let pow2 k =
+  let b = Bytes.make 32 '\x00' in
+  Bytes.set b (31 - (k / 8)) (Char.chr (1 lsl (k mod 8)));
+  Uint256.of_bytes_be b
+
+let neg_mod_n v = if Uint256.is_zero v then v else fst (Uint256.sub n v)
+let ( +! ) a b = fst (Uint256.add a b)
+let ( -! ) a b = fst (Uint256.sub a b)
+
+(* (±k1) + (±k2)·λ mod n *)
+let of_halves (neg1, k1) (neg2, k2) =
+  let signed neg v = if neg then neg_mod_n v else v in
+  Secp256k1.Scalar.add (signed neg1 k1)
+    (Secp256k1.Scalar.mul (signed neg2 k2) lambda)
+
+let wall_scalars =
+  let one = Uint256.one in
+  let m64 = pow2 64 -! one and b63 = pow2 63 in
+  [
+    Uint256.zero; one; n -! one;
+    m64; pow2 64; pow2 64 +! one; b63; pow2 65 -! one;
+    pow2 128; pow2 128 -! one; pow2 128 +! pow2 64;
+    lambda; neg_mod_n lambda;
+    of_halves (false, m64) (true, b63);
+    of_halves (true, pow2 64 +! b63) (false, m64);
+    of_halves (true, b63 +! one) (true, pow2 127 +! b63);
+    of_halves (false, pow2 127 -! one) (true, pow2 64 -! b63);
+    of_halves (true, Uint256.zero) (false, pow2 64);
+  ]
+
+let test_ladder_comb_walls () =
+  let d =
+    Uint256.of_hex
+      "c0ffee0123456789abcdef0123456789abcdef0123456789abcdef0123456789"
+  in
+  let q = Secp256k1.scalar_mul_base d in
+  let qx, qy = Option.get (Secp256k1.to_affine q) in
+  let q_ref = Secp256k1_ref.of_affine qx qy in
+  let tq = Secp256k1.precompute q in
+  let g_ref = Secp256k1_ref.generator in
+  List.iteri
+    (fun i k ->
+      let name what = Printf.sprintf "%s, k = %s" what (Uint256.to_hex k) in
+      check_same_point (name "comb kG")
+        (Secp256k1.scalar_mul_base k)
+        (Secp256k1_ref.scalar_mul k g_ref);
+      check_same_point (name "ladder kQ") (Secp256k1.scalar_mul k q)
+        (Secp256k1_ref.scalar_mul k q_ref);
+      (* a partner from the other end of the list, and k itself *)
+      let b = List.nth wall_scalars (List.length wall_scalars - 1 - i) in
+      List.iter
+        (fun b ->
+          check_same_point (name "aG+bQ")
+            (Secp256k1.double_scalar_mul_base k b tq)
+            (Secp256k1_ref.double_scalar_mul k g_ref b q_ref))
+        [ b; k ])
+    wall_scalars
+
+(* Degenerate sums inside the verify ladder, with Q = G.  u1 = u2 = 1
+   (r = s = z) makes both streams add G at the top step, so the
+   ladder's second addition is G + G: with z = x(2G) the signature is
+   valid.  u2 = n − u1 (r = n − z) cancels the streams to P + (−P) and
+   the point at infinity, which no signature may verify to. *)
+let test_ladder_degenerate_verify () =
+  let open Secp256k1 in
+  let pub_g = Ecdsa.public_key_of_point generator in
+  let tg = precompute generator in
+  let digest_of v = Hash.of_bytes (Uint256.to_bytes_be v) in
+  let x2g = Scalar.reduce (fst (Option.get (to_affine (double generator)))) in
+  let sg = Ecdsa_ref.signature ~r:x2g ~s:x2g in
+  check Alcotest.bool "G + G inside: fast accepts" true
+    (Ecdsa.verify pub_g (digest_of x2g) sg);
+  check Alcotest.bool "G + G inside: ref accepts" true
+    (Ecdsa_ref.verify pub_g (digest_of x2g) sg);
+  List.iter
+    (fun z ->
+      let name what = Printf.sprintf "%s, u1 = %s" what (Uint256.to_hex z) in
+      check Alcotest.bool (name "P + (-P) is infinity") true
+        (is_infinity (double_scalar_mul_base z (neg_mod_n z) tg));
+      check_same_point (name "P + P")
+        (double_scalar_mul_base z z tg)
+        (Secp256k1_ref.scalar_mul (Scalar.add z z) Secp256k1_ref.generator);
+      let sg = Ecdsa_ref.signature ~r:(neg_mod_n z) ~s:(Uint256_ref.of_int 7) in
+      let verdicts = Ecdsa.verify_many pub_g [| (digest_of z, sg) |] in
+      check Alcotest.bool (name "cancelling signature: fast rejects") false
+        verdicts.(0);
+      check Alcotest.bool (name "cancelling signature: ref rejects") false
+        (Ecdsa_ref.verify pub_g (digest_of z) sg))
+    [ x2g; Uint256.one; pow2 64; pow2 64 -! Uint256.one; lambda; pow2 128 ]
+
+(* Resident words of the crypto tables, exact and repeatable.  Before
+   the multi-comb and the 2^64 split, the 4-bit comb (960 affine pairs)
+   and the width-10 tables of G and λG held 35 459 words and one key
+   335 (its table and the option around it), so the fixed tables plus
+   65 keys (64 members and the LSP) took 57 234.  Now they hold 25 611
+   and 491, 57 526 in all.  The first two bounds are those figures plus
+   about 10 %, and the total stays within 10 % of 57 234. *)
+let test_table_resident_words () =
+  let fixed = Secp256k1.resident_words () in
+  let _, pub = Ecdsa.generate ~seed:"resident-words" in
+  let key = Obj.reachable_words (Obj.repr pub) in
+  let within label words bound =
+    if words > bound then
+      Alcotest.failf "%s: %d words resident, bound %d" label words bound
+  in
+  within "fixed tables" fixed 28_200;
+  within "one key" key 540;
+  within "fixed tables + 65 keys" (fixed + (65 * key)) 62_800
+
 let suite =
   [
     qcheck prop_fe_ops_differential;
@@ -709,4 +831,10 @@ let suite =
     qcheck prop_sha3_differential;
     tc "sha3 = ref at every length around the rate" `Quick
       test_sha3_rate_boundaries;
+    tc "ladder and comb at the 2^64 split and tooth walls = ref" `Quick
+      test_ladder_comb_walls;
+    tc "verify ladder through P + P and P + (-P)" `Quick
+      test_ladder_degenerate_verify;
+    tc "resident words of the crypto tables are bounded" `Quick
+      test_table_resident_words;
   ]

@@ -178,10 +178,10 @@ let test_kg () =
   | None -> ()
   | Some _ -> Alcotest.fail "kG-n: n*G must be the point at infinity"
 
-(* The comb reads k one 4-bit window at a time: every window wall
-   (16^i ± 1), a full window (15), the first carry (16), n − 1 and
-   scalars at or above n (reduced first) must match the reference
-   double-and-add. *)
+(* Nibble walls (16^i ± 1), a full nibble (15), the first carry (16),
+   n − 1 and scalars at or above n (reduced first) must match the
+   reference double-and-add; for the signed-digit comb, whose teeth sit
+   8 bits apart, they are runs of equal digits and flips between them. *)
 let test_kg_comb_walls () =
   let u = Uint256.of_hex in
   let pow16 i =

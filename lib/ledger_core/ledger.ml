@@ -528,16 +528,26 @@ let sign_request t ~(member : Roles.member) ~priv ?(cosigners = []) payload
   let cosigners = List.map (fun (m, p) -> (m.Roles.id, sign m p)) cosigners in
   { payload; clues; client_ts; nonce; signature; cosigners }
 
-(* Admission's first rule, checked by every entry point before it
-   charges the clock, signs or mutates anything: an entry names each
-   clue at most once.  A repeat would index one journal twice under one
+(* Admission's first rules, checked by every entry point before it
+   charges the clock, signs or mutates anything.  An entry names each
+   clue at most once: a repeat would index one journal twice under one
    clue, after the journal was already stored and accumulated, and
-   leave the clue's CM-Tree entries and cSL disagreeing for good.
-   [Some i] is the first entry of [clue_lists] that repeats a clue. *)
-let first_repeated_clue clue_lists =
-  List.find_index
-    (fun clues ->
-      List.length (List.sort_uniq String.compare clues) <> List.length clues)
+   leave the clue's CM-Tree entries and cSL disagreeing for good.  And
+   no clue is longer than [max_clue_bytes]: the query index keys a clue
+   as two nibbles a byte, and a trie path past [Nibble.max_length]
+   nibbles makes every query page that carries it undecodable.
+   [Some (i, why)] is the first entry of [clue_lists] that breaks a
+   rule. *)
+let max_clue_bytes = Ledger_mpt.Nibble.max_length / 2
+
+let first_bad_clues clue_lists =
+  List.find_mapi
+    (fun i clues ->
+      if List.exists (fun c -> String.length c > max_clue_bytes) clues then
+        Some (i, Printf.sprintf "clue longer than %d bytes" max_clue_bytes)
+      else if List.length (List.sort_uniq String.compare clues) <> List.length clues
+      then Some (i, "duplicate clue")
+      else None)
     clue_lists
 
 (* Admission, the one place π_c is decided.  Every request digest is
@@ -620,8 +630,9 @@ let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
   if not (known member) then invalid_arg "Ledger.append: unknown member";
   if not (List.for_all (fun (m, _) -> known m) cosigners) then
     invalid_arg "Ledger.append: unknown cosigner";
-  if first_repeated_clue [ clues ] <> None then
-    invalid_arg "Ledger.append: duplicate clue";
+  Option.iter
+    (fun (_, why) -> invalid_arg ("Ledger.append: " ^ why))
+    (first_bad_clues [ clues ]);
   let sp = Trace.enter "ledger.append" in
   Trace.attr_int sp "jsn" t.count;
   (* phase 1: client signs the request (π_c) *)
@@ -647,11 +658,10 @@ let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
 (* Fig. 1's actual service path: the client signed the request remotely
    and ships (payload, metadata, π_c). *)
 let append_signed t ~member_id ~payload ~clues ~client_ts ~nonce ~signature =
-  match Roles.find t.registry member_id with
-  | None -> Error "append: unknown member"
-  | Some _ when first_repeated_clue [ clues ] <> None ->
-      Error "append: duplicate clue"
-  | Some member -> (
+  match (Roles.find t.registry member_id, first_bad_clues [ clues ]) with
+  | None, _ -> Error "append: unknown member"
+  | Some _, Some (_, why) -> Error ("append: " ^ why)
+  | Some member, None -> (
       Latency_model.charge_net t.cfg.latency t.clock;
       let r = { payload; clues; client_ts; nonce; signature; cosigners = [] } in
       match admit t ~member [ r ] with
@@ -671,10 +681,9 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
   | Some _ -> ()
   | None -> invalid_arg "Ledger.append_batch: unknown member");
   Option.iter
-    (fun i ->
-      invalid_arg
-        (Printf.sprintf "Ledger.append_batch: duplicate clue (entry %d)" i))
-    (first_repeated_clue (List.map snd entries));
+    (fun (i, why) ->
+      invalid_arg (Printf.sprintf "Ledger.append_batch: %s (entry %d)" why i))
+    (first_bad_clues (List.map snd entries));
   Latency_model.charge_net t.cfg.latency t.clock;
   let signed =
     List.map
@@ -694,10 +703,10 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
    commits, so a bad signature rejects the batch atomically. *)
 let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
   let clue_lists = List.map (fun (_, clues, _, _, _) -> clues) entries in
-  match (Roles.find t.registry member_id, first_repeated_clue clue_lists) with
+  match (Roles.find t.registry member_id, first_bad_clues clue_lists) with
   | None, _ -> Error "append_batch: unknown member"
-  | Some _, Some i ->
-      Error (Printf.sprintf "append_batch: duplicate clue (entry %d)" i)
+  | Some _, Some (i, why) ->
+      Error (Printf.sprintf "append_batch: %s (entry %d)" why i)
   | Some member, None -> (
       Latency_model.charge_net t.cfg.latency t.clock;
       let requests =

@@ -156,9 +156,9 @@ val append :
     LSP-signed receipt (π_s): the one-entry, in-process case of the
     append pipeline.  [cosigners] produce a multi-signed journal (the
     Fig. 7 {e who} sweep).
-    @raise Invalid_argument if the member or a cosigner is unknown or
-    a clue repeats (refused before any clock charge or state change),
-    or on a bad client signature. *)
+    @raise Invalid_argument if the member or a cosigner is unknown, a
+    clue repeats or a clue is longer than 2048 bytes (refused before any
+    clock charge or state change), or on a bad client signature. *)
 
 val size : t -> int
 
@@ -238,7 +238,8 @@ val append_signed :
     the server re-derives the request hash and validates π_c before
     committing — the one-entry case of {!append_signed_batch} without
     the trailing seal.  [Error] on an unknown member, a repeated clue
-    (["append: duplicate clue"]) or a bad signature. *)
+    (["append: duplicate clue"]), a clue longer than 2048 bytes
+    (["append: clue longer than 2048 bytes"]) or a bad signature. *)
 
 val append_signed_batch :
   ?pool:Ledger_par.Domain_pool.t ->
@@ -254,8 +255,10 @@ val append_signed_batch :
     sequential path.  The remote batch case of the append pipeline: it
     seals the trailing block, so all receipts are final; their π_s are
     signed across [pool] as in {!append_batch}.  An entry that repeats a
-    clue rejects the batch with ["append_batch: duplicate clue (entry i)"]
-    before anything is charged. *)
+    clue rejects the batch with ["append_batch: duplicate clue (entry i)"],
+    and one with a clue longer than 2048 bytes with
+    ["append_batch: clue longer than 2048 bytes (entry i)"], before
+    anything is charged. *)
 
 val get_receipt : t -> int -> Receipt.t
 (** Final receipt for a jsn (re-signed with the block hash once the block

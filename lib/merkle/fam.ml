@@ -133,7 +133,6 @@ let sealed_path t e pos =
   let shrubs = nth_epoch t e in
   let path, peak_index = Forest.prove_to_peak (Shrubs.forest shrubs) pos in
   assert (peak_index = 0);
-  ignore t;
   path
 
 let prove t jsn =
@@ -206,7 +205,7 @@ let purge_epochs_before t e =
   let upto = min e sealed in
   for k = 0 to upto - 1 do
     let shrubs = nth_epoch t k in
-    Forest.forget_subtree (Shrubs.forest shrubs) ~level:t.delta ~index:0
+    Forest.forget_first_subtree (Shrubs.forest shrubs) ~level:t.delta
   done
 
 let stored_digests t =

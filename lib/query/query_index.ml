@@ -29,17 +29,12 @@ let entries t = t.entries
 let key_of_clue clue = Nibble.of_string clue
 
 let clue_of_key key =
-  let n = Array.length key in
-  if n mod 2 <> 0 then None
+  let n = String.length key in
+  if n land 1 <> 0 || not (Nibble.is_path key) then None
   else
-    let ok = ref true in
-    let b = Bytes.create (n / 2) in
-    for i = 0 to (n / 2) - 1 do
-      let hi = key.(2 * i) and lo = key.((2 * i) + 1) in
-      if hi < 0 || hi > 15 || lo < 0 || lo > 15 then ok := false
-      else Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
-    done;
-    if !ok then Some (Bytes.to_string b) else None
+    Some
+      (String.init (n / 2) (fun i ->
+           Char.chr ((Nibble.get key (2 * i) lsl 4) lor Nibble.get key ((2 * i) + 1))))
 
 let chain_seed clue = Hash.scatter clue
 

@@ -57,10 +57,13 @@ val freeze : t -> t
 
 (** {1 Key and commitment formats} *)
 
-val key_of_clue : string -> int array
-val clue_of_key : int array -> string option
-(** Inverse of {!key_of_clue}; [None] for odd-length or out-of-range
-    nibble paths. *)
+val key_of_clue : string -> string
+(** The clue's bytes as a {!Ledger_mpt.Nibble} path, two hex digits a
+    byte, so trie order is the clues' byte order. *)
+
+val clue_of_key : string -> string option
+(** Inverse of {!key_of_clue}; [None] for an odd-length key or one that is
+    not a nibble path. *)
 
 val chain_seed : string -> Hash.t
 val chain_step : Hash.t -> int -> Hash.t -> Hash.t

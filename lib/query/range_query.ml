@@ -18,19 +18,17 @@ type result_row = { r_clue : string; r_total : int; r_entries : (int * Hash.t) l
 (* --- key-space bounds ---------------------------------------------------- *)
 
 (* Smallest nibble key sorting after every key that has prefix [p]:
-   increment the last non-15 nibble and truncate; [None] (unbounded) when
-   p is empty or all-15. *)
+   increment the last non-f nibble and truncate; [None] (unbounded) when
+   p is empty or all f. *)
 let prefix_succ p =
   let rec go i =
     if i < 0 then None
-    else if p.(i) < 15 then begin
-      let q = Array.sub p 0 (i + 1) in
-      q.(i) <- q.(i) + 1;
-      Some q
-    end
-    else go (i - 1)
+    else
+      match Nibble.get p i with
+      | 15 -> go (i - 1)
+      | v -> Some (String.sub p 0 i ^ String.make 1 (Nibble.digit (v + 1)))
   in
-  go (Array.length p - 1)
+  go (String.length p - 1)
 
 let bounds = function
   | Prefix p ->
@@ -40,7 +38,7 @@ let bounds = function
       (Query_index.key_of_clue lo, Option.map Query_index.key_of_clue hi)
 
 (* Smallest key strictly after cursor clue [c] in trie order. *)
-let after_key c = Array.append (Query_index.key_of_clue c) [| 0 |]
+let after_key c = Query_index.key_of_clue c ^ "0"
 
 let spec_matches spec clue =
   let lo, hi = bounds spec in

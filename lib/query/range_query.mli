@@ -45,10 +45,10 @@ type result_row = {
   r_entries : (int * Hash.t) list;  (** window-filtered when a window was given *)
 }
 
-val bounds : spec -> int array * int array option
+val bounds : spec -> string * string option
 (** Nibble-key interval [[lo, hi)] a spec covers. *)
 
-val after_key : string -> int array
+val after_key : string -> string
 (** Smallest trie key strictly after a cursor clue. *)
 
 val spec_matches : spec -> string -> bool

@@ -630,6 +630,106 @@ let duplicate_clue_suite =
 
 
 
+(* --- over-long clues --------------------------------------------------------- *)
+
+(* A clue longer than 2048 bytes is refused like a repeated one, through
+   every entry point, before any clock charge or state change.  Without
+   the refusal it committed, and the query index keyed it as a trie path
+   of more than 4096 nibbles, which the proof decoder refuses: every
+   query page over it (here, prefix "a") stopped decoding. *)
+let long_clue = "a" ^ String.make 2099 'x'
+
+let prefix_page_decodes env =
+  let frame =
+    Service.Client.make_query_page ~spec:(Ledger_query.Range_query.Prefix "a")
+      ~page_size:8 ()
+  in
+  match Service.decode_response (Service.handle env.ledger frame) with
+  | Some (Service.Query_page_r _) -> ()
+  | _ -> Alcotest.fail "prefix page does not decode"
+
+let check_long_clue_refused refuse =
+  check_duplicate_refused (fun env ->
+      refuse env;
+      prefix_page_decodes env)
+
+let test_long_clue_append () =
+  check_long_clue_refused (fun env ->
+      Alcotest.check_raises "append refused"
+        (Invalid_argument "Ledger.append: clue longer than 2048 bytes")
+        (fun () ->
+          ignore
+            (Ledger.append env.ledger ~member:env.alice ~priv:env.alice_key
+               ~clues:[ "y"; long_clue ] (Bytes.of_string "long"))));
+  (* 2048 bytes is admitted, and its page still decodes *)
+  let env = make_env () in
+  ignore
+    (Ledger.append env.ledger ~member:env.alice ~priv:env.alice_key
+       ~clues:[ String.sub long_clue 0 2048 ] (Bytes.of_string "longest"));
+  Alcotest.(check int) "2048-byte clue committed" 1 (Ledger.size env.ledger);
+  prefix_page_decodes env
+
+let test_long_clue_append_batch () =
+  check_long_clue_refused (fun env ->
+      Alcotest.check_raises "append_batch refused"
+        (Invalid_argument
+           "Ledger.append_batch: clue longer than 2048 bytes (entry 1)")
+        (fun () ->
+          ignore
+            (Ledger.append_batch env.ledger ~member:env.alice
+               ~priv:env.alice_key
+               [ (Bytes.of_string "ok", [ "y" ]);
+                 (Bytes.of_string "long", [ long_clue ]) ])))
+
+let test_long_clue_append_signed () =
+  check_long_clue_refused (fun env ->
+      let payload, clues, client_ts, nonce, signature =
+        signed_request env ~clues:[ long_clue ] "long"
+      in
+      Alcotest.(check (result reject string)) "append_signed refused"
+        (Error "append: clue longer than 2048 bytes")
+        (Result.map ignore
+           (Ledger.append_signed env.ledger ~member_id:env.alice.Roles.id
+              ~payload ~clues ~client_ts ~nonce ~signature)))
+
+let test_long_clue_append_signed_batch () =
+  check_long_clue_refused (fun env ->
+      let ok = signed_request env ~clues:[ "y" ] "ok" in
+      let long = signed_request env ~clues:[ "z"; long_clue ] "long" in
+      Alcotest.(check (result reject string)) "append_signed_batch refused"
+        (Error "append_batch: clue longer than 2048 bytes (entry 1)")
+        (Result.map ignore
+           (Ledger.append_signed_batch env.ledger
+              ~member_id:env.alice.Roles.id [ ok; long ])))
+
+let test_long_clue_service () =
+  check_long_clue_refused (fun env ->
+      let client =
+        Service.Client.create ~crypto:Crypto_profile.default_simulated
+          ~ledger_uri:(Ledger.uri env.ledger) ~member:env.alice
+          ~priv:env.alice_key ()
+      in
+      let frame =
+        Service.Client.make_append client ~clues:[ long_clue ]
+          ~client_ts:(Clock.now env.clock) (Bytes.of_string "long")
+      in
+      match Service.Client.parse (Service.handle env.ledger frame) with
+      | Some (Service.Error_r msg) ->
+          Alcotest.(check string) "refusal" "append: clue longer than 2048 bytes"
+            msg
+      | _ -> Alcotest.fail "expected a refusal")
+
+let long_clue_suite =
+  [ tc "long clue: append refused, pages decode" `Quick test_long_clue_append;
+    tc "long clue: append_batch refused, pages decode" `Quick
+      test_long_clue_append_batch;
+    tc "long clue: append_signed refused, pages decode" `Quick
+      test_long_clue_append_signed;
+    tc "long clue: append_signed_batch refused, pages decode" `Quick
+      test_long_clue_append_signed_batch;
+    tc "long clue: Service.handle frame refused, pages decode" `Quick
+      test_long_clue_service ]
+
 let test_list_tx () =
   let env = make_env () in
   ignore (fill env 15);
@@ -741,3 +841,4 @@ let ca_suite = [ tc "member CA certification" `Quick test_member_ca ]
 let suite =
   base_suite @ world_state_suite @ compaction_suite @ multi_clue_suite
   @ list_tx_suite @ batch_suite @ ca_suite @ duplicate_clue_suite
+  @ long_clue_suite

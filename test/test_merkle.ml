@@ -623,6 +623,44 @@ let empty_batch_suite =
 let agreement_suite =
   [ qcheck prop_models_agree_on_membership; qcheck prop_fam_accumulator_same_leaf_order ]
 
+(* A purge shows through a view frozen before it, because purged
+   digests are overwritten in the node arrays the view shares: the view
+   fails to prove a purged jsn exactly as the live fam does, still
+   proves later jsns, and its stored-digest count falls by as much (14
+   digests: epoch 0's 8 leaves and 6 interior nodes below its root). *)
+let test_fam_purge_through_frozen_view () =
+  let f = Fam.create ~delta:3 in
+  for i = 0 to 19 do
+    ignore (Fam.append f (leaf i))
+  done;
+  let view = Fam.freeze f in
+  let live_before = Fam.stored_digests f and view_before = Fam.stored_digests view in
+  Fam.purge_epochs_before f 1;
+  Alcotest.(check int) "live digests reclaimed" 14
+    (live_before - Fam.stored_digests f);
+  Alcotest.(check int) "view digests reclaimed" 14
+    (view_before - Fam.stored_digests view);
+  let outcome fam jsn =
+    match Fam.prove fam jsn with
+    | proof ->
+        if Fam.verify ~commitment:(Fam.commitment fam) ~leaf:(leaf jsn) proof
+        then "verified"
+        else "rejected"
+    | exception e -> Printexc.to_string e
+  in
+  for jsn = 0 to 7 do
+    let live = outcome f jsn in
+    Alcotest.(check bool) "purged jsn unprovable" true (live <> "verified");
+    Alcotest.(check string) "view fails as the live fam does" live (outcome view jsn)
+  done;
+  for jsn = 8 to 19 do
+    Alcotest.(check string) "later jsn, view" "verified" (outcome view jsn);
+    Alcotest.(check string) "later jsn, live" "verified" (outcome f jsn)
+  done
+
+let purge_view_suite =
+  [ tc "purge shows through a frozen view" `Quick test_fam_purge_through_frozen_view ]
+
 let suite =
   base_suite @ bamt_suite @ consistency_suite @ fam_extension_suite
-  @ empty_batch_suite @ agreement_suite
+  @ empty_batch_suite @ agreement_suite @ purge_view_suite

@@ -29,10 +29,10 @@ let qcheck = QCheck_alcotest.to_alcotest
 let arb_nibble_key =
   QCheck.(list_of_size (Gen.int_range 1 8) (int_range 0 15))
 
-let key_of_list = Array.of_list
+let key_of_list l = String.of_seq (Seq.map Nibble.digit (List.to_seq l))
 let value_of_int n = Bytes.of_string ("v" ^ string_of_int n)
 
-(* assoc model keyed by nibble arrays, last write wins *)
+(* assoc model keyed by nibble paths, last write wins *)
 let model_of_bindings bs =
   let tbl = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) bs;
@@ -71,7 +71,7 @@ let ordered_iteration_agrees =
       in
       range_list t ~lo ?hi () = expect
       (* unbounded scan = full model *)
-      && range_list t ~lo:[||] () = model)
+      && range_list t ~lo:"" () = model)
 
 let take_range_agrees =
   QCheck.Test.make ~name:"take_range = first n of fold_range" ~count:120
@@ -80,7 +80,7 @@ let take_range_agrees =
       let bs = to_bindings raw in
       let t = trie_of_bindings bs in
       let model = model_of_bindings bs in
-      let got, more = Mpt.take_range t ~lo:[||] n in
+      let got, more = Mpt.take_range t ~lo:"" n in
       let expect_n = min n (List.length model) in
       got = List.filteri (fun i _ -> i < expect_n) model
       && more = (List.length model > n))
@@ -89,14 +89,14 @@ let take_range_agrees =
 
 (* No key sorts strictly between [k] and [k·0], so the range proof over
    [[k, k·0)] is the point proof: membership, or a miss. *)
-let point_hi k = Some (Array.append k [| 0 |])
+let point_hi k = Some (k ^ "0")
 let prove_point t k = Mpt.prove_range t ~lo:k ~hi:(point_hi k)
 let verify_point ~root k p = Mpt.verify_range ~root ~lo:k ~hi:(point_hi k) p
 
-(* Over the empty interval [[], []) every subtree is out of range, so a
+(* Over the empty interval ["", "") every subtree is out of range, so a
    proof verifies there iff it re-hashes to [root]: a forgery passing this
    is rejected for its range, not for a wrong digest. *)
-let rehashes_to ~root p = Mpt.verify_range ~root ~lo:[||] ~hi:(Some [||]) p = Some []
+let rehashes_to ~root p = Mpt.verify_range ~root ~lo:"" ~hi:(Some "") p = Some []
 
 (* The digest of the node at depth [d] on present key [j]'s inclusion walk,
    read off its parent (the root digest at depth 0). *)
@@ -114,12 +114,12 @@ let rewrite_holder k f proof =
   let rec go q = function
     | Mpt.R_leaf _ as e -> f e
     | Mpt.R_ext { path; child } ->
-        Mpt.R_ext { path; child = go (q + Array.length path) child }
+        Mpt.R_ext { path; child = go (q + String.length path) child }
     | Mpt.R_branch { children; value } as e ->
-        if q = Array.length k then f e
+        if q = String.length k then f e
         else
           let children = Array.copy children in
-          children.(k.(q)) <- go (q + 1) children.(k.(q));
+          children.(Nibble.get k q) <- go (q + 1) children.(Nibble.get k q);
           Mpt.R_branch { children; value }
     | e -> e
   in
@@ -132,18 +132,18 @@ let holder_hash t k =
    an empty slot, a leaf or extension leaving [k]'s path, or the valueless
    branch at [k].  [f] also gets the entry's position and walk depth. *)
 let rewrite_gap k f proof =
-  let n = Array.length k in
+  let n = String.length k in
   let rec go q d = function
     | Mpt.R_ext { path; child } as e ->
-        let m = Array.length path in
-        if q + m <= n && Array.sub k q m = path then
+        let m = String.length path in
+        if q + m <= n && String.sub k q m = path then
           Mpt.R_ext { path; child = go (q + m) (d + 1) child }
-        else f e (Array.sub k 0 q) d
+        else f e (String.sub k 0 q) d
     | Mpt.R_branch { children; value } when q < n ->
         let children = Array.copy children in
-        children.(k.(q)) <- go (q + 1) (d + 1) children.(k.(q));
+        children.(Nibble.get k q) <- go (q + 1) (d + 1) children.(Nibble.get k q);
         Mpt.R_branch { children; value }
-    | e -> f e (Array.sub k 0 q) d
+    | e -> f e (String.sub k 0 q) d
   in
   go 0 0 proof
 
@@ -154,9 +154,8 @@ let probe_key bs probe_l pick ~present =
   | Some i when bs <> [] ->
       let j = fst (List.nth bs (i mod List.length bs)) in
       if present then j
-      else if i land 1 = 0 || Array.length j = 1 then
-        Array.append j (key_of_list probe_l)
-      else Array.sub j 0 (Array.length j - 1)
+      else if i land 1 = 0 || String.length j = 1 then j ^ key_of_list probe_l
+      else String.sub j 0 (String.length j - 1)
   | _ -> key_of_list probe_l
 
 let absence_roundtrip =
@@ -240,7 +239,7 @@ let absence_rejects_present_key =
       (* a point proof built for an absent extension of [k] must not pass
          as [k]'s miss when replayed against [k] *)
       &&
-      let far = Array.append k [| 0; 0; 0; 0; 0; 0; 0; 0; 0 |] in
+      let far = k ^ "000000000" in
       Mpt.find t ~key:far = None
       && verify_point ~root k (prove_point t far) <> Some [])
 
@@ -273,11 +272,11 @@ let range_proof_rejects_wrong_root =
       let bs = to_bindings raw in
       QCheck.assume (bs <> []);
       let t = trie_of_bindings bs in
-      let proof = Mpt.prove_range t ~lo:[||] ~hi:None in
+      let proof = Mpt.prove_range t ~lo:"" ~hi:None in
       (* new insert -> new root: old proof must die *)
-      Mpt.insert t ~key:[| 7; 7; 7; 7; 7; 7; 7; 7; 7 |] (Bytes.of_string "late");
+      Mpt.insert t ~key:"777777777" (Bytes.of_string "late");
       let root' = Mpt.root_hash t in
-      Mpt.verify_range ~root:root' ~lo:[||] ~hi:None proof = None)
+      Mpt.verify_range ~root:root' ~lo:"" ~hi:None proof = None)
 
 let range_proof_bitflip =
   QCheck.Test.make ~name:"range proof bit-flips never alter the result" ~count:150
@@ -287,8 +286,8 @@ let range_proof_bitflip =
       QCheck.assume (bs <> []);
       let t = trie_of_bindings bs in
       let root = Mpt.root_hash t in
-      let proof = Mpt.prove_range t ~lo:[||] ~hi:None in
-      let honest = Mpt.verify_range ~root ~lo:[||] ~hi:None proof in
+      let proof = Mpt.prove_range t ~lo:"" ~hi:None in
+      let honest = Mpt.verify_range ~root ~lo:"" ~hi:None proof in
       let enc =
         let w = Wire.writer () in
         Mpt.w_range_proof w proof;
@@ -301,7 +300,7 @@ let range_proof_bitflip =
       match Wire.decode enc Mpt.r_range_proof with
       | None -> true
       | Some p' -> (
-          match Mpt.verify_range ~root ~lo:[||] ~hi:None p' with
+          match Mpt.verify_range ~root ~lo:"" ~hi:None p' with
           | None -> true
           | Some got -> Some got = honest))
 

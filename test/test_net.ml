@@ -135,6 +135,145 @@ let test_framing_garbage () =
   | _ -> Alcotest.fail "garbage not rejected as Bad_magic"
 
 (* ------------------------------------------------------------------ *)
+(* Frame damage classification, pinned                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [frame_damage.golden] records, for a three-record framed file and
+   every truncation length and every single-bit flip of it, how
+   [Framing.fold] ends its walk (stop, offset, dropped bytes, records
+   accepted) and which steps [Net_framing] yields on the same records
+   framed for the socket — the same bytes under the "LDBW" magic —
+   fed whole and fed one byte at a time.  The byte-at-a-time column
+   spells out its frames and last step and digests the whole step
+   sequence, [Awaiting] counts included.  The first two lines hold both
+   streams in hex, so the frame bytes themselves are pinned too.  The lines are today's answers,
+   not what the answers should be: a flipped length bit that reads as
+   [Torn] is recorded as [Torn].  On a mismatch the computed lines are
+   written to [frame_damage.golden.actual] beside the test binary. *)
+let damage_golden_file = "frame_damage.golden"
+let damage_payloads = [ "alpha"; ""; "0123456789abc" ]
+
+let stop_name = function
+  | Framing.End -> "End"
+  | Framing.Torn -> "Torn"
+  | Framing.Corrupt -> "Corrupt"
+  | Framing.Rejected -> "Rejected"
+
+let step_name = function
+  | Net_framing.Frame p -> "F:" ^ Bytes.to_string p
+  | Net_framing.Awaiting n -> "A" ^ string_of_int n
+  | Net_framing.Fail Net_framing.Bad_magic -> "X:magic"
+  | Net_framing.Fail (Net_framing.Oversized { claimed; _ }) ->
+      "X:oversized:" ^ string_of_int claimed
+  | Net_framing.Fail Net_framing.Bad_crc -> "X:crc"
+
+(* Steps up to and including the first non-frame. *)
+let rec drain_steps dec acc =
+  match Net_framing.next dec with
+  | Net_framing.Frame _ as s -> drain_steps dec (s :: acc)
+  | s -> s :: acc
+
+let fold_line path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data);
+  let n, e = Framing.fold path ~init:0 (fun n ~offset:_ _ -> Some (n + 1)) in
+  Printf.sprintf "fold %s %d %d n%d" (stop_name e.Framing.stop)
+    e.Framing.offset e.Framing.dropped_bytes n
+
+let net_line wire =
+  let whole =
+    let dec = Net_framing.create_decoder () in
+    feed_all dec wire;
+    List.rev (drain_steps dec [])
+  in
+  let bytewise =
+    let dec = Net_framing.create_decoder () in
+    let acc = ref [] in
+    Bytes.iteri
+      (fun i _ ->
+        Net_framing.feed dec wire ~pos:i ~len:1;
+        acc := drain_steps dec !acc)
+      wire;
+    List.rev !acc
+  in
+  let names steps = String.concat " " (List.map step_name steps) in
+  let spelled =
+    List.filter (function Net_framing.Frame _ -> true | _ -> false) bytewise
+    @ (match List.rev bytewise with last :: _ -> [ last ] | [] -> [])
+  in
+  Printf.sprintf "whole %s | bytes %s #%s" (names whole) (names spelled)
+    (String.sub (Digest.to_hex (Digest.string (names bytewise))) 0 12)
+
+let frame_damage_lines () =
+  let path = Filename.temp_file "frames" ".ldb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let payloads = List.map Bytes.of_string damage_payloads in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (Framing.write oc) payloads);
+      let file =
+        Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+      in
+      let wire = Bytes.concat Bytes.empty (List.map Net_framing.encode payloads) in
+      (* the socket stream is the file with each record's magic relabelled *)
+      let relabelled = Bytes.copy wire in
+      ignore
+        (List.fold_left
+           (fun off p ->
+             if Bytes.sub_string wire off 4 <> "LDBW" then
+               Alcotest.failf "no socket magic at %d" off;
+             Bytes.blit_string "LDBR" 0 relabelled off 4;
+             off + 12 + Bytes.length p)
+           0 payloads);
+      if not (Bytes.equal relabelled file) then
+        Alcotest.fail "disk and socket layouts differ beyond the magic";
+      let hex b =
+        String.concat ""
+          (List.init (Bytes.length b) (fun i ->
+               Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+      in
+      let line label damage =
+        Printf.sprintf "%s | %s | %s" label
+          (fold_line path (damage file))
+          (net_line (damage wire))
+      in
+      let len = Bytes.length file in
+      let cuts =
+        List.init (len + 1) (fun k ->
+            line (Printf.sprintf "cut %d" k) (fun b -> Bytes.sub b 0 k))
+      in
+      let flips =
+        List.concat
+          (List.init len (fun i ->
+               List.init 8 (fun bit ->
+                   line (Printf.sprintf "flip %d.%d" i bit) (fun b ->
+                       let b = Bytes.copy b in
+                       Bytes.set b i
+                         (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+                       b))))
+      in
+      ("file " ^ hex file) :: ("wire " ^ hex wire) :: (cuts @ flips))
+
+let test_frame_damage_golden () =
+  let lines = frame_damage_lines () in
+  let text = String.concat "\n" lines ^ "\n" in
+  let recorded =
+    In_channel.with_open_text damage_golden_file In_channel.input_all
+  in
+  if text <> recorded then begin
+    Out_channel.with_open_text (damage_golden_file ^ ".actual") (fun oc ->
+        output_string oc text);
+    let recorded_lines = String.split_on_char '\n' recorded in
+    let first =
+      List.find_opt (fun l -> not (List.mem l recorded_lines)) lines
+      |> Option.value ~default:"(line count)"
+    in
+    Alcotest.failf "%d lines computed, %d recorded in %s; first differing: %s"
+      (List.length lines) (List.length recorded_lines - 1) damage_golden_file
+      first
+  end
+
+(* ------------------------------------------------------------------ *)
 (* server fixtures                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -846,6 +985,8 @@ let suite =
     tc "framing: oversized prefix refused unallocated" `Quick
       test_framing_oversized;
     tc "framing: garbage is Bad_magic" `Quick test_framing_garbage;
+    tc "framing: damage classification pinned on disk and socket" `Quick
+      test_frame_damage_golden;
     tc "server: TCP ≡ in-process (differential)" `Quick test_differential;
     tc "server: concurrent verifying clients" `Quick test_concurrent_clients;
     tc "server: graceful drain, refusal, same-port restart" `Quick

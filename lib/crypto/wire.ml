@@ -1,19 +1,9 @@
 type writer = Buffer.t
 
 let writer ?(initial = 256) () = Buffer.create initial
-let w_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let w_int buf v =
-  for i = 7 downto 0 do
-    Buffer.add_char buf (Char.chr ((v asr (i * 8)) land 0xFF))
-  done
-
-let w_int64 buf v =
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (i * 8)) land 0xFF))
-  done
-
+let w_u8 buf v = Buffer.add_uint8 buf (v land 0xFF)
+let w_int64 = Buffer.add_int64_be
+let w_int buf v = w_int64 buf (Int64.of_int v)
 let w_raw buf b = Buffer.add_bytes buf b
 
 let w_bytes buf b =
@@ -22,6 +12,7 @@ let w_bytes buf b =
 
 let w_string buf s = w_bytes buf (Bytes.unsafe_of_string s)
 let w_hash buf h = Buffer.add_bytes buf (Hash.to_bytes h)
+let w_sig buf s = Buffer.add_bytes buf (Ecdsa.signature_to_bytes s)
 
 let w_list buf f l =
   w_int buf (List.length l);
@@ -34,6 +25,8 @@ let w_option buf f = function
   | None -> w_u8 buf 0
 
 let contents = Buffer.to_bytes
+let set_u32 b pos v = Bytes.set_int32_be b pos (Int32.of_int v)
+let get_u32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFF_FFFF
 
 type reader = { data : bytes; mutable pos : int }
 
@@ -44,29 +37,21 @@ let need r n = if n < 0 || r.pos + n > Bytes.length r.data then raise Corrupt
 
 let r_u8 r =
   need r 1;
-  let v = Char.code (Bytes.get r.data r.pos) in
+  let v = Bytes.get_uint8 r.data r.pos in
   r.pos <- r.pos + 1;
+  v
+
+let r_int64 r =
+  need r 8;
+  let v = Bytes.get_int64_be r.data r.pos in
+  r.pos <- r.pos + 8;
   v
 
 let r_int r =
   need r 8;
-  let v = ref 0 in
-  for _ = 1 to 8 do
-    v := (!v lsl 8) lor Char.code (Bytes.get r.data r.pos);
-    r.pos <- r.pos + 1
-  done;
-  !v
-
-let r_int64 r =
-  need r 8;
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v :=
-      Int64.logor (Int64.shift_left !v 8)
-        (Int64.of_int (Char.code (Bytes.get r.data r.pos)));
-    r.pos <- r.pos + 1
-  done;
-  !v
+  let v = Int64.to_int (Bytes.get_int64_be r.data r.pos) in
+  r.pos <- r.pos + 8;
+  v
 
 let r_raw r n =
   need r n;
@@ -81,6 +66,11 @@ let r_bytes r =
 
 let r_string r = Bytes.to_string (r_bytes r)
 let r_hash r = Hash.of_bytes (r_raw r 32)
+
+let r_sig r =
+  match Ecdsa.signature_of_bytes (r_raw r 64) with
+  | Some s -> s
+  | None -> raise Corrupt
 
 let r_list ?(max = 1 lsl 24) r f =
   let n = r_int r in

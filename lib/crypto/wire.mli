@@ -1,9 +1,14 @@
-(** Shared binary encoding primitives for wire and storage formats.
+(** The one owner of field encodings for wire and storage formats.
 
-    Fixed-width big-endian framing with total (exception-free at the API
-    boundary) decoding: readers raise the private {!Corrupt} exception
-    internally and {!decode} converts it to [None].  Used by the journal
-    codec, the proof codecs, and the client/proxy protocol. *)
+    Every format in the system — journals, proofs, service envelopes,
+    gossip announcements, the frame headers of {!Ledger_storage.Framing}
+    and stream-store records — encodes its fields through these
+    functions and keeps only its own layout: tags, field order and list
+    caps.  Fixed-width fields are big-endian and go through the
+    stdlib's [Buffer.add_int64_be] and [Bytes.{get,set}_int{32,64}_be].
+    Decoding is total at the API boundary: readers raise the private
+    {!Corrupt} exception internally and {!decode} converts it to
+    [None]. *)
 
 type writer
 (** An append-only encoder. *)
@@ -22,11 +27,21 @@ val w_raw : writer -> bytes -> unit
 (** No length prefix (fixed-size fields). *)
 
 val w_hash : writer -> Hash.t -> unit
+val w_sig : writer -> Ecdsa.signature -> unit
+(** The 64-byte r ∥ s encoding, no length prefix. *)
+
 val w_list : writer -> ('a -> unit) -> 'a list -> unit
 (** Count-prefixed. *)
 
 val w_option : writer -> ('a -> unit) -> 'a option -> unit
 val contents : writer -> bytes
+
+val set_u32 : bytes -> int -> int -> unit
+(** [set_u32 b pos v] writes the low 32 bits of [v] big-endian at [pos]
+    (frame and record headers). *)
+
+val get_u32 : bytes -> int -> int
+(** [get_u32 b pos] reads an unsigned big-endian 32-bit value at [pos]. *)
 
 type reader
 
@@ -40,6 +55,10 @@ val r_bytes : reader -> bytes
 val r_string : reader -> string
 val r_raw : reader -> int -> bytes
 val r_hash : reader -> Hash.t
+val r_sig : reader -> Ecdsa.signature
+(** Inverse of {!w_sig}: any 64 bytes decode, as in
+    {!Ecdsa.signature_of_bytes}. *)
+
 val r_list : ?max:int -> reader -> (unit -> 'a) -> 'a list
 val r_option : reader -> (unit -> 'a) -> 'a option
 val at_end : reader -> bool

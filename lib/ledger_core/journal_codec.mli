@@ -3,8 +3,12 @@
     A length-prefixed, tagged encoding covering every journal kind
     (normal, time, purge, occult, pseudo-genesis) with signatures and
     cosigner sets — what the ledger proxy ships to shared storage and
-    what an external auditor downloads.  Decoding is total: corrupt input
-    yields [None], never an exception. *)
+    what an external auditor downloads.  Every field goes through
+    {!Ledger_crypto.Wire}; this module owns only the layout: the
+    ["LDBJ1"] magic, the kind tags [N T L P O G], the field order and
+    the list caps (10{^6} clues and survivors, 10{^4} cosigners).
+    Decoding is total: corrupt input yields [None], never an
+    exception. *)
 
 open Ledger_crypto
 

@@ -535,20 +535,23 @@ let sign_request t ~(member : Roles.member) ~priv ?(cosigners = []) payload
    leave the clue's CM-Tree entries and cSL disagreeing for good.  And
    no clue is longer than [max_clue_bytes]: the query index keys a clue
    as two nibbles a byte, and a trie path past [Nibble.max_length]
-   nibbles makes every query page that carries it undecodable.
-   [Some (i, why)] is the first entry of [clue_lists] that breaks a
-   rule. *)
+   nibbles makes every query page that carries it undecodable.  A
+   client-chosen nonce is non-negative, so every int a journal holds
+   is.  [Some (i, why)] is the first entry of [entries], (nonce, clues)
+   pairs, that breaks a rule; the local entry points assign their own
+   nonces and pass 0. *)
 let max_clue_bytes = Ledger_mpt.Nibble.max_length / 2
 
-let first_bad_clues clue_lists =
+let first_bad_entry entries =
   List.find_mapi
-    (fun i clues ->
-      if List.exists (fun c -> String.length c > max_clue_bytes) clues then
+    (fun i (nonce, clues) ->
+      if nonce < 0 then Some (i, "negative nonce")
+      else if List.exists (fun c -> String.length c > max_clue_bytes) clues then
         Some (i, Printf.sprintf "clue longer than %d bytes" max_clue_bytes)
       else if List.length (List.sort_uniq String.compare clues) <> List.length clues
       then Some (i, "duplicate clue")
       else None)
-    clue_lists
+    entries
 
 (* Admission, the one place π_c is decided.  Every request digest is
    re-derived and every π_c decided purely across [pool] — one
@@ -632,7 +635,7 @@ let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
     invalid_arg "Ledger.append: unknown cosigner";
   Option.iter
     (fun (_, why) -> invalid_arg ("Ledger.append: " ^ why))
-    (first_bad_clues [ clues ]);
+    (first_bad_entry [ (0, clues) ]);
   let sp = Trace.enter "ledger.append" in
   Trace.attr_int sp "jsn" t.count;
   (* phase 1: client signs the request (π_c) *)
@@ -658,7 +661,7 @@ let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
 (* Fig. 1's actual service path: the client signed the request remotely
    and ships (payload, metadata, π_c). *)
 let append_signed t ~member_id ~payload ~clues ~client_ts ~nonce ~signature =
-  match (Roles.find t.registry member_id, first_bad_clues [ clues ]) with
+  match (Roles.find t.registry member_id, first_bad_entry [ (nonce, clues) ]) with
   | None, _ -> Error "append: unknown member"
   | Some _, Some (_, why) -> Error ("append: " ^ why)
   | Some member, None -> (
@@ -683,7 +686,7 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
   Option.iter
     (fun (i, why) ->
       invalid_arg (Printf.sprintf "Ledger.append_batch: %s (entry %d)" why i))
-    (first_bad_clues (List.map snd entries));
+    (first_bad_entry (List.map (fun (_, clues) -> (0, clues)) entries));
   Latency_model.charge_net t.cfg.latency t.clock;
   let signed =
     List.map
@@ -702,8 +705,8 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
    was signed client-side; the whole batch is admitted before anything
    commits, so a bad signature rejects the batch atomically. *)
 let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
-  let clue_lists = List.map (fun (_, clues, _, _, _) -> clues) entries in
-  match (Roles.find t.registry member_id, first_bad_clues clue_lists) with
+  let checked = List.map (fun (_, clues, _, nonce, _) -> (nonce, clues)) entries in
+  match (Roles.find t.registry member_id, first_bad_entry checked) with
   | None, _ -> Error "append_batch: unknown member"
   | Some _, Some (i, why) ->
       Error (Printf.sprintf "append_batch: %s (entry %d)" why i)

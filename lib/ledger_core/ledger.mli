@@ -237,7 +237,8 @@ val append_signed :
 (** Remote append (Fig. 1): the request was signed on the client side;
     the server re-derives the request hash and validates π_c before
     committing — the one-entry case of {!append_signed_batch} without
-    the trailing seal.  [Error] on an unknown member, a repeated clue
+    the trailing seal.  [Error] on an unknown member, a negative nonce
+    (["append: negative nonce"]), a repeated clue
     (["append: duplicate clue"]), a clue longer than 2048 bytes
     (["append: clue longer than 2048 bytes"]) or a bad signature. *)
 
@@ -254,9 +255,11 @@ val append_signed_batch :
     atomically, with the same error and simulated-clock position as the
     sequential path.  The remote batch case of the append pipeline: it
     seals the trailing block, so all receipts are final; their π_s are
-    signed across [pool] as in {!append_batch}.  An entry that repeats a
-    clue rejects the batch with ["append_batch: duplicate clue (entry i)"],
-    and one with a clue longer than 2048 bytes with
+    signed across [pool] as in {!append_batch}.  An entry with a
+    negative nonce rejects the batch with
+    ["append_batch: negative nonce (entry i)"], one that repeats a clue
+    with ["append_batch: duplicate clue (entry i)"], and one with a clue
+    longer than 2048 bytes with
     ["append_batch: clue longer than 2048 bytes (entry i)"], before
     anything is charged. *)
 

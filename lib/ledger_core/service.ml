@@ -77,13 +77,6 @@ type response =
 
 (* --- codecs ------------------------------------------------------------- *)
 
-let w_sig w s = Wire.w_raw w (Ecdsa.signature_to_bytes s)
-
-let r_sig r =
-  match Ecdsa.signature_of_bytes (Wire.r_raw r 64) with
-  | Some s -> s
-  | None -> raise Wire.Corrupt
-
 let encode_request req =
   let w = Wire.writer () in
   (match req with
@@ -94,7 +87,7 @@ let encode_request req =
       Wire.w_list w (Wire.w_string w) clues;
       Wire.w_int64 w client_ts;
       Wire.w_int w nonce;
-      w_sig w signature
+      Wire.w_sig w signature
   | Get_payload { jsn } ->
       Wire.w_u8 w 1;
       Wire.w_int w jsn
@@ -145,7 +138,7 @@ let encode_request req =
           Wire.w_list w (Wire.w_string w) clues;
           Wire.w_int64 w client_ts;
           Wire.w_int w nonce;
-          w_sig w signature)
+          Wire.w_sig w signature)
         entries);
   Wire.contents w
 
@@ -158,7 +151,7 @@ let decode_request data =
           let clues = Wire.r_list ~max:64 r (fun () -> Wire.r_string r) in
           let client_ts = Wire.r_int64 r in
           let nonce = Wire.r_int r in
-          let signature = r_sig r in
+          let signature = Wire.r_sig r in
           Append { member_id; payload; clues; client_ts; nonce; signature }
       | 1 -> Get_payload { jsn = Wire.r_int r }
       | 2 -> Get_proof { jsn = Wire.r_int r }
@@ -195,7 +188,7 @@ let decode_request data =
                 let clues = Wire.r_list ~max:64 r (fun () -> Wire.r_string r) in
                 let client_ts = Wire.r_int64 r in
                 let nonce = Wire.r_int r in
-                let signature = r_sig r in
+                let signature = Wire.r_sig r in
                 (payload, clues, client_ts, nonce, signature))
           in
           Append_batch { member_id; entries }
@@ -207,7 +200,7 @@ let w_receipt w (r : Receipt.t) =
   Wire.w_hash w r.Receipt.tx_hash;
   Wire.w_hash w r.Receipt.block_hash;
   Wire.w_int64 w r.Receipt.timestamp;
-  w_sig w r.Receipt.lsp_sig
+  Wire.w_sig w r.Receipt.lsp_sig
 
 let r_receipt r =
   let jsn = Wire.r_int r in
@@ -215,7 +208,7 @@ let r_receipt r =
   let tx_hash = Wire.r_hash r in
   let block_hash = Wire.r_hash r in
   let timestamp = Wire.r_int64 r in
-  let lsp_sig = r_sig r in
+  let lsp_sig = Wire.r_sig r in
   { Receipt.jsn; request_hash; tx_hash; block_hash; timestamp; lsp_sig }
 
 let encode_response resp =

@@ -1,8 +1,6 @@
-(* Incremental frame codec over a TCP byte stream.
-
-   Wire layout:   "LDBW"  len:u32be  payload  crc:u32be
-   crc = CRC-32 over (len:u32be ++ payload), matching the on-disk
-   Framing discipline with a distinct magic.
+(* Incremental frame codec over a TCP byte stream.  The frame layout
+   and its checks belong to Framing; this module adds the "LDBW" magic,
+   the [max_frame] bound, typed errors and the buffering.
 
    The decoder holds one flat buffer with a consumed-prefix offset;
    feeds compact the prefix away before growing, so steady-state
@@ -11,8 +9,7 @@
 open Ledger_storage
 
 let magic = "LDBW"
-let header_len = 8
-let overhead = 12
+let header_len = Framing.header_len
 let default_max_frame = 8 * 1024 * 1024
 
 type error =
@@ -27,34 +24,7 @@ let error_to_string = function
         limit
   | Bad_crc -> "frame checksum mismatch"
 
-let u32_to_be v =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((v lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (v land 0xFF));
-  b
-
-let be_to_u32 b pos =
-  (Char.code (Bytes.get b pos) lsl 24)
-  lor (Char.code (Bytes.get b (pos + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (pos + 2)) lsl 8)
-  lor Char.code (Bytes.get b (pos + 3))
-
-let crc_of ~len_be payload ~pos ~len =
-  Int32.to_int (Crc32.update (Crc32.bytes len_be) payload ~pos ~len)
-  land 0xFFFFFFFF
-
-let encode payload =
-  let len = Bytes.length payload in
-  let len_be = u32_to_be len in
-  let out = Bytes.create (overhead + len) in
-  Bytes.blit_string magic 0 out 0 4;
-  Bytes.blit len_be 0 out 4 4;
-  Bytes.blit payload 0 out header_len len;
-  Bytes.blit (u32_to_be (crc_of ~len_be payload ~pos:0 ~len)) 0 out
-    (header_len + len) 4;
-  out
+let encode payload = Framing.frame ~magic payload
 
 type decoder = {
   max_frame : int;
@@ -104,35 +74,17 @@ let fail d e =
 let next d =
   match d.failed with
   | Some e -> Fail e
-  | None ->
-      (* Check however much of the magic has arrived: a wrong byte is
-         detectable before the header completes. *)
-      let magic_ok = ref true in
-      for i = 0 to min d.len 4 - 1 do
-        if Bytes.get d.buf (d.off + i) <> magic.[i] then magic_ok := false
-      done;
-      if not !magic_ok then fail d Bad_magic
-      else if d.len < header_len then Awaiting (header_len - d.len)
-      else begin
-        let claimed = be_to_u32 d.buf (d.off + 4) in
-        if claimed > d.max_frame then
+  | None -> (
+      match
+        Framing.scan ~magic ~limit:d.max_frame d.buf ~pos:d.off ~avail:d.len
+      with
+      | Framing.Need n -> Awaiting n
+      | Framing.Bad_magic -> fail d Bad_magic
+      | Framing.Too_long claimed ->
           fail d (Oversized { claimed; limit = d.max_frame })
-        else begin
-          let total = overhead + claimed in
-          if d.len < total then Awaiting (total - d.len)
-          else begin
-            let len_be = Bytes.sub d.buf (d.off + 4) 4 in
-            let got = be_to_u32 d.buf (d.off + header_len + claimed) in
-            let want =
-              crc_of ~len_be d.buf ~pos:(d.off + header_len) ~len:claimed
-            in
-            if got <> want then fail d Bad_crc
-            else begin
-              let payload = Bytes.sub d.buf (d.off + header_len) claimed in
-              d.off <- d.off + total;
-              d.len <- d.len - total;
-              Frame payload
-            end
-          end
-        end
-      end
+      | Framing.Bad_crc -> fail d Bad_crc
+      | Framing.Record len ->
+          let payload = Bytes.sub d.buf (d.off + header_len) len in
+          d.off <- d.off + Framing.overhead + len;
+          d.len <- d.len - Framing.overhead - len;
+          Frame payload)

@@ -2,14 +2,15 @@
     envelopes.
 
     TCP delivers a byte stream, not messages, so every request and
-    response crosses the wire as one frame:
+    response crosses the wire as one {!Ledger_storage.Framing} frame:
 
     {v "LDBW"  len:u32be  payload  crc:u32be v}
 
-    where [crc] is CRC-32 over ([len:u32be] ++ [payload]) — the same
-    discipline as the on-disk {!Ledger_storage.Framing} records, with a
-    distinct magic so a journal file accidentally piped at a socket is
-    rejected on the first four bytes.
+    where [crc] is CRC-32 over ([len:u32be] ++ [payload]).  [Framing]
+    owns that layout and its checks for disk and socket alike; this
+    module adds the distinct magic — so a journal file accidentally
+    piped at a socket is rejected on the first four bytes — the
+    [max_frame] bound and the incremental buffering.
 
     The decoder is {e incremental}: feed it whatever [read] returned and
     pull complete frames out.  It never raises on wire input — a peer
@@ -24,9 +25,6 @@ val magic : string
 
 val header_len : int
 (** Bytes before the payload: magic + length prefix (8). *)
-
-val overhead : int
-(** Total non-payload bytes per frame: header + trailing CRC (12). *)
 
 val default_max_frame : int
 (** 8 MiB — comfortably above the largest proof bundle, far below a

@@ -1,4 +1,5 @@
-(** Shared observability state (internal to [ledger_obs]).
+(** Shared observability state (internal to [ledger_obs], except that
+    [Json_out] shares {!escape}).
 
     Instrumented code must only ever read {!enabled}; everything else is
     plumbing for {!Obs}, {!Metrics}, {!Trace} and {!Audit_log}. *)
@@ -30,4 +31,5 @@ val on_main_domain : unit -> bool
     construction. *)
 
 val escape : string -> string
-(** JSON string-body escaping for the line exporters. *)
+(** JSON string-body escaping for the line exporters and
+    [Ledger_bench_util.Json_out]. *)

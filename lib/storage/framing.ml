@@ -1,12 +1,16 @@
-(* Length-prefixed, CRC-checked record framing shared by every on-disk
-   log in the system (stream-store segments, ledger snapshots, replica
-   staging files).
+(* The one owner of the frame layout, on disk and on the socket:
 
-   Record layout:   "LDBR"  len:u32be  payload  crc:u32be
-   where crc = CRC-32 over (len:u32be ++ payload).
+     magic:4  len:u32be  payload  crc:u32be
+     where crc = CRC-32 over (len:u32be ++ payload).
 
-   [fold] is the one walker over a framed log.  It reports how the walk
-   ended, because recovery policy differs per shape:
+   On disk the magic is "LDBR" and every log in the system uses it
+   (stream-store segments, ledger snapshots, replica staging files);
+   Net_framing uses "LDBW".  [frame] builds a frame and [scan] judges
+   one in a buffer; both readers — [fold] over a file and Net_framing's
+   incremental decoder — call [scan] and keep only their own policy.
+
+   [fold] reports how the walk ended, because recovery policy differs
+   per shape:
    - [End]: clean EOF at a record boundary.
    - [Torn]: the file ends in the middle of a record — the classic
      crash-during-append.  Safe to truncate back to the last boundary.
@@ -14,76 +18,87 @@
      evidence of tampering or media rot, never of a clean crash.
    - [Rejected]: the caller refused an intact record. *)
 
+open Ledger_crypto
+
 let magic = "LDBR"
+let header_len = 8
+let overhead = 12
+
 (* longer claims are [Corrupt]: a flipped length bit would otherwise
    masquerade as a torn tail *)
 let max_record_len = 1 lsl 30
 
+(* CRC-32 of the [len + 4] bytes from [pos]: the length field and the
+   payload of the frame whose length field starts at [pos]. *)
+let crc b ~pos ~len =
+  Int32.to_int (Crc32.update 0l b ~pos ~len:(len + 4)) land 0xFFFF_FFFF
+
+let frame ~magic payload =
+  let len = Bytes.length payload in
+  let out = Bytes.create (overhead + len) in
+  Bytes.blit_string magic 0 out 0 4;
+  Wire.set_u32 out 4 len;
+  Bytes.blit payload 0 out header_len len;
+  Wire.set_u32 out (header_len + len) (crc out ~pos:4 ~len);
+  out
+
+type scan =
+  | Need of int
+  | Bad_magic
+  | Too_long of int
+  | Bad_crc
+  | Record of int
+
+let scan ~magic ~limit b ~pos ~avail =
+  let magic_ok = ref true in
+  for i = 0 to min avail 4 - 1 do
+    if Bytes.get b (pos + i) <> magic.[i] then magic_ok := false
+  done;
+  if not !magic_ok then Bad_magic
+  else if avail < header_len then Need (header_len - avail)
+  else
+    let len = Wire.get_u32 b (pos + 4) in
+    if len > limit then Too_long len
+    else if avail < overhead + len then Need (overhead + len - avail)
+    else if Wire.get_u32 b (pos + header_len + len) <> crc b ~pos:(pos + 4) ~len
+    then Bad_crc
+    else Record len
+
 type stop = End | Torn | Corrupt | Rejected
 type ending = { stop : stop; offset : int; dropped_bytes : int }
 
-let u32_to_be v =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((v lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (v land 0xFF));
-  b
+let write oc payload = output_bytes oc (frame ~magic payload)
 
-let be_to_u32 b =
-  (Char.code (Bytes.get b 0) lsl 24)
-  lor (Char.code (Bytes.get b 1) lsl 16)
-  lor (Char.code (Bytes.get b 2) lsl 8)
-  lor Char.code (Bytes.get b 3)
+(* Read up to [n] bytes into [b] at [pos]; how many arrived. *)
+let input_upto ic b pos n =
+  let rec go got =
+    if got = n then got
+    else
+      match input ic b (pos + got) (n - got) with
+      | 0 -> got
+      | r -> go (got + r)
+  in
+  go 0
 
-let crc32_to_be c = u32_to_be (Int32.to_int c land 0xFFFFFFFF)
-
-let write oc payload =
-  let len_be = u32_to_be (Bytes.length payload) in
-  let crc = Crc32.update (Crc32.bytes len_be) payload ~pos:0 ~len:(Bytes.length payload) in
-  output_string oc magic;
-  output_bytes oc len_be;
-  output_bytes oc payload;
-  output_bytes oc (crc32_to_be crc)
-
-(* Read exactly [n] bytes or return how many were available. *)
-let read_exactly ic n =
-  let b = Bytes.create n in
-  let got = ref 0 in
-  (try
-     while !got < n do
-       let r = input ic b !got (n - !got) in
-       if r = 0 then raise Exit;
-       got := !got + r
-     done
-   with Exit | End_of_file -> ());
-  if !got = n then Ok b else Error !got
-
-(* The next record, or the [stop] that ends the walk at this offset. *)
+(* The next record, or the [stop] that ends the walk at this offset.
+   Reads what [scan] asks for.  A file that ends inside a record is
+   [Torn], unless a whole magic has arrived and is wrong. *)
 let read ic =
-  match read_exactly ic 4 with
-  | Error 0 -> Error End
-  | Error _ -> Error Torn
-  | Ok m when Bytes.to_string m <> magic -> Error Corrupt
-  | Ok _ -> (
-      match read_exactly ic 4 with
-      | Error _ -> Error Torn
-      | Ok len_be ->
-          let len = be_to_u32 len_be in
-          if len > max_record_len then Error Corrupt
-          else (
-            match read_exactly ic len with
-            | Error _ -> Error Torn
-            | Ok payload -> (
-                match read_exactly ic 4 with
-                | Error _ -> Error Torn
-                | Ok crc_be ->
-                    let crc =
-                      Crc32.update (Crc32.bytes len_be) payload ~pos:0
-                        ~len:(Bytes.length payload)
-                    in
-                    if Bytes.equal (crc32_to_be crc) crc_be then Ok payload
-                    else Error Corrupt)))
+  let rec go b avail =
+    match scan ~magic ~limit:max_record_len b ~pos:0 ~avail with
+    | Record len -> Ok (Bytes.sub b header_len len)
+    | Bad_magic | Too_long _ | Bad_crc -> Error Corrupt
+    | Need n -> (
+        let b = Bytes.extend b 0 n in
+        let got = input_upto ic b avail n in
+        if got = n then go b (avail + n)
+        else if avail + got = 0 then Error End
+        else
+          match scan ~magic ~limit:max_record_len b ~pos:0 ~avail:(avail + got) with
+          | Bad_magic when avail + got >= 4 -> Error Corrupt
+          | _ -> Error Torn)
+  in
+  go Bytes.empty 0
 
 let fold path ~init f =
   let ic = open_in_bin path in

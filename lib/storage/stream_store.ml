@@ -197,26 +197,18 @@ let page_count s = (s.live_bytes + page_size - 1) / page_size
 let frame_record i payload =
   let body, live = match payload with Some p -> (p, 1) | None -> (Bytes.empty, 0) in
   let frame = Bytes.create (5 + Bytes.length body) in
-  Bytes.set frame 0 (Char.chr ((i lsr 24) land 0xFF));
-  Bytes.set frame 1 (Char.chr ((i lsr 16) land 0xFF));
-  Bytes.set frame 2 (Char.chr ((i lsr 8) land 0xFF));
-  Bytes.set frame 3 (Char.chr (i land 0xFF));
-  Bytes.set frame 4 (Char.chr live);
+  Ledger_crypto.Wire.set_u32 frame 0 i;
+  Bytes.set_uint8 frame 4 live;
   Bytes.blit body 0 frame 5 (Bytes.length body);
   frame
 
 let unframe_record frame =
   if Bytes.length frame < 5 then None
   else
-    let i =
-      (Char.code (Bytes.get frame 0) lsl 24)
-      lor (Char.code (Bytes.get frame 1) lsl 16)
-      lor (Char.code (Bytes.get frame 2) lsl 8)
-      lor Char.code (Bytes.get frame 3)
-    in
-    let live = Char.code (Bytes.get frame 4) in
     let body = Bytes.sub frame 5 (Bytes.length frame - 5) in
-    Some (i, (if live = 1 then Some body else None))
+    Some
+      ( Ledger_crypto.Wire.get_u32 frame 0,
+        if Bytes.get_uint8 frame 4 = 1 then Some body else None )
 
 let log_path dir name = Filename.concat dir (name ^ ".log")
 

@@ -287,35 +287,6 @@ let prop_ecdsa_roundtrip =
       let d = Hash.digest_string ("msg:" ^ seed) in
       Ecdsa.verify pub d (Ecdsa.sign priv d))
 
-(* --- Multisig ------------------------------------------------------------ *)
-
-let test_multisig () =
-  let digest = Hash.digest_string "purge request" in
-  let keys = List.init 3 (fun i -> Ecdsa.generate ~seed:("m" ^ string_of_int i)) in
-  let ms =
-    List.fold_left
-      (fun acc (priv, pub) -> Multisig.add acc ~signer:pub priv)
-      (Multisig.empty digest) keys
-  in
-  Alcotest.(check int) "3 signatures" 3 (Multisig.cardinal ms);
-  Alcotest.(check bool) "all verify" true (Multisig.verify_all ms);
-  let required = List.map snd keys in
-  Alcotest.(check bool) "covers required" true (Multisig.covers ms ~required);
-  let _, extra = Ecdsa.generate ~seed:"extra" in
-  Alcotest.(check bool) "missing signer detected" false
-    (Multisig.covers ms ~required:(extra :: required));
-  (* replacing a signature keeps cardinality *)
-  let p0, k0 = List.hd keys in
-  let ms' = Multisig.add ms ~signer:k0 p0 in
-  Alcotest.(check int) "re-sign replaces" 3 (Multisig.cardinal ms')
-
-let test_multisig_tampered () =
-  let digest = Hash.digest_string "doc" in
-  let priv, pub = Ecdsa.generate ~seed:"signer" in
-  let wrong = Ecdsa.sign priv (Hash.digest_string "other doc") in
-  let ms = Multisig.add_signature (Multisig.empty digest) ~signer:pub wrong in
-  Alcotest.(check bool) "bad signature detected" false (Multisig.verify_all ms)
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let base_suite =
@@ -340,8 +311,6 @@ let base_suite =
     tc "ecdsa bitflip rejected" `Quick test_ecdsa_bitflip;
     tc "ecdsa key encoding" `Quick test_ecdsa_encoding;
     qcheck prop_ecdsa_roundtrip;
-    tc "multisig cover" `Quick test_multisig;
-    tc "multisig tamper" `Quick test_multisig_tampered;
   ]
 
 (* --- additional edge cases ------------------------------------------------- *)

@@ -527,9 +527,10 @@ let test_multi_clue_journal () =
    accumulated, then indexed twice under the clue, so its CM-Tree
    entries and its cSL disagreed and every later lineage proof of the
    clue failed. *)
-let signed_request env ~clues text =
+let signed_request ?nonce env ~clues text =
   let payload = Bytes.of_string text in
-  let client_ts = Clock.now env.clock and nonce = 700 + Ledger.size env.ledger in
+  let client_ts = Clock.now env.clock in
+  let nonce = Option.value nonce ~default:(700 + Ledger.size env.ledger) in
   let request_hash =
     Journal.request_digest ~ledger_uri:(Ledger.uri env.ledger)
       ~kind_tag:"normal" ~payload ~clues ~client_ts ~nonce
@@ -730,6 +731,58 @@ let long_clue_suite =
     tc "long clue: Service.handle frame refused, pages decode" `Quick
       test_long_clue_service ]
 
+(* --- negative nonces ----------------------------------------------------------- *)
+
+(* A client-chosen nonce below zero is refused like a repeated clue,
+   through every remote entry point, before any clock charge or state
+   change.  Without the refusal a correctly signed request with nonce -1
+   committed, and the journal codec's shift loop wrote that int as bytes
+   other than its fixed-width two's complement. *)
+let test_negative_nonce_append_signed () =
+  check_duplicate_refused (fun env ->
+      let payload, clues, client_ts, nonce, signature =
+        signed_request ~nonce:(-1) env ~clues:[ "y" ] "negative"
+      in
+      Alcotest.(check (result reject string)) "append_signed refused"
+        (Error "append: negative nonce")
+        (Result.map ignore
+           (Ledger.append_signed env.ledger ~member_id:env.alice.Roles.id
+              ~payload ~clues ~client_ts ~nonce ~signature)))
+
+let test_negative_nonce_append_signed_batch () =
+  check_duplicate_refused (fun env ->
+      let ok = signed_request env ~clues:[ "y" ] "ok" in
+      let negative = signed_request ~nonce:min_int env ~clues:[ "z" ] "negative" in
+      Alcotest.(check (result reject string)) "append_signed_batch refused"
+        (Error "append_batch: negative nonce (entry 1)")
+        (Result.map ignore
+           (Ledger.append_signed_batch env.ledger
+              ~member_id:env.alice.Roles.id [ ok; negative ])))
+
+let test_negative_nonce_service () =
+  check_duplicate_refused (fun env ->
+      let payload, clues, client_ts, nonce, signature =
+        signed_request ~nonce:(-7) env ~clues:[ "y" ] "negative"
+      in
+      let frame =
+        Service.encode_request
+          (Service.Append
+             { member_id = env.alice.Roles.id; payload; clues; client_ts;
+               nonce; signature })
+      in
+      match Service.Client.parse (Service.handle env.ledger frame) with
+      | Some (Service.Error_r msg) ->
+          Alcotest.(check string) "refusal" "append: negative nonce" msg
+      | _ -> Alcotest.fail "expected a refusal")
+
+let negative_nonce_suite =
+  [ tc "negative nonce: append_signed refused, lineage intact" `Quick
+      test_negative_nonce_append_signed;
+    tc "negative nonce: append_signed_batch refused, lineage intact" `Quick
+      test_negative_nonce_append_signed_batch;
+    tc "negative nonce: Service.handle frame refused, lineage intact" `Quick
+      test_negative_nonce_service ]
+
 let test_list_tx () =
   let env = make_env () in
   ignore (fill env 15);
@@ -841,4 +894,4 @@ let ca_suite = [ tc "member CA certification" `Quick test_member_ca ]
 let suite =
   base_suite @ world_state_suite @ compaction_suite @ multi_clue_suite
   @ list_tx_suite @ batch_suite @ ca_suite @ duplicate_clue_suite
-  @ long_clue_suite
+  @ long_clue_suite @ negative_nonce_suite

@@ -263,28 +263,6 @@ let test_bitmap () =
   Alcotest.(check int) "cardinal after clear" 1 (Bitmap_index.cardinal b);
   Alcotest.(check bool) "negative mem" false (Bitmap_index.mem b (-3))
 
-let test_kv_store () =
-  let store = Stream_store.create () in
-  let kv = Kv_store.create store ~name:"state" in
-  let a0 = Kv_store.put kv "alice" (Bytes.of_string "100") in
-  let a1 = Kv_store.put kv "alice" (Bytes.of_string "250") in
-  Alcotest.(check bool) "addresses advance" true (a1 > a0);
-  Alcotest.(check (option string)) "latest value" (Some "250")
-    (Option.map Bytes.to_string (Kv_store.get kv "alice"));
-  Alcotest.(check int) "version count" 2 (Kv_store.versions kv "alice");
-  Alcotest.(check int) "cardinal" 1 (Kv_store.cardinal kv);
-  Alcotest.(check bool) "missing" true (Kv_store.get kv "bob" = None);
-  Alcotest.(check (option int)) "address" (Some a1) (Kv_store.get_address kv "alice")
-
-let test_kv_binary_safety () =
-  let store = Stream_store.create () in
-  let kv = Kv_store.create store ~name:"bin" in
-  let payload = Bytes.of_string "with\000nul\000bytes" in
-  ignore (Kv_store.put kv "k" payload);
-  Alcotest.(check (option string)) "nul-safe value"
-    (Some (Bytes.to_string payload))
-    (Option.map Bytes.to_string (Kv_store.get kv "k"))
-
 let prop_bitmap_model =
   QCheck.Test.make ~name:"bitmap agrees with set model" ~count:100
     QCheck.(small_list (int_range 0 500))
@@ -315,8 +293,6 @@ let base_suite =
     tc "stream store recover torn tail" `Quick test_stream_store_recover_torn_tail;
     tc "stream store recover corrupt" `Quick test_stream_store_recover_corrupt_record;
     tc "bitmap index" `Quick test_bitmap;
-    tc "kv store" `Quick test_kv_store;
-    tc "kv nul safety" `Quick test_kv_binary_safety;
     QCheck_alcotest.to_alcotest prop_bitmap_model;
   ]
 

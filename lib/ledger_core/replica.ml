@@ -110,19 +110,12 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
   let ( let* ) = Result.bind in
   let rec attempt ~resume ~restarted =
     (* 1. the announced checkpoint pins what we must reproduce *)
-    let* name, size, block_count, commitment, clue_root, nonce, pseudo_genesis
-        =
+    let* checkpoint =
       rpc
-        (function
-          | Service.Checkpoint_r
-              { name; size; block_count; commitment; clue_root; nonce;
-                pseudo_genesis } ->
-              Some
-                ( name, size, block_count, commitment, clue_root, nonce,
-                  pseudo_genesis )
-          | _ -> None)
+        (function Service.Checkpoint_r c -> Some c | _ -> None)
         (Service.Client.make_get_checkpoint ())
     in
+    let { Snapshot.name; size; block_count; _ } = checkpoint in
     if name <> config.Ledger.name then
       Error
         (Protocol
@@ -155,10 +148,7 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
           (Service.Client.make_get_members ())
       in
       write Snapshot.members_file (fun oc ->
-          List.iter
-            (fun (name, role, pub) ->
-              Snapshot.output_member oc ~role ~pub ~cert:None ~name)
-            members);
+          List.iter (Snapshot.output_member oc ~cert:None) members);
       (* 3. every journal not already staged, with its retained leaf.
          Frames are Snapshot journal frames, so the loader replays and
          re-verifies them; an interrupted loop leaves a resumable
@@ -197,11 +187,10 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
         go 0
       in
       let* () = write Snapshot.blocks_file fetch_blocks in
-      (* 5. checkpoint metadata; the loader re-derives everything and
-         compares against these values *)
+      (* 5. the checkpoint as served; the loader re-derives everything
+         and compares against it *)
       write Snapshot.meta_file (fun oc ->
-          Snapshot.output_meta oc ~name ~size ~nonce ~commitment ~clue_root
-            ~pseudo_genesis);
+          Snapshot.output_checkpoint oc checkpoint);
       write Snapshot.survivors_file (fun _ -> () (* not replicated *));
       match
         (* π_c screen before any replay state is built; a poisoned

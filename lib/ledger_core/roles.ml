@@ -23,6 +23,23 @@ let role_to_string = function
   | Dba -> "dba"
   | Regulator -> "regulator"
 
+let role_of_string = function
+  | "user" -> Some Regular_user
+  | "dba" -> Some Dba
+  | "regulator" -> Some Regulator
+  | _ -> None
+
+let w_member w (name, role, pub) =
+  Wire.w_string w name;
+  Wire.w_string w role;
+  Wire.w_bytes w pub
+
+let r_member r =
+  let name = Wire.r_string r in
+  let role = Wire.r_string r in
+  let pub = Wire.r_bytes r in
+  (name, role, pub)
+
 (* Name order; equal names fall back to the key bytes, so the order
    never depends on registration order. *)
 let compare_wire (n1, _, p1) (n2, _, p2) =

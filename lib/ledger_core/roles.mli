@@ -29,10 +29,19 @@ val members_wire : registry -> (string * string * bytes) list
     is encoded once, by {!register}, which replaces the list; reading it
     is O(1), and a list already handed out never changes. *)
 
+val w_member : Wire.writer -> string * string * bytes -> unit
+(** One {!members_wire} triple: name, role tag and key bytes, each
+    length-prefixed ([Get_members] replies and [members.ldb] frames). *)
+
+val r_member : Wire.reader -> string * string * bytes
+
 val with_role : registry -> role -> member list
 val cardinal : registry -> int
 
 val role_to_string : role -> string
+
+val role_of_string : string -> role option
+(** Inverse of {!role_to_string}. *)
 
 (** {1 Member certification (§II-B)}
 

@@ -50,15 +50,7 @@ type response =
   | Block_r of Block.t
   | Members_r of (string * string * bytes) list
       (** (name, role tag, 64-byte public key) *)
-  | Checkpoint_r of {
-      name : string;
-      size : int;
-      block_count : int;
-      commitment : Hash.t;
-      clue_root : Hash.t;
-      nonce : int;
-      pseudo_genesis : int option;
-    }
+  | Checkpoint_r of Snapshot.checkpoint
   | Proof_bundle_r of { proof : Fam.proof; commitment : Hash.t; size : int }
   | Clue_bundle_r of { proof : Cm_tree.clue_proof option; clue_root : Hash.t }
   | Query_page_r of {
@@ -239,33 +231,13 @@ let encode_response resp =
       Wire.w_bytes w encoded
   | Block_r b ->
       Wire.w_u8 w 8;
-      Wire.w_int w b.Block.height;
-      Wire.w_int w b.Block.start_jsn;
-      Wire.w_int w b.Block.count;
-      Wire.w_hash w b.Block.prev_hash;
-      Wire.w_hash w b.Block.journal_commitment;
-      Wire.w_hash w b.Block.clue_root;
-      Wire.w_hash w b.Block.world_state_root;
-      Wire.w_hash w b.Block.tx_root;
-      Wire.w_int64 w b.Block.timestamp
+      Block.w_block w b
   | Members_r members ->
       Wire.w_u8 w 9;
-      Wire.w_list w
-        (fun (name, role, pub) ->
-          Wire.w_string w name;
-          Wire.w_string w role;
-          Wire.w_bytes w pub)
-        members
-  | Checkpoint_r { name; size; block_count; commitment; clue_root; nonce;
-                   pseudo_genesis } ->
+      Wire.w_list w (Roles.w_member w) members
+  | Checkpoint_r c ->
       Wire.w_u8 w 10;
-      Wire.w_string w name;
-      Wire.w_int w size;
-      Wire.w_int w block_count;
-      Wire.w_hash w commitment;
-      Wire.w_hash w clue_root;
-      Wire.w_int w nonce;
-      Wire.w_option w (Wire.w_int w) pseudo_genesis
+      Snapshot.w_checkpoint w c
   | Error_r msg ->
       Wire.w_u8 w 5;
       Wire.w_string w msg
@@ -311,37 +283,9 @@ let decode_response data =
           let tx = Wire.r_hash r in
           let encoded = Wire.r_bytes r in
           Journal_r { tx; encoded }
-      | 8 ->
-          let height = Wire.r_int r in
-          let start_jsn = Wire.r_int r in
-          let count = Wire.r_int r in
-          let prev_hash = Wire.r_hash r in
-          let journal_commitment = Wire.r_hash r in
-          let clue_root = Wire.r_hash r in
-          let world_state_root = Wire.r_hash r in
-          let tx_root = Wire.r_hash r in
-          let timestamp = Wire.r_int64 r in
-          Block_r
-            { Block.height; start_jsn; count; prev_hash; journal_commitment;
-              clue_root; world_state_root; tx_root; timestamp }
-      | 9 ->
-          Members_r
-            (Wire.r_list ~max:10000 r (fun () ->
-                 let name = Wire.r_string r in
-                 let role = Wire.r_string r in
-                 let pub = Wire.r_bytes r in
-                 (name, role, pub)))
-      | 10 ->
-          let name = Wire.r_string r in
-          let size = Wire.r_int r in
-          let block_count = Wire.r_int r in
-          let commitment = Wire.r_hash r in
-          let clue_root = Wire.r_hash r in
-          let nonce = Wire.r_int r in
-          let pseudo_genesis = Wire.r_option r (fun () -> Wire.r_int r) in
-          Checkpoint_r
-            { name; size; block_count; commitment; clue_root; nonce;
-              pseudo_genesis }
+      | 8 -> Block_r (Block.r_block r)
+      | 9 -> Members_r (Wire.r_list ~max:10000 r (fun () -> Roles.r_member r))
+      | 10 -> Checkpoint_r (Snapshot.r_checkpoint r)
       | 11 -> Receipts_r (Wire.r_list ~max:65536 r (fun () -> r_receipt r))
       | 12 ->
           let proof = Proof_codec.r_fam_proof r in
@@ -481,7 +425,7 @@ let read v = function
   | Get_checkpoint ->
       Checkpoint_r
         {
-          name = RV.name v;
+          Snapshot.name = RV.name v;
           size = RV.size v;
           block_count = RV.block_count v;
           commitment =

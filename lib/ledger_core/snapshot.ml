@@ -15,19 +15,30 @@ let write ?(append = false) ~dir file f =
   close_out oc;
   r
 
-let lines path = In_channel.with_open_text path In_channel.input_lines
+(* One frame holding the fields [f] writes. *)
+let output_record oc f =
+  let w = Wire.writer () in
+  f w;
+  Framing.write oc (Wire.contents w)
 
-let hex b =
-  String.concat ""
-    (List.init (Bytes.length b) (fun i ->
-         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
-
-let of_hex h =
-  let b = Bytes.create (String.length h / 2) in
-  for i = 0 to Bytes.length b - 1 do
-    Bytes.set b i (Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-  done;
-  b
+(* Every record of a framed file, decoded in file order.  Only the
+   journals file may end in a torn tail: any other damage, and any
+   record [decode] refuses, refuses the whole file. *)
+let read_records path decode =
+  let records, ending =
+    Framing.fold path ~init:[] (fun acc ~offset:_ r ->
+        Option.map (fun v -> v :: acc) (Wire.decode r decode))
+  in
+  let fail what =
+    failwith
+      (Printf.sprintf "%s: %s record at byte %d" (Filename.basename path) what
+         ending.Framing.offset)
+  in
+  match ending.Framing.stop with
+  | Framing.End -> List.rev records
+  | Framing.Torn -> fail "torn"
+  | Framing.Corrupt -> fail "corrupt"
+  | Framing.Rejected -> fail "undecodable"
 
 (* --- journals.ldb: [32-byte tx][Journal_codec encoding] per frame ------- *)
 
@@ -42,125 +53,88 @@ let fold_journals path ~init f =
           ~tx:(Hash.of_bytes (Bytes.sub frame 0 32))
           (Bytes.sub frame 32 (Bytes.length frame - 32)))
 
-(* --- members.ldb: "role\thex-pubkey\thex-cert-or--\tname" per line ------ *)
+(* --- members.ldb: a members_wire triple and an optional certificate ----- *)
 
-let output_member oc ~role ~pub ~cert ~name =
-  Printf.fprintf oc "%s\t%s\t%s\t%s\n" role (hex pub)
-    (match cert with Some c -> hex c | None -> "-")
-    name
+let output_member oc member ~cert =
+  output_record oc (fun w ->
+      Roles.w_member w member;
+      Wire.w_option w (Wire.w_sig w) cert)
 
 let iter_members path f =
   List.iter
-    (fun line ->
-      match String.split_on_char '\t' line with
-      | role :: pub_hex :: rest ->
-          let cert_hex, name =
-            match rest with
-            | [ cert_hex; name ] -> (cert_hex, name)
-            | [ name ] -> ("-", name) (* legacy two-column format *)
-            | _ -> failwith "corrupt members record"
-          in
-          let role =
-            match role with
-            | "dba" -> Roles.Dba
-            | "regulator" -> Roles.Regulator
-            | _ -> Roles.Regular_user
-          in
-          (match Ecdsa.public_key_of_bytes (of_hex pub_hex) with
-          | Some pub ->
-              let certificate =
-                if cert_hex = "-" then None
-                else
-                  match Ecdsa.signature_of_bytes (of_hex cert_hex) with
-                  | Some signature ->
-                      Some
-                        { Roles.subject = Ecdsa.public_key_id pub; signature }
-                  | None -> failwith ("corrupt certificate for " ^ name)
-              in
-              f ~name ~role ~certificate pub
-          | None -> failwith ("corrupt member key for " ^ name))
-      | _ -> ())
-    (lines path)
+    (fun (name, role, certificate, pub) -> f ~name ~role ~certificate pub)
+    (read_records path (fun r ->
+         let name, role, pub = Roles.r_member r in
+         let cert = Wire.r_option r (fun () -> Wire.r_sig r) in
+         match (Roles.role_of_string role, Ecdsa.public_key_of_bytes pub) with
+         | Some role, Some pub ->
+             let certificate =
+               Option.map
+                 (fun signature ->
+                   { Roles.subject = Ecdsa.public_key_id pub; signature })
+                 cert
+             in
+             (name, role, certificate, pub)
+         | _ -> raise Wire.Corrupt))
 
-(* --- blocks.ldb: every block field, hashes in hex, one block per line --- *)
+(* --- blocks.ldb: one Block frame per sealed block ----------------------- *)
 
-let output_block oc (b : Block.t) =
-  Printf.fprintf oc "%d %d %d %s %s %s %s %s %Ld\n" b.Block.height
-    b.Block.start_jsn b.Block.count
-    (Hash.to_hex b.Block.prev_hash)
-    (Hash.to_hex b.Block.journal_commitment)
-    (Hash.to_hex b.Block.clue_root)
-    (Hash.to_hex b.Block.world_state_root)
-    (Hash.to_hex b.Block.tx_root)
-    b.Block.timestamp
-
-let read_blocks path =
-  List.map
-    (fun line ->
-      Scanf.sscanf line "%d %d %d %s %s %s %s %s %Ld"
-        (fun height start_jsn count prev jc cr wsr txr timestamp ->
-          { Block.height; start_jsn; count;
-            prev_hash = Hash.of_hex prev;
-            journal_commitment = Hash.of_hex jc;
-            clue_root = Hash.of_hex cr;
-            world_state_root = Hash.of_hex wsr;
-            tx_root = Hash.of_hex txr; timestamp }))
-    (lines path)
+let output_block oc b = output_record oc (fun w -> Block.w_block w b)
+let read_blocks path = read_records path Block.r_block
 
 (* --- survivors.ldb: one survival-stream record per frame --------------- *)
 
 let survivor_record ~jsn payload =
-  let r = Bytes.create (Bytes.length payload + 16) in
-  Bytes.blit_string (Printf.sprintf "%015d\000" jsn) 0 r 0 16;
-  Bytes.blit payload 0 r 16 (Bytes.length payload);
-  r
+  let w = Wire.writer ~initial:(Bytes.length payload + 16) () in
+  Wire.w_int w jsn;
+  Wire.w_bytes w payload;
+  Wire.contents w
 
-let survivor_of_record r =
-  if Bytes.length r < 16 then None
-  else
-    Option.map
-      (fun jsn -> (jsn, Bytes.sub r 16 (Bytes.length r - 16)))
-      (int_of_string_opt (String.trim (Bytes.sub_string r 0 15)))
+let r_survivor r =
+  let jsn = Wire.r_int r in
+  let payload = Wire.r_bytes r in
+  (jsn, payload)
 
-(* --- meta.ldb: "key=value" checkpoint lines ----------------------------- *)
+let survivor_of_record r = Wire.decode r r_survivor
+let read_survivors path = read_records path r_survivor
+
+(* --- meta.ldb: one checkpoint frame ------------------------------------- *)
 
 type checkpoint = {
-  size : int option;
-  nonce : int option;
-  commitment : Hash.t option;
-  clue_root : Hash.t option;
+  name : string;
+  size : int;
+  block_count : int;
+  commitment : Hash.t;
+  clue_root : Hash.t;
+  nonce : int;
+  pseudo_genesis : int option;
 }
 
-let output_meta oc ~name ~size ~nonce ~commitment ~clue_root ~pseudo_genesis =
-  Printf.fprintf oc
-    "name=%s\nsize=%d\nnonce=%d\ncommitment=%s\nclue_root=%s\npseudo_genesis=%s\n"
-    name size nonce
-    (if size = 0 then "" else Hash.to_hex commitment)
-    (Hash.to_hex clue_root)
-    (match pseudo_genesis with Some j -> string_of_int j | None -> "-")
+let w_checkpoint w c =
+  Wire.w_string w c.name;
+  Wire.w_int w c.size;
+  Wire.w_int w c.block_count;
+  Wire.w_hash w c.commitment;
+  Wire.w_hash w c.clue_root;
+  Wire.w_int w c.nonce;
+  Wire.w_option w (Wire.w_int w) c.pseudo_genesis
 
-let read_meta path =
-  let pair line i =
-    (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-  in
-  (* newest first, so a repeated key reads as its last value *)
-  let kv =
-    List.rev
-      (List.filter_map
-         (fun line -> Option.map (pair line) (String.index_opt line '='))
-         (lines path))
-  in
-  let find k = List.assoc_opt k kv in
-  let hash k hex =
-    try Hash.of_hex hex
-    with Invalid_argument _ -> failwith ("meta.ldb: bad " ^ k)
-  in
-  {
-    size = Option.map int_of_string (find "size");
-    nonce = Option.map int_of_string (find "nonce");
-    commitment =
-      (match find "commitment" with
-      | None | Some "" -> None (* an empty ledger has no commitment *)
-      | Some hex -> Some (hash "commitment" hex));
-    clue_root = Option.map (hash "clue_root") (find "clue_root");
-  }
+let r_checkpoint r =
+  let name = Wire.r_string r in
+  let size = Wire.r_int r in
+  let block_count = Wire.r_int r in
+  let commitment = Wire.r_hash r in
+  let clue_root = Wire.r_hash r in
+  let nonce = Wire.r_int r in
+  let pseudo_genesis = Wire.r_option r (fun () -> Wire.r_int r) in
+  { name; size; block_count; commitment; clue_root; nonce; pseudo_genesis }
+
+let output_checkpoint oc c = output_record oc (fun w -> w_checkpoint w c)
+
+let read_checkpoint path =
+  match read_records path r_checkpoint with
+  | [ c ] -> c
+  | cs ->
+      failwith
+        (Printf.sprintf "%s: %d checkpoint records, expected 1"
+           (Filename.basename path) (List.length cs))

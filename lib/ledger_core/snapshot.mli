@@ -2,15 +2,21 @@
     {!Ledger.save} writes through it, {!Replica} stages a pulled ledger
     through it, and {!Ledger.load} reads both back through it.
 
-    A snapshot directory holds five files:
-    - [journals.ldb]: one CRC-32 frame ({!Ledger_storage.Framing}) per
-      journal, [[32-byte tx][Journal_codec encoding]] — the retained leaf
-      first, since occulted and purged journals cannot be re-hashed;
-    - [members.ldb]: a ["role\thex-pubkey\thex-cert\tname"] line per
-      member ([-] for no certificate);
-    - [blocks.ldb]: a line per sealed block, every field, hashes in hex;
+    A snapshot directory holds five files, each a sequence of CRC-32
+    frames ({!Ledger_storage.Framing}) whose fields are {!Wire} fields:
+    - [journals.ldb]: one frame per journal,
+      [[32-byte tx][Journal_codec encoding]] — the retained leaf first,
+      since occulted and purged journals cannot be re-hashed;
+    - [members.ldb]: one frame per member, its {!Roles.w_member} triple
+      and an optional certificate signature;
+    - [blocks.ldb]: one {!Block.w_block} frame per sealed block;
     - [survivors.ldb]: one frame per {!survivor_record};
-    - [meta.ldb]: [key=value] checkpoints a load must reproduce. *)
+    - [meta.ldb]: one {!checkpoint} frame, the record the service's
+      [Checkpoint_r] carries.
+
+    Only [journals.ldb] may end in a torn tail; damage anywhere else, a
+    record that does not decode, and a snapshot in an older layout are
+    refused. *)
 
 open Ledger_crypto
 
@@ -35,13 +41,9 @@ val fold_journals :
     the walk as [Rejected]. *)
 
 val output_member :
-  out_channel ->
-  role:string ->
-  pub:bytes ->
-  cert:bytes option ->
-  name:string ->
-  unit
-(** The role as {!Roles.role_to_string}, key and certificate in wire form. *)
+  out_channel -> string * string * bytes -> cert:Ecdsa.signature option -> unit
+(** A {!Roles.members_wire} triple and the member's certificate
+    signature, if any. *)
 
 val iter_members :
   string ->
@@ -51,35 +53,40 @@ val iter_members :
   Ecdsa.public_key ->
   unit) ->
   unit
-(** Decode each line, in file order, and pass it on; also reads the
-    legacy line without a certificate column.
-    @raise Failure on an undecodable key or certificate. *)
+(** Decode every record, then pass each on in file order.
+    @raise Failure on a damaged frame, an unknown role or an undecodable
+    key. *)
 
 val output_block : out_channel -> Block.t -> unit
+
 val read_blocks : string -> Block.t list
+(** @raise Failure on a damaged or undecodable frame. *)
 
 val survivor_record : jsn:int -> bytes -> bytes
 (** A survival-stream record: the journal's jsn, then its payload. *)
 
 val survivor_of_record : bytes -> (int * bytes) option
 
+val read_survivors : string -> (int * bytes) list
+(** Every record of a survivors file as [(jsn, payload)].
+    @raise Failure on a damaged or undecodable frame. *)
+
 type checkpoint = {
-  size : int option;
-  nonce : int option;
-  commitment : Hash.t option;  (** [None] for an empty ledger *)
-  clue_root : Hash.t option;
+  name : string;
+  size : int;
+  block_count : int;
+  commitment : Hash.t;  (** {!Hash.zero} for an empty ledger *)
+  clue_root : Hash.t;
+  nonce : int;
+  pseudo_genesis : int option;
 }
-(** What [meta.ldb] records; a missing key reads as [None]. *)
+(** What a load must reproduce: the ledger as it stood when it was saved
+    or served. *)
 
-val output_meta :
-  out_channel ->
-  name:string ->
-  size:int ->
-  nonce:int ->
-  commitment:Hash.t ->
-  clue_root:Hash.t ->
-  pseudo_genesis:int option ->
-  unit
+val w_checkpoint : Wire.writer -> checkpoint -> unit
+val r_checkpoint : Wire.reader -> checkpoint
+val output_checkpoint : out_channel -> checkpoint -> unit
 
-val read_meta : string -> checkpoint
-(** @raise Failure on a malformed number or hash. *)
+val read_checkpoint : string -> checkpoint
+(** @raise Failure unless the file is exactly one intact checkpoint
+    frame. *)

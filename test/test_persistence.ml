@@ -501,7 +501,120 @@ let test_golden_snapshot () =
       check_values "replica" replica;
       Scan_check.check_same_index ~origin ~prefix:"acct-" replica
 
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* A fresh copy of the committed fixture. *)
+let copy_golden () =
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  List.iter
+    (fun f ->
+      write_file (Filename.concat dir f)
+        (read_file (Filename.concat golden_dir f)))
+    snapshot_files;
+  dir
+
+let load_golden ?(recover = false) dir =
+  Ledger.load_verbose ~config:golden_config ~recover ~clock:(Clock.create ())
+    ~dir ()
+
+(* Every single-bit flip of the four small files is refused, strictly
+   and with recovery on: their frames are CRC-checked and only the
+   journals file may end in a recoverable torn tail. *)
+let test_golden_bit_flips_refused () =
+  let dir = copy_golden () in
+  (match load_golden dir with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unflipped copy refused: %s" e);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      let original = read_file path in
+      for bit = 0 to (8 * String.length original) - 1 do
+        let b = Bytes.of_string original in
+        let i = bit / 8 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+        write_file path (Bytes.to_string b);
+        List.iter
+          (fun recover ->
+            match load_golden ~recover dir with
+            | Error _ -> ()
+            | Ok _ ->
+                Alcotest.failf "%s with bit %d flipped loads (recover %b)" f
+                  bit recover)
+          [ false; true ]
+      done;
+      write_file path original)
+    Snapshot.[ members_file; blocks_file; meta_file; survivors_file ]
+
+(* A blocks file that lost its last frame ends cleanly at a frame
+   boundary; only the recorded block count can tell. *)
+let test_golden_lost_block_refused () =
+  let dir = copy_golden () in
+  let path = Filename.concat dir Snapshot.blocks_file in
+  let last, _ = Framing.fold path ~init:0 (fun _ ~offset _ -> Some offset) in
+  Framing.truncate_file path ~keep:last;
+  List.iter
+    (fun recover ->
+      match load_golden ~recover dir with
+      | Ok _ -> Alcotest.failf "lost block loads (recover %b)" recover
+      | Error e ->
+          Alcotest.(check bool) ("names the block count: " ^ e) true
+            (String.starts_with ~prefix:"block count" e))
+    [ false; true ]
+
+(* Every checkpoint field the replay can reproduce is checked: a meta
+   frame with any one of them changed is refused, and so is a meta file
+   in the old [key=value] text layout. *)
+let test_golden_checkpoint_fields_checked () =
+  let dir = copy_golden () in
+  let c = Snapshot.read_checkpoint (Filename.concat dir Snapshot.meta_file) in
+  let with_meta c =
+    Snapshot.write ~dir Snapshot.meta_file (fun oc ->
+        Snapshot.output_checkpoint oc c);
+    load_golden dir
+  in
+  (match with_meta c with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "re-written checkpoint refused: %s" e);
+  let other h = Hash.digest_bytes (Hash.to_bytes h) in
+  List.iter
+    (fun (what, c) ->
+      match with_meta c with
+      | Ok _ -> Alcotest.failf "a checkpoint with a wrong %s loads" what
+      | Error _ -> ())
+    Snapshot.
+      [
+        ("name", { c with name = "other" });
+        ("size", { c with size = c.size - 1 });
+        ("block count", { c with block_count = c.block_count - 1 });
+        ("commitment", { c with commitment = other c.commitment });
+        ("clue root", { c with clue_root = other c.clue_root });
+        ("pseudo-genesis", { c with pseudo_genesis = None });
+        ( "pseudo-genesis",
+          { c with pseudo_genesis = Option.map succ c.pseudo_genesis } );
+      ];
+  write_file
+    (Filename.concat dir Snapshot.meta_file)
+    (Printf.sprintf "name=golden\nsize=%d\nnonce=%d\ncommitment=%s\n\
+                     clue_root=%s\npseudo_genesis=-\n"
+       c.Snapshot.size c.Snapshot.nonce
+       (Hash.to_hex c.Snapshot.commitment)
+       (Hash.to_hex c.Snapshot.clue_root));
+  match load_golden dir with
+  | Ok _ -> Alcotest.fail "a text meta.ldb loads"
+  | Error _ -> ()
+
 let golden_suite =
-  [ tc "golden snapshot: load, re-save, replica" `Quick test_golden_snapshot ]
+  [
+    tc "golden snapshot: load, re-save, replica" `Quick test_golden_snapshot;
+    tc "golden snapshot: every bit flip of the small files refused" `Quick
+      test_golden_bit_flips_refused;
+    tc "golden snapshot: a lost last block refused" `Quick
+      test_golden_lost_block_refused;
+    tc "golden snapshot: every checkpoint field checked" `Quick
+      test_golden_checkpoint_fields_checked;
+  ]
 
 let suite = base_suite @ ca_persist_suite @ golden_suite

@@ -81,13 +81,16 @@ let input_upto ic b pos n =
   go 0
 
 (* The next record, or the [stop] that ends the walk at this offset.
-   Reads what [scan] asks for.  A file that ends inside a record is
-   [Torn], unless a whole magic has arrived and is wrong. *)
-let read ic =
+   Reads what [scan] asks for, of the [left] bytes the file still holds.
+   A file that ends inside a record is [Torn], unless a whole magic has
+   arrived and is wrong; a header whose length claims more than the file
+   holds is [Torn] at once, before a buffer that size is allocated. *)
+let read ic ~left =
   let rec go b avail =
     match scan ~magic ~limit:max_record_len b ~pos:0 ~avail with
     | Record len -> Ok (Bytes.sub b header_len len)
     | Bad_magic | Too_long _ | Bad_crc -> Error Corrupt
+    | Need n when avail >= header_len && avail + n > left -> Error Torn
     | Need n -> (
         let b = Bytes.extend b 0 n in
         let got = input_upto ic b avail n in
@@ -111,7 +114,7 @@ let fold path ~init f =
       in
       let rec go acc =
         let offset = pos_in ic in
-        match read ic with
+        match read ic ~left:(file_len - offset) with
         | Error stop -> (acc, ending stop offset)
         | Ok record -> (
             match f acc ~offset record with

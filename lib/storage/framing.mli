@@ -67,8 +67,10 @@ val fold :
     [f]; [f] returns [None] to refuse the record and stop the walk.
     Returns the last accumulator and how the walk ended.  A record
     claiming more than 1 GiB is [Corrupt]; a file that ends inside a
-    record is [Torn] unless its whole magic arrived and is wrong.  Never
-    raises on damaged input; the file is closed even when [f] raises. *)
+    record is [Torn] unless its whole magic arrived and is wrong, and a
+    claim longer than the rest of the file is [Torn] without being
+    allocated.  Never raises on damaged input; the file is closed even
+    when [f] raises. *)
 
 val truncate_file : string -> keep:int -> unit
 (** Truncate the file at [keep] bytes — used to discard a torn tail after

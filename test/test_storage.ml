@@ -321,4 +321,34 @@ let test_compaction () =
 
 let compaction_suite = [ tc "stream compaction" `Quick test_compaction ]
 
-let suite = base_suite @ compaction_suite
+
+(* A flipped length bit can claim far more than the file holds.  The
+   walker calls that a torn tail without allocating the claim: here a
+   17-byte one-record file whose length claims 512 MiB + 5 bytes. *)
+let test_fold_claim_beyond_file () =
+  let path = Filename.temp_file "claim" ".ldb" in
+  Out_channel.with_open_bin path (fun oc ->
+      Framing.write oc (Bytes.of_string "hello"));
+  let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Alcotest.(check int) "file length" 17 (Bytes.length b);
+  (* bit 5 of the length field's high byte *)
+  Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 0x20));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  let before = Gc.allocated_bytes () in
+  let records, ending =
+    Framing.fold path ~init:0 (fun n ~offset:_ _ -> Some (n + 1))
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  Sys.remove path;
+  Alcotest.(check int) "records" 0 records;
+  Alcotest.(check bool) "torn" true (ending.Framing.stop = Framing.Torn);
+  Alcotest.(check int) "offset" 0 ending.Framing.offset;
+  Alcotest.(check int) "dropped" 17 ending.Framing.dropped_bytes;
+  if allocated >= 65536. then
+    Alcotest.failf "fold allocated %.0f bytes for a 17-byte file" allocated
+
+let framing_suite =
+  [ tc "framing: a claim beyond the file is torn, not allocated" `Quick
+      test_fold_claim_beyond_file ]
+
+let suite = base_suite @ compaction_suite @ framing_suite

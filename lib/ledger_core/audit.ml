@@ -58,7 +58,7 @@ let fail ctx ?jsn factor message =
 let recomputed_tx ctx (j : Journal.t) =
   if Ledger.is_occulted ctx.ledger j.Journal.jsn then
     Ledger.tx_hash_of ctx.ledger j.Journal.jsn
-  else Journal.tx_hash j
+  else Journal_codec.digest j
 
 (* --- who ----------------------------------------------------------------- *)
 

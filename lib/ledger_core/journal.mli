@@ -10,8 +10,11 @@
       (§III-A3, Protocol 2).
 
     Three digests matter (§III-C): the {e request-hash} the client signs
-    (π_c), the {e tx-hash} the server derives for the whole journal (the
-    accumulator leaf), and the block-hash computed at commit. *)
+    (π_c, {!request_digest}), the {e tx-hash} the server derives for the
+    whole journal (the accumulator leaf: {!Journal_codec.digest}, the
+    hash of the journal's one encoding), and the block-hash computed at
+    commit ({!Block.hash}).  Each hashes a {!Wire} layout, so distinct
+    inputs never share hash input. *)
 
 open Ledger_crypto
 open Ledger_timenotary
@@ -67,11 +70,9 @@ val request_digest :
   nonce:int ->
   Hash.t
 (** The digest a client signs before submission — binds payload, metadata
-    and a nonce (paper §III-C). *)
-
-val tx_hash : t -> Hash.t
-(** Server-side digest of the full journal: the accumulator leaf.  For an
-    occulted journal's {e replacement} record this is the retained hash
-    (Protocol 2 is applied by the ledger, not here). *)
+    and a nonce (paper §III-C).  It hashes the tag ["request"], then the
+    URI, kind tag and payload as length-prefixed fields, the clues as a
+    count-prefixed list of them, and [client_ts] and [nonce] as 8-byte
+    big-endian ints. *)
 
 val kind_tag : kind -> string

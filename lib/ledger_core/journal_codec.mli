@@ -18,4 +18,8 @@ val decode : bytes -> Journal.t option
 (** Inverse of {!encode}; [None] on any framing or field corruption. *)
 
 val digest : Journal.t -> Hash.t
-(** Digest of the encoding — stable across encode/decode round trips. *)
+(** The journal's tx hash, the accumulator leaf: the SHA-256 of
+    {!encode}, so every field of every kind is covered exactly once, in
+    the one layout the journal is stored and shipped in.  For an
+    occulted journal the ledger keeps the retained hash instead
+    (Protocol 2 is applied by the ledger, not here). *)

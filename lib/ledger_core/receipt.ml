@@ -10,14 +10,14 @@ type t = {
 }
 
 let signing_digest ~jsn ~request_hash ~tx_hash ~block_hash ~timestamp =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf "receipt:";
-  Buffer.add_string buf (string_of_int jsn);
-  Buffer.add_bytes buf (Hash.to_bytes request_hash);
-  Buffer.add_bytes buf (Hash.to_bytes tx_hash);
-  Buffer.add_bytes buf (Hash.to_bytes block_hash);
-  Buffer.add_string buf (Int64.to_string timestamp);
-  Hash.digest_bytes (Buffer.to_bytes buf)
+  let w = Wire.writer ~initial:128 () in
+  Wire.w_string w "receipt";
+  Wire.w_int w jsn;
+  Wire.w_hash w request_hash;
+  Wire.w_hash w tx_hash;
+  Wire.w_hash w block_hash;
+  Wire.w_int64 w timestamp;
+  Hash.digest_bytes (Wire.contents w)
 
 let make ~lsp_priv ~jsn ~request_hash ~tx_hash ~block_hash ~timestamp =
   let digest = signing_digest ~jsn ~request_hash ~tx_hash ~block_hash ~timestamp in

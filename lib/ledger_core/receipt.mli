@@ -3,7 +3,12 @@
     A receipt packs the three digests (request-hash, tx-hash, block-hash)
     with the jsn and server timestamp, signed by the LSP.  Clients keep
     receipts externally: a later repudiation attempt by the LSP (deleting
-    or rewriting the journal) is defeated by presenting the receipt. *)
+    or rewriting the journal) is defeated by presenting the receipt.
+
+    The LSP signs {!signing_digest}: the SHA-256 of the length-prefixed
+    tag ["receipt"], the jsn as an 8-byte big-endian int, the three
+    32-byte digests and the timestamp as an 8-byte big-endian int, all
+    laid out with {!Wire}. *)
 
 open Ledger_crypto
 

@@ -32,7 +32,7 @@ let verify_existence ledger level jsn payload_digest =
         let stored = Ledger.tx_hash_of ledger jsn in
         let j = Ledger.journal ledger jsn in
         let recomputed =
-          if Ledger.is_occulted ledger jsn then stored else Journal.tx_hash j
+          if Ledger.is_occulted ledger jsn then stored else Journal_codec.digest j
         in
         if not (Hash.equal stored recomputed) then
           (false, "server: journal content does not match leaf")

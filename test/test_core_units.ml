@@ -75,7 +75,7 @@ let sample_journal ?(kind = Journal.Normal) ?(payload = "payload") () =
   }
 
 let test_journal_tx_hash_sensitivity () =
-  let base = Journal.tx_hash (sample_journal ()) in
+  let base = Journal_codec.digest (sample_journal ()) in
   let variants =
     [
       ("payload", sample_journal ~payload:"payload2" ());
@@ -89,13 +89,13 @@ let test_journal_tx_hash_sensitivity () =
   List.iter
     (fun (what, j) ->
       Alcotest.(check bool) (what ^ " changes tx hash") false
-        (Hash.equal base (Journal.tx_hash j)))
+        (Hash.equal base (Journal_codec.digest j)))
     variants;
   (* clue list framing is injective: ["ab"] vs ["a";"b"] differ *)
   let j1 = { (sample_journal ()) with Journal.clues = [ "ab" ] } in
   let j2 = { (sample_journal ()) with Journal.clues = [ "a"; "b" ] } in
   Alcotest.(check bool) "clue framing" false
-    (Hash.equal (Journal.tx_hash j1) (Journal.tx_hash j2))
+    (Hash.equal (Journal_codec.digest j1) (Journal_codec.digest j2))
 
 let test_request_digest () =
   let d ~nonce ~payload =
@@ -149,7 +149,7 @@ let test_codec_roundtrip () =
           Alcotest.(check bool)
             (Printf.sprintf "journal %d tx hash stable" i)
             true
-            (Hash.equal (Journal.tx_hash j) (Journal.tx_hash j'));
+            (Hash.equal (Journal_codec.digest j) (Journal_codec.digest j'));
           Alcotest.(check int) "jsn" j.Journal.jsn j'.Journal.jsn;
           Alcotest.(check (list string)) "clues" j.Journal.clues j'.Journal.clues;
           Alcotest.(check string) "payload"
@@ -222,6 +222,58 @@ let test_block_hash_chain () =
     (Hash.equal (Block.hash b0)
        (Block.hash { b0 with Block.tx_root = Hash.zero }))
 
+(* --- digest collisions ------------------------------------------------------ *)
+
+(* Every digest lays its fields out with Wire: length-prefixed strings and
+   lists, fixed-width ints.  A layout that joined decimal ints or
+   ';'-separated clues gave equal digests for each pair below. *)
+
+let test_request_digest_clue_split () =
+  let d clues =
+    Journal.request_digest ~ledger_uri:"ledger://x" ~kind_tag:"normal"
+      ~payload:(Bytes.of_string "p") ~clues ~client_ts:1L ~nonce:1
+  in
+  Alcotest.(check bool) "[\"a;b\"] vs [\"a\"; \"b\"]" false
+    (Hash.equal (d [ "a;b" ]) (d [ "a"; "b" ]))
+
+let test_tx_hash_int_boundaries () =
+  let j ~client_ts ~server_ts ~nonce =
+    Journal_codec.digest
+      { (sample_journal ()) with Journal.client_ts; server_ts; nonce }
+  in
+  Alcotest.(check bool) "(client_ts 1, server_ts 23) vs (12, 3)" false
+    (Hash.equal
+       (j ~client_ts:1L ~server_ts:23L ~nonce:9)
+       (j ~client_ts:12L ~server_ts:3L ~nonce:9));
+  Alcotest.(check bool) "(server_ts 23, nonce 4) vs (2, 34)" false
+    (Hash.equal
+       (j ~client_ts:1L ~server_ts:23L ~nonce:4)
+       (j ~client_ts:1L ~server_ts:2L ~nonce:34));
+  (* and that digest is the leaf the ledger commits *)
+  let ledger =
+    Ledger.create
+      ~config:{ Ledger.default_config with crypto = Crypto_profile.default_simulated }
+      ~clock:(Clock.create ()) ()
+  in
+  let member, priv =
+    Ledger.new_member ledger ~name:"u" ~role:Roles.Regular_user
+  in
+  ignore
+    (Ledger.append ledger ~member ~priv ~clues:[ "c" ] (Bytes.of_string "x"));
+  Alcotest.(check bool) "the ledger's leaf is the codec digest" true
+    (Hash.equal (Ledger.tx_hash_of ledger 0)
+       (Journal_codec.digest (Ledger.journal ledger 0)))
+
+let test_block_hash_int_boundaries () =
+  let b ~height ~start_jsn =
+    Block.hash
+      { Block.height; start_jsn; count = 4; prev_hash = Hash.zero;
+        journal_commitment = Hash.zero; clue_root = Hash.zero;
+        world_state_root = Hash.zero; tx_root = Hash.zero; timestamp = 0L }
+  in
+  Alcotest.(check bool) "(height 1, start 23) vs (12, 3)" false
+    (Hash.equal (b ~height:1 ~start_jsn:23) (b ~height:12 ~start_jsn:3))
+
 let suite =
   [
     tc "roles registry" `Quick test_roles;
@@ -234,4 +286,10 @@ let suite =
     qcheck prop_codec_random_bytes_safe;
     tc "receipt signing" `Quick test_receipt_signing;
     tc "block hash chain" `Quick test_block_hash_chain;
+    tc "collision: request digest of split clues" `Quick
+      test_request_digest_clue_split;
+    tc "collision: tx hash across int boundaries" `Quick
+      test_tx_hash_int_boundaries;
+    tc "collision: block hash across int boundaries" `Quick
+      test_block_hash_int_boundaries;
   ]

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Gate liveness: shows that each byte-level golden gate of `dune runtest`
-# can still fail.  For every gate it applies one known-bad codec mutation
-# to a scratch copy of the working tree, runs `dune runtest` there, and
-# checks that the run fails on that gate.  It prints, per mutation, every
-# gate the run turned red.
+# Gate liveness: shows that each byte-level golden gate of `dune runtest`,
+# and the dead-export gate, can still fail.  For every gate it applies one
+# known-bad mutation to a scratch copy of the working tree, runs `dune
+# runtest` there, and checks that the run fails on the gates the mutation
+# targets.  It prints, per mutation, every gate the run turned red.
 #
 #   gate_liveness.sh <scratch-dir>
 #
@@ -26,7 +26,7 @@ mkdir -p "$dest"
 cd "$dest"
 mkdir _liveness # dune skips directories whose name starts with '_'
 
-gates="commit_path read_view golden_snapshot mpt bench_values frame_damage"
+gates="commit_path read_view golden_snapshot mpt bench_values frame_damage unused_vals"
 
 # The output that shows a gate failed.
 pattern() {
@@ -37,38 +37,56 @@ pattern() {
   mpt) echo '\[FAIL\] +mpt +[0-9]+ +golden' ;;
   bench_values) echo 'deterministic smoke values diverged' ;;
   frame_damage) echo '\[FAIL\] +net +[0-9]+ +framing: damage' ;;
+  unused_vals) echo 'unused vals: declared in lib/ but referenced nowhere' ;;
   esac
 }
 
-# Sets [file], the sed script [expr] and the gate it must turn red.
+# Sets [file] and the sed script [expr], optionally a second [file2] and
+# [expr2], and [targets], the gates it must turn red.
 mutation() {
+  file2="" expr2=""
   case $1 in
   kind-tag) # journal kind tag 'N' becomes 'n', both ways
     file=lib/ledger_core/journal_codec.ml
     expr="s/'N'/'n'/g"
-    target=commit_path ;;
+    targets=commit_path ;;
   wire-le) # Wire's 8-byte ints little-endian, both ways
     file=lib/crypto/wire.ml
     expr='s/_int64_be/_int64_le/g'
-    target=read_view ;;
+    targets=read_view ;;
   journal-magic) # journal magic LDBJ1 becomes LDBJ2
     file=lib/ledger_core/journal_codec.ml
     expr='s/"LDBJ1"/"LDBJ2"/'
-    target=golden_snapshot ;;
+    targets=golden_snapshot ;;
   mpt-nibble) # MPT proof nibbles written as 16..31, read back
     file=lib/mpt/mpt.ml
     expr='s/Wire.w_u8 w (Nibble.get path i)/Wire.w_u8 w (Nibble.get path i + 16)/
 /^let r_nibbles/,/^$/s/let v = Wire.r_u8 r in/let v = Wire.r_u8 r - 16 in/'
-    target=mpt ;;
+    targets=mpt ;;
   step-width) # proof-step direction widened from 1 to 8 bytes
     file=lib/merkle/proof_codec.ml
     expr='s/Wire.w_u8 w (match dir/Wire.w_int w (match dir/
 /^let r_step/,/^$/s/Wire.r_u8 r/Wire.r_int r/'
-    target=bench_values ;;
+    targets=bench_values ;;
   crc-seed) # frame CRC seeded with 1 instead of 0, both ways
     file=lib/storage/framing.ml
     expr='s/Crc32.update 0l/Crc32.update 1l/'
-    target=frame_damage ;;
+    targets=frame_damage ;;
+  block-codec) # clue root and world-state root swapped in the block codec
+    file=lib/ledger_core/block.ml
+    expr='s/w t.clue_root/w t.SWAP/; s/w t.world_state_root/w t.clue_root/
+s/w t.SWAP/w t.world_state_root/
+s/let clue_root = /let SWAP = /; s/let world_state_root = /let clue_root = /
+s/let SWAP = /let world_state_root = /'
+    targets="read_view golden_snapshot" ;;
+  unused-val) # an exported value nothing uses
+    file=lib/ledger_core/block.mli
+    expr='$a\
+val liveness_probe_unused : int'
+    file2=lib/ledger_core/block.ml
+    expr2='$a\
+let liveness_probe_unused = 0'
+    targets=unused_vals ;;
   esac
 }
 
@@ -89,24 +107,43 @@ if ! dune runtest >_liveness/unmutated.log 2>&1; then
   exit 1
 fi
 
-for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed; do
+# Applies sed script $2 to file $1, keeping the original in _liveness/.
+apply() {
+  cp "$1" "_liveness/$(basename "$1").orig"
+  sed -e "$2" "_liveness/$(basename "$1").orig" >"$1"
+  ! cmp -s "$1" "_liveness/$(basename "$1").orig"
+}
+
+restore() {
+  cp "_liveness/$(basename "$1").orig" "$1"
+}
+
+for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed \
+  block-codec unused-val; do
   mutation "$m"
-  cp "$file" _liveness/original
-  sed -e "$expr" _liveness/original >"$file"
-  if cmp -s "$file" _liveness/original; then
-    echo "gate_liveness: $m no longer applies to $file"
+  applied=yes
+  apply "$file" "$expr" || applied=no
+  if [ -n "$file2" ]; then apply "$file2" "$expr2" || applied=no; fi
+  if [ "$applied" = no ]; then
+    restore "$file"
+    [ -z "$file2" ] || restore "$file2"
+    echo "gate_liveness: $m no longer applies to $file $file2"
     status=1
     continue
   fi
   rc=0
   dune runtest >"_liveness/$m.log" 2>&1 || rc=$?
-  cp _liveness/original "$file"
+  restore "$file"
+  [ -z "$file2" ] || restore "$file2"
   red=$(red_gates "_liveness/$m.log")
-  case " $red " in
-  *" $target "*) verdict=ok ;;
-  *) verdict="FAILED: $target stayed green"; status=1 ;;
-  esac
+  verdict=ok
+  for t in $targets; do
+    case " $red " in
+    *" $t "*) ;;
+    *) verdict="FAILED: $t stayed green"; status=1 ;;
+    esac
+  done
   [ "$rc" -ne 0 ] || { verdict="FAILED: runtest passed"; status=1; }
-  printf '%-14s %-16s red: %-60s %s\n' "$m" "$target" "${red:-none}" "$verdict"
+  printf '%-14s %-26s red: %-60s %s\n' "$m" "$targets" "${red:-none}" "$verdict"
 done
 exit "$status"

@@ -18,7 +18,6 @@ type t = {
   bitcoin : Bim.t;
   mutable pending : (string * Hash.t) list; (* chain, entry digest; newest first *)
   mutable blocks : directory_block list; (* newest first *)
-  mutable entries : int;
   mutable bytes : int;
   mutable last_seal : int64;
   (* entry digest -> (directory height, chain) for proof lookup *)
@@ -32,7 +31,6 @@ let create ?(anchor_interval_ms = 600_000.) ~clock () =
     bitcoin = Bim.create ~block_size:1;
     pending = [];
     blocks = [];
-    entries = 0;
     bytes = 0;
     last_seal = Clock.now clock;
   index = Hashtbl.create 256;
@@ -41,7 +39,6 @@ let create ?(anchor_interval_ms = 600_000.) ~clock () =
 let add_entry t ~chain payload =
   let digest = Hash.digest_string (chain ^ ":" ^ Bytes.to_string payload) in
   t.pending <- (chain, digest) :: t.pending;
-  t.entries <- t.entries + 1;
   t.bytes <- t.bytes + Bytes.length payload + 32;
   digest
 
@@ -92,7 +89,6 @@ let tick t =
   then ignore (seal_directory_block t)
 
 let directory_blocks t = List.length t.blocks
-let entry_count t = t.entries
 
 type proof = {
   entry_path : Proof.path; (* entry -> entry block root *)

@@ -29,7 +29,6 @@ val tick : t -> unit
 (** Seal automatically when the anchoring interval elapsed. *)
 
 val directory_blocks : t -> int
-val entry_count : t -> int
 
 type proof
 

@@ -44,8 +44,6 @@ let make deployment ~clock =
 
 let create_local ~clock = make Local ~clock
 let create_cloud ~clock = make Cloud ~clock
-let ledger t = t.ledger
-let clock t = t.clock
 
 let charge_ms t ms = Clock.advance t.clock (Clock.us_of_ms ms)
 

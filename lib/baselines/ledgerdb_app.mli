@@ -16,14 +16,11 @@
     proof that the client replays locally. *)
 
 open Ledger_storage
-open Ledger_core
 
 type t
 
 val create_local : clock:Clock.t -> t
 val create_cloud : clock:Clock.t -> t
-val ledger : t -> Ledger.t
-val clock : t -> Clock.t
 
 (** {1 Notarization} *)
 

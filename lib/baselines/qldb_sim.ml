@@ -110,8 +110,6 @@ let verify_lineage t ~key =
           link_ok && r.signed && verify_revision t r.leaf_index r.data_digest)
         revisions
 
-let size t = Accumulator.size t.acc
-
 let preload t n =
   for i = 0 to n - 1 do
     ignore

@@ -25,8 +25,6 @@ type config = {
   sig_verify_ms : float;  (** client-side ECDSA verify in the lineage schema *)
 }
 
-val default_config : config
-
 val create : ?config:config -> clock:Clock.t -> unit -> t
 
 (** {1 Notarization document API} *)
@@ -48,8 +46,6 @@ val version_count : t -> key:string -> int
 val verify_lineage : t -> key:string -> bool
 (** Verify every revision of the key: existence proof + prehash link +
     signature, each at full per-revision cost. *)
-
-val size : t -> int
 
 val preload : t -> int -> unit
 (** Grow the global accumulator with [n] synthetic revisions (no clock

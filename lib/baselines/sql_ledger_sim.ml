@@ -24,7 +24,6 @@ let execute t ~key value =
 
 let get t ~key = Option.map Bytes.copy (Hashtbl.find_opt t.state key)
 let history_length t = t.count
-let block_count t = (t.count + t.block_size - 1) / t.block_size
 
 let tx_digest tx =
   Hash.digest_string (Printf.sprintf "%d:%s=%s" tx.seq tx.key (Bytes.to_string tx.value))

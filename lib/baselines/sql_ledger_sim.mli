@@ -23,7 +23,6 @@ val execute : t -> key:string -> bytes -> unit
 
 val get : t -> key:string -> bytes option
 val history_length : t -> int
-val block_count : t -> int
 
 val publish_digest : t -> Hash.t
 (** Push the current ledger digest to the external trusted storage;
@@ -32,9 +31,6 @@ val publish_digest : t -> Hash.t
 val verify : t -> [ `Ok | `Tampered | `No_published_digest ]
 (** Replay the history chain and compare with the newest published
     digest. *)
-
-val ledger_digest : t -> Hash.t
-(** The current chain head (as the server computes it). *)
 
 module Unsafe : sig
   val rewrite_history : t -> index:int -> key:string -> bytes -> unit

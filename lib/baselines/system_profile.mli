@@ -22,7 +22,6 @@ type profile = {
 val all : profile list
 (** Rows in the paper's order. *)
 
-val efficiency_to_string : efficiency -> string
 val to_row : profile -> string list
 (** For {!Ledger_bench_util.Table.print_table}. *)
 

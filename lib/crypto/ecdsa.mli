@@ -29,8 +29,6 @@ val generate : seed:string -> private_key * public_key
 (** Derive a keypair deterministically from a seed string.  Distinct seeds
     give (overwhelmingly) distinct keys. *)
 
-val public_key : private_key -> public_key
-
 val public_key_of_point : Secp256k1.point -> public_key
 (** Wrap a curve point the caller vouches is on the curve (use
     {!public_key_of_bytes} for untrusted input).  The point at infinity

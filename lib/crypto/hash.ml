@@ -39,9 +39,6 @@ let to_hex t =
 let equal = Bytes.equal
 let compare = Bytes.compare
 
-(* unsafe_to_string: Hashtbl.hash neither mutates nor retains its
-   argument, so the copy the safe conversion makes buys nothing *)
-let hash t = Hashtbl.hash (Bytes.unsafe_to_string t)
 let zero = Bytes.make size '\000'
 let digest_bytes b = Sha256.digest_bytes b
 let digest_string s = Sha256.digest_string s

@@ -15,8 +15,6 @@ val of_hex : string -> t
 val to_hex : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
-(** For use with [Hashtbl]. *)
 
 val zero : t
 (** The all-zero digest, used as a placeholder for empty tree slots. *)

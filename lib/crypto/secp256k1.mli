@@ -130,10 +130,6 @@ module Scalar : sig
   (** Reduce a value < 2²⁵⁶ mod n (a single conditional subtraction,
       since 2²⁵⁶ < 2n). *)
 
-  val reduce_wide : int array -> Uint256.t
-  (** Reduce a wide limb array (e.g. a {!Uint256.mul_wide} product)
-      mod n by repeated folding of the high half. *)
-
   val mul : Uint256.t -> Uint256.t -> Uint256.t
   val add : Uint256.t -> Uint256.t -> Uint256.t
 

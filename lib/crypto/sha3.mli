@@ -2,7 +2,4 @@
     padding).  LedgerDB uses SHA-3 to scatter clue keys uniformly over the
     Merkle Patricia Trie address space (§IV-B2 of the paper). *)
 
-val digest_bytes : bytes -> bytes
-(** One-shot 32-byte SHA3-256 digest. *)
-
 val digest_string : string -> bytes

@@ -47,7 +47,6 @@ type reader
 
 exception Corrupt
 
-val reader : bytes -> reader
 val r_u8 : reader -> int
 val r_int : reader -> int
 val r_int64 : reader -> int64
@@ -61,7 +60,6 @@ val r_sig : reader -> Ecdsa.signature
 
 val r_list : ?max:int -> reader -> (unit -> 'a) -> 'a list
 val r_option : reader -> (unit -> 'a) -> 'a option
-val at_end : reader -> bool
 
 val decode : bytes -> (reader -> 'a) -> 'a option
 (** Run a decoder; [None] on {!Corrupt}, truncation, or trailing bytes. *)

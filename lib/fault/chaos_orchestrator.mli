@@ -78,11 +78,4 @@ val report_to_string : report -> string
 
 val run : scenario -> report
 
-val builtin_matrix : ?seed:int -> unit -> scenario list
-(** The four-scenario acceptance matrix: kill mid-epoch, kill with a
-    torn checkpoint (salvage must fall back to resync), kill under a
-    partitioned repair transport (repairs blocked until heal), and an
-    equivocating service.  [seed] (default 42) offsets every scenario's
-    RNG, fault plan and transport schedule. *)
-
 val run_matrix : ?seed:int -> unit -> report list

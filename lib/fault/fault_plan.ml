@@ -11,7 +11,6 @@ type fault = { file : string; kind : kind }
 
 type t = { seed : int; faults : fault list }
 
-let seed t = t.seed
 let faults t = t.faults
 
 let kind_to_string = function

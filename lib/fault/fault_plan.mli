@@ -27,9 +27,7 @@ type fault = { file : string; kind : kind }
 
 type t
 
-val seed : t -> int
 val faults : t -> fault list
-val fault_to_string : fault -> string
 val to_string : t -> string
 
 val plan :
@@ -50,5 +48,3 @@ val plan :
 
 val apply : t -> dir:string -> unit
 (** Inflict every fault on the files under [dir]. *)
-
-val apply_fault : dir:string -> fault -> unit

@@ -10,10 +10,6 @@ type config = {
   delay_ms : float;
 }
 
-let none =
-  { drop_prob = 0.; dup_prob = 0.; garble_prob = 0.; reorder_prob = 0.;
-    delay_prob = 0.; delay_ms = 0. }
-
 let lossy ?(drop = 0.05) ?(dup = 0.01) ?(garble = 0.01) ?(reorder = 0.01)
     ?(delay = 0.05) ?(delay_ms = 400.) () =
   { drop_prob = drop; dup_prob = dup; garble_prob = garble;
@@ -52,7 +48,6 @@ let create ~rng ~config ?latency ~clock inner =
 
 let stats t = t.stats
 let set_partitioned t on = t.partitioned <- on
-let partitioned t = t.partitioned
 
 (* A jitter source over the same seeded RNG that drives the fault
    schedule — hand it to Transport.request's [backoff_rng] so one seed

@@ -18,9 +18,6 @@ type config = {
   delay_ms : float;  (** mean delay; each hit is scaled by 0.5–1.5x *)
 }
 
-val none : config
-(** All probabilities zero: a faithful pass-through. *)
-
 val lossy :
   ?drop:float ->
   ?dup:float ->
@@ -61,8 +58,6 @@ val set_partitioned : t -> bool -> unit
     {!Ledger_core.Transport.Timeout} without consuming any probabilistic
     fate draws — healing resumes the seeded fault schedule exactly where
     it left off.  The chaos orchestrator's partition primitive. *)
-
-val partitioned : t -> bool
 
 val backoff_rng : t -> unit -> float
 (** A jitter draw in [0,1) over the {e same} seeded RNG that drives the

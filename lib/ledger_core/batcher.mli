@@ -21,9 +21,6 @@ type policy = {
           would *)
 }
 
-val default_policy : policy
-(** 64 entries / 10 ms / seal. *)
-
 type t
 
 val create :

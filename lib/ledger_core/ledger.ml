@@ -1276,7 +1276,6 @@ module Read_view = struct
   let name v = v.v_name
   let size v = v.v_size
   let block_count v = v.v_block_count
-  let blocks v = List.rev v.v_blocks
   let members_wire v = v.v_members
   let pseudo_genesis_jsn v = v.v_pseudo_genesis
   let published_at v = v.v_now
@@ -1293,7 +1292,6 @@ module Read_view = struct
   let commitment v = Fam.commitment v.v_fam
   let get_proof v jsn = prove_in v.v_fam jsn
   let prove_extension v ~old_size = Fam.prove_extension v.v_fam ~old_size
-  let cm_tree v = v.v_cm
   let clue_root v = Cm_tree.root_hash v.v_cm
 
   let prove_clue v ~clue ?first ?last () =

@@ -88,7 +88,6 @@ module Read_view : sig
   val size : t -> int
   val block_count : t -> int
   val block : t -> int -> Block.t
-  val blocks : t -> Block.t list
   val journal : t -> int -> Journal.t
   val tx_hash_of : t -> int -> Hash.t
 
@@ -100,7 +99,6 @@ module Read_view : sig
   val commitment : t -> Hash.t
   val get_proof : t -> int -> Fam.proof
   val prove_extension : t -> old_size:int -> Fam.extension_proof
-  val cm_tree : t -> Cm_tree.t
   val clue_root : t -> Hash.t
 
   val prove_clue :
@@ -448,7 +446,6 @@ val compact_storage : t -> int
     remapped transparently. *)
 
 val stored_digests : t -> int
-val sign_with_profile : t -> priv:Ecdsa.private_key -> pub:Ecdsa.public_key -> Hash.t -> Ecdsa.signature
 val verify_with_profile : t -> pub:Ecdsa.public_key -> Hash.t -> Ecdsa.signature -> bool
 
 (** {1 Adversarial hooks (tests and attack demos only)}

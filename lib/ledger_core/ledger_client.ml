@@ -15,14 +15,11 @@ type t = {
   mutable anchor : (Fam.anchor * Hash.t) option;
   mutable status : status;
   mutable transient_faults : int;
-  mutable last_fault : string option;
 }
 
 let create ~name ~lsp_pub =
   { name; lsp_pub; receipts = []; anchor = None; status = Healthy;
-    transient_faults = 0; last_fault = None }
-
-let name t = t.name
+    transient_faults = 0 }
 
 (* --- health -------------------------------------------------------------
 
@@ -34,23 +31,19 @@ let name t = t.name
 
 let status t = t.status
 let transient_faults t = t.transient_faults
-let last_fault t = t.last_fault
 
-let note_transport_fault t ~reason =
+let note_transport_fault t =
   t.transient_faults <- t.transient_faults + 1;
-  t.last_fault <- Some reason;
   Ledger_obs.Metrics.incr "client_transport_faults_total";
   if t.status = Healthy then t.status <- Degraded
 
 let note_recovery t =
   if t.status = Degraded then begin
     t.status <- Healthy;
-    t.last_fault <- None;
     Ledger_obs.Metrics.incr "client_recoveries_total"
   end
 
-let note_verification_failure t ~reason =
-  t.last_fault <- Some reason;
+let note_verification_failure t =
   Ledger_obs.Metrics.incr "client_verification_failures_total";
   t.status <- Compromised
 
@@ -155,7 +148,7 @@ let check_receipt_remote t ~transport ?policy ?(seed = 0) ~clock ~jsn () =
   | Some _ -> (
       match
         Transport.request_expect ?policy ~seed
-          ~on_retry:(fun ~attempt:_ ~reason -> note_transport_fault t ~reason)
+          ~on_retry:(fun ~attempt:_ ~reason:_ -> note_transport_fault t)
           ~clock
           ~decode:(function
             | Service.Journal_r { tx; _ } -> Some tx
@@ -167,15 +160,14 @@ let check_receipt_remote t ~transport ?policy ?(seed = 0) ~clock ~jsn () =
           (* the client holds a receipt for this jsn; a service refusing to
              produce the journal is repudiation evidence, not a transient
              fault *)
-          note_verification_failure t
-            ~reason:(Printf.sprintf "jsn %d refused: %s" jsn msg);
+          note_verification_failure t;
           Ledger_obs.Audit_log.record ~verifier:t.name (Receipt jsn)
             (Repudiated ("service refused journal: " ^ msg));
           Ok `Repudiated
       | Error (Transport.Transport e) ->
           (* transport exhausted: stay degraded, conclude nothing — the
              receipt is neither confirmed nor repudiated *)
-          note_transport_fault t ~reason:(Transport.error_to_string e);
+          note_transport_fault t;
           Ledger_obs.Audit_log.record ~verifier:t.name (Receipt jsn)
             (Degraded (Transport.error_to_string e));
           Error e
@@ -185,14 +177,6 @@ let check_receipt_remote t ~transport ?policy ?(seed = 0) ~clock ~jsn () =
           in
           (match verdict with
           | `Ok -> note_recovery t
-          | `Bad_signature ->
-              note_verification_failure t
-                ~reason:(Printf.sprintf "jsn %d: receipt signature invalid" jsn)
-          | `Repudiated ->
-              note_verification_failure t
-                ~reason:
-                  (Printf.sprintf
-                     "jsn %d: ledger's journal no longer matches the receipt"
-                     jsn)
+          | `Bad_signature | `Repudiated -> note_verification_failure t
           | `No_receipt -> ());
           Ok verdict)

@@ -18,7 +18,6 @@ open Ledger_merkle
 type t
 
 val create : name:string -> lsp_pub:Ecdsa.public_key -> t
-val name : t -> string
 
 (** {1 Health}
 
@@ -39,16 +38,11 @@ val status_to_string : status -> string
 val transient_faults : t -> int
 (** Transport faults observed over the client's lifetime. *)
 
-val last_fault : t -> string option
-
-val note_transport_fault : t -> reason:string -> unit
-(** Record a transient fault; [Healthy] becomes [Degraded]. *)
-
 val note_recovery : t -> unit
 (** A request succeeded; [Degraded] returns to [Healthy].  [Compromised]
     is sticky. *)
 
-val note_verification_failure : t -> reason:string -> unit
+val note_verification_failure : t -> unit
 (** Record cryptographic evidence against the LSP; the client becomes
     [Compromised] for good. *)
 

@@ -105,7 +105,6 @@ val encode_response : response -> bytes
 val decode_response : bytes -> response option
 
 val w_receipt : Wire.writer -> Receipt.t -> unit
-val r_receipt : Wire.reader -> Receipt.t
 
 val handle : Ledger.t -> bytes -> bytes
 (** The server: malformed input or failed dispatch yields an encoded

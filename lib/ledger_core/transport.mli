@@ -43,13 +43,11 @@ val default_policy : policy
 val no_retry : policy
 (** Single attempt — the pre-fault-tolerance behaviour. *)
 
-val backoff_ms : policy -> seed:int -> attempt:int -> float
-(** Backoff charged before retry [attempt + 1] (attempts count from 1). *)
-
 val drawn_backoff_ms :
   policy -> seed:int -> attempt:int -> backoff_rng:(unit -> float) option -> float
-(** {!backoff_ms} with its jitter drawn from [backoff_rng] (a draw in
-    [0,1], taken once per call) when one is given. *)
+(** Backoff charged before retry [attempt + 1] (attempts count from 1),
+    with its jitter drawn from [backoff_rng] (a draw in [0,1], taken
+    once per call) when one is given. *)
 
 type error = { attempts : int; reason : string }
 (** Transport gave up: every attempt failed transiently; [reason] is the

@@ -77,8 +77,3 @@ let prove t i =
 let verify ~root ~leaf proof =
   let batch_root = Proof.apply leaf proof.in_batch in
   Hash.equal (Proof.apply batch_root proof.batch_path) root
-
-let stored_digests t =
-  Forest.stored_digests t.acc
-  + Forest.stored_digests t.current
-  + List.fold_left (fun a f -> a + Forest.stored_digests f) 0 t.sealed

@@ -28,4 +28,3 @@ type proof = { in_batch : Proof.path; batch_path : Proof.path; open_batch : bool
 
 val prove : t -> int -> proof
 val verify : root:Hash.t -> leaf:Hash.t -> proof -> bool
-val stored_digests : t -> int

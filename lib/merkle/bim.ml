@@ -77,7 +77,6 @@ let nth_block t b =
   if b < 0 || b >= n then invalid_arg "Bim: block out of range";
   List.nth t.blocks (n - 1 - b)
 
-let header t b = (nth_block t b).hdr
 let headers t = List.rev_map (fun s -> s.hdr) t.blocks
 
 let verify_header_chain hdrs =

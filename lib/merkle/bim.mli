@@ -31,8 +31,6 @@ val size : t -> int
 val block_count : t -> int
 (** Sealed blocks. *)
 
-val header : t -> int -> header
-val header_hash : header -> Hash.t
 val headers : t -> header list
 (** The full header chain (a light client's state). *)
 

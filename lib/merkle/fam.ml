@@ -23,7 +23,6 @@ let create ~delta =
     size = 0;
   }
 
-let delta t = t.delta
 let size t = t.size
 let epoch_count t = t.epoch_count
 

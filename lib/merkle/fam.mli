@@ -24,7 +24,6 @@ type t
 val create : delta:int -> t
 (** [delta] is the fractal height (e.g. fam-15 ⇒ [delta = 15]). *)
 
-val delta : t -> int
 val append : t -> Hash.t -> int
 (** Append a journal digest; returns its jsn. *)
 

@@ -11,13 +11,8 @@ open Ledger_crypto
 val w_path : Wire.writer -> Proof.path -> unit
 val r_path : Wire.reader -> Proof.path
 
-val w_node_set : Wire.writer -> Proof.node_set -> unit
-val r_node_set : Wire.reader -> Proof.node_set
-
 val w_fam_proof : Wire.writer -> Fam.proof -> unit
 val r_fam_proof : Wire.reader -> Fam.proof
-
-val w_fam_anchored : Wire.writer -> Fam.anchored_proof -> unit
 
 val w_range_proof : Wire.writer -> Range_proof.t -> unit
 val r_range_proof : Wire.reader -> Range_proof.t
@@ -29,9 +24,6 @@ val encode_fam_anchored : Fam.anchored_proof -> bytes
 
 val encode_range_proof : Range_proof.t -> bytes
 val decode_range_proof : bytes -> Range_proof.t option
-
-val w_consistency : Wire.writer -> Forest.consistency_proof -> unit
-val r_consistency : Wire.reader -> Forest.consistency_proof
 
 val w_fam_extension : Wire.writer -> Fam.extension_proof -> unit
 val r_fam_extension : Wire.reader -> Fam.extension_proof

@@ -14,7 +14,6 @@ type t = {
   max_frame : int;
   mu : Mutex.t;
   mutable conn : conn option;
-  mutable reconnects : int;
 }
 
 let connect ?(response_timeout_s = 5.0) ?(max_frame = Net_framing.default_max_frame)
@@ -26,10 +25,7 @@ let connect ?(response_timeout_s = 5.0) ?(max_frame = Net_framing.default_max_fr
     max_frame;
     mu = Mutex.create ();
     conn = None;
-    reconnects = 0;
   }
-
-let reconnects t = t.reconnects
 
 let protect mu f =
   Mutex.lock mu;
@@ -64,7 +60,6 @@ let dial t =
           (Unix.ADDR_INET (Unix.inet_addr_of_string t.host, t.port));
         let c = { fd; dec = Net_framing.create_decoder ~max_frame:t.max_frame () } in
         t.conn <- Some c;
-        t.reconnects <- t.reconnects + 1;
         c
       with Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -38,7 +38,3 @@ val transport : t -> Ledger_core.Transport.t
 val close : t -> unit
 (** Drop the current connection (if any).  The endpoint stays usable —
     the next request reconnects. *)
-
-val reconnects : t -> int
-(** Times the endpoint dialled the server, first connection included —
-    an observability hook for fault tests. *)

@@ -41,24 +41,6 @@ let record ~verifier subject outcome =
 let entries () = List.rev !entries_rev
 let size () = !count
 
-let subject_to_string = function
-  | Journal jsn -> Printf.sprintf "journal:%d" jsn
-  | Receipt jsn -> Printf.sprintf "receipt:%d" jsn
-  | Commitment size -> Printf.sprintf "commitment:%d" size
-  | Clue clue -> "clue:" ^ clue
-  | Extension { old_size; new_size } ->
-      Printf.sprintf "extension:%d->%d" old_size new_size
-  | Fork_epoch epoch -> Printf.sprintf "fork:%d" epoch
-
-let outcome_to_string = function
-  | Verified -> "ok"
-  | Degraded _ -> "degraded"
-  | Repudiated _ -> "repudiated"
-
-let outcome_detail = function
-  | Verified -> None
-  | Degraded reason | Repudiated reason -> Some reason
-
 type coverage = { verified_jsns : int; total_jsns : int; ratio : float }
 
 (* A jsn counts as covered when at least one Verified entry targets its
@@ -91,20 +73,6 @@ let starts_with ~prefix s =
 let coverage_where ~verifier_prefix ~ledger_size =
   coverage_filtered ~ledger_size
     ~keep:(fun e -> starts_with ~prefix:verifier_prefix e.verifier)
-
-let to_json_line e =
-  let detail =
-    match outcome_detail e.outcome with
-    | Some d -> Printf.sprintf ",\"detail\":\"%s\"" (Obs_core.escape d)
-    | None -> ""
-  in
-  Printf.sprintf
-    "{\"seq\":%d,\"at_us\":%Ld,\"verifier\":\"%s\",\"subject\":\"%s\",\"outcome\":\"%s\"%s}"
-    e.seq e.at_us (Obs_core.escape e.verifier)
-    (Obs_core.escape (subject_to_string e.subject))
-    (outcome_to_string e.outcome) detail
-
-let to_json_lines () = String.concat "\n" (List.map to_json_line (entries ()))
 
 let reset () =
   entries_rev := [];

@@ -52,10 +52,4 @@ val coverage_where : verifier_prefix:string -> ledger_size:int -> coverage
     ["client@shard3"]), where [ledger_size] is that shard's size and
     jsns are shard-local. *)
 
-val subject_to_string : subject -> string
-val outcome_to_string : outcome -> string
-
-val to_json_line : entry -> string
-val to_json_lines : unit -> string
-
 val reset : unit -> unit

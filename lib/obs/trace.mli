@@ -34,14 +34,10 @@ type record = {
   mutable attrs : (string * string) list;  (** reverse insertion order *)
 }
 
-val spans : unit -> record list
-(** All recorded spans, in creation order. *)
-
 val find_spans : name:string -> record list
 val span_count : unit -> int
 val open_spans : unit -> int
 
-val to_json_line : record -> string
 val to_json_lines : unit -> string
 (** One JSON object per span, newline-separated (JSON-lines export). *)
 

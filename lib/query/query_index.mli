@@ -67,7 +67,6 @@ val clue_of_key : string -> string option
 
 val chain_seed : string -> Hash.t
 val chain_step : Hash.t -> int -> Hash.t -> Hash.t
-val committed_value : count:int -> chain:Hash.t -> bytes
 val decode_value : bytes -> (int * Hash.t) option
 
 (** {1 Per-clue reads} *)

@@ -48,9 +48,6 @@ type result_row = {
 val bounds : spec -> string * string option
 (** Nibble-key interval [[lo, hi)] a spec covers. *)
 
-val after_key : string -> string
-(** Smallest trie key strictly after a cursor clue. *)
-
 val spec_matches : spec -> string -> bool
 
 (** {1 Server side} *)

@@ -57,6 +57,7 @@ let decode_announcement b = Wire.decode b r_announcement
 
 type fork_evidence = { first : announcement; second : announcement }
 
+(* Signatures are not checked here; {!verify_fork} is the judge. *)
 let fork_evidence a b =
   if a.ledger = b.ledger && a.epoch = b.epoch && not (Hash.equal a.super b.super)
   then Some { first = a; second = b }
@@ -177,16 +178,7 @@ let exchange a b =
   | Some _ -> ());
   !found
 
-let seen t =
-  Hashtbl.fold (fun e a acc -> (e, a) :: acc) t.seen []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let evidence t = List.rev t.evidence_rev
 let compromised t = t.evidence_rev <> []
 
 let condemn t client =
-  match t.evidence_rev with
-  | [] -> ()
-  | ev :: _ ->
-      Ledger_core.Ledger_client.note_verification_failure client
-        ~reason:(fork_to_string ev)
+  if compromised t then Ledger_core.Ledger_client.note_verification_failure client

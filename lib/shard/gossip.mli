@@ -29,11 +29,6 @@ type announcement = {
   signature : Ecdsa.signature;  (** service signature over the digest *)
 }
 
-val announcement_digest :
-  ledger:string -> epoch:int -> super:Hash.t -> sealed_at:int64 -> Hash.t
-(** The domain-separated digest the service signs:
-    [H("ledgerdb:announce" ∥ ledger ∥ epoch ∥ super ∥ sealed_at)]. *)
-
 val sign :
   priv:Ecdsa.private_key ->
   ledger:string ->
@@ -60,11 +55,6 @@ type fork_evidence = {
   second : announcement;  (** same ledger and epoch, different super *)
 }
 
-val fork_evidence : announcement -> announcement -> fork_evidence option
-(** [Some] iff the two announcements name the same (ledger, epoch) but
-    different super-roots — the shape of equivocation.  Signature
-    validity is {e not} checked here; {!verify_fork} is the judge. *)
-
 val verify_fork : service_pub:Ecdsa.public_key -> fork_evidence -> bool
 (** Self-verifying: both signatures must check under the service key,
     the (ledger, epoch) pairs must agree and the super-roots must
@@ -72,8 +62,6 @@ val verify_fork : service_pub:Ecdsa.public_key -> fork_evidence -> bool
 
 val fork_to_string : fork_evidence -> string
 
-val w_fork : Wire.writer -> fork_evidence -> unit
-val r_fork : Wire.reader -> fork_evidence
 val encode_fork : fork_evidence -> bytes
 val decode_fork : bytes -> fork_evidence option
 
@@ -99,7 +87,7 @@ val create : ?name:string -> service_pub:Ecdsa.public_key -> ledger:string -> un
 
 val observe : t -> announcement -> verdict
 (** Fold one announcement into the peer state.  A [Forked] verdict
-    also stores the evidence ({!evidence}), bumps the
+    also stores the evidence, bumps the
     [gossip_fork_evidence_total] counter and writes a fork audit
     record; it is returned every time a conflicting announcement for
     that epoch reappears. *)
@@ -109,17 +97,11 @@ val exchange : t -> t -> fork_evidence option
     "compare notes" step.  Returns the first fork evidence surfaced (on
     either side), if any. *)
 
-val seen : t -> (int * announcement) list
-(** Announcements on record, by epoch, ascending. *)
-
-val evidence : t -> fork_evidence list
-(** Fork evidence accumulated so far, oldest first. *)
-
 val compromised : t -> bool
 (** [true] once any fork evidence exists — like
     {!Ledger_core.Ledger_client}'s [Compromised], this is sticky. *)
 
 val condemn : t -> Ledger_core.Ledger_client.t -> unit
 (** Propagate this peer's fork evidence (if any) into a client's health
-    state: the client becomes [Compromised] with the fork description
-    as the reason.  No-op when no evidence exists. *)
+    state: the client becomes [Compromised].  No-op when no evidence
+    exists. *)

@@ -7,8 +7,7 @@ let create ~shards =
     invalid_arg "Shard_router.create: shards must be in [1,1024]";
   { shards }
 
-let shards t = t.shards
-
+(* The "#" prefix keeps digest keys out of the clue namespace. *)
 let routing_key ~clues ~payload =
   match clues with
   | clue :: _ -> clue

@@ -18,16 +18,6 @@ type t
 val create : shards:int -> t
 (** @raise Invalid_argument unless [1 <= shards <= 1024]. *)
 
-val shards : t -> int
-
-val routing_key : clues:string list -> payload:bytes -> string
-(** The first clue when present, otherwise ["#" ^ hex payload digest]
-    (the ["#"] prefix keeps digest keys out of the clue namespace). *)
-
-val route_key : t -> string -> int
-(** Shard owning a routing key: first 8 bytes of [SHA-256 key],
-    big-endian, mod the shard count. *)
-
 val route : t -> clues:string list -> payload:bytes -> int
 (** [route_key] of [routing_key] — the placement function used by
     append, verification and the service dispatcher alike. *)

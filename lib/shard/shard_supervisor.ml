@@ -63,8 +63,6 @@ let create ?(policy = default_policy) ?probe ?source
     states = Array.make (Sharded_ledger.shard_count fleet) Healthy;
   }
 
-let fleet t = t.fleet
-
 let status t i =
   if i < 0 || i >= Array.length t.states then
     invalid_arg (Printf.sprintf "Shard_supervisor: shard %d out of range" i);

@@ -83,7 +83,6 @@ val create :
     checkpoint ([ckpt-s<i>]) and pull stage ([pull-s<i>])
     subdirectories. *)
 
-val fleet : t -> Sharded_ledger.t
 val status : t -> int -> status
 val quarantined : t -> int list
 (** Shards currently quarantined or repairing, ascending. *)

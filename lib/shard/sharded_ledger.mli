@@ -32,9 +32,6 @@ type config = {
   shards : int;  (** fleet width, 1..1024 *)
 }
 
-val default_config : config
-(** [Ledger.default_config] with 4 shards. *)
-
 val shard_name : config -> int -> string
 (** [base.name] for a one-shard fleet; ["<base>/s<i>"] otherwise. *)
 

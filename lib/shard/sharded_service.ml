@@ -249,7 +249,6 @@ module Client = struct
               ~member ~priv ());
     }
 
-  let shards t = Array.length t.per_shard
   let route t ~clues ~payload = Shard_router.route t.router ~clues ~payload
 
   let make_append t ?(clues = []) ~client_ts payload =

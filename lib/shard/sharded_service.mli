@@ -51,7 +51,6 @@ type response =
 
 val encode_request : request -> bytes
 val decode_request : bytes -> request option
-val encode_response : response -> bytes
 val decode_response : bytes -> response option
 
 val handle : Sharded_ledger.t -> bytes -> bytes
@@ -59,12 +58,6 @@ val handle : Sharded_ledger.t -> bytes -> bytes
     shard's {!Ledger_core.Service.handle} (or serve the fleet-level
     request) → encode.  Never raises; malformed input or a refused
     epoch seal yields an encoded {!response.Error_r}. *)
-
-val classify : request -> [ `Read | `Mutate ]
-(** [`Mutate] for {!request.Routed_append}, {!request.Seal_epoch} and a
-    {!request.To_shard} whose inner envelope is a mutation; [`Read] for
-    everything else (including malformed inner envelopes, which err the
-    same way on either path). *)
 
 val handle_read : Sharded_ledger.t -> bytes -> bytes option
 (** The read-only half of {!handle}: [None] for mutations, otherwise the
@@ -85,11 +78,6 @@ module Client : sig
     priv:Ecdsa.private_key ->
     unit ->
     t
-
-  val shards : t -> int
-
-  val route : t -> clues:string list -> payload:bytes -> int
-  (** The placement the client signs for. *)
 
   val make_append :
     t -> ?clues:string list -> client_ts:int64 -> bytes -> int * bytes

@@ -48,12 +48,6 @@ val seal :
     match the fleet.
     @raise Invalid_argument on an empty fleet or length mismatch. *)
 
-val leaf : shard:int -> presence:presence -> root:Hash.t -> size:int -> Hash.t
-(** The domain-separated leaf digest for one shard.  [Sealed] leaves use
-    the original ["shard:<i>"] domain, so all-healthy epochs commit to
-    bit-identical super-roots across versions; [Carried] leaves use
-    ["shard-carried:<i>"]. *)
-
 val carried : sealed -> int list
 (** Indices of the shards that were carried (skipped) in this epoch,
     ascending; empty for a full epoch. *)

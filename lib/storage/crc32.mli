@@ -5,9 +5,6 @@
     first line of defence, cheaper and earlier than the cryptographic
     re-derivation that {!Ledger.load} performs on top. *)
 
-val bytes : bytes -> int32
-(** Checksum of a whole byte buffer. *)
-
 val string : string -> int32
 
 val update : int32 -> bytes -> pos:int -> len:int -> int32

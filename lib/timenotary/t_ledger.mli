@@ -57,8 +57,6 @@ val prove_entry : t -> int -> Proof.path
 
 val verify_entry : root:Hash.t -> entry:entry -> Proof.path -> bool
 
-val entry_leaf_digest : entry -> Hash.t
-
 val verify_entry_time : t -> int -> (int64 option * int64 option) option
 (** [(lower, upper)] TSA-endorsed bounds for an entry: the timestamps of
     the nearest TSA anchors before and after it.  [None] fields mean no

@@ -8,7 +8,6 @@ type certificate = {
 }
 
 type t = {
-  name : string;
   clock : Clock.t;
   endorse_rtt_us : int64;
   priv : Ecdsa.private_key;
@@ -42,7 +41,6 @@ let create ?(endorse_rtt_ms = 50.) ~clock name =
   let priv, pub = Ecdsa.generate ~seed:("tsa:" ^ name) in
   let id = Ecdsa.public_key_id pub in
   {
-    name;
     clock;
     endorse_rtt_us = Clock.us_of_ms endorse_rtt_ms;
     priv;
@@ -51,9 +49,7 @@ let create ?(endorse_rtt_ms = 50.) ~clock name =
     cert = issue_certificate id;
   }
 
-let name t = t.name
 let public_key t = t.pub
-let id t = t.id
 
 let token_signing_digest digest timestamp =
   let buf = Buffer.create 64 in
@@ -72,8 +68,6 @@ let verify_token pub token =
   Ecdsa.verify pub
     (token_signing_digest token.digest token.timestamp)
     token.signature
-
-let certificate t = t.cert
 
 let verify_token_with_chain t token =
   let ca_pub = ca_public_key () in

@@ -22,15 +22,10 @@ type token = {
 val create : ?endorse_rtt_ms:float -> clock:Clock.t -> string -> t
 (** [endorse_rtt_ms] defaults to 50 ms — a remote authority service. *)
 
-val name : t -> string
 val public_key : t -> Ecdsa.public_key
-val id : t -> Hash.t
 
 val endorse : t -> Hash.t -> token
 (** Charge the round trip, stamp, sign. *)
-
-val token_signing_digest : Hash.t -> int64 -> Hash.t
-(** The digest the TSA actually signs for (digest, timestamp). *)
 
 val verify_token : Ecdsa.public_key -> token -> bool
 
@@ -47,9 +42,6 @@ type certificate = {
   issuer_sig : Ecdsa.signature;  (** CA signature over the subject *)
   root_sig : Ecdsa.signature;  (** root self-signature *)
 }
-
-val ca_public_key : unit -> Ecdsa.public_key
-val certificate : t -> certificate
 
 val verify_token_with_chain : t -> token -> bool
 (** Token signature plus the full certificate chain (three signature

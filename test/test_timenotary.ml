@@ -256,4 +256,39 @@ let test_t_ledger_serves_many_ledgers () =
 let multi_ledger_suite =
   [ tc "t-ledger serves many ledgers" `Quick test_t_ledger_serves_many_ledgers ]
 
-let suite = base_suite @ multi_ledger_suite
+(* --- leaf layout ------------------------------------------------------------ *)
+
+let test_t_ledger_leaf_collision () =
+  (* A real entry (client_ts 1, digest D, notary_ts 23) with D's first
+     byte '2', and a forged one (12, D[1..31] ^ "2", 3): decimal fields
+     joined without lengths would give both one leaf, so the real
+     entry's proof would also prove the backdated notary time 3. *)
+  let clock, tl = make_tl () in
+  Clock.advance clock 23L;
+  let d = Bytes.of_string ("2" ^ String.make 31 'x') in
+  let lid = Hash.digest_string "ledger-1" in
+  let e =
+    match
+      T_ledger.submit tl ~ledger_id:lid ~digest:(Hash.of_bytes d) ~client_ts:1L
+    with
+    | Ok e -> e
+    | Error _ -> Alcotest.fail "submission rejected"
+  in
+  Alcotest.(check int64) "notary time" 23L e.T_ledger.notary_ts;
+  let forged =
+    {
+      e with
+      T_ledger.kind = T_ledger.Ledger_digest { ledger_id = lid; client_ts = 12L };
+      digest = Hash.of_bytes (Bytes.of_string (String.make 31 'x' ^ "2"));
+      notary_ts = 3L;
+    }
+  in
+  let root = T_ledger.root tl and path = T_ledger.prove_entry tl e.T_ledger.index in
+  Alcotest.(check bool) "real entry proved" true (T_ledger.verify_entry ~root ~entry:e path);
+  Alcotest.(check bool) "backdated entry refused" false
+    (T_ledger.verify_entry ~root ~entry:forged path)
+
+let leaf_suite =
+  [ tc "t-ledger leaf: backdated split fields refused" `Quick test_t_ledger_leaf_collision ]
+
+let suite = base_suite @ multi_ledger_suite @ leaf_suite

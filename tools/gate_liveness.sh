@@ -1,6 +1,6 @@
 #!/bin/sh
 # Gate liveness: shows that each byte-level golden gate of `dune runtest`,
-# and the dead-export gate, can still fail.  For every gate it applies one
+# the bench schema check and the dead-export gate can still fail.  For every gate it applies one
 # known-bad mutation to a scratch copy of the working tree, runs `dune
 # runtest` there, and checks that the run fails on the gates the mutation
 # targets.  It prints, per mutation, every gate the run turned red.
@@ -26,7 +26,7 @@ mkdir -p "$dest"
 cd "$dest"
 mkdir _liveness # dune skips directories whose name starts with '_'
 
-gates="commit_path read_view golden_snapshot mpt bench_values frame_damage unused_vals"
+gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports"
 
 # The output that shows a gate failed.
 pattern() {
@@ -37,7 +37,8 @@ pattern() {
   mpt) echo '\[FAIL\] +mpt +[0-9]+ +golden' ;;
   bench_values) echo 'deterministic smoke values diverged' ;;
   frame_damage) echo '\[FAIL\] +net +[0-9]+ +framing: damage' ;;
-  unused_vals) echo 'unused vals: declared in lib/ but referenced nowhere' ;;
+  schema) echo 'bench_smoke: key set of .* diverged from' ;;
+  dead_exports) echo '^dead exports: (referenced nowhere|used only inside)' ;;
   esac
 }
 
@@ -82,11 +83,25 @@ s/let SWAP = /let world_state_root = /'
   unused-val) # an exported value nothing uses
     file=lib/ledger_core/block.mli
     expr='$a\
+\
 val liveness_probe_unused : int'
     file2=lib/ledger_core/block.ml
     expr2='$a\
 let liveness_probe_unused = 0'
-    targets=unused_vals ;;
+    targets=dead_exports ;;
+  common-name-val) # an exported value nothing uses, under a common name
+    file=lib/ledger_core/roles.mli
+    expr='$a\
+\
+val digest : unit -> unit'
+    file2=lib/ledger_core/roles.ml
+    expr2='$a\
+let digest () = ()'
+    targets=dead_exports ;;
+  schema-key) # one key dropped from one bench's JSON writer
+    file=bench/bench_par.ml
+    expr='/("figure", Str "par");/d'
+    targets=schema ;;
   esac
 }
 
@@ -119,7 +134,7 @@ restore() {
 }
 
 for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed \
-  block-codec unused-val; do
+  block-codec unused-val common-name-val schema-key; do
   mutation "$m"
   applied=yes
   apply "$file" "$expr" || applied=no
@@ -144,6 +159,6 @@ for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed \
     esac
   done
   [ "$rc" -ne 0 ] || { verdict="FAILED: runtest passed"; status=1; }
-  printf '%-14s %-26s red: %-60s %s\n' "$m" "$targets" "${red:-none}" "$verdict"
+  printf '%-16s %-26s red: %-60s %s\n' "$m" "$targets" "${red:-none}" "$verdict"
 done
 exit "$status"

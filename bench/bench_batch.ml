@@ -1,20 +1,16 @@
-(* Batched commit amortization + verification cache payoff.
+(* Batched commit amortization.
 
    Everything gated here is measured on the simulated clock, so the
    numbers are deterministic: a batch of k entries pays one network
    charge and one storage round instead of k, so the per-entry commit
    cost must be strictly decreasing in k — the bench fails loudly if it
    is not (that is the acceptance shape for the machine-readable
-   output).  The cache section replays one verification workload twice
-   against an attached {!Verify_cache}: the cold pass pays proof replays
-   and latency-charged payload reads, the warm pass answers from cached
-   verdicts.  Beside each simulated per-entry cost, [wall_us_per_entry]
+   output).  Beside each simulated per-entry cost, [wall_us_per_entry]
    reports the same run's wall time on the host (ungated,
    host-dependent), and [resident_bytes_per_entry] the growth of
    everything reachable from the ledger per committed entry: a count of
    heap words, not a time, so it repeats exactly for fixed inputs. *)
 
-open Ledger_crypto
 open Ledger_storage
 open Ledger_core
 open Ledger_bench_util
@@ -65,39 +61,6 @@ let measure_batch ~entries k =
     per_entry wall_us,
     per_entry (float_of_int resident) )
 
-(* One verification workload (existence with payload digest + receipt
-   check per jsn), replayed cold then warm against one attached cache. *)
-let measure_cache ~entries =
-  let clock, ledger, member, priv = build_ledger "bb-cache" in
-  let receipts =
-    List.init entries (fun i ->
-        List.hd
-          (Ledger.append_batch ledger ~member ~priv ~seal:false
-             [ (payload_of i, [ "bk" ^ string_of_int (i mod 4) ]) ]))
-  in
-  Ledger.seal_block ledger;
-  let cache = Verify_cache.create ~capacity:(4 * entries) () in
-  Verify_cache.attach cache ledger;
-  let pass () =
-    let t0 = Clock.now clock in
-    List.iteri
-      (fun i (r : Receipt.t) ->
-        let existence =
-          Verify_api.Existence
-            { jsn = r.Receipt.jsn;
-              payload_digest = Some (Hash.digest_bytes (payload_of i)) }
-        in
-        ignore (Verify_api.verify ~cache ledger ~level:Verify_api.Server existence);
-        ignore
-          (Verify_api.verify ~cache ledger ~level:Verify_api.Server
-             (Verify_api.Receipt_check r)))
-      receipts;
-    Int64.to_float (Int64.sub (Clock.now clock) t0) /. float_of_int (2 * entries)
-  in
-  let cold_us = pass () in
-  let warm_us = pass () in
-  (cold_us, warm_us, Verify_cache.hits cache, Verify_cache.misses cache)
-
 let run ?(smoke = false) ?json () =
   let entries = if smoke then 128 else 512 in
   Table.print_title
@@ -132,15 +95,6 @@ let run ?(smoke = false) ?json () =
          | _ -> ());
          Some (k, per_entry_us))
        None results);
-  let cold_us, warm_us, hits, misses = measure_cache ~entries in
-  Table.print_title "Verification cache (cold replay vs warm verdicts)";
-  Table.print_table
-    ~header:[ "pass"; "per op (us)" ]
-    [
-      [ "cold"; Printf.sprintf "%.1f" cold_us ];
-      [ "warm"; Printf.sprintf "%.1f" warm_us ];
-    ];
-  Printf.printf "cache: %d hits / %d misses\n" hits misses;
   (match json with
   | None -> ()
   | Some path ->
@@ -163,13 +117,5 @@ let run ?(smoke = false) ?json () =
              ("figure", Str "batch");
              ("entries", Int entries);
              ("sizes", Obj (List.map size_obj results));
-             ( "cache",
-               Obj
-                 [
-                   ("cold_us_per_op", Float cold_us);
-                   ("warm_us_per_op", Float warm_us);
-                   ("hits", Int hits);
-                   ("misses", Int misses);
-                 ] );
            ]);
       Printf.printf "wrote %s\n" path)

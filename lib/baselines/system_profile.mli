@@ -1,10 +1,9 @@
 (** The qualitative comparison matrix of Table I.
 
     Each row describes a ledger system along the paper's six dimensions.
-    The LedgerDB, QLDB-style, Fabric-style and ProvenDB-style rows are
-    backed by implementations in this repository ({!implemented}); the
-    SQL Ledger and Factom rows are reproduced from the paper for
-    completeness. *)
+    All six rows — LedgerDB, SQL Ledger, QLDB, ProvenDB, Fabric and
+    Factom — name the module in this repository that models them
+    ({!implemented}). *)
 
 type efficiency = High | Medium | Low
 

@@ -38,16 +38,10 @@ type ctx = {
   mutable blocks : int;
 }
 
-let factor_to_string_early = function
-  | What -> "what"
-  | When -> "when"
-  | Who -> "who"
-  | Chain -> "chain"
-
 let fail ctx ?jsn factor message =
   Log.warn (fun m ->
       m "[%s]%s %s"
-        (factor_to_string_early factor)
+        (factor_to_string factor)
         (match jsn with Some j -> Printf.sprintf " jsn=%d" j | None -> "")
         message);
   ctx.failures <- { jsn; factor; message } :: ctx.failures

@@ -107,9 +107,6 @@ type t = {
   mutable pseudo_genesis_jsn : int option;
   mutable survivor_jsns : int list;
   mutable nonce : int;
-  mutable on_mutate : (unit -> unit) list;
-      (* fired after purge/occult/reorganize — lets verification caches
-         drop verdicts whose underlying data may have been erased *)
   view : view option Atomic.t;
       (* current read snapshot; [None] only transiently inside [create] *)
   mutable view_epoch : int; (* next publication epoch (writer-only) *)
@@ -203,16 +200,12 @@ let create ?(config = default_config) ?t_ledger ?tsa ~clock () =
     pseudo_genesis_jsn = None;
     survivor_jsns = [];
     nonce = 0;
-    on_mutate = [];
     view = Atomic.make None;
     view_epoch = 0;
   }
   in
   publish t;
   t
-
-let on_mutate t f = t.on_mutate <- f :: t.on_mutate
-let notify_mutation t = List.iter (fun f -> f ()) t.on_mutate
 
 let config t = t.cfg
 let clock t = t.clock
@@ -837,15 +830,15 @@ let verify_clue_client t (proof : Cm_tree.clue_proof) =
      replays both layers against the latest committed clue root. *)
   let jsns = clue_jsns t proof.Cm_tree.clue in
   let first, last = proof.Cm_tree.version_range in
-  let known = ref [] and ok = ref true in
+  let known = ref [] in
   List.iteri
     (fun version jsn ->
       if version >= first && version <= last then begin
-        match payload t jsn with
-        | Some _ -> known := (version, tx_hash_of t jsn) :: !known
-        | None ->
-            (* occulted journal: Protocol 2 — use the retained hash *)
-            known := (version, tx_hash_of t jsn) :: !known
+        (* the read is charged like any retrieval; the leaf is the
+           stored tx hash either way, which for an occulted journal is
+           its retained hash (Protocol 2) *)
+        ignore (payload t jsn);
+        known := (version, tx_hash_of t jsn) :: !known
       end)
     jsns;
   let root =
@@ -857,9 +850,8 @@ let verify_clue_client t (proof : Cm_tree.clue_proof) =
      live root (a real client would request a fresh block commit). *)
   let live_root = Cm_tree.root_hash t.cm in
   let result =
-    !ok
-    && (Cm_tree.verify_clue ~root:live_root ~known:!known proof
-       || Cm_tree.verify_clue ~root ~known:!known proof)
+    Cm_tree.verify_clue ~root:live_root ~known:!known proof
+    || Cm_tree.verify_clue ~root ~known:!known proof
   in
   Audit_log.record ~verifier:"client" (Clue proof.Cm_tree.clue)
     (if result then Audit_log.Verified
@@ -1119,7 +1111,6 @@ let purge t ~request ~signers =
       end;
       seal_block t;
       publish t;
-      notify_mutation t;
       Metrics.incr "ledger_purges_total";
       Log.info (fun m ->
           m "purged journals [0,%d) with %d survivors; pseudo-genesis at %d"
@@ -1168,7 +1159,6 @@ let occult t ~target_jsn ~mode ~signers ~reason =
       | Sync -> erase_payload t target_jsn
       | Async -> t.occult_pending <- target_jsn :: t.occult_pending);
       publish t;
-      notify_mutation t;
       Ok j
     end
   end
@@ -1197,10 +1187,7 @@ let reorganize t =
   let n = List.length t.occult_pending in
   List.iter (erase_payload t) t.occult_pending;
   t.occult_pending <- [];
-  if n > 0 then begin
-    publish t;
-    notify_mutation t
-  end;
+  if n > 0 then publish t;
   n
 
 (* --- introspection --------------------------------------------------------- *)

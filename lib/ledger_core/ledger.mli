@@ -432,12 +432,6 @@ val is_occulted : t -> int -> bool
 val reorganize : t -> int
 (** Physically erase async-occulted payloads; returns how many. *)
 
-val on_mutate : t -> (unit -> unit) -> unit
-(** Register a callback fired after every history mutation — purge,
-    occult (either mode) and a non-empty {!reorganize}.  This is the
-    invalidation feed for {!Verify_cache}: a cached verdict must never
-    outlive the data it vouched for. *)
-
 (** {1 Introspection} *)
 
 val compact_storage : t -> int

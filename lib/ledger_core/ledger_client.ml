@@ -59,42 +59,15 @@ let anchor t = t.anchor
 let anchored_upto t =
   match t.anchor with Some (a, _) -> Fam.anchor_size a | None -> 0
 
-let check_existence ?cache t ~jsn ~leaf ~current_commitment proof =
-  (* the verdict depends on everything the verifier was handed: fold the
-     leaf, the proof bytes and the anchor state into the cache key so two
-     different questions can never collide *)
-  let verifier () =
-    Printf.sprintf "client-existence:%s:%d:%s" t.name (anchored_upto t)
-      (Hash.to_hex
-         (Hash.combine leaf
-            (Hash.digest_bytes (Proof_codec.encode_fam_anchored proof))))
-  in
-  let cached =
-    match cache with
-    | None -> None
-    | Some c -> Verify_cache.find c ~root:current_commitment ~jsn
-                  ~verifier:(verifier ())
-  in
+let check_existence t ~jsn ~leaf ~current_commitment proof =
   let ok =
-    match cached with
-    | Some ok -> ok
-    | None ->
-        let ok =
-          match t.anchor with
-          | Some (a, _) -> Fam.verify_anchored a ~current_commitment ~leaf proof
-          | None -> (
-              (* without an anchor only full chained proofs are meaningful *)
-              match proof with
-              | Fam.Beyond_anchor p ->
-                  Fam.verify ~commitment:current_commitment ~leaf p
-              | Fam.Within_sealed _ -> false)
-        in
-        (match cache with
-        | Some c ->
-            Verify_cache.store c ~root:current_commitment ~jsn
-              ~verifier:(verifier ()) ok
-        | None -> ());
-        ok
+    match t.anchor with
+    | Some (a, _) -> Fam.verify_anchored a ~current_commitment ~leaf proof
+    | None -> (
+        (* without an anchor only full chained proofs are meaningful *)
+        match proof with
+        | Fam.Beyond_anchor p -> Fam.verify ~commitment:current_commitment ~leaf p
+        | Fam.Within_sealed _ -> false)
   in
   Ledger_obs.Audit_log.record ~verifier:t.name (Journal jsn)
     (if ok then Ledger_obs.Audit_log.Verified

@@ -66,15 +66,12 @@ val anchored_upto : t -> int
 (** {1 Local verification (no trust in the LSP)} *)
 
 val check_existence :
-  ?cache:Verify_cache.t ->
   t -> jsn:int -> leaf:Hash.t -> current_commitment:Hash.t ->
   Fam.anchored_proof -> bool
 (** Verify a proof the LSP shipped: against the client's trusted anchor
     when it covers the journal, else against [current_commitment] (which
     the client must have obtained through a channel it trusts, e.g. a
-    T-Ledger entry).  With [cache], a verdict already computed for the
-    same (commitment, jsn, leaf, proof, anchor state) is reused instead
-    of replaying the proof; the verdict is unchanged either way. *)
+    T-Ledger entry).  The proof is replayed on every call. *)
 
 val check_receipt_against : t -> ledger_tx_hash:(int -> Hash.t option) -> jsn:int ->
   [ `Ok | `No_receipt | `Bad_signature | `Repudiated ]

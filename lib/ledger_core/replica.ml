@@ -224,16 +224,3 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
   in
   try attempt ~resume ~restarted:false
   with Sys_error msg -> Error (Load_failed ("staging I/O: " ^ msg))
-
-let pull ~transport ?(policy = Transport.no_retry) ?config ?t_ledger ?tsa
-    ?(resume = false) ?pool ~clock ~scratch_dir () =
-  try
-    match
-      pull_verbose ~transport ~policy ?config ?t_ledger ?tsa ~resume ?pool
-        ~clock ~scratch_dir ()
-    with
-    | Ok (ledger, _) -> Ok ledger
-    | Error e -> Error (error_to_string e)
-  with
-  | Failure msg -> Error msg
-  | Sys_error msg -> Error msg

@@ -41,28 +41,6 @@ type error =
 
 val error_to_string : error -> string
 
-val pull :
-  transport:Transport.t ->
-  ?policy:Transport.policy ->
-  ?config:Ledger.config ->
-  ?t_ledger:T_ledger.t ->
-  ?tsa:Tsa.pool ->
-  ?resume:bool ->
-  ?pool:Ledger_par.Domain_pool.t ->
-  clock:Clock.t ->
-  scratch_dir:string ->
-  unit ->
-  (Ledger.t, string) result
-(** [transport] is the only channel to the remote service (e.g.
-    [Service.handle remote_ledger], or a real socket).  [scratch_dir] is
-    where the downloaded snapshot is staged.  The [config] must match the
-    remote service's announced name (checked) — it determines block size,
-    fractal height and the LSP key derivation.  Defaults to
-    {!Transport.no_retry} and no resumption — the strict, fail-fast
-    behaviour.  The stage is written in the {!Snapshot} format and
-    replayed by {!Ledger.load}, so the replica rebuilds every index, the
-    query index included. *)
-
 val pull_verbose :
   transport:Transport.t ->
   ?policy:Transport.policy ->
@@ -75,9 +53,17 @@ val pull_verbose :
   scratch_dir:string ->
   unit ->
   (Ledger.t * stats, error) result
-(** Like {!pull} with typed errors and transfer statistics.  Defaults to
+(** [transport] is the only channel to the remote service (e.g.
+    [Service.handle remote_ledger], or a real socket).  [scratch_dir] is
+    where the downloaded snapshot is staged.  The [config] must match the
+    remote service's announced name (checked) — it determines block size,
+    fractal height and the LSP key derivation.  The stage is written in
+    the {!Snapshot} format and replayed by {!Ledger.load}, so the replica
+    rebuilds every index, the query index included.  Returns the replica
+    with its transfer statistics.  Defaults to
     {!Transport.default_policy} and [~resume:true] — the self-healing
-    behaviour.
+    behaviour; pass {!Transport.no_retry} and [~resume:false] for a
+    strict, fail-fast pull.
 
     [pool] (default {!Ledger_par.Domain_pool.default}) fans the staged
     π_c signature pre-check across domains: every staged journal whose

@@ -142,96 +142,38 @@ let verify_receipt ledger (r : Receipt.t) =
   then (false, "receipt tx-hash diverges from the ledger (repudiation)")
   else (true, "receipt verified")
 
-(* Cacheable questions: a (root, jsn, verifier-string) triple must pin
-   down the whole verdict.  Existence verdicts are a deterministic
-   function of ledger state, jsn and the expected payload digest; receipt
-   verdicts additionally depend on the receipt bytes, folded into the
-   verifier string.  Clue verdicts span many journals and stay uncached. *)
-let cache_key ~level target =
-  let level_str = match level with Server -> "server" | Client -> "client" in
-  match target with
-  | Existence { jsn; payload_digest } ->
-      Some
-        ( jsn,
-          Printf.sprintf "existence:%s:%s" level_str
-            (match payload_digest with
-            | Some d -> Hash.to_hex d
-            | None -> "-") )
-  | Receipt_check r ->
-      let rd =
-        Receipt.signing_digest ~jsn:r.Receipt.jsn
-          ~request_hash:r.Receipt.request_hash ~tx_hash:r.Receipt.tx_hash
-          ~block_hash:r.Receipt.block_hash ~timestamp:r.Receipt.timestamp
-      in
-      let sd = Hash.digest_bytes (Ecdsa.signature_to_bytes r.Receipt.lsp_sig) in
-      Some
-        ( r.Receipt.jsn,
-          Printf.sprintf "receipt:%s:%s" level_str
-            (Hash.to_hex (Hash.combine rd sd)) )
-  | Query_complete { spec; window; page_size } ->
-      (* query verdicts are pinned by the journal commitment (the index is
-         a pure function of journal history) plus the canonical query
-         digest; jsn slot 0 keeps the key in the cache's (root, jsn,
-         verifier) shape *)
-      Some
-        ( 0,
-          Printf.sprintf "%s:%s" level_str
-            (Range_query.describe ~spec ?window ~page_size ()) )
-  | Clue _ | Clue_range _ -> None
+let level_name = function Server -> "server" | Client -> "client"
 
-let verify ?cache ledger ~level target =
-  let sp = Ledger_obs.Trace.enter "verify" in
-  let root = Ledger.commitment ledger in
-  let key =
-    match cache with None -> None | Some _ -> cache_key ~level target
-  in
-  let cached =
-    match (cache, key) with
-    | Some c, Some (jsn, verifier) ->
-        Option.map
-          (fun ok -> (ok, "cache: verdict reused"))
-          (Verify_cache.find c ~root ~jsn ~verifier)
-    | _ -> None
-  in
-  let ok, detail =
-    match cached with
-    | Some outcome -> outcome
-    | None ->
-        let ok, detail =
-          match target with
-          | Existence { jsn; payload_digest } ->
-              verify_existence ledger level jsn payload_digest
-          | Clue { key } -> verify_clue ledger level key None
-          | Clue_range { key; first; last } ->
-              verify_clue ledger level key (Some (first, last))
-          | Receipt_check r -> verify_receipt ledger r
-          | Query_complete { spec; window; page_size } ->
-              verify_query ledger level spec window page_size
-        in
-        (match (cache, key) with
-        | Some c, Some (jsn, verifier) ->
-            Verify_cache.store c ~root ~jsn ~verifier ok
-        | _ -> ());
-        (ok, detail)
-  in
-  if Ledger_obs.Obs.enabled () then begin
-    let verifier =
-      match level with Server -> "server" | Client -> "client"
-    in
+let record_audit ~verifier o =
+  if Ledger_obs.Obs.enabled () then
     let subject =
-      match target with
+      match o.target with
       | Existence { jsn; _ } -> Ledger_obs.Audit_log.Journal jsn
       | Clue { key } | Clue_range { key; _ } -> Ledger_obs.Audit_log.Clue key
       | Receipt_check r -> Ledger_obs.Audit_log.Receipt r.Receipt.jsn
-      | Query_complete { spec; _ } ->
-          Ledger_obs.Audit_log.Clue (spec_str spec)
+      | Query_complete { spec; _ } -> Ledger_obs.Audit_log.Clue (spec_str spec)
     in
     Ledger_obs.Audit_log.record ~verifier subject
-      (if ok then Ledger_obs.Audit_log.Verified
-       else Ledger_obs.Audit_log.Repudiated detail)
-  end;
+      (if o.ok then Ledger_obs.Audit_log.Verified
+       else Ledger_obs.Audit_log.Repudiated o.detail)
+
+let verify ledger ~level target =
+  let sp = Ledger_obs.Trace.enter "verify" in
+  let ok, detail =
+    match target with
+    | Existence { jsn; payload_digest } ->
+        verify_existence ledger level jsn payload_digest
+    | Clue { key } -> verify_clue ledger level key None
+    | Clue_range { key; first; last } ->
+        verify_clue ledger level key (Some (first, last))
+    | Receipt_check r -> verify_receipt ledger r
+    | Query_complete { spec; window; page_size } ->
+        verify_query ledger level spec window page_size
+  in
+  let o = { target; level; ok; detail } in
+  record_audit ~verifier:(level_name level) o;
   Ledger_obs.Trace.exit sp;
-  { target; level; ok; detail }
+  o
 
 let verify_all ledger ~level targets =
   let outcomes = List.map (verify ledger ~level) targets in
@@ -252,7 +194,6 @@ let pp_outcome fmt o =
           | None -> "")
           page_size
   in
-  Format.fprintf fmt "%s @@ %s: %s (%s)" target
-    (match o.level with Server -> "server" | Client -> "client")
+  Format.fprintf fmt "%s @@ %s: %s (%s)" target (level_name o.level)
     (if o.ok then "OK" else "FAILED")
     o.detail

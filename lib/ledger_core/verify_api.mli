@@ -46,23 +46,20 @@ val spec_str : Ledger_query.Range_query.spec -> string
 (** Short human-readable rendering of a query spec (audit subjects,
     outcome printing). *)
 
-val cache_key : level:level -> target -> (int * string) option
-(** The memoization key [(jsn, verifier-question)] for a target, or
-    [None] for targets that must always replay (clue lineages).  The
-    verifier string pins the whole question — level, target kind and
-    auxiliary digests — so two different questions never collide.
-    Exposed for layers that key verdicts under a different trust root
-    (the sharded engine keys by super-root). *)
+val level_name : level -> string
+(** ["server"] or ["client"]: the audit-trail verifier name of a level. *)
 
-val verify : ?cache:Verify_cache.t -> Ledger.t -> level:level -> target -> outcome
-(** With [cache], existence and receipt verdicts are memoized per
-    (current commitment, jsn, question) and redundant proof replays are
-    skipped; clue targets always replay.  The cache MUST be
-    {!Verify_cache.attach}ed to the ledger — commitment-keying alone
-    cannot see {!Ledger.reorganize}'s payload erasure, which changes
-    verdicts without appending a journal.  Outcomes (the [ok] field)
-    are identical with and without a cache; only [detail] reveals a
-    hit. *)
+val record_audit : verifier:string -> outcome -> unit
+(** Append the outcome to {!Ledger_obs.Audit_log} under [verifier], its
+    target mapped to the audited subject (a query spec is filed as a
+    clue subject).  A no-op while observability is off. *)
+
+val verify : Ledger.t -> level:level -> target -> outcome
+(** Replay the target's proofs against the ledger's current state on
+    every call, as the paper's Verify does; nothing is memoized, so a
+    verdict always reflects erasures by purge, occult and
+    {!Ledger.reorganize}.  The outcome is recorded with
+    {!record_audit} under {!level_name}. *)
 
 val verify_all : Ledger.t -> level:level -> target list -> outcome list * bool
 (** All targets; the conjunction is the second component (any failure

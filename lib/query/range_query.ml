@@ -279,12 +279,3 @@ let encode_page pg =
 
 let decode_page b = Wire.decode b r_page
 let page_bytes pg = Bytes.length (encode_page pg)
-
-(* Canonical description of a query — the verifier string for the
-   (root, query) verification cache. *)
-let describe ~spec ?window ~page_size () =
-  let w = Wire.writer ~initial:64 () in
-  w_spec w spec;
-  Wire.w_option w (w_window w) window;
-  Wire.w_int w page_size;
-  "query:" ^ Hash.to_hex (Hash.digest_bytes (Wire.contents w))

@@ -97,6 +97,3 @@ val r_page : Wire.reader -> page
 val encode_page : page -> bytes
 val decode_page : bytes -> page option
 val page_bytes : page -> int
-
-val describe : spec:spec -> ?window:window -> page_size:int -> unit -> string
-(** Canonical digest string of a query — the {!Verify_cache} verifier key. *)

@@ -18,11 +18,7 @@ let shard_name cfg i =
 
 let shard_config cfg i = { cfg.base with Ledger.name = shard_name cfg i }
 
-type shard_state = {
-  ledger : Ledger.t;
-  clock : Clock.t;
-  cache : Verify_cache.t;
-}
+type shard_state = { ledger : Ledger.t; clock : Clock.t }
 
 type t = {
   cfg : config;
@@ -55,9 +51,7 @@ let create ?(config = default_config) ~clock () =
         let ledger =
           Ledger.create ~config:(shard_config config i) ~clock:shard_clock ()
         in
-        let cache = Verify_cache.create () in
-        Verify_cache.attach cache ledger;
-        { ledger; clock = shard_clock; cache })
+        { ledger; clock = shard_clock })
   in
   let service_priv, service_pub = service_keys config.base.Ledger.name in
   {
@@ -83,16 +77,13 @@ let member_state t i =
 
 let shard t i = (member_state t i).ledger
 let shard_clock t i = (member_state t i).clock
-let shard_cache t i = (member_state t i).cache
 let fleet_clock t = t.fleet_clock
 let shard_healthy t i = Ledger.store_healthy (member_state t i).ledger
 let service_public_key t = t.service_pub
 
 let replace_shard t i ~ledger ~clock =
   ignore (member_state t i);
-  let cache = Verify_cache.create () in
-  Verify_cache.attach cache ledger;
-  t.members.(i) <- { ledger; clock; cache }
+  t.members.(i) <- { ledger; clock }
 
 let total_size t =
   Array.fold_left (fun acc m -> acc + Ledger.size m.ledger) 0 t.members

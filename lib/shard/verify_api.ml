@@ -39,79 +39,31 @@ let covering_epoch t i =
       then Some sealed
       else None
 
-let verify_sharded ?(use_cache = true) t ~level ?shard target =
+let verify_sharded t ~level ?shard target =
   let i = owning_shard t ?shard target in
-  let ledger = Sharded_ledger.shard t i in
   let sealed = covering_epoch t i in
   let super = Option.map Super_root.commitment sealed in
-  (* the trust root the verdict is keyed under: the fleet digest when a
-     seal covers this shard, the shard commitment otherwise *)
-  let root =
-    match super with Some s -> s | None -> Ledger.commitment ledger
-  in
-  let cache =
-    if use_cache then Some (Sharded_ledger.shard_cache t i) else None
-  in
-  let key =
-    match cache with
-    | None -> None
-    | Some _ ->
-        Option.map
-          (fun (jsn, verifier) ->
-            (jsn, Printf.sprintf "shard%d:%s" i verifier))
-          (cache_key ~level target)
-  in
-  let cached =
-    match (cache, key) with
-    | Some c, Some (jsn, verifier) -> Verify_cache.find c ~root ~jsn ~verifier
-    | _ -> None
-  in
+  let local = verify (Sharded_ledger.shard t i) ~level target in
   let outcome =
-    match cached with
-    | Some ok ->
-        { target; level; ok; detail = "cache: sharded verdict reused" }
-    | None ->
-        (* shard-local verdict (no cache here: the core verify would key
-           it by shard commitment; we key the composed verdict below) *)
-        let local = verify ledger ~level target in
-        let composed =
-          match (level, sealed, target) with
-          | Client, Some sealed, (Existence _ | Receipt_check _) ->
-              let inclusion = Super_root.prove sealed ~shard:i in
-              let sup = Super_root.commitment sealed in
-              if Super_root.verify ~super:sup inclusion then local
-              else
-                {
-                  local with
-                  ok = false;
-                  detail = "shard root not included in epoch super-root";
-                }
-          | _ -> local
-        in
-        (match (cache, key) with
-        | Some c, Some (jsn, verifier) ->
-            Verify_cache.store c ~root ~jsn ~verifier composed.ok
-        | _ -> ());
-        composed
+    match (level, sealed, target) with
+    | Client, Some sealed, (Existence _ | Receipt_check _) ->
+        let inclusion = Super_root.prove sealed ~shard:i in
+        if Super_root.verify ~super:(Super_root.commitment sealed) inclusion
+        then local
+        else
+          {
+            local with
+            ok = false;
+            detail = "shard root not included in epoch super-root";
+          }
+    | _ -> local
   in
   (* per-shard audit trail: verifier strings embed the shard so
      Audit_log.coverage_where can break coverage down per shard *)
   if Ledger_obs.Obs.enabled () then begin
-    let verifier =
-      Printf.sprintf "shard%d:%s" i
-        (match level with Server -> "server" | Client -> "client")
-    in
-    let subject =
-      match target with
-      | Existence { jsn; _ } -> Ledger_obs.Audit_log.Journal jsn
-      | Clue { key } | Clue_range { key; _ } -> Ledger_obs.Audit_log.Clue key
-      | Receipt_check r -> Ledger_obs.Audit_log.Receipt r.Receipt.jsn
-      | Query_complete { spec; _ } ->
-          Ledger_obs.Audit_log.Clue (spec_str spec)
-    in
-    Ledger_obs.Audit_log.record ~verifier subject
-      (if outcome.ok then Ledger_obs.Audit_log.Verified
-       else Ledger_obs.Audit_log.Repudiated outcome.detail);
+    record_audit
+      ~verifier:(Printf.sprintf "shard%d:%s" i (level_name level))
+      outcome;
     Ledger_obs.Metrics.incr
       (Printf.sprintf "shard_verifications_total_s%d" i)
   end;

@@ -6,12 +6,7 @@
     target to its owning shard, run the shard-local verification, and —
     when a sealed epoch covers the shard's state — compose it with the
     shard-inclusion-in-super-root check so the verdict is pinned to the
-    single fleet digest.
-
-    Verdicts are memoized in the owning shard's {!Verify_cache} keyed by
-    the epoch {e super-root} (falling back to the shard commitment while
-    no seal covers the state), so one shard's purge/occult invalidates
-    only that shard's cached verdicts. *)
+    single fleet digest.  Every call replays the shard-local proofs. *)
 
 open Ledger_crypto
 
@@ -28,7 +23,6 @@ type sharded_outcome = {
 }
 
 val verify_sharded :
-  ?use_cache:bool ->
   Sharded_ledger.t ->
   level:level ->
   ?shard:int ->
@@ -37,9 +31,10 @@ val verify_sharded :
 (** [~shard] names the owning shard for shard-local targets
     ([Existence], [Receipt_check] — their jsns are shard-local); clue
     targets may omit it and are routed by {!Shard_router.route_clue}.
-    [use_cache] (default true) consults the owning shard's attached
-    cache.  At [Client] level with a sealed epoch covering the shard,
+    At [Client] level with a sealed epoch covering the shard,
     the shard-local proof replay is composed with
     {!Super_root.verify} — a journal only verifies if its shard's
-    sealed root is included in the epoch super-root.
+    sealed root is included in the epoch super-root.  The composed
+    verdict is recorded with {!record_audit} under the verifier
+    ["shard<i>:<level>"].
     @raise Invalid_argument when a shard-local target omits [~shard]. *)

@@ -20,7 +20,6 @@ let () =
       ("persistence", Test_persistence.suite);
       ("ledger-model", Test_ledger_model.suite);
       ("batch-diff", Test_batch_diff.suite);
-      ("verify-cache", Test_verify_cache.suite);
       ("service", Test_service.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("replica", Test_replica.suite);

@@ -286,4 +286,61 @@ let test_occulted_clue_client_verification () =
 let occult_clue_suite =
   [ tc "occulted clue client verification" `Quick test_occulted_clue_client_verification ]
 
-let suite = base_suite @ growth_suite @ occult_clue_suite
+(* --- verdicts after erasure ----------------------------------------------- *)
+
+(* Reorganize erases async-occulted payloads without appending a journal:
+   the commitment stays put, yet the payload-digest verdict must flip. *)
+let test_verify_api_after_reorganize () =
+  let _, ledger, receipts, dba, reg = make_ledger () in
+  let jsn = (List.hd receipts).Receipt.jsn in
+  let target =
+    Verify_api.Existence
+      { jsn; payload_digest = Some (Hash.digest_string "v0") }
+  in
+  let ok () = (Verify_api.verify ledger ~level:Verify_api.Server target).Verify_api.ok in
+  Alcotest.(check bool) "fresh verdict" true (ok ());
+  (match
+     Ledger.occult ledger ~target_jsn:jsn ~mode:Ledger.Async
+       ~signers:[ dba; reg ] ~reason:"test"
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "async occult keeps the payload" true (ok ());
+  let root = Ledger.commitment ledger in
+  Alcotest.(check int) "one payload erased" 1 (Ledger.reorganize ledger);
+  Alcotest.(check bool) "root unmoved" true
+    (Hash.equal root (Ledger.commitment ledger));
+  Alcotest.(check bool) "erased payload refused" false (ok ())
+
+let test_verify_api_after_purge () =
+  let _, ledger, receipts, (dba, dba_key), _ = make_ledger () in
+  let jsn = (List.nth receipts 1).Receipt.jsn in
+  let target =
+    Verify_api.Existence
+      { jsn; payload_digest = Some (Hash.digest_string "v1") }
+  in
+  let ok () = (Verify_api.verify ledger ~level:Verify_api.Server target).Verify_api.ok in
+  Alcotest.(check bool) "pre-purge" true (ok ());
+  let upto_jsn = jsn + 3 in
+  let signers =
+    (dba, dba_key)
+    :: List.map (fun m -> (m, dba_key)) (Ledger.affected_members ledger ~upto_jsn)
+  in
+  (match
+     Ledger.purge ledger
+       ~request:{ Ledger.upto_jsn; survivors = []; erase_fam_nodes = false }
+       ~signers
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "purged payload refused" false (ok ())
+
+let erasure_suite =
+  [
+    tc "verify api: reorganize refuses without moving the root" `Quick
+      test_verify_api_after_reorganize;
+    tc "verify api: purge refuses the erased payload" `Quick
+      test_verify_api_after_purge;
+  ]
+
+let suite = base_suite @ growth_suite @ occult_clue_suite @ erasure_suite

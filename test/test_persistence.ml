@@ -493,11 +493,14 @@ let test_golden_snapshot () =
         (snapshot_differs ~dir:again));
   (* 3. a replica pulled from the origin loads to the same values *)
   match
-    Replica.pull ~transport:(Service.handle origin) ~config:golden_config ~clock
+    Replica.pull_verbose ~transport:(Service.handle origin)
+      ~policy:Transport.no_retry ~config:golden_config ~clock
       ~scratch_dir:(fresh_dir ()) ()
   with
-  | Error e -> Alcotest.failf "replica of the golden origin refused: %s" e
-  | Ok replica ->
+  | Error e ->
+      Alcotest.failf "replica of the golden origin refused: %s"
+        (Replica.error_to_string e)
+  | Ok (replica, _) ->
       check_values "replica" replica;
       Scan_check.check_same_index ~origin ~prefix:"acct-" replica
 

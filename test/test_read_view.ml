@@ -842,11 +842,12 @@ let test_members_view () =
   let scratch_dir = Filename.temp_file "members" "stage" in
   Sys.remove scratch_dir;
   (match
-     Replica.pull ~transport:(Service.handle ledger) ~config
-       ~clock:(Clock.create ()) ~scratch_dir ()
+     Replica.pull_verbose ~transport:(Service.handle ledger)
+       ~policy:Transport.no_retry ~config ~clock:(Clock.create ())
+       ~scratch_dir ()
    with
-  | Error e -> Alcotest.fail e
-  | Ok replica ->
+  | Error e -> Alcotest.fail (Replica.error_to_string e)
+  | Ok (replica, _) ->
       check_members "replica" replica;
       Alcotest.check members_t "replica = origin" origin
         (hex_wire (rebuilt_members replica)));

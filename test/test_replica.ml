@@ -42,11 +42,11 @@ let test_pull_and_audit () =
   let clock, remote, config, (tl, pool), _, _ = build_remote () in
   let transport = Service.handle remote in
   match
-    Replica.pull ~transport ~config ~t_ledger:tl ~tsa:pool ~clock
-      ~scratch_dir:(fresh_dir ()) ()
+    Replica.pull_verbose ~transport ~policy:Transport.no_retry ~config
+      ~t_ledger:tl ~tsa:pool ~clock ~scratch_dir:(fresh_dir ()) ()
   with
-  | Error e -> Alcotest.fail e
-  | Ok replica ->
+  | Error e -> Alcotest.fail (Replica.error_to_string e)
+  | Ok (replica, _) ->
       Alcotest.(check int) "size" (Ledger.size remote) (Ledger.size replica);
       Alcotest.(check bool) "same commitment" true
         (Hash.equal (Ledger.commitment remote) (Ledger.commitment replica));
@@ -80,14 +80,16 @@ let test_pull_detects_lying_transport () =
     | _ -> resp
   in
   (match
-     Replica.pull ~transport:evil_transport ~config ~t_ledger:tl ~tsa:pool
-       ~clock ~scratch_dir:(fresh_dir ()) ()
+     Replica.pull_verbose ~transport:evil_transport
+       ~policy:Transport.no_retry ~config ~t_ledger:tl ~tsa:pool ~clock
+       ~scratch_dir:(fresh_dir ()) ()
    with
   | Ok _ -> Alcotest.fail "tampered journals accepted"
   | Error _ -> ());
   (* a service lying about its identity is refused *)
   match
-    Replica.pull ~transport:(Service.handle remote)
+    Replica.pull_verbose ~transport:(Service.handle remote)
+      ~policy:Transport.no_retry
       ~config:{ config with Ledger.name = "other" } ~t_ledger:tl ~tsa:pool
       ~clock ~scratch_dir:(fresh_dir ()) ()
   with
@@ -103,11 +105,12 @@ let test_pull_after_mutations () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   match
-    Replica.pull ~transport:(Service.handle remote) ~config ~t_ledger:tl
-      ~tsa:pool ~clock ~scratch_dir:(fresh_dir ()) ()
+    Replica.pull_verbose ~transport:(Service.handle remote)
+      ~policy:Transport.no_retry ~config ~t_ledger:tl ~tsa:pool ~clock
+      ~scratch_dir:(fresh_dir ()) ()
   with
-  | Error e -> Alcotest.fail e
-  | Ok replica ->
+  | Error e -> Alcotest.fail (Replica.error_to_string e)
+  | Ok (replica, _) ->
       Alcotest.(check bool) "occulted journal erased in replica" true
         (Ledger.payload replica 2 = None);
       Alcotest.(check bool) "occult bit replicated" true

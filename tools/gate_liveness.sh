@@ -1,6 +1,7 @@
 #!/bin/sh
 # Gate liveness: shows that each byte-level golden gate of `dune runtest`,
-# the bench schema check and the dead-export gate can still fail.  For every gate it applies one
+# the bench schema check, the dead-export gate and the minor-words gate of
+# the commit path can still fail.  For every gate it applies one
 # known-bad mutation to a scratch copy of the working tree, runs `dune
 # runtest` there, and checks that the run fails on the gates the mutation
 # targets.  It prints, per mutation, every gate the run turned red.
@@ -26,7 +27,7 @@ mkdir -p "$dest"
 cd "$dest"
 mkdir _liveness # dune skips directories whose name starts with '_'
 
-gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports"
+gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports minor_words"
 
 # The output that shows a gate failed.
 pattern() {
@@ -39,6 +40,7 @@ pattern() {
   frame_damage) echo '\[FAIL\] +net +[0-9]+ +framing: damage' ;;
   schema) echo 'bench_smoke: key set of .* diverged from' ;;
   dead_exports) echo '^dead exports: (referenced nowhere|used only inside)' ;;
+  minor_words) echo '\[FAIL\] +commit-path +[0-9]+ +minor words per committed' ;;
   esac
 }
 
@@ -102,6 +104,10 @@ let digest () = ()'
     file=bench/bench_par.ml
     expr='/("figure", Str "par");/d'
     targets=schema ;;
+  minor-words) # 2 000 cons cells (6 000 minor words) of garbage per entry
+    file=lib/ledger_core/ledger.ml
+    expr='s/List.iter count_append chunk;/List.iter (fun j -> count_append j; ignore (Sys.opaque_identity (List.init 2000 Fun.id))) chunk;/'
+    targets=minor_words ;;
   esac
 }
 
@@ -134,7 +140,7 @@ restore() {
 }
 
 for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed \
-  block-codec unused-val common-name-val schema-key; do
+  block-codec unused-val common-name-val schema-key minor-words; do
   mutation "$m"
   applied=yes
   apply "$file" "$expr" || applied=no

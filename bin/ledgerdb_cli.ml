@@ -412,14 +412,21 @@ let run_stats journals shards trace_out prometheus =
     end
   done;
   Ledger.seal_block ledger;
-  (* touch every journal with a server-side proof check, then check every
-     receipt: the audit log ends up covering the whole ledger *)
+  (* touch every journal with a client-side proof check, then check every
+     receipt, each verdict recorded once: the audit log ends up covering
+     the whole ledger *)
   for jsn = 0 to Ledger.size ledger - 1 do
-    let proof = Ledger.get_proof ledger jsn in
-    if not (Ledger.verify_existence ledger ~jsn ~payload_digest:None proof)
-    then Printf.eprintf "existence check FAILED at jsn %d\n" jsn
+    let o =
+      Verify_api.verify ledger ~level:Verify_api.Client
+        (Verify_api.Existence { jsn; payload_digest = None })
+    in
+    if not o.Verify_api.ok then
+      Printf.eprintf "existence check FAILED at jsn %d\n" jsn
   done;
-  List.iter (fun r -> ignore (Ledger.verify_receipt ledger r)) !receipts;
+  List.iter
+    (fun r ->
+      ignore (Verify_api.verify ledger ~level:Verify_api.Client (Verify_api.Receipt_check r)))
+    !receipts;
   let report = Audit.run ~receipts:!receipts ledger in
   let coverage = Audit_log.coverage ~ledger_size:(Ledger.size ledger) in
   if prometheus then print_string (Obs.to_prometheus_text ())

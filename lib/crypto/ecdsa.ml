@@ -9,129 +9,127 @@ type public_key = Secp256k1.table option
    by the verifier. *)
 type signature = string
 
-let n = Secp256k1.n
-let n_minus_1 = fst (Uint256.sub n Uint256.one)
-
-(* Map 32 bytes to [1, n-1].  v < 2^256 < 2(n-1), so reduction mod n-1
-   is a single conditional subtraction. *)
-let scalar_of_bytes b =
-  let v = Uint256.of_bytes_be b in
-  let v =
-    if Uint256.compare v n_minus_1 >= 0 then fst (Uint256.sub v n_minus_1)
-    else v
-  in
-  fst (Uint256.add v Uint256.one)
+module Scalar = Secp256k1.Scalar
 
 let public_key_of_point pt =
   if Secp256k1.is_infinity pt then None else Some (Secp256k1.precompute pt)
 
-let public_key d = public_key_of_point (Secp256k1.scalar_mul_base d)
+let public_key d = Secp256k1.base_table d
 
 let generate ~seed =
-  let d = scalar_of_bytes (Sha256.digest_string ("ledgerdb-key:" ^ seed)) in
+  let k = Scalar.create () in
+  Scalar.load_nonzero k (Sha256.digest_string ("ledgerdb-key:" ^ seed)) 0;
+  let d = Scalar.to_u256 k in
   (d, public_key d)
 
 (* Deterministic nonce in the spirit of RFC 6979: chained HMAC over the
-   private key and digest, with a retry counter. *)
-let nonce d msg_hash attempt =
-  let key = Uint256.to_bytes_be d in
-  let data = Bytes.create 33 in
+   private key and digest, with a retry counter.  [key] is the private
+   key prepared once per call; [data] is the call's 33-byte buffer. *)
+let nonce_into k key data msg_hash attempt =
   Bytes.blit (Hash.to_bytes msg_hash) 0 data 0 32;
   Bytes.set data 32 (Char.chr (attempt land 0xFF));
-  scalar_of_bytes (Hmac_sha256.mac ~key data)
+  Scalar.load_nonzero k (Hmac_sha256.mac_keyed key data) 0
 
-let encode r s =
-  let b = Bytes.create 64 in
-  Bytes.blit (Uint256.to_bytes_be r) 0 b 0 32;
-  Bytes.blit (Uint256.to_bytes_be s) 0 b 32 32;
-  Bytes.unsafe_to_string b
+(* z: the digest's 32 bytes at [off] of [b], reduced mod n *)
+let z_into z b off =
+  Scalar.load z b off;
+  Scalar.reduce_into z z
 
-let half sg off = Uint256.of_bytes_be (Bytes.sub (Bytes.unsafe_of_string sg) off 32)
-
-let z_of_hash h =
-  Secp256k1.Scalar.reduce (Uint256.of_bytes_be (Hash.to_bytes h))
+let scalars count = Array.init count (fun _ -> Scalar.create ())
 
 (* Every digest still unsigned tries nonce [i]; the x(kG) of the whole
    round share one field inversion and the k share one scalar
    inversion.  A nonce giving r = 0 or s = 0 sends its digest to round
-   i + 1, exactly as one-at-a-time signing would. *)
+   i + 1, exactly as one-at-a-time signing would.  Every temporary is
+   the call's: one [ctx], the HMAC key state, three columns of scalars
+   and one flat buffer of points for the whole batch. *)
 let sign_many d digests =
-  let sigs = Array.make (Array.length digests) None in
-  let rec round i pending =
-    if pending <> [] then begin
-      if i > 100 then failwith "Ecdsa.sign: could not find a valid nonce";
-      let ks =
-        Array.of_list (List.map (fun j -> nonce d digests.(j) i) pending)
-      in
-      let xs =
-        Secp256k1.affine_x_batch (Array.map Secp256k1.scalar_mul_base ks)
-      in
-      let kinvs = Secp256k1.Scalar.inv_batch ks in
-      let signed m j =
-        match xs.(m) with
-        | None -> false
-        | Some x ->
-            let r = Secp256k1.Scalar.reduce x in
-            let s =
-              Secp256k1.Scalar.mul kinvs.(m)
-                (Secp256k1.Scalar.add (z_of_hash digests.(j))
-                   (Secp256k1.Scalar.mul r d))
-            in
-            if Uint256.is_zero r || Uint256.is_zero s then false
-            else begin
-              sigs.(j) <- Some (encode r s);
-              true
-            end
-      in
-      round (i + 1) (List.filteri (fun m j -> not (signed m j)) pending)
-    end
-  in
-  round 0 (List.init (Array.length digests) Fun.id);
-  Array.map Option.get sigs
+  let count = Array.length digests in
+  let sigs = Array.make count "" in
+  let c = Secp256k1.ctx () and w = Scalar.scratch () in
+  let dk = Scalar.create () and z = Scalar.create () and s = Scalar.create () in
+  Scalar.set_u256 dk d;
+  let key = Hmac_sha256.keyed (Uint256.to_bytes_be d) in
+  let data = Bytes.create 33 in
+  let ks = scalars count and rs = scalars count and kinvs = scalars count in
+  let pts = Secp256k1.points count in
+  let pending = Array.init count Fun.id and left = ref count and i = ref 0 in
+  while !left > 0 do
+    if !i > 100 then failwith "Ecdsa.sign: could not find a valid nonce";
+    for m = 0 to !left - 1 do
+      nonce_into ks.(m) key data digests.(pending.(m)) !i;
+      Secp256k1.mul_base_into c ks.(m) pts m
+    done;
+    Secp256k1.x_mod_n_batch c pts !left rs;
+    Scalar.inv_batch_into w kinvs ks !left;
+    let kept = ref 0 in
+    for m = 0 to !left - 1 do
+      let j = pending.(m) in
+      (* s = k⁻¹ (z + r·d) *)
+      z_into z (Hash.to_bytes digests.(j)) 0;
+      Scalar.mul_into w s rs.(m) dk;
+      Scalar.add_into s z s;
+      Scalar.mul_into w s kinvs.(m) s;
+      if Scalar.is_zero rs.(m) || Scalar.is_zero s then begin
+        pending.(!kept) <- j;
+        incr kept
+      end
+      else begin
+        let b = Bytes.create 64 in
+        Scalar.store b 0 rs.(m);
+        Scalar.store b 32 s;
+        sigs.(j) <- Bytes.unsafe_to_string b
+      end
+    done;
+    left := !kept;
+    incr i
+  done;
+  sigs
 
 let sign d msg_hash = (sign_many d [| msg_hash |]).(0)
 
-let in_range v = not (Uint256.is_zero v) && Uint256.compare v n < 0
-
+(* r ∥ s are read straight from each signature's bytes into the call's
+   scalars: every s once, to share one inversion, and r where it is
+   used. *)
 let verify_many q items =
   match q with
   | None -> Array.map (fun _ -> false) items
   | Some tq ->
-      (* every r ∥ s decoded once, here *)
-      let decoded = Array.map (fun (_, sg) -> (half sg 0, half sg 32)) items in
-      let valid (r, s) = in_range r && in_range s in
-      (* one shared inversion for every s; an out-of-range s stands in
-         as 1 and its result is never read *)
-      let ws =
-        Secp256k1.Scalar.inv_batch
-          (Array.map
-             (fun ((_, s) as rs) -> if valid rs then s else Uint256.one)
-             decoded)
-      in
-      Array.mapi
-        (fun i (msg_hash, _) ->
-          let ((r, _) as rs) = decoded.(i) in
-          valid rs
-          &&
-          let z = z_of_hash msg_hash in
-          let u1 = Secp256k1.Scalar.mul z ws.(i) in
-          let u2 = Secp256k1.Scalar.mul r ws.(i) in
+      let count = Array.length items in
+      let c = Secp256k1.ctx () and w = Scalar.scratch () in
+      let r = Scalar.create () and z = Scalar.create () in
+      let u1 = Scalar.create () and u2 = Scalar.create () in
+      let ss = scalars count and ws = scalars count in
+      let ok = Array.make count false in
+      for i = 0 to count - 1 do
+        let sg = Bytes.unsafe_of_string (snd items.(i)) in
+        Scalar.load r sg 0;
+        Scalar.load ss.(i) sg 32;
+        (* an out-of-range s stands in as 1; its inverse is never read *)
+        if Scalar.in_range r && Scalar.in_range ss.(i) then ok.(i) <- true
+        else Scalar.set_u256 ss.(i) Uint256.one
+      done;
+      Scalar.inv_batch_into w ws ss count;
+      for i = 0 to count - 1 do
+        if ok.(i) then begin
+          let msg_hash, sg = items.(i) in
+          Scalar.load r (Bytes.unsafe_of_string sg) 0;
+          z_into z (Hash.to_bytes msg_hash) 0;
+          Scalar.mul_into w u1 z ws.(i);
+          Scalar.mul_into w u2 r ws.(i);
           (* compare x(u1·G + u2·Q) to r without an affine conversion:
              r is already known to be in [1, n) here *)
-          Secp256k1.has_x_mod_n (Secp256k1.double_scalar_mul_base u1 u2 tq) r)
-        items
+          ok.(i) <- Secp256k1.check_x c u1 u2 tq r
+        end
+      done;
+      ok
 
 let verify q msg_hash signature = (verify_many q [| (msg_hash, signature) |]).(0)
 
 let public_key_to_bytes q =
   match q with
   | None -> invalid_arg "Ecdsa.public_key_to_bytes: infinity"
-  | Some tq ->
-      let x, y = Secp256k1.table_affine tq in
-      let b = Bytes.create 64 in
-      Bytes.blit (Uint256.to_bytes_be x) 0 b 0 32;
-      Bytes.blit (Uint256.to_bytes_be y) 0 b 32 32;
-      b
+  | Some tq -> Secp256k1.table_to_bytes tq
 
 let public_key_of_bytes b =
   if Bytes.length b <> 64 then None

@@ -1,6 +1,17 @@
 let block_size = 64
 
-let mac ~key msg =
+(* A key's two padded blocks and the two contexts every message under it
+   is hashed with, reset for each one: a key used for many messages
+   (batch signing derives every nonce under the private key) builds
+   them once.  Owned by one caller; never shared. *)
+type keyed = {
+  ipad : bytes;
+  opad : bytes;
+  inner : Sha256.ctx;
+  outer : Sha256.ctx;
+}
+
+let keyed key =
   let key =
     if Bytes.length key > block_size then Sha256.digest_bytes key else key
   in
@@ -14,15 +25,20 @@ let mac ~key msg =
     done;
     b
   in
-  let ipad = pad_key '\x36' and opad = pad_key '\x5c' in
-  let inner = Sha256.init () in
-  Sha256.update inner ipad;
-  Sha256.update inner msg;
-  let inner_digest = Sha256.finalize inner in
-  let outer = Sha256.init () in
-  Sha256.update outer opad;
-  Sha256.update outer inner_digest;
-  Sha256.finalize outer
+  { ipad = pad_key '\x36'; opad = pad_key '\x5c'; inner = Sha256.init ();
+    outer = Sha256.init () }
+
+let mac_keyed k msg =
+  Sha256.reset k.inner;
+  Sha256.update k.inner k.ipad;
+  Sha256.update k.inner msg;
+  let inner_digest = Sha256.finalize k.inner in
+  Sha256.reset k.outer;
+  Sha256.update k.outer k.opad;
+  Sha256.update k.outer inner_digest;
+  Sha256.finalize k.outer
+
+let mac ~key msg = mac_keyed (keyed key) msg
 
 let mac_string ~key msg =
   mac ~key:(Bytes.of_string key) (Bytes.of_string msg)

@@ -10,11 +10,11 @@
     doublings (a fixed width-10 table for G, a width-5 {!table} per
     other point, built once by {!precompute}).
 
-    Every field operation writes into caller-provided storage, and each
-    ladder runs its group law in place on one accumulator allocated per
-    call (about 130 words), so a whole [k·G] or [a·G + b·Q] allocates
-    almost nothing on the field side.  No storage is shared between
-    calls: every function here is safe to run from any number of
+    Every field and scalar operation writes into caller-provided
+    storage, each ladder runs its group law in place on one accumulator,
+    and every table build writes its points straight into flat buffers,
+    so a batch of [k·G] or [a·G + b·Q] allocates its per-call {!ctx} and
+    nothing per item.  No storage is shared between calls: every function here is safe to run from any number of
     domains and threads at once, and every {!point} and {!table} it
     returns is immutable.  The reference implementation the test suites
     check this kernel against lives in the test-only [crypto_ref]
@@ -81,9 +81,19 @@ val resident_words : unit -> int
     comb of {!scalar_mul_base} and G's wNAF table), as
     [Obj.reachable_words] counts them. *)
 
-val table_affine : table -> fe * fe
-(** The affine coordinates of the tabled point, read from the table
-    (no inversion). *)
+val base_table : Uint256.t -> table option
+(** [base_table k] is the table of [k·G] ({!precompute} without the
+    intermediate point): one accumulator computes [k·G] on the comb and
+    then the table.  [None] when [k ≡ 0 (mod n)]. *)
+
+val table_build_words : unit -> float
+(** Builds the fixed tables once more, drops them, and returns the
+    minor-heap words that took: what module initialization spends on
+    them. *)
+
+val table_to_bytes : table -> bytes
+(** The tabled point's 64-byte encoding x ∥ y, big-endian, read from the
+    table (no inversion). *)
 
 val double_scalar_mul_base : Uint256.t -> Uint256.t -> table -> point
 (** [double_scalar_mul_base a b tq] computes [a·G + b·Q] for the point
@@ -92,10 +102,6 @@ val double_scalar_mul_base : Uint256.t -> Uint256.t -> table -> point
     rest against those of 2⁶⁴·P), eight streams over the fixed width-10
     table of G and [tq] on one shared chain of ~64 doublings (Shamir's
     trick) — the hot path of ECDSA verification. *)
-
-val affine_x_batch : point array -> fe option array
-(** The affine x-coordinates of many points with one shared field
-    inversion (Montgomery's trick); [None] for the point at infinity. *)
 
 val equal : point -> point -> bool
 (** Structural equality of the represented affine points (computed by
@@ -124,6 +130,53 @@ val fe_inv_batch : fe array -> fe array
 (** {1 Scalar arithmetic modulo the group order n} *)
 
 module Scalar : sig
+  type t
+  (** A scalar being computed: sixteen 16-bit limbs written in place by
+      the [_into] operations (whose destination may be an operand).
+      Owned by one call and never shared. *)
+
+  type scratch
+  (** A 64-limb buffer for the products of {!mul_into}. *)
+
+  val create : unit -> t
+  (** Zero. *)
+
+  val scratch : unit -> scratch
+  val set_u256 : t -> Uint256.t -> unit
+
+  val to_u256 : t -> Uint256.t
+  (** A copy. *)
+
+  val is_zero : t -> bool
+
+  val in_range : t -> bool
+  (** [1 <= v < n]. *)
+
+  val load : t -> bytes -> int -> unit
+  (** [load r b off] sets [r] to the 32 big-endian bytes of [b] at [off],
+      unreduced. *)
+
+  val load_nonzero : t -> bytes -> int -> unit
+  (** Like {!load}, then maps the value v into [1, n − 1] as
+      v mod (n − 1) + 1: how keys and nonces are drawn from hash
+      output. *)
+
+  val store : bytes -> int -> t -> unit
+  (** The 32-byte big-endian encoding, written at an offset. *)
+
+  val reduce_into : t -> t -> unit
+  val add_into : t -> t -> t -> unit
+  (** [add_into r a b] is [r := a + b mod n], for [a, b < n]. *)
+
+  val mul_into : scratch -> t -> t -> t -> unit
+  (** [mul_into w r a b] is [r := a·b mod n]. *)
+
+  val inv_batch_into : scratch -> t array -> t array -> int -> unit
+  (** [inv_batch_into w ws xs count] sets [ws.(i)] to the inverse of
+      [xs.(i)] for [i < count], with one inversion (Montgomery's trick);
+      every [xs.(i)] must be in [1, n), and no element of [ws] may be one
+      of [xs]. *)
+
   val n : Uint256.t
 
   val reduce : Uint256.t -> Uint256.t
@@ -135,9 +188,36 @@ module Scalar : sig
 
   val inv : Uint256.t -> Uint256.t
   (** Modular inverse mod n; raises on zero. *)
-
-  val inv_batch : Uint256.t array -> Uint256.t array
-  (** Invert every element mod n with one modular inversion plus
-      3(k−1) multiplications (Montgomery's trick).  Every element must
-      be nonzero mod n; raises otherwise. *)
 end
+
+(** {1 Batches in place}
+
+    ECDSA's two batch forms, allocation-quiet: one {!ctx} per call holds
+    every temporary of the ladders, and batch signing writes each [k·G]
+    into a flat {!points} buffer. *)
+
+type ctx
+(** The scratch of one call: an accumulator, scalar temporaries and
+    wNAF digit strings (~520 words).  Never shared. *)
+
+val ctx : unit -> ctx
+
+val check_x : ctx -> Scalar.t -> Scalar.t -> table -> Scalar.t -> bool
+(** [check_x c a b tq r] is {!has_x_mod_n} of {!double_scalar_mul_base}
+    [a b tq] and [r], for [r] in [1, n), computed on [c] without
+    allocating. *)
+
+type points
+(** Jacobian points back to back in one buffer. *)
+
+val points : int -> points
+(** Room for that many points. *)
+
+val mul_base_into : ctx -> Scalar.t -> points -> int -> unit
+(** [mul_base_into c k pts i] writes [k·G] into slot [i]. *)
+
+val x_mod_n_batch : ctx -> points -> int -> Scalar.t array -> unit
+(** [x_mod_n_batch c pts count rs] sets [rs.(i)] to the affine
+    x-coordinate of point [i] reduced mod n, for [i < count], with one
+    shared field inversion; 0 for the point at infinity.  Overwrites the
+    points. *)

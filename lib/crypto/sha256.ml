@@ -30,16 +30,23 @@ type ctx = {
   w : int array; (* message schedule scratch *)
 }
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+     0x1f83d9ab; 0x5be0cd19 |]
+
 let init () =
   {
-    h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    h = Array.copy iv;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
     w = Array.make 64 0;
   }
+
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0
 
 (* Works on an explicit state array so [finalize] can compress a copy of
    the running state without disturbing the context. *)
@@ -150,6 +157,11 @@ let update_char ctx c =
 let update ctx b = update_sub ctx b 0 (Bytes.length b)
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
+let write_length b off total_bits =
+  for i = 0 to 7 do
+    Bytes.set b (off + i) (Char.chr ((total_bits lsr ((7 - i) * 8)) land 0xFF))
+  done
+
 (* Non-destructive finalize: the padding blocks are compressed into a
    *copy* of the running state, so the context stays valid — callers can
    keep absorbing and finalize again (running digests of a stream).
@@ -163,16 +175,11 @@ let finalize ctx =
   let total_bits = ctx.total * 8 in
   let bl = ctx.buf_len in
   let h = Array.copy ctx.h in
-  let write_length b off =
-    for i = 0 to 7 do
-      Bytes.set b (off + i) (Char.chr ((total_bits lsr ((7 - i) * 8)) land 0xFF))
-    done
-  in
   if bl + 9 <= 64 then begin
     (* one final block: 0x80, zeros, 64-bit big-endian bit length *)
     Bytes.set ctx.buf bl '\x80';
     Bytes.fill ctx.buf (bl + 1) (56 - (bl + 1)) '\000';
-    write_length ctx.buf 56;
+    write_length ctx.buf 56 total_bits;
     compress_state h ctx.w ctx.buf 0
   end
   else begin
@@ -181,7 +188,7 @@ let finalize ctx =
     Bytes.fill ctx.buf (bl + 1) (64 - (bl + 1)) '\000';
     compress_state h ctx.w ctx.buf 0;
     let last = Bytes.make 64 '\000' in
-    write_length last 56;
+    write_length last 56 total_bits;
     compress_state h ctx.w last 0
   end;
   let out = Bytes.create 32 in

@@ -9,6 +9,10 @@ type ctx
 
 val init : unit -> ctx
 
+val reset : ctx -> unit
+(** Make the context that of {!init} again, so one context can hash
+    many messages in turn. *)
+
 val update : ctx -> bytes -> unit
 (** Absorb the whole byte buffer. *)
 

@@ -732,10 +732,7 @@ let verify_receipt t (r : Receipt.t) =
   let ok = verify_with_profile t ~pub:t.lsp_pub digest r.Receipt.lsp_sig in
   if Obs.enabled () then begin
     Metrics.observe "verify_latency_us"
-      (Int64.to_float (Int64.sub (Clock.now t.clock) t0));
-    Audit_log.record ~verifier:"server" (Receipt r.Receipt.jsn)
-      (if ok then Audit_log.Verified
-       else Audit_log.Repudiated "bad LSP signature on receipt")
+      (Int64.to_float (Int64.sub (Clock.now t.clock) t0))
   end;
   Trace.exit sp;
   ok
@@ -777,10 +774,7 @@ let verify_existence t ~jsn ~payload_digest proof =
   in
   if Obs.enabled () then begin
     Metrics.observe "verify_latency_us"
-      (Int64.to_float (Int64.sub (Clock.now t.clock) t0));
-    Audit_log.record ~verifier:"server" (Journal jsn)
-      (if ok then Audit_log.Verified
-       else Audit_log.Repudiated "existence proof failed")
+      (Int64.to_float (Int64.sub (Clock.now t.clock) t0))
   end;
   Trace.exit sp;
   ok
@@ -849,23 +843,13 @@ let verify_clue_client t (proof : Cm_tree.clue_proof) =
   (* If the trie advanced since the last sealed block, fall back to the
      live root (a real client would request a fresh block commit). *)
   let live_root = Cm_tree.root_hash t.cm in
-  let result =
-    Cm_tree.verify_clue ~root:live_root ~known:!known proof
-    || Cm_tree.verify_clue ~root ~known:!known proof
-  in
-  Audit_log.record ~verifier:"client" (Clue proof.Cm_tree.clue)
-    (if result then Audit_log.Verified
-     else Audit_log.Repudiated "clue proof failed");
-  result
+  Cm_tree.verify_clue ~root:live_root ~known:!known proof
+  || Cm_tree.verify_clue ~root ~known:!known proof
 
 let verify_clue_server t ~clue =
   let jsns = clue_jsns t clue in
   let known = List.mapi (fun version jsn -> (version, tx_hash_of t jsn)) jsns in
-  let ok = known <> [] && Cm_tree.verify_clue_server t.cm ~known ~clue in
-  Audit_log.record ~verifier:"server" (Clue clue)
-    (if ok then Audit_log.Verified
-     else Audit_log.Repudiated "server clue replay failed");
-  ok
+  known <> [] && Cm_tree.verify_clue_server t.cm ~known ~clue
 
 (* ListTx (§IV-A): filtered journal retrieval. *)
 type tx_filter = {

@@ -267,7 +267,10 @@ val get_receipt : t -> int -> Receipt.t
 
 val verify_receipt : t -> Receipt.t -> bool
 (** Check an LSP receipt signature under the ledger's crypto profile
-    (use {!Receipt.verify} directly only with the [Real] profile). *)
+    (use {!Receipt.verify} directly only with the [Real] profile).
+    Like the other check primitives here, it records no audit entry:
+    the verifier that calls it ([Verify_api], [Audit], [Ledger_client])
+    records the verdict once. *)
 
 (** {1 Existence verification (what)} *)
 

@@ -480,10 +480,17 @@ let respond answer decoded =
 
 let handle ledger data = respond (dispatch ledger) (decode_request data)
 
+(* An [Append] (tag 0) or [Append_batch] (tag 11) frame, told by its tag
+   byte alone: the read path declines it undecoded, and {!handle}
+   decodes it under the writer's lock, where a malformed one gets the
+   same refusal it would get here. *)
+let mutation_frame data =
+  Bytes.length data > 0
+  && match Bytes.get_uint8 data 0 with 0 | 11 -> true | _ -> false
+
 let handle_read ledger data =
-  match decode_request data with
-  | Some req when classify req = `Mutate -> None
-  | decoded -> Some (respond (read (Ledger.read_view ledger)) decoded)
+  if mutation_frame data then None
+  else Some (respond (read (Ledger.read_view ledger)) (decode_request data))
 
 (* --- client ----------------------------------------------------------------- *)
 

@@ -157,7 +157,7 @@ let record_audit ~verifier o =
       (if o.ok then Ledger_obs.Audit_log.Verified
        else Ledger_obs.Audit_log.Repudiated o.detail)
 
-let verify ledger ~level target =
+let check ledger ~level target =
   let sp = Ledger_obs.Trace.enter "verify" in
   let ok, detail =
     match target with
@@ -170,9 +170,12 @@ let verify ledger ~level target =
     | Query_complete { spec; window; page_size } ->
         verify_query ledger level spec window page_size
   in
-  let o = { target; level; ok; detail } in
-  record_audit ~verifier:(level_name level) o;
   Ledger_obs.Trace.exit sp;
+  { target; level; ok; detail }
+
+let verify ledger ~level target =
+  let o = check ledger ~level target in
+  record_audit ~verifier:(level_name level) o;
   o
 
 let verify_all ledger ~level targets =

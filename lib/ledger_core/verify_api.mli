@@ -54,12 +54,17 @@ val record_audit : verifier:string -> outcome -> unit
     target mapped to the audited subject (a query spec is filed as a
     clue subject).  A no-op while observability is off. *)
 
-val verify : Ledger.t -> level:level -> target -> outcome
+val check : Ledger.t -> level:level -> target -> outcome
 (** Replay the target's proofs against the ledger's current state on
     every call, as the paper's Verify does; nothing is memoized, so a
     verdict always reflects erasures by purge, occult and
-    {!Ledger.reorganize}.  The outcome is recorded with
-    {!record_audit} under {!level_name}. *)
+    {!Ledger.reorganize}.  Records nothing: for a verifier that files
+    the verdict under its own name (the sharded one). *)
+
+val verify : Ledger.t -> level:level -> target -> outcome
+(** {!check}, its outcome then recorded with {!record_audit} under
+    {!level_name}: one audit entry per verdict (the ledger checks it
+    calls record nothing). *)
 
 val verify_all : Ledger.t -> level:level -> target list -> outcome list * bool
 (** All targets; the conjunction is the second component (any failure

@@ -43,7 +43,7 @@ let verify_sharded t ~level ?shard target =
   let i = owning_shard t ?shard target in
   let sealed = covering_epoch t i in
   let super = Option.map Super_root.commitment sealed in
-  let local = verify (Sharded_ledger.shard t i) ~level target in
+  let local = check (Sharded_ledger.shard t i) ~level target in
   let outcome =
     match (level, sealed, target) with
     | Client, Some sealed, (Existence _ | Receipt_check _) ->
@@ -58,8 +58,8 @@ let verify_sharded t ~level ?shard target =
           }
     | _ -> local
   in
-  (* per-shard audit trail: verifier strings embed the shard so
-     Audit_log.coverage_where can break coverage down per shard *)
+  (* the verdict's one audit entry: its verifier string embeds the shard
+     so Audit_log.coverage_where can break coverage down per shard *)
   if Ledger_obs.Obs.enabled () then begin
     record_audit
       ~verifier:(Printf.sprintf "shard%d:%s" i (level_name level))

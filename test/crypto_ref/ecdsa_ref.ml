@@ -5,6 +5,7 @@
    assert that sign and verify agree with the fast path. *)
 
 open Ledger_crypto
+module Uint256 = Uint256_ref
 
 let n = Secp256k1.n
 let n_minus_1 = fst (Uint256.sub n Uint256.one)

@@ -6,6 +6,7 @@
    every build; performance is irrelevant here. *)
 
 open Ledger_crypto
+module Uint256 = Uint256_ref
 
 let p = Secp256k1.p
 

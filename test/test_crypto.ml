@@ -1,6 +1,7 @@
 (* Unit and property tests for the cryptographic substrate. *)
 
 open Ledger_crypto
+module Uint256 = Uint256_ref
 
 let check = Alcotest.check
 let tc = Alcotest.test_case

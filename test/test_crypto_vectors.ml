@@ -8,6 +8,7 @@
    on the fast path, and the fast and reference pipelines must agree. *)
 
 open Ledger_crypto
+module Uint256 = Uint256_ref
 
 let bytes_of_hex s =
   let digit c =

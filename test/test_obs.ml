@@ -374,6 +374,80 @@ let test_faulty_transport_counters () =
         s.Faulty_transport.calls
         (Metrics.counter_value "transport_attempts_total"))
 
+(* One audit entry per verdict.  [Verify_api.verify] and
+   [Verify_api.verify_sharded] each record their outcome once, and the
+   ledger checks under them record nothing; the sharded entry keeps its
+   "shard<i>:" verifier, so per-shard coverage still adds up.  A
+   client-level existence or clue check used to add the ledger's own
+   entry, and the sharded verifier one more. *)
+let test_one_entry_per_verdict () =
+  let clock = Clock.create () in
+  with_obs ~time:(fun () -> Clock.now clock) (fun () ->
+      let ledger, receipts = build_ledger clock in
+      let targets =
+        List.init (Ledger.size ledger) (fun jsn ->
+            Verify_api.Existence { jsn; payload_digest = None })
+        @ [ Verify_api.Clue { key = "c0" }; Verify_api.Clue { key = "c1" } ]
+        @ List.map (fun r -> Verify_api.Receipt_check r) receipts
+      in
+      let before = Audit_log.size () in
+      List.iter
+        (fun level ->
+          List.iter
+            (fun target ->
+              let o = Verify_api.verify ledger ~level target in
+              Alcotest.(check bool) "verified" true o.Verify_api.ok)
+            targets)
+        [ Verify_api.Server; Verify_api.Client ];
+      Alcotest.(check int) "unsharded: one entry per verdict"
+        (2 * List.length targets)
+        (Audit_log.size () - before));
+  with_obs ~time:(fun () -> Clock.now clock) (fun () ->
+      let module SL = Ledger_shard.Sharded_ledger in
+      let module SV = Ledger_shard.Verify_api in
+      let config =
+        {
+          SL.base =
+            { Ledger.default_config with name = "obs-shards";
+              crypto = Crypto_profile.default_simulated };
+          shards = 2;
+        }
+      in
+      let fleet = SL.create ~config ~clock () in
+      let user, key =
+        SL.new_member fleet ~name:"obs-user" ~role:Roles.Regular_user
+      in
+      for i = 0 to 7 do
+        Clock.advance_ms clock 10.;
+        ignore
+          (SL.append fleet ~member:user ~priv:key
+             ~clues:[ "s" ^ string_of_int i ]
+             (Bytes.of_string (Printf.sprintf "shard entry %d" i)))
+      done;
+      let before = Audit_log.size () and verdicts = ref 0 in
+      for s = 0 to 1 do
+        for jsn = 0 to Ledger.size (SL.shard fleet s) - 1 do
+          List.iter
+            (fun level ->
+              let target = SV.Existence { jsn; payload_digest = None } in
+              let o = SV.verify_sharded fleet ~level ~shard:s target in
+              Alcotest.(check bool) "verified" true o.SV.outcome.SV.ok;
+              incr verdicts)
+            [ SV.Server; SV.Client ]
+        done
+      done;
+      Alcotest.(check bool) "both shards hold entries" true (!verdicts > 4);
+      Alcotest.(check int) "sharded: one entry per verdict" !verdicts
+        (Audit_log.size () - before);
+      for s = 0 to 1 do
+        let c =
+          Audit_log.coverage_where
+            ~verifier_prefix:(Printf.sprintf "shard%d:" s)
+            ~ledger_size:(Ledger.size (SL.shard fleet s))
+        in
+        Alcotest.(check (float 0.)) "per-shard coverage" 1.0 c.Audit_log.ratio
+      done)
+
 let suite =
   [
     tc "histogram bucket boundaries" `Quick test_bucket_boundaries;
@@ -386,4 +460,6 @@ let suite =
     tc "instrumented ledger workload" `Quick test_instrumented_workload;
     tc "fault counters match schedule" `Quick test_fault_counters_match_schedule;
     tc "faulty transport counters" `Quick test_faulty_transport_counters;
+    tc "one audit entry per verdict, unsharded and sharded" `Quick
+      test_one_entry_per_verdict;
   ]

@@ -891,6 +891,32 @@ let test_members_view () =
       done)
     [ "wren"; "abe"; "nia" ]
 
+(* The read path declines a mutation by its tag byte: an [Append_batch]
+   frame of 256 signed entries costs [handle_read] no decode.  Decoding
+   it only to return [None] took thousands of minor words per frame, all
+   garbage on the serving worker. *)
+let test_read_path_declines_unread () =
+  let clock, ledger, (alice, alice_key), _, _ =
+    make_env ~entries:1 ~name:"rv-decline" ()
+  in
+  let client =
+    Service.Client.create ~ledger_uri:(Ledger.uri ledger) ~member:alice
+      ~priv:alice_key ()
+  in
+  let frame =
+    Service.Client.make_append_batch client
+      (List.init 256 (fun i ->
+           (Bytes.of_string (Printf.sprintf "batch %d" i), [], Clock.now clock)))
+  in
+  ignore (Service.handle_read ledger frame);
+  let before = Gc.minor_words () in
+  let answer = Service.handle_read ledger frame in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "declined" true (answer = None);
+  if words > 64. then
+    Alcotest.failf "handle_read on an Append_batch: %.0f minor words, bound 64"
+      words
+
 let suite =
   [
     tc "differential: every mutation boundary" `Slow
@@ -908,4 +934,6 @@ let suite =
     tc "sharded: snapshot ≡ locked dispatch" `Slow test_sharded_differential;
     tc "members: view equals a rebuild after every change" `Quick
       test_members_view;
+    tc "read path declines a mutation frame undecoded" `Quick
+      test_read_path_declines_unread;
   ]

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Gate liveness: shows that each byte-level golden gate of `dune runtest`,
-# the bench schema check, the dead-export gate and the minor-words gate of
-# the commit path can still fail.  For every gate it applies one
+# the bench schema check, the dead-export gate and the minor-words gates of
+# the commit path and of batch signing can still fail.  For every gate it applies one
 # known-bad mutation to a scratch copy of the working tree, runs `dune
 # runtest` there, and checks that the run fails on the gates the mutation
 # targets.  It prints, per mutation, every gate the run turned red.
@@ -27,7 +27,7 @@ mkdir -p "$dest"
 cd "$dest"
 mkdir _liveness # dune skips directories whose name starts with '_'
 
-gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports minor_words"
+gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports minor_words crypto_minor_words"
 
 # The output that shows a gate failed.
 pattern() {
@@ -41,6 +41,7 @@ pattern() {
   schema) echo 'bench_smoke: key set of .* diverged from' ;;
   dead_exports) echo '^dead exports: (referenced nowhere|used only inside)' ;;
   minor_words) echo '\[FAIL\] +commit-path +[0-9]+ +minor words per committed' ;;
+  crypto_minor_words) echo '\[FAIL\] +crypto-props +[0-9]+ +minor words per sign' ;;
   esac
 }
 
@@ -108,6 +109,10 @@ let digest () = ()'
     file=lib/ledger_core/ledger.ml
     expr='s/List.iter count_append chunk;/List.iter (fun j -> count_append j; ignore (Sys.opaque_identity (List.init 2000 Fun.id))) chunk;/'
     targets=minor_words ;;
+  crypto-minor-words) # 110 cons cells (330 minor words) of garbage per signed item
+    file=lib/crypto/ecdsa.ml
+    expr='s/Secp256k1.mul_base_into c ks.(m) pts m/Secp256k1.mul_base_into c ks.(m) pts m; ignore (Sys.opaque_identity (List.init 110 Fun.id))/'
+    targets=crypto_minor_words ;;
   esac
 }
 
@@ -140,7 +145,8 @@ restore() {
 }
 
 for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed \
-  block-codec unused-val common-name-val schema-key minor-words; do
+  block-codec unused-val common-name-val schema-key minor-words \
+  crypto-minor-words; do
   mutation "$m"
   applied=yes
   apply "$file" "$expr" || applied=no

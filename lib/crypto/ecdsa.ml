@@ -144,6 +144,7 @@ let public_key_of_bytes b =
 let public_key_id q = Hash.digest_bytes (public_key_to_bytes q)
 
 let signature_to_bytes sg = Bytes.of_string sg
+let blit_signature sg dst pos = Bytes.blit_string sg 0 dst pos 64
 
 let signature_of_bytes b =
   if Bytes.length b <> 64 then None else Some (Bytes.to_string b)

@@ -69,6 +69,10 @@ val public_key_id : public_key -> Hash.t
 val signature_to_bytes : signature -> bytes
 (** 64-byte encoding (r ∥ s): a fresh copy of the held bytes. *)
 
+val blit_signature : signature -> bytes -> int -> unit
+(** [blit_signature s dst pos] copies the 64-byte encoding into [dst] at
+    [pos], without the copy {!signature_to_bytes} makes. *)
+
 val signature_of_bytes : bytes -> signature option
 (** [None] unless exactly 64 bytes; any 64 bytes are accepted (out-of-range
     r or s fail {!verify}), and {!signature_to_bytes} gives them back

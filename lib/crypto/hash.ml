@@ -42,6 +42,7 @@ let compare = Bytes.compare
 let zero = Bytes.make size '\000'
 let digest_bytes b = Sha256.digest_bytes b
 let digest_string s = Sha256.digest_string s
+let blit t dst pos = Bytes.blit t 0 dst pos size
 let absorb ctx t = Sha256.update ctx t
 let finalize ctx = Sha256.finalize ctx
 

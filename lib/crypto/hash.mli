@@ -25,6 +25,9 @@ val digest_bytes : bytes -> t
 val digest_string : string -> t
 (** SHA-256 of a string. *)
 
+val blit : t -> bytes -> int -> unit
+(** [blit h dst pos] copies the digest's 32 bytes into [dst] at [pos]. *)
+
 val absorb : Sha256.ctx -> t -> unit
 (** Feed a digest's 32 bytes to a SHA-256 context, without a copy. *)
 

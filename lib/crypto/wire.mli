@@ -5,15 +5,16 @@
     and stream-store records — encodes its fields through these
     functions and keeps only its own layout: tags, field order and list
     caps.  Fixed-width fields are big-endian and go through the
-    stdlib's [Buffer.add_int64_be] and [Bytes.{get,set}_int{32,64}_be].
+    stdlib's [Bytes.{get,set}_int{32,64}_be].
     Decoding is total at the API boundary: readers raise the private
     {!Corrupt} exception internally and {!decode} converts it to
     [None]. *)
 
 type writer
-(** An append-only encoder. *)
+(** An append-only encoder: a flat growable buffer. *)
 
-val writer : ?initial:int -> unit -> writer
+val writer : unit -> writer
+
 val w_u8 : writer -> int -> unit
 val w_int : writer -> int -> unit
 (** 8-byte big-endian two's complement. *)
@@ -35,6 +36,22 @@ val w_list : writer -> ('a -> unit) -> 'a list -> unit
 
 val w_option : writer -> ('a -> unit) -> 'a option -> unit
 val contents : writer -> bytes
+(** A copy of the written bytes, at exact size. *)
+
+val encode : (writer -> unit) -> bytes
+(** [encode fill] runs [fill] on this domain's reusable writer and
+    returns {!contents}: one allocation, at exact size, whatever the
+    answer's length.  [fill] must not keep the writer.  A caller that
+    finds the domain's writer in use — another systhread of the domain,
+    or an [encode] or {!encode_digest} inside [fill] — gets a fresh
+    writer instead, so no two callers ever share one.  A writer that
+    grew past 64 KiB is released after the call. *)
+
+val encode_digest : (writer -> unit) -> Hash.t
+(** [encode_digest fill] is the SHA-256 of what [fill] writes, through
+    the same reusable writer as {!encode}, hashed where the bytes lie
+    with the domain's reusable SHA-256 context: the digest input is
+    never copied out. *)
 
 val set_u32 : bytes -> int -> int -> unit
 (** [set_u32 b pos v] writes the low 32 bits of [v] big-endian at [pos]

@@ -37,10 +37,9 @@ let r_block r =
     world_state_root; tx_root; timestamp }
 
 let hash t =
-  let w = Wire.writer ~initial:256 () in
-  Wire.w_string w "block";
-  w_block w t;
-  Hash.digest_bytes (Wire.contents w)
+  Wire.encode_digest (fun w ->
+      Wire.w_string w "block";
+      w_block w t)
 
 let links_to prev next =
   next.height = prev.height + 1

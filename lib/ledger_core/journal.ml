@@ -47,12 +47,11 @@ let kind_tag = function
   | Pseudo_genesis _ -> "pseudo-genesis"
 
 let request_digest ~ledger_uri ~kind_tag ~payload ~clues ~client_ts ~nonce =
-  let w = Wire.writer ~initial:(Bytes.length payload + 128) () in
-  Wire.w_string w "request";
-  Wire.w_string w ledger_uri;
-  Wire.w_string w kind_tag;
-  Wire.w_bytes w payload;
-  Wire.w_list w (Wire.w_string w) clues;
-  Wire.w_int64 w client_ts;
-  Wire.w_int w nonce;
-  Hash.digest_bytes (Wire.contents w)
+  Wire.encode_digest (fun w ->
+      Wire.w_string w "request";
+      Wire.w_string w ledger_uri;
+      Wire.w_string w kind_tag;
+      Wire.w_bytes w payload;
+      Wire.w_list w (Wire.w_string w) clues;
+      Wire.w_int64 w client_ts;
+      Wire.w_int w nonce)

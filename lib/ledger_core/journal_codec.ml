@@ -74,9 +74,8 @@ let r_kind r =
 
 let magic = "LDBJ1"
 
-let encode (j : Journal.t) =
-  let w = Wire.writer ~initial:(Bytes.length j.Journal.payload + 256) () in
-  Wire.w_raw w (Bytes.of_string magic);
+let w_journal w (j : Journal.t) =
+  Wire.w_raw w (Bytes.unsafe_of_string magic);
   Wire.w_int w j.Journal.jsn;
   w_kind w j.Journal.kind;
   Wire.w_hash w j.Journal.client_id;
@@ -91,8 +90,9 @@ let encode (j : Journal.t) =
     (fun (id, s) ->
       Wire.w_hash w id;
       Wire.w_sig w s)
-    j.Journal.cosigners;
-  Wire.contents w
+    j.Journal.cosigners
+
+let encode j = Wire.encode (fun w -> w_journal w j)
 
 let decode data =
   Wire.decode data (fun r ->
@@ -128,4 +128,4 @@ let decode data =
         cosigners;
       })
 
-let digest j = Hash.digest_bytes (encode j)
+let digest j = Wire.encode_digest (fun w -> w_journal w j)

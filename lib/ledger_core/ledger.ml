@@ -445,6 +445,24 @@ let commit ?(pool = Domain_pool.sequential) t journals =
    slot-by-slot signing.  [blocks] newest first. *)
 let make_receipts ?(pool = Domain_pool.sequential) crypto ~priv ~pub ~blocks
     ~stamp slots =
+  (* a journal's block hash, final only when its block is sealed; slots
+     come in jsn order, so consecutive ones mostly share a block, hashed
+     once for all of them *)
+  let last = ref None in
+  let block_hash_of jsn =
+    let holds (b : Block.t) =
+      jsn >= b.Block.start_jsn && jsn < b.Block.start_jsn + b.Block.count
+    in
+    match !last with
+    | Some (b, h) when holds b -> h
+    | _ -> (
+        match List.find_opt holds blocks with
+        | Some b ->
+            let h = Block.hash b in
+            last := Some (b, h);
+            h
+        | None -> Hash.zero)
+  in
   let unsigned =
     Array.of_list
       (List.map
@@ -452,18 +470,7 @@ let make_receipts ?(pool = Domain_pool.sequential) crypto ~priv ~pub ~blocks
            let timestamp = stamp () in
            Metrics.incr "ledger_receipts_issued_total";
            let jsn = s.journal.Journal.jsn in
-           let block_hash =
-             (* final only when the journal's block is sealed *)
-             match
-               List.find_opt
-                 (fun (b : Block.t) ->
-                   jsn >= b.Block.start_jsn
-                   && jsn < b.Block.start_jsn + b.Block.count)
-                 blocks
-             with
-             | Some b -> Block.hash b
-             | None -> Hash.zero
-           in
+           let block_hash = block_hash_of jsn in
            ( Receipt.signing_digest ~jsn ~request_hash:s.request_hash
                ~tx_hash:s.tx ~block_hash ~timestamp,
              (s, block_hash, timestamp) ))
@@ -743,13 +750,9 @@ let commitment t = Fam.commitment t.fam
 
 let prove_in fam jsn =
   let p = Fam.prove fam jsn in
-  (* encoding the proof to count bytes is itself work, so only do it when
-     a sink is recording *)
   if Obs.enabled () then begin
     Metrics.incr "ledger_proofs_served_total";
-    let w = Wire.writer () in
-    Proof_codec.w_fam_proof w p;
-    Metrics.observe_int "ledger_proof_bytes" (Bytes.length (Wire.contents w))
+    Metrics.observe_int "ledger_proof_bytes" (Proof_codec.fam_proof_size p)
   end;
   p
 

@@ -10,14 +10,13 @@ type t = {
 }
 
 let signing_digest ~jsn ~request_hash ~tx_hash ~block_hash ~timestamp =
-  let w = Wire.writer ~initial:128 () in
-  Wire.w_string w "receipt";
-  Wire.w_int w jsn;
-  Wire.w_hash w request_hash;
-  Wire.w_hash w tx_hash;
-  Wire.w_hash w block_hash;
-  Wire.w_int64 w timestamp;
-  Hash.digest_bytes (Wire.contents w)
+  Wire.encode_digest (fun w ->
+      Wire.w_string w "receipt";
+      Wire.w_int w jsn;
+      Wire.w_hash w request_hash;
+      Wire.w_hash w tx_hash;
+      Wire.w_hash w block_hash;
+      Wire.w_int64 w timestamp)
 
 let make ~lsp_priv ~jsn ~request_hash ~tx_hash ~block_hash ~timestamp =
   let digest = signing_digest ~jsn ~request_hash ~tx_hash ~block_hash ~timestamp in

@@ -69,9 +69,8 @@ type response =
 
 (* --- codecs ------------------------------------------------------------- *)
 
-let encode_request req =
-  let w = Wire.writer () in
-  (match req with
+let w_request w req =
+  match req with
   | Append { member_id; payload; clues; client_ts; nonce; signature } ->
       Wire.w_u8 w 0;
       Wire.w_hash w member_id;
@@ -131,8 +130,9 @@ let encode_request req =
           Wire.w_int64 w client_ts;
           Wire.w_int w nonce;
           Wire.w_sig w signature)
-        entries);
-  Wire.contents w
+        entries
+
+let encode_request req = Wire.encode (fun w -> w_request w req)
 
 let decode_request data =
   Wire.decode data (fun r ->
@@ -203,9 +203,8 @@ let r_receipt r =
   let lsp_sig = Wire.r_sig r in
   { Receipt.jsn; request_hash; tx_hash; block_hash; timestamp; lsp_sig }
 
-let encode_response resp =
-  let w = Wire.writer () in
-  (match resp with
+let w_response w resp =
+  match resp with
   | Receipt_r receipt ->
       Wire.w_u8 w 0;
       w_receipt w receipt
@@ -263,8 +262,9 @@ let encode_response resp =
   | Stale_r { pinned; current } ->
       Wire.w_u8 w 15;
       Wire.w_int w pinned;
-      Wire.w_int w current);
-  Wire.contents w
+      Wire.w_int w current
+
+let encode_response resp = Wire.encode (fun w -> w_response w resp)
 
 let decode_response data =
   Wire.decode data (fun r ->
@@ -328,14 +328,6 @@ let request_kind = function
   | Get_clue_bundle _ -> "get_clue_bundle"
   | Query_page _ -> "query_page"
 
-let classify = function
-  | Append _ | Append_batch _ -> `Mutate
-  | Get_payload _ | Get_proof _ | Get_receipt _ | Get_clue_proof _
-  | Get_commitment | Get_extension _ | Get_journal _ | Get_block _
-  | Get_members | Get_checkpoint | Get_proof_bundle _ | Get_clue_bundle _
-  | Query_page _ ->
-      `Read
-
 module RV = Ledger.Read_view
 
 (* The one read implementation: every read is answered from an immutable
@@ -344,8 +336,8 @@ module RV = Ledger.Read_view
    state; off it, the answer is that of the latest publication. *)
 let read v = function
   | Append _ | Append_batch _ ->
-      (* mutations are routed through {!dispatch} by {!classify}; reaching
-         here is a dispatcher bug, not a client error *)
+      (* mutations are routed through {!dispatch} by {!mutation_frame};
+         reaching here is a dispatcher bug, not a client error *)
       assert false
   | Get_payload { jsn } ->
       if jsn < 0 || jsn >= RV.size v then Error_r "jsn out of range"
@@ -484,12 +476,12 @@ let handle ledger data = respond (dispatch ledger) (decode_request data)
    byte alone: the read path declines it undecoded, and {!handle}
    decodes it under the writer's lock, where a malformed one gets the
    same refusal it would get here. *)
-let mutation_frame data =
-  Bytes.length data > 0
-  && match Bytes.get_uint8 data 0 with 0 | 11 -> true | _ -> false
+let mutation_frame data pos =
+  Bytes.length data > pos
+  && match Bytes.get_uint8 data pos with 0 | 11 -> true | _ -> false
 
 let handle_read ledger data =
-  if mutation_frame data then None
+  if mutation_frame data 0 then None
   else Some (respond (read (Ledger.read_view ledger)) (decode_request data))
 
 (* --- client ----------------------------------------------------------------- *)

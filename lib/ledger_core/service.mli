@@ -133,9 +133,11 @@ val error_of_exn : exn -> string
     profile at the view's {!Ledger.Read_view.published_at} rather than at
     the clock's current reading. *)
 
-val classify : request -> [ `Read | `Mutate ]
-(** [`Mutate] for {!request.Append}/{!request.Append_batch}, [`Read]
-    for everything else. *)
+val mutation_frame : bytes -> int -> bool
+(** [mutation_frame b pos]: the request encoded from [pos] of [b] is an
+    {!request.Append} or {!request.Append_batch}, told by its tag byte
+    alone, without a decode.  A malformed frame may pass as either;
+    {!handle} refuses it with the same bytes. *)
 
 val handle_read : Ledger.t -> bytes -> bytes option
 (** Serve a read (or a malformed frame) from the current published

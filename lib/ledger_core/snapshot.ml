@@ -16,10 +16,7 @@ let write ?(append = false) ~dir file f =
   r
 
 (* One frame holding the fields [f] writes. *)
-let output_record oc f =
-  let w = Wire.writer () in
-  f w;
-  Framing.write oc (Wire.contents w)
+let output_record oc f = Framing.write oc (Wire.encode f)
 
 (* Every record of a framed file, decoded in file order.  Only the
    journals file may end in a torn tail: any other damage, and any
@@ -85,10 +82,9 @@ let read_blocks path = read_records path Block.r_block
 (* --- survivors.ldb: one survival-stream record per frame --------------- *)
 
 let survivor_record ~jsn payload =
-  let w = Wire.writer ~initial:(Bytes.length payload + 16) () in
-  Wire.w_int w jsn;
-  Wire.w_bytes w payload;
-  Wire.contents w
+  Wire.encode (fun w ->
+      Wire.w_int w jsn;
+      Wire.w_bytes w payload)
 
 let r_survivor r =
   let jsn = Wire.r_int r in

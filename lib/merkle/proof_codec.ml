@@ -25,6 +25,14 @@ let w_fam_proof w { Fam.jsn; epoch_paths; peak_index; peak_set } =
   Wire.w_int w peak_index;
   w_node_set w peak_set
 
+(* The length {!w_fam_proof} writes: fixed 8-byte counts and indices,
+   33 bytes a path step, 32 a peak. *)
+let fam_proof_size { Fam.epoch_paths; peak_set; _ } =
+  List.fold_left
+    (fun n path -> n + 8 + (33 * List.length path))
+    32 epoch_paths
+  + (32 * List.length peak_set)
+
 let r_fam_proof r =
   let jsn = Wire.r_int r in
   let epoch_paths = Wire.r_list ~max:4096 r (fun () -> r_path r) in
@@ -67,10 +75,7 @@ let r_range_proof r =
   let peak_set = r_node_set r in
   { Range_proof.size; first; last; support; peak_set }
 
-let encode f v =
-  let w = Wire.writer () in
-  f w v;
-  Wire.contents w
+let encode f v = Wire.encode (fun w -> f w v)
 
 let encode_fam_proof = encode w_fam_proof
 let decode_fam_proof b = Wire.decode b r_fam_proof

@@ -14,6 +14,10 @@ val r_path : Wire.reader -> Proof.path
 val w_fam_proof : Wire.writer -> Fam.proof -> unit
 val r_fam_proof : Wire.reader -> Fam.proof
 
+val fam_proof_size : Fam.proof -> int
+(** The byte length {!w_fam_proof} writes, from the proof's shape
+    alone. *)
+
 val w_range_proof : Wire.writer -> Range_proof.t -> unit
 val r_range_proof : Wire.reader -> Range_proof.t
 

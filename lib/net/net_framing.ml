@@ -25,6 +25,7 @@ let error_to_string = function
   | Bad_crc -> "frame checksum mismatch"
 
 let encode payload = Framing.frame ~magic payload
+let encode_into out payload = Framing.frame_into ~magic payload out
 
 type decoder = {
   max_frame : int;

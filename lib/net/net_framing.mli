@@ -33,6 +33,11 @@ val default_max_frame : int
 val encode : bytes -> bytes
 (** [encode payload] is one complete frame. *)
 
+val encode_into : bytes -> bytes -> unit
+(** [encode_into out payload] writes {!encode}'s bytes at the start of
+    [out], which must hold {!header_len}[ + 4 + Bytes.length payload]:
+    a sender reusing one buffer builds each frame in place. *)
+
 type error =
   | Bad_magic  (** first four bytes are not {!magic} *)
   | Oversized of { claimed : int; limit : int }

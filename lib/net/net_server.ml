@@ -39,6 +39,16 @@ type conn = {
   mutable alive : bool;
 }
 
+(* A worker's reused buffers: [inbuf] takes socket reads, and every
+   response frame is built in [out] (header, payload and CRC in place)
+   and written from there.  An [out] grown past [out_cap] for one answer
+   is dropped after it, so one 8 MiB frame does not pin 8 MiB. *)
+type worker = { wid : int; inbuf : bytes; mutable out : bytes }
+
+let inbuf_len = 16 * 1024
+let out_initial = 4096
+let out_cap = 64 * 1024
+
 type t = {
   config : config;
   backend : bytes -> bytes;
@@ -88,8 +98,7 @@ let protect mu f =
 (* Write everything, waiting out EAGAIN on the non-blocking fd; a peer
    that vanished surfaces as EPIPE/ECONNRESET and bubbles to the
    caller, which reaps the connection. *)
-let write_all fd b =
-  let len = Bytes.length b in
+let write_all fd b len =
   let sent = ref 0 in
   while !sent < len do
     match Unix.write fd b !sent (len - !sent) with
@@ -99,7 +108,19 @@ let write_all fd b =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let send_frame fd payload = write_all fd (Net_framing.encode payload)
+let send_frame wk fd payload =
+  let len = Ledger_storage.Framing.overhead + Bytes.length payload in
+  if Bytes.length wk.out < len then
+    wk.out <- Bytes.create (max len (2 * Bytes.length wk.out));
+  Net_framing.encode_into wk.out payload;
+  let shrink () =
+    if Bytes.length wk.out > out_cap then wk.out <- Bytes.create out_initial
+  in
+  match write_all fd wk.out len with
+  | () -> shrink ()
+  | exception e ->
+      shrink ();
+      raise e
 
 let refusal msg = Service.encode_response (Service.Error_r msg)
 
@@ -116,7 +137,7 @@ let close_conn t c =
    this worker's domain.  [None] (a mutation, or no read handler
    installed) falls back to the serialized backend.  A handler that
    raises is answered with a refusal instead of killing the worker. *)
-let dispatch t wid c req =
+let dispatch t wk c req =
   let t0 = Unix.gettimeofday () in
   let resp =
     try
@@ -124,7 +145,7 @@ let dispatch t wid c req =
       | Some resp ->
           Atomic.incr t.n_read_served;
           Metrics.incr "net_read_dispatch_total";
-          Metrics.incr (Printf.sprintf "net_read_dispatch_domain_%d" wid);
+          Metrics.incr (Printf.sprintf "net_read_dispatch_domain_%d" wk.wid);
           resp
       | None ->
           Metrics.incr "net_locked_dispatch_total";
@@ -137,48 +158,46 @@ let dispatch t wid c req =
   Metrics.observe "net_request_us" dt_us;
   Metrics.observe_int "net_request_bytes" (Bytes.length req);
   Metrics.observe_int "net_response_bytes" (Bytes.length resp);
-  send_frame c.fd resp
+  send_frame wk c.fd resp
 
 (* Decode and answer every complete frame currently buffered.  A framing
    error gets one framed refusal, then the connection dies: the decoder
    cannot resynchronise an untrusted stream. *)
-let drain_frames t wid c =
+let drain_frames t wk c =
   let continue = ref true in
   while !continue && c.alive do
     match Net_framing.next c.dec with
     | Net_framing.Frame req -> (
-        try dispatch t wid c req
+        try dispatch t wk c req
         with Unix.Unix_error _ | Sys_error _ -> close_conn t c)
     | Net_framing.Awaiting _ -> continue := false
     | Net_framing.Fail e ->
         Atomic.incr t.n_framing_errors;
         Metrics.incr "net_framing_errors_total";
         (try
-           send_frame c.fd
+           send_frame wk c.fd
              (refusal ("framing: " ^ Net_framing.error_to_string e))
          with Unix.Unix_error _ | Sys_error _ -> ());
         close_conn t c
   done
 
-let scratch_len = 16 * 1024
-
 (* One readable event: pull bytes until the kernel buffer is dry (the
    fd is non-blocking), then serve what framed up. *)
-let handle_readable t wid c scratch =
+let handle_readable t wk c =
   let eof = ref false and again = ref false in
   while c.alive && (not !eof) && not !again do
-    match Unix.read c.fd scratch 0 scratch_len with
+    match Unix.read c.fd wk.inbuf 0 inbuf_len with
     | 0 -> eof := true
-    | n -> Net_framing.feed c.dec scratch ~pos:0 ~len:n
+    | n -> Net_framing.feed c.dec wk.inbuf ~pos:0 ~len:n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         again := true
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> eof := true
   done;
-  drain_frames t wid c;
+  drain_frames t wk c;
   if !eof then close_conn t c
 
-let accept_ready t conns =
+let accept_ready t wk conns =
   let continue = ref true in
   while !continue do
     match Unix.accept ~cloexec:true t.listener with
@@ -190,7 +209,7 @@ let accept_ready t conns =
           Atomic.incr t.n_refused;
           Metrics.incr "net_conns_refused_total";
           (try
-             send_frame fd (refusal "server at capacity");
+             send_frame wk fd (refusal "server at capacity");
              Unix.close fd
            with Unix.Unix_error _ | Sys_error _ -> (
              try Unix.close fd with Unix.Unix_error _ -> ()))
@@ -219,11 +238,11 @@ let accept_ready t conns =
    buffers included) are served before the connection closes — reads
    still on the lock-free path, so a frame that lands mid-drain is
    answered even while other workers contend on the mutation lock. *)
-let drain_and_exit t wid conns scratch =
+let drain_and_exit t wk conns =
   List.iter
     (fun c ->
       if c.alive then begin
-        handle_readable t wid c scratch;
+        handle_readable t wk c;
         close_conn t c
       end)
     !conns;
@@ -231,11 +250,13 @@ let drain_and_exit t wid conns scratch =
 
 let worker t wid () =
   let conns = ref [] in
-  let scratch = Bytes.create scratch_len in
+  let wk =
+    { wid; inbuf = Bytes.create inbuf_len; out = Bytes.create out_initial }
+  in
   let live = ref true in
   while !live do
     if Atomic.get t.stopping then begin
-      drain_and_exit t wid conns scratch;
+      drain_and_exit t wk conns;
       live := false
     end
     else begin
@@ -246,11 +267,11 @@ let worker t wid () =
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
       | readable, _, _ ->
           if List.memq t.listener readable && not (Atomic.get t.stopping)
-          then accept_ready t conns;
+          then accept_ready t wk conns;
           List.iter
             (fun c ->
               if c.alive && List.memq c.fd readable then
-                handle_readable t wid c scratch)
+                handle_readable t wk c)
             !conns;
           conns := List.filter (fun c -> c.alive) !conns
     end

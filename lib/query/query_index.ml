@@ -39,17 +39,15 @@ let clue_of_key key =
 let chain_seed clue = Hash.scatter clue
 
 let chain_step prev jsn tx =
-  let w = Wire.writer ~initial:80 () in
-  Wire.w_hash w prev;
-  Wire.w_int w jsn;
-  Wire.w_hash w tx;
-  Hash.digest_bytes (Wire.contents w)
+  Wire.encode_digest (fun w ->
+      Wire.w_hash w prev;
+      Wire.w_int w jsn;
+      Wire.w_hash w tx)
 
 let committed_value ~count ~chain =
-  let w = Wire.writer ~initial:48 () in
-  Wire.w_int w count;
-  Wire.w_hash w chain;
-  Wire.contents w
+  Wire.encode (fun w ->
+      Wire.w_int w count;
+      Wire.w_hash w chain)
 
 let decode_value b =
   Wire.decode b (fun r ->

@@ -272,10 +272,7 @@ let r_page r =
   let cursor = Wire.r_option r (fun () -> Wire.r_string r) in
   { rows; proof; cursor }
 
-let encode_page pg =
-  let w = Wire.writer ~initial:1024 () in
-  w_page w pg;
-  Wire.contents w
+let encode_page pg = Wire.encode (fun w -> w_page w pg)
 
 let decode_page b = Wire.decode b r_page
 let page_bytes pg = Bytes.length (encode_page pg)

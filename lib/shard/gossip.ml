@@ -46,10 +46,7 @@ let r_announcement r =
   in
   { ledger; epoch; super; sealed_at; signature }
 
-let encode_announcement a =
-  let w = Wire.writer () in
-  w_announcement w a;
-  Wire.contents w
+let encode_announcement a = Wire.encode (fun w -> w_announcement w a)
 
 let decode_announcement b = Wire.decode b r_announcement
 
@@ -93,10 +90,7 @@ let r_fork r =
   then raise Wire.Corrupt;
   { first; second }
 
-let encode_fork ev =
-  let w = Wire.writer () in
-  w_fork w ev;
-  Wire.contents w
+let encode_fork ev = Wire.encode (fun w -> w_fork w ev)
 
 let decode_fork b = Wire.decode b r_fork
 

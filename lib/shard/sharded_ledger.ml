@@ -360,9 +360,6 @@ let r_sharded_proof r =
   let inclusion = Super_root.r_inclusion r in
   { shard; jsn; fam; inclusion }
 
-let encode_sharded_proof p =
-  let w = Wire.writer () in
-  w_sharded_proof w p;
-  Wire.contents w
+let encode_sharded_proof p = Wire.encode (fun w -> w_sharded_proof w p)
 
 let decode_sharded_proof b = Wire.decode b r_sharded_proof

@@ -136,9 +136,6 @@ let r_scatter r =
   let answers = Wire.r_list ~max:4096 r (fun () -> r_answer r) in
   { shards; answers }
 
-let encode_scatter sc =
-  let w = Wire.writer ~initial:1024 () in
-  w_scatter w sc;
-  Wire.contents w
+let encode_scatter sc = Wire.encode (fun w -> w_scatter w sc)
 
 let decode_scatter b = Wire.decode b r_scatter

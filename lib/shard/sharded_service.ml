@@ -26,9 +26,8 @@ type response =
   | Query_scatter_r of Sharded_query.scatter
   | Error_r of string
 
-let encode_request req =
-  let w = Wire.writer () in
-  (match req with
+let w_request w req =
+  match req with
   | To_shard { shard; inner } ->
       Wire.w_u8 w 1;
       Wire.w_int w shard;
@@ -52,8 +51,9 @@ let encode_request req =
       Wire.w_u8 w 8;
       Ledger_query.Range_query.w_spec w spec;
       Wire.w_option w (Ledger_query.Range_query.w_window w) window;
-      Wire.w_int w page_size);
-  Wire.contents w
+      Wire.w_int w page_size
+
+let encode_request req = Wire.encode (fun w -> w_request w req)
 
 let decode_request b =
   Wire.decode b (fun r ->
@@ -81,9 +81,8 @@ let decode_request b =
           Query_scatter { spec; window; page_size }
       | _ -> raise Wire.Corrupt)
 
-let encode_response resp =
-  let w = Wire.writer () in
-  (match resp with
+let w_response w resp =
+  match resp with
   | Error_r msg ->
       Wire.w_u8 w 0;
       Wire.w_string w msg
@@ -109,8 +108,9 @@ let encode_response resp =
       Wire.w_option w (Gossip.w_announcement w) ann
   | Query_scatter_r sc ->
       Wire.w_u8 w 7;
-      Sharded_query.w_scatter w sc);
-  Wire.contents w
+      Sharded_query.w_scatter w sc
+
+let encode_response resp = Wire.encode (fun w -> w_response w resp)
 
 let decode_response b =
   Wire.decode b (fun r ->
@@ -154,21 +154,23 @@ let route_inner t inner =
   | Some _ -> Error "routed append: not an append request"
   | None -> Error "routed append: malformed inner request"
 
-let classify = function
-  | Routed_append _ | Seal_epoch -> `Mutate
-  | To_shard { inner; _ } -> (
-      (* a wrapped request mutates iff its inner envelope does; a
-         malformed inner is refused the same way on either path *)
-      match Service.decode_request inner with
-      | Some inner_req -> Service.classify inner_req
-      | None -> `Read)
-  | Get_topology | Get_super_root _ | Get_sharded_proof _ | Get_announcement _
-  | Query_scatter _ ->
-      `Read
+(* A mutation, told by tag bytes without a decode: [Routed_append] (2),
+   [Seal_epoch] (4), or a [To_shard] (1) whose inner request — from
+   byte 17, after the tag, the shard and the inner length — is one.  A
+   malformed frame gets the same refusal on either path. *)
+let mutation_frame b =
+  Bytes.length b > 0
+  &&
+  match Bytes.get_uint8 b 0 with
+  | 2 | 4 -> true
+  | 1 -> Service.mutation_frame b 17
+  | _ -> false
 
 (* Every read arm is served from published snapshots (shard read views,
    the atomically published sealed history) or immutable identity, so
-   {!classify}'s reads are safe without the writer's lock. *)
+   the frames {!mutation_frame} passes are safe without the writer's
+   lock.  A [To_shard] read is decoded once, by the shard's
+   [Service.handle]. *)
 let dispatch t = function
   | To_shard { shard; inner } ->
       if shard < 0 || shard >= Sharded_ledger.shard_count t then
@@ -227,10 +229,7 @@ let respond t decoded =
 
 let handle t b = respond t (decode_request b)
 
-let handle_read t b =
-  match decode_request b with
-  | Some req when classify req = `Mutate -> None
-  | decoded -> Some (respond t decoded)
+let handle_read t b = if mutation_frame b then None else Some (handle t b)
 
 module Client = struct
   type t = {

@@ -138,10 +138,7 @@ let r_sealed r =
   if not (Hash.equal rebuilt root) then raise Wire.Corrupt;
   { epoch; sealed_at; shard_roots; shard_sizes; presence; root }
 
-let encode_sealed s =
-  let w = Wire.writer () in
-  w_sealed w s;
-  Wire.contents w
+let encode_sealed s = Wire.encode (fun w -> w_sealed w s)
 
 let decode_sealed b = Wire.decode b r_sealed
 
@@ -164,9 +161,6 @@ let r_inclusion r =
   let path = Ledger_merkle.Proof_codec.r_path r in
   { shard; shards; shard_root; shard_size; shard_presence; epoch; path }
 
-let encode_inclusion inc =
-  let w = Wire.writer () in
-  w_inclusion w inc;
-  Wire.contents w
+let encode_inclusion inc = Wire.encode (fun w -> w_inclusion w inc)
 
 let decode_inclusion b = Wire.decode b r_inclusion

@@ -33,13 +33,16 @@ let max_record_len = 1 lsl 30
 let crc b ~pos ~len =
   Int32.to_int (Crc32.update 0l b ~pos ~len:(len + 4)) land 0xFFFF_FFFF
 
-let frame ~magic payload =
+let frame_into ~magic payload out =
   let len = Bytes.length payload in
-  let out = Bytes.create (overhead + len) in
   Bytes.blit_string magic 0 out 0 4;
   Wire.set_u32 out 4 len;
   Bytes.blit payload 0 out header_len len;
-  Wire.set_u32 out (header_len + len) (crc out ~pos:4 ~len);
+  Wire.set_u32 out (header_len + len) (crc out ~pos:4 ~len)
+
+let frame ~magic payload =
+  let out = Bytes.create (overhead + Bytes.length payload) in
+  frame_into ~magic payload out;
   out
 
 type scan =

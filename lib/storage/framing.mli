@@ -28,6 +28,10 @@ val overhead : int
 val frame : magic:string -> bytes -> bytes
 (** [frame ~magic payload] is one complete frame; [magic] is 4 bytes. *)
 
+val frame_into : magic:string -> bytes -> bytes -> unit
+(** [frame_into ~magic payload out] writes {!frame}'s bytes at the start
+    of [out], which must hold [overhead + Bytes.length payload]. *)
+
 (** The verdict on the bytes buffered at the start of a frame. *)
 type scan =
   | Need of int

@@ -39,21 +39,20 @@ let create ?(tau_delta_ms = 500.) ?(anchor_interval_ms = 1000.) ~clock ~tsa () =
    index: no field boundary can move, so one inclusion proof cannot also
    prove an entry with other times, such as a backdated notary time. *)
 let entry_leaf_digest e =
-  let w = Wire.writer ~initial:192 () in
-  (match e.kind with
-  | Ledger_digest { ledger_id; client_ts } ->
-      Wire.w_string w "tl-digest";
-      Wire.w_hash w ledger_id;
-      Wire.w_int64 w client_ts
-  | Tsa_anchor token ->
-      Wire.w_string w "tl-anchor";
-      Wire.w_hash w token.Tsa.tsa_id;
-      Wire.w_int64 w token.Tsa.timestamp;
-      Wire.w_sig w token.Tsa.signature);
-  Wire.w_int w e.index;
-  Wire.w_hash w e.digest;
-  Wire.w_int64 w e.notary_ts;
-  Hash.digest_bytes (Wire.contents w)
+  Wire.encode_digest (fun w ->
+      (match e.kind with
+      | Ledger_digest { ledger_id; client_ts } ->
+          Wire.w_string w "tl-digest";
+          Wire.w_hash w ledger_id;
+          Wire.w_int64 w client_ts
+      | Tsa_anchor token ->
+          Wire.w_string w "tl-anchor";
+          Wire.w_hash w token.Tsa.tsa_id;
+          Wire.w_int64 w token.Tsa.timestamp;
+          Wire.w_sig w token.Tsa.signature);
+      Wire.w_int w e.index;
+      Wire.w_hash w e.digest;
+      Wire.w_int64 w e.notary_ts)
 
 let push t kind digest =
   let e =

@@ -259,7 +259,10 @@ let test_commit_path_golden () =
    unboxed lanes and streamed trie node hashes it was 6 509 (6 335
    later), about half of it π_c and π_s; with the ECDSA scalars and
    ladders in place and the nonces' HMAC key state built once per
-   batch it is 2 694.  The bound is that plus about 10 %. *)
+   batch it was 2 694; with every digest input written into the
+   domain's reusable writer and hashed there with its reused SHA-256
+   context, and each block hashed once per batch of receipts, it is
+   1 895.  The bound is that plus about 10 %. *)
 let test_batch_allocation_bound () =
   let crypto = Crypto_profile.Real in
   let ledger =
@@ -295,8 +298,8 @@ let test_batch_allocation_bound () =
   (match res with
   | Ok rs -> Alcotest.(check int) "receipts" n (List.length rs)
   | Error e -> Alcotest.failf "batch rejected: %s" e);
-  if words > 2_960. then
-    Alcotest.failf "append_signed_batch: %.0f minor words per entry, bound 2 960"
+  if words > 2_080. then
+    Alcotest.failf "append_signed_batch: %.0f minor words per entry, bound 2 080"
       words
 
 (* Resident words per committed entry: the growth of everything
@@ -411,6 +414,29 @@ let test_resident_units () =
   Mpt.insert_string trie ~key:"acct/00000000" (Bytes.of_string "8 bytes!");
   bounded "a one-key Mpt" 29 trie
 
+(* Minor words per Wire digest: the input is written into the domain's
+   reusable writer and hashed where it lies, with the domain's SHA-256
+   context, so a 1 KiB request digest allocates 29 words: the closure
+   over its fields and [finalize]'s state copy and output.  A copy of
+   the input would add ~130 words (172 were counted with one), a fresh
+   context ~85.  Counted over 64 digests on fixed inputs, so it repeats
+   exactly; the bound is the figure plus about a third. *)
+let test_digest_allocation_bound () =
+  let payload = Bytes.make 1024 'd' in
+  let digest nonce =
+    Journal.request_digest ~ledger_uri:"ledger://digest-bound"
+      ~kind_tag:"normal" ~payload ~clues:[ "acct/00000001" ]
+      ~client_ts:7L ~nonce
+  in
+  ignore (digest 0);
+  let before = Gc.minor_words () in
+  for nonce = 1 to 64 do
+    ignore (Sys.opaque_identity (digest nonce))
+  done;
+  let words = (Gc.minor_words () -. before) /. 64. in
+  if words > 40. then
+    Alcotest.failf "request digest of 1 KiB: %.0f minor words, bound 40" words
+
 let suite =
   [ tc "golden: every entry point, system journal and reload" `Quick
       test_commit_path_golden;
@@ -423,4 +449,6 @@ let suite =
     tc "resident words: 16 clues, 256 B payloads" `Quick
       test_resident_shared_256;
     tc "resident words: one signature, one-element cSL" `Quick
-      test_resident_units ]
+      test_resident_units;
+    tc "minor words per wire digest are bounded" `Quick
+      test_digest_allocation_bound ]

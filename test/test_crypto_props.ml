@@ -825,6 +825,77 @@ let test_table_resident_words () =
   within "one key" key 540;
   within "fixed tables + 65 keys" (fixed + (65 * key)) 62_800
 
+(* --- the per-domain encoding scratch ------------------------------------ *)
+
+(* One Wire field of every writer kind. *)
+type field =
+  | F_u8 of int
+  | F_int of int
+  | F_int64 of int64
+  | F_bytes of string
+  | F_string of string
+  | F_raw of string
+  | F_hash of string
+  | F_sig of string
+  | F_list of int list
+  | F_option of int option
+
+let write_field w = function
+  | F_u8 v -> Wire.w_u8 w v
+  | F_int v -> Wire.w_int w v
+  | F_int64 v -> Wire.w_int64 w v
+  | F_bytes s -> Wire.w_bytes w (Bytes.of_string s)
+  | F_string s -> Wire.w_string w s
+  | F_raw s -> Wire.w_raw w (Bytes.of_string s)
+  | F_hash s -> Wire.w_hash w (Hash.of_bytes (Bytes.of_string s))
+  | F_sig s ->
+      Wire.w_sig w (Option.get (Ecdsa.signature_of_bytes (Bytes.of_string s)))
+  | F_list l -> Wire.w_list w (Wire.w_int w) l
+  | F_option o -> Wire.w_option w (Wire.w_int w) o
+
+let gen_field =
+  let open QCheck.Gen in
+  let str n = string_size ~gen:char n in
+  oneof
+    [
+      map (fun v -> F_u8 v) (int_bound 255);
+      map (fun v -> F_int v) int;
+      map (fun v -> F_int64 v) ui64;
+      map (fun s -> F_bytes s) (str (int_bound 300));
+      map (fun s -> F_string s) (str (int_bound 40));
+      map (fun s -> F_raw s) (str (int_bound 2000));
+      map (fun s -> F_hash s) (str (return 32));
+      map (fun s -> F_sig s) (str (return 64));
+      map (fun l -> F_list l) (list_size (int_bound 8) int);
+      map (fun o -> F_option o) (opt int);
+    ]
+
+let fresh_contents fields =
+  let w = Wire.writer () in
+  List.iter (write_field w) fields;
+  Wire.contents w
+
+(* The domain's scratch first holds an encode longer than the one under
+   test (past the 64 KiB release cap on some draws), so every stale byte
+   and every length left behind would show in the second answer. *)
+let prop_scratch_reuse =
+  QCheck.Test.make ~name:"wire: a reused scratch encodes as a fresh writer"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 80_000)
+        (make Gen.(list_size (int_bound 30) gen_field)))
+    (fun (extra, fields) ->
+      let expected = fresh_contents fields in
+      let earlier = Bytes.make (Bytes.length expected + extra) '\xa5' in
+      ignore (Wire.encode (fun w -> Wire.w_raw w earlier));
+      let encoded = Wire.encode (fun w -> List.iter (write_field w) fields) in
+      ignore (Wire.encode_digest (fun w -> Wire.w_raw w earlier));
+      let digest =
+        Wire.encode_digest (fun w -> List.iter (write_field w) fields)
+      in
+      Bytes.equal encoded expected
+      && Hash.equal digest (Hash.of_bytes (Sha256_ref.digest_bytes expected)))
+
 let suite =
   [
     qcheck prop_fe_ops_differential;
@@ -868,4 +939,5 @@ let suite =
       test_table_resident_words;
     tc "minor words per generated key and per table build are bounded" `Quick
       test_key_and_table_allocation_bound;
+    qcheck prop_scratch_reuse;
   ]

@@ -661,6 +661,29 @@ let test_fam_purge_through_frozen_view () =
 let purge_view_suite =
   [ tc "purge shows through a frozen view" `Quick test_fam_purge_through_frozen_view ]
 
+(* The served-proof size metric is computed from a proof's shape, not by
+   encoding it: it must equal the encoded length for every journal of
+   fams whose proofs cross 1, 2 and several epochs. *)
+let test_fam_proof_size () =
+  List.iter
+    (fun (delta, n) ->
+      let f = Fam.create ~delta in
+      for i = 0 to n - 1 do
+        ignore (Fam.append f (leaf i))
+      done;
+      for jsn = 0 to n - 1 do
+        let p = Fam.prove f jsn in
+        Alcotest.(check int)
+          (Printf.sprintf "delta %d, jsn %d of %d" delta jsn n)
+          (Bytes.length (Proof_codec.encode_fam_proof p))
+          (Proof_codec.fam_proof_size p)
+      done)
+    [ (3, 1); (3, 7); (3, 30); (2, 64); (4, 100) ]
+
+let proof_size_suite =
+  [ tc "fam proof size from its shape = encoded length" `Quick
+      test_fam_proof_size ]
+
 let suite =
   base_suite @ bamt_suite @ consistency_suite @ fam_extension_suite
-  @ empty_batch_suite @ agreement_suite @ purge_view_suite
+  @ empty_batch_suite @ agreement_suite @ purge_view_suite @ proof_size_suite

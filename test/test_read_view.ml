@@ -917,6 +917,86 @@ let test_read_path_declines_unread () =
     Alcotest.failf "handle_read on an Append_batch: %.0f minor words, bound 64"
       words
 
+(* Words a call allocates straight on the major heap: OCaml puts a block
+   of more than 256 words there, uncounted by the minor heap, and only a
+   major collection takes it back.  Promotions are subtracted, so a
+   minor collection inside the call does not count. *)
+let direct_major_words f =
+  let _, p0, m0 = Gc.counters () in
+  let r = f () in
+  let _, p1, m1 = Gc.counters () in
+  (r, m1 -. p1 -. (m0 -. p0))
+
+(* A served lineage read of 1–2 KiB is encoded in the domain's scratch
+   and copied out once, at exact size: no block of it is large enough
+   for the major heap.  A doubling buffer reaches 2 048 bytes for such an
+   answer, one word past the minor heap's limit. *)
+let test_lineage_read_stays_minor () =
+  let _, ledger, _, _, _ = make_env ~entries:45 ~name:"rv-lineage" () in
+  let req = Service.Client.make_get_clue_bundle ~clue:"rv-1" () in
+  let size = Bytes.length (Option.get (Service.handle_read ledger req)) in
+  if size <= 1024 || size >= 2048 then
+    Alcotest.failf "lineage answer is %d bytes, outside the 1–2 KiB window"
+      size;
+  let _, words =
+    direct_major_words (fun () ->
+        for _ = 1 to 64 do
+          ignore (Service.handle_read ledger req)
+        done)
+  in
+  if words > 0. then
+    Alcotest.failf "64 lineage reads of %d bytes: %.0f words straight to the \
+                    major heap, bound 0" size words
+
+(* The sharded read path declines its mutations by tag bytes too: a
+   [To_shard] wrapping a 256-entry [Append_batch], a [Routed_append]
+   and a [Seal_epoch] cost [handle_read] no decode, and a wrapped read
+   is answered with [handle]'s bytes. *)
+let test_sharded_read_path_declines_unread () =
+  let module SL = Ledger_shard.Sharded_ledger in
+  let module SS = Ledger_shard.Sharded_service in
+  let clock = Clock.create () in
+  let config =
+    {
+      SL.base =
+        { Ledger.default_config with name = "rv-fleet-decline";
+          latency = Latency_model.free; crypto = Crypto_profile.Real };
+      shards = 2;
+    }
+  in
+  let fleet = SL.create ~config ~clock () in
+  let user, key = SL.new_member fleet ~name:"fd" ~role:Roles.Regular_user in
+  let inner =
+    Service.Client.make_append_batch
+      (Service.Client.create ~ledger_uri:"ledger://rv-fleet-decline-0"
+         ~member:user ~priv:key ())
+      (List.init 256 (fun i ->
+           (Bytes.of_string (Printf.sprintf "batch %d" i), [], Clock.now clock)))
+  in
+  let client = SS.Client.create ~config ~member:user ~priv:key () in
+  let mutations =
+    [
+      SS.Client.make_to_shard ~shard:0 inner;
+      snd (SS.Client.make_append client ~client_ts:(Clock.now clock)
+             (Bytes.of_string "routed"));
+      SS.Client.make_seal_epoch ();
+    ]
+  in
+  List.iter
+    (fun frame ->
+      ignore (SS.handle_read fleet frame);
+      let before = Gc.minor_words () in
+      let answer = SS.handle_read fleet frame in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "declined" true (answer = None);
+      if words > 64. then
+        Alcotest.failf "sharded handle_read on a mutation: %.0f minor words, \
+                        bound 64" words)
+    mutations;
+  let read = SS.Client.make_to_shard ~shard:1 (Service.Client.make_get_members ()) in
+  Alcotest.(check (option bytes)) "wrapped read" (Some (SS.handle fleet read))
+    (SS.handle_read fleet read)
+
 let suite =
   [
     tc "differential: every mutation boundary" `Slow
@@ -936,4 +1016,8 @@ let suite =
       test_members_view;
     tc "read path declines a mutation frame undecoded" `Quick
       test_read_path_declines_unread;
+    tc "served lineage read puts no block on the major heap" `Quick
+      test_lineage_read_stays_minor;
+    tc "sharded read path declines mutation frames undecoded" `Quick
+      test_sharded_read_path_declines_unread;
   ]

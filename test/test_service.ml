@@ -359,4 +359,94 @@ let batch_suite =
       test_append_batch_atomic_rejection;
   ]
 
-let suite = base_suite @ fuzz_suite @ extension_suite @ members_suite @ batch_suite
+(* --- the per-domain encoding scratch under contention ------------------ *)
+
+(* Every worker below encodes the same responses and digests at once:
+   three systhreads on each of three domains, each yielding to its
+   neighbours in the middle of a digest input, and each digest input
+   holding a nested response encode.  One domain's scratch serves all of
+   its threads, so without the busy flag a yield or the nested encode
+   would rewind a writer that another caller is still filling.  Every
+   answer must equal the reference computed beforehand, one at a time
+   through fresh writers. *)
+let test_scratch_under_contention () =
+  let clock, ledger, client = make_service () in
+  for i = 0 to 11 do
+    Clock.advance_ms clock 10.;
+    ignore
+      (Service.handle ledger
+         (Service.Client.make_append client
+            ~clues:[ "c" ^ string_of_int (i mod 3) ]
+            ~client_ts:(Clock.now clock)
+            (Bytes.of_string (Printf.sprintf "contended %d" i))))
+  done;
+  let responses =
+    Array.of_list
+      (List.filter_map
+         (fun req -> Service.Client.parse (Service.handle ledger req))
+         [
+           Service.Client.make_get_proof_bundle ~jsn:3;
+           Service.Client.make_get_clue_bundle ~clue:"c1" ();
+           Service.Client.make_get_receipt ~jsn:5;
+           Service.Client.make_get_block ~height:1;
+           Service.Client.make_get_members ();
+           Service.Client.make_get_extension ~old_size:4;
+         ])
+  in
+  let n = Array.length responses in
+  let expected_resp = Array.map Service.encode_response responses in
+  let payload i = Bytes.make (100 + (i * 9_000)) (Char.chr (65 + i)) in
+  (* the digest input: a prefix, the i-th response encoded inside the
+     digest's own fill, then a payload up to ~70 KB (past the cap) *)
+  let fill ~nested i w =
+    Wire.w_string w "contended";
+    Wire.w_int w i;
+    if nested then Thread.yield ();
+    Wire.w_bytes w
+      (if nested then Service.encode_response responses.(i mod n)
+       else expected_resp.(i mod n));
+    if nested then Thread.yield ();
+    Wire.w_bytes w (payload i)
+  in
+  let expected_digest =
+    Array.init 8 (fun i ->
+        let w = Wire.writer () in
+        fill ~nested:false i w;
+        Hash.of_bytes (Sha256.digest_bytes (Wire.contents w)))
+  in
+  let bad = Atomic.make 0 in
+  let work () =
+    for round = 0 to 5 do
+      for i = 0 to 7 do
+        let k = (i + round) mod 8 in
+        if not (Hash.equal (Wire.encode_digest (fill ~nested:true k))
+                  expected_digest.(k))
+        then Atomic.incr bad;
+        if not (Bytes.equal
+                  (Service.encode_response responses.(k mod n))
+                  expected_resp.(k mod n))
+        then Atomic.incr bad;
+        Thread.yield ()
+      done
+    done
+  in
+  let threads_on_domain () =
+    let ts = List.init 2 (fun _ -> Thread.create work ()) in
+    work ();
+    List.iter Thread.join ts
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn threads_on_domain) in
+  threads_on_domain ();
+  List.iter Domain.join domains;
+  Alcotest.(check int) "answers that differ from the sequential reference" 0
+    (Atomic.get bad)
+
+let scratch_suite =
+  [
+    tc "encode scratch: systhreads, domains and nesting = sequential" `Quick
+      test_scratch_under_contention;
+  ]
+
+let suite =
+  base_suite @ fuzz_suite @ extension_suite @ members_suite @ batch_suite
+  @ scratch_suite

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Gate liveness: shows that each byte-level golden gate of `dune runtest`,
-# the bench schema check, the dead-export gate and the minor-words gates of
-# the commit path and of batch signing can still fail.  For every gate it applies one
-# known-bad mutation to a scratch copy of the working tree, runs `dune
-# runtest` there, and checks that the run fails on the gates the mutation
-# targets.  It prints, per mutation, every gate the run turned red.
+# the bench schema check, the dead-export gate, the minor-words gates of
+# the commit path, of batch signing and of wire digests, and the
+# contention test of the encoding scratch can still fail.  For every
+# gate it applies one known-bad mutation to a scratch copy of the working
+# tree, runs `dune runtest` there, and checks that the run fails on the
+# gates the mutation targets.  It prints, per mutation, every gate the
+# run turned red.
 #
 #   gate_liveness.sh <scratch-dir>
 #
@@ -27,7 +29,7 @@ mkdir -p "$dest"
 cd "$dest"
 mkdir _liveness # dune skips directories whose name starts with '_'
 
-gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports minor_words crypto_minor_words"
+gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports minor_words crypto_minor_words digest_minor_words scratch_guard"
 
 # The output that shows a gate failed.
 pattern() {
@@ -42,6 +44,8 @@ pattern() {
   dead_exports) echo '^dead exports: (referenced nowhere|used only inside)' ;;
   minor_words) echo '\[FAIL\] +commit-path +[0-9]+ +minor words per committed' ;;
   crypto_minor_words) echo '\[FAIL\] +crypto-props +[0-9]+ +minor words per sign' ;;
+  digest_minor_words) echo '\[FAIL\] +commit-path +[0-9]+ +minor words per wire digest' ;;
+  scratch_guard) echo '\[FAIL\] +service +[0-9]+ +encode scratch' ;;
   esac
 }
 
@@ -113,6 +117,14 @@ let digest () = ()'
     file=lib/crypto/ecdsa.ml
     expr='s/Secp256k1.mul_base_into c ks.(m) pts m/Secp256k1.mul_base_into c ks.(m) pts m; ignore (Sys.opaque_identity (List.init 110 Fun.id))/'
     targets=crypto_minor_words ;;
+  digest-copy) # wire digests hash a copy of their input again
+    file=lib/crypto/wire.ml
+    expr='s/Sha256.update_sub ctx w.buf 0 w.len;/Sha256.update ctx (contents w);/'
+    targets=digest_minor_words ;;
+  scratch-guard) # the domain's scratch handed out even while in use
+    file=lib/crypto/wire.ml
+    expr='s/if Atomic.compare_and_set s.busy false true then begin/if true then begin/'
+    targets=scratch_guard ;;
   esac
 }
 
@@ -146,7 +158,7 @@ restore() {
 
 for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed \
   block-codec unused-val common-name-val schema-key minor-words \
-  crypto-minor-words; do
+  crypto-minor-words digest-copy scratch-guard; do
   mutation "$m"
   applied=yes
   apply "$file" "$expr" || applied=no

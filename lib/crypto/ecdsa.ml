@@ -40,20 +40,21 @@ let scalars count = Array.init count (fun _ -> Scalar.create ())
 (* Every digest still unsigned tries nonce [i]; the x(kG) of the whole
    round share one field inversion and the k share one scalar
    inversion.  A nonce giving r = 0 or s = 0 sends its digest to round
-   i + 1, exactly as one-at-a-time signing would.  Every temporary is
-   the call's: one [ctx], the HMAC key state, three columns of scalars
-   and one flat buffer of points for the whole batch. *)
+   i + 1, exactly as one-at-a-time signing would.  Every temporary but
+   one is the call's: one [ctx], the HMAC key state and three columns
+   of scalars.  The k·G of the batch go into the domain's points buffer
+   ({!Secp256k1.with_points}). *)
 let sign_many d digests =
   let count = Array.length digests in
   let sigs = Array.make count "" in
-  let c = Secp256k1.ctx () and w = Scalar.scratch () in
+  let c = Secp256k1.ctx () in
   let dk = Scalar.create () and z = Scalar.create () and s = Scalar.create () in
   Scalar.set_u256 dk d;
   let key = Hmac_sha256.keyed (Uint256.to_bytes_be d) in
   let data = Bytes.create 33 in
   let ks = scalars count and rs = scalars count and kinvs = scalars count in
-  let pts = Secp256k1.points count in
   let pending = Array.init count Fun.id and left = ref count and i = ref 0 in
+  Secp256k1.with_points count @@ fun pts ->
   while !left > 0 do
     if !i > 100 then failwith "Ecdsa.sign: could not find a valid nonce";
     for m = 0 to !left - 1 do
@@ -61,15 +62,15 @@ let sign_many d digests =
       Secp256k1.mul_base_into c ks.(m) pts m
     done;
     Secp256k1.x_mod_n_batch c pts !left rs;
-    Scalar.inv_batch_into w kinvs ks !left;
+    Scalar.inv_batch_into kinvs ks !left;
     let kept = ref 0 in
     for m = 0 to !left - 1 do
       let j = pending.(m) in
       (* s = k⁻¹ (z + r·d) *)
       z_into z (Hash.to_bytes digests.(j)) 0;
-      Scalar.mul_into w s rs.(m) dk;
+      Scalar.mul_into s rs.(m) dk;
       Scalar.add_into s z s;
-      Scalar.mul_into w s kinvs.(m) s;
+      Scalar.mul_into s kinvs.(m) s;
       if Scalar.is_zero rs.(m) || Scalar.is_zero s then begin
         pending.(!kept) <- j;
         incr kept
@@ -96,7 +97,7 @@ let verify_many q items =
   | None -> Array.map (fun _ -> false) items
   | Some tq ->
       let count = Array.length items in
-      let c = Secp256k1.ctx () and w = Scalar.scratch () in
+      let c = Secp256k1.ctx () in
       let r = Scalar.create () and z = Scalar.create () in
       let u1 = Scalar.create () and u2 = Scalar.create () in
       let ss = scalars count and ws = scalars count in
@@ -109,14 +110,14 @@ let verify_many q items =
         if Scalar.in_range r && Scalar.in_range ss.(i) then ok.(i) <- true
         else Scalar.set_u256 ss.(i) Uint256.one
       done;
-      Scalar.inv_batch_into w ws ss count;
+      Scalar.inv_batch_into ws ss count;
       for i = 0 to count - 1 do
         if ok.(i) then begin
           let msg_hash, sg = items.(i) in
           Scalar.load r (Bytes.unsafe_of_string sg) 0;
           z_into z (Hash.to_bytes msg_hash) 0;
-          Scalar.mul_into w u1 z ws.(i);
-          Scalar.mul_into w u2 r ws.(i);
+          Scalar.mul_into u1 z ws.(i);
+          Scalar.mul_into u2 r ws.(i);
           (* compare x(u1·G + u2·Q) to r without an affine conversion:
              r is already known to be in [1, n) here *)
           ok.(i) <- Secp256k1.check_x c u1 u2 tq r

@@ -1,24 +1,27 @@
 (** The secp256k1 elliptic curve: y² = x³ + 7 over F_p.
 
-    The kernel represents field elements as ten 26-bit limbs, each an
-    unboxed [int64] in an 80-byte [Bytes], with fused comba multiply +
-    pseudo-Mersenne reduction (p = 2²⁵⁶ − 2³² − 977, so 2²⁶⁰ ≡ 2³⁶ +
-    15632) that reduces only weakly (below 2p); points in Jacobian
-    coordinates; [k·G] as a signed-digit multi-comb; and the dual-scalar
-    verify path as one wNAF ladder over GLV halves, each half split once
-    more at 2⁶⁴, so every stream is ~64 digits long and they share ~64
-    doublings (a fixed width-10 table for G, a width-5 {!table} per
-    other point, built once by {!precompute}).
+    The kernel represents field elements as five 52-bit limbs, each a
+    native 64-bit word in a 40-byte [Bytes]; the field arithmetic and
+    the Jacobian group law are C ([secp256k1_stubs.c]: 128-bit column
+    products, folded at 2²⁶⁰ ≡ 2³⁶ + 15632 and 2²⁵⁶ ≡ 2³² + 977, reduced
+    only weakly, below 2p).  In OCaml: [k·G] as a signed-digit
+    multi-comb, and the dual-scalar verify path as one wNAF ladder over
+    GLV halves, each half split once more at 2⁶⁴, so every stream is
+    ~64 digits long and they share ~64 doublings (a fixed width-10
+    table for G, a width-5 {!table} per other point, built once by
+    {!precompute}).
 
     Every field and scalar operation writes into caller-provided
     storage, each ladder runs its group law in place on one accumulator,
     and every table build writes its points straight into flat buffers,
     so a batch of [k·G] or [a·G + b·Q] allocates its per-call {!ctx} and
-    nothing per item.  No storage is shared between calls: every function here is safe to run from any number of
-    domains and threads at once, and every {!point} and {!table} it
-    returns is immutable.  The reference implementation the test suites
-    check this kernel against lives in the test-only [crypto_ref]
-    library. *)
+    nothing per item.  The one buffer kept between calls is each
+    domain's {!with_points} buffer, which a busy flag hands to one
+    caller at a time: every function here is safe to run from any
+    number of domains and threads at once, and every {!point} and
+    {!table} it returns is immutable.  The reference implementation the
+    test suites check this kernel against lives in the test-only
+    [crypto_ref] library. *)
 
 type fe = Uint256.t
 (** A field element, canonical (< p). *)
@@ -43,6 +46,10 @@ val of_affine : fe -> fe -> point
 (** [of_affine x y] builds a point; the caller asserts it is on the curve
     (use {!is_on_curve} to check untrusted input). *)
 
+val of_jacobian : fe -> fe -> fe -> point
+(** [of_jacobian x y z] is the point (x/z², y/z³), or infinity for
+    [z = 0]; the caller asserts it is on the curve. *)
+
 val to_affine : point -> (fe * fe) option
 (** [None] for the point at infinity. *)
 
@@ -50,6 +57,12 @@ val is_on_curve : fe -> fe -> bool
 
 val double : point -> point
 val add : point -> point -> point
+
+val add_mixed : point -> fe -> fe -> negative:bool -> point
+(** [add_mixed pt x y ~negative] is [pt + (x, y)], or [pt − (x, y)], by
+    the mixed (affine-operand) addition the ladders run; {!add} runs the
+    Jacobian one. *)
+
 val negate : point -> point
 
 val scalar_mul : Uint256.t -> point -> point
@@ -59,7 +72,7 @@ val scalar_mul : Uint256.t -> point -> point
 val scalar_mul_base : Uint256.t -> point
 (** [scalar_mul_base k] is [k·G] by a signed-digit multi-comb (4 blocks
     × 8 teeth × spacing 8, libsecp256k1's [ecmult_gen] layout): 512
-    affine points precomputed at module initialization (~80 KB), and
+    affine points precomputed at module initialization (~40 KB), and
     every call is exactly 32 mixed additions and 7 doublings — the
     signing and key-generation hot path.  [k] is reduced mod n first.
     Its table reads are indexed by the scalar's bits, so it is not
@@ -69,7 +82,7 @@ type table
 (** A finite point's precomputed odd multiples for width-5 wNAF digits
     (P, 3P, …, 15P and the same for 2⁶⁴·P, plus the x-coordinates of
     their images under the GLV endomorphism), affine, in two flat
-    [Bytes] — 489 words.  Immutable, so one table can serve any number
+    [Bytes] — 249 words.  Immutable, so one table can serve any number
     of domains. *)
 
 val precompute : point -> table
@@ -127,6 +140,34 @@ val fe_inv_batch : fe array -> fe array
     multiplications (Montgomery's trick).  Raises [Invalid_argument] if
     any element is zero. *)
 
+(** {1 The field kernel (exposed for tests)} *)
+
+module Fe : sig
+  type t = bytes
+  (** A field element: five little-endian 52-bit limbs (the top one 48),
+      each a native-endian 64-bit word, in 40 bytes.  A value of
+      magnitude m has limbs 0..3 at most 2m(2⁵² − 1) and limb 4 at most
+      2m(2⁴⁸ − 1).  Every operation below takes operands of magnitude at
+      most 8 and writes a weak result (magnitude 1 and a value below 2p,
+      so the element or the element plus p); a destination may be an
+      operand. *)
+
+  val mul_into : t -> t -> t -> unit
+  val sqr_into : t -> t -> unit
+  val add_into : t -> t -> t -> unit
+  val sub_into : t -> t -> t -> unit
+  val neg_into : t -> t -> unit
+
+  val inv_into : t -> t -> unit
+  (** Raises [Invalid_argument] on zero. *)
+
+  val is_zero : t -> bool
+  val equal : t -> t -> bool
+
+  val to_u256 : t -> Uint256.t
+  (** The canonical value (< p). *)
+end
+
 (** {1 Scalar arithmetic modulo the group order n} *)
 
 module Scalar : sig
@@ -135,13 +176,9 @@ module Scalar : sig
       the [_into] operations (whose destination may be an operand).
       Owned by one call and never shared. *)
 
-  type scratch
-  (** A 64-limb buffer for the products of {!mul_into}. *)
-
   val create : unit -> t
   (** Zero. *)
 
-  val scratch : unit -> scratch
   val set_u256 : t -> Uint256.t -> unit
 
   val to_u256 : t -> Uint256.t
@@ -168,11 +205,11 @@ module Scalar : sig
   val add_into : t -> t -> t -> unit
   (** [add_into r a b] is [r := a + b mod n], for [a, b < n]. *)
 
-  val mul_into : scratch -> t -> t -> t -> unit
-  (** [mul_into w r a b] is [r := a·b mod n]. *)
+  val mul_into : t -> t -> t -> unit
+  (** [mul_into r a b] is [r := a·b mod n]. *)
 
-  val inv_batch_into : scratch -> t array -> t array -> int -> unit
-  (** [inv_batch_into w ws xs count] sets [ws.(i)] to the inverse of
+  val inv_batch_into : t array -> t array -> int -> unit
+  (** [inv_batch_into ws xs count] sets [ws.(i)] to the inverse of
       [xs.(i)] for [i < count], with one inversion (Montgomery's trick);
       every [xs.(i)] must be in [1, n), and no element of [ws] may be one
       of [xs]. *)
@@ -198,7 +235,7 @@ end
 
 type ctx
 (** The scratch of one call: an accumulator, scalar temporaries and
-    wNAF digit strings (~520 words).  Never shared. *)
+    wNAF digit strings (~390 words).  Never shared. *)
 
 val ctx : unit -> ctx
 
@@ -210,8 +247,10 @@ val check_x : ctx -> Scalar.t -> Scalar.t -> table -> Scalar.t -> bool
 type points
 (** Jacobian points back to back in one buffer. *)
 
-val points : int -> points
-(** Room for that many points. *)
+val with_points : int -> (points -> 'a) -> 'a
+(** [with_points count f] runs [f] on room for [count] points: the
+    domain's reused buffer when no other call on the domain holds it,
+    else a fresh one.  [f] must not let the buffer escape. *)
 
 val mul_base_into : ctx -> Scalar.t -> points -> int -> unit
 (** [mul_base_into c k pts i] writes [k·G] into slot [i]. *)

@@ -61,9 +61,13 @@ let two_way_window ~delta_tau_s ~attempted_delay_s =
         assert false
   in
   (* The journal stays malleable until a TSA anchor seals it; step the
-     clock until the periodic finalization fires. *)
-  let sealed = ref None in
+     clock until the periodic finalization fires.  An anchor is due
+     every Δτ, so one that has not verified after 8 of them never will
+     (the TSA's signatures are being rejected): fail rather than spin. *)
+  let sealed = ref None and steps = ref 0 in
   while !sealed = None do
+    incr steps;
+    if !steps > 64 then failwith "Attack.two_way_window: no verified TSA anchor";
     Clock.advance_ms clock (delta_tau_s *. 1000. /. 8.);
     T_ledger.tick tl;
     match

@@ -1,7 +1,8 @@
 (* Differential and algebraic property gates for the fast crypto kernel.
 
-   Every optimisation in lib/crypto (26-bit-limb field, wNAF/GLV ladders,
-   binary-gcd inversion, unrolled SHA-256 compression) must be
+   Every optimisation in lib/crypto (the C field and group law on 52-bit
+   limbs, wNAF/GLV ladders, divsteps inversion, unrolled SHA-256
+   compression) must be
    observationally identical to the retained reference implementations
    (Secp256k1_ref, Ecdsa_ref, Sha256_ref and Sha3_ref, in the test-only
    crypto_ref library).  These suites pin that down three ways:
@@ -484,7 +485,10 @@ let test_allocation_bound () =
    minor words a program linking the crypto library had allocated when
    its main code started; written the same way they take 821, and that
    count is 4 104.  The
-   bounds are those figures plus about 50 %. *)
+   bounds are those figures plus about 50 %.  With the C field a key
+   takes 566 (its table is now small enough for the minor heap, but its
+   Jacobian build buffer is the domain's points buffer) and the tables
+   421. *)
 let test_key_and_table_allocation_bound () =
   ignore (Ecdsa.generate ~seed:"alloc-key-warm");
   let keys = 16 in
@@ -810,9 +814,11 @@ let test_ladder_degenerate_verify () =
    the multi-comb and the 2^64 split, the 4-bit comb (960 affine pairs)
    and the width-10 tables of G and λG held 35 459 words and one key
    335 (its table and the option around it), so the fixed tables plus
-   65 keys (64 members and the LSP) took 57 234.  Now they hold 25 611
-   and 491, 57 526 in all.  The first two bounds are those figures plus
-   about 10 %, and the total stays within 10 % of 57 234. *)
+   65 keys (64 members and the LSP) took 57 234.  With the comb and the
+   split they held 25 611 and 491, 57 526 in all; the first two bounds
+   are those figures plus about 10 %, and the total stays within 10 %
+   of 57 234.  With 40-byte field elements they hold 12 811 and 251,
+   29 126 in all. *)
 let test_table_resident_words () =
   let fixed = Secp256k1.resident_words () in
   let _, pub = Ecdsa.generate ~seed:"resident-words" in
@@ -896,6 +902,289 @@ let prop_scratch_reuse =
       Bytes.equal encoded expected
       && Hash.equal digest (Hash.of_bytes (Sha256_ref.digest_bytes expected)))
 
+(* --- the C field and group law at their limits ---------------------------
+
+   The kernel's operations accept operands of magnitude up to 8 (limbs
+   0..3 up to 16·(2^52 − 1), limb 4 up to 16·(2^48 − 1)) and write weak
+   results (magnitude 1).  These gates feed them limbs at exactly those
+   bounds, weak values at and above p, and zero spelled both 0 and p,
+   and check every result against the reference field; the group law is
+   checked where its formulas branch. *)
+
+let m52 = (1 lsl 52) - 1
+let m48 = (1 lsl 48) - 1
+
+let fe_raw limbs =
+  let b = Bytes.create 40 in
+  Array.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) (Int64.of_int v)) limbs;
+  b
+
+let fe_limbs b = Array.init 5 (fun i -> Int64.to_int (Bytes.get_int64_ne b (8 * i)))
+
+(* the value of raw limbs mod p: Σ limb_i · 2^(52i) *)
+let fe_value b =
+  let r = Secp256k1_ref.fe_mul in
+  let w = Uint256_ref.of_int (1 lsl 52) in
+  let acc = ref Uint256.zero and pow = ref Uint256.one in
+  Array.iter
+    (fun l ->
+      let l = snd (Uint256_ref.div_mod (Uint256_ref.of_int l) p) in
+      acc := Secp256k1_ref.fe_add !acc (r l !pow);
+      pow := r !pow w)
+    (fe_limbs b);
+  !acc
+
+let max_at m = [| 2 * m * m52; 2 * m * m52; 2 * m * m52; 2 * m * m52; 2 * m * m48 |]
+
+(* the 52-bit limbs of a value below 2^256, from its 16-bit limbs *)
+let raw_of_u256 v =
+  let l = Uint256.limbs v in
+  let bit i = (l.(i / 16) lsr (i mod 16)) land 1 in
+  Array.init 5 (fun j ->
+      let x = ref 0 in
+      for k = 51 downto 0 do
+        let i = (52 * j) + k in
+        x := (!x lsl 1) lor (if i < 256 then bit i else 0)
+      done;
+      !x)
+
+let p_raw = raw_of_u256 p
+
+(* limbs at the bounds, weak values in [p, 2p) and both zeros *)
+let fe_limit_values =
+  let add_limb0 a k = Array.mapi (fun i v -> if i = 0 then v + k else v) a in
+  [
+    ("max magnitude 8", max_at 8);
+    ("max magnitude 1", max_at 1);
+    ("zero as 0", Array.make 5 0);
+    ("zero as p", p_raw);
+    ("p + 1", add_limb0 p_raw 1);
+    ("2^256 - 1", [| m52; m52; m52; m52; m48 |]);
+    ("2^256 + 5 (limb 4 at 2^48)", [| 5; 0; 0; 0; 1 lsl 48 |]);
+    ("zero as 2p", Array.map (fun v -> 2 * v) p_raw);
+    ("2p - 1", add_limb0 (Array.map (fun v -> 2 * v) p_raw) (-1));
+    ("limb 4 alone at magnitude 8", [| 0; 0; 0; 0; 16 * m48 |]);
+    ("limb 0 alone at magnitude 8", [| 16 * m52; 0; 0; 0; 0 |]);
+  ]
+
+(* a result must be weak: magnitude 1 *)
+let check_weak name b =
+  let l = fe_limbs b in
+  Array.iteri
+    (fun i v ->
+      let bound = if i = 4 then 2 * m48 else 2 * m52 in
+      if v < 0 || v > bound then
+        Alcotest.failf "%s: limb %d = %#x is above magnitude 1" name i v)
+    l
+
+let check_fe_ops name a b =
+  let va = fe_value a and vb = fe_value b in
+  let r = Bytes.create 40 in
+  let run op_name op expect =
+    op r;
+    check_weak (name ^ " " ^ op_name) r;
+    check u256 (name ^ " " ^ op_name) expect (Secp256k1.Fe.to_u256 r)
+  in
+  let open Secp256k1.Fe in
+  run "mul" (fun r -> mul_into r a b) (Secp256k1_ref.fe_mul va vb);
+  run "sqr" (fun r -> sqr_into r a) (Secp256k1_ref.fe_sqr va);
+  run "add" (fun r -> add_into r a b) (Secp256k1_ref.fe_add va vb);
+  run "sub" (fun r -> sub_into r a b) (Secp256k1_ref.fe_sub va vb);
+  run "neg" (fun r -> neg_into r a) (Secp256k1_ref.fe_sub Uint256.zero va);
+  if not (Uint256.is_zero va) then
+    run "inv" (fun r -> inv_into r a) (Secp256k1_ref.fe_inv va);
+  check Alcotest.bool (name ^ " is_zero") (Uint256.is_zero va) (is_zero a);
+  check Alcotest.bool (name ^ " equal") (Uint256.equal va vb) (equal a b);
+  check u256 (name ^ " to_u256") va (to_u256 a);
+  (* a result aliasing its operand *)
+  let c = Bytes.copy a in
+  mul_into c c b;
+  check u256 (name ^ " mul in place") (Secp256k1_ref.fe_mul va vb) (to_u256 c)
+
+let test_fe_limits () =
+  List.iter
+    (fun (na, a) ->
+      List.iter
+        (fun (nb, b) -> check_fe_ops (na ^ " · " ^ nb) (fe_raw a) (fe_raw b))
+        fe_limit_values)
+    fe_limit_values;
+  check Alcotest.bool "0 = p" true
+    Secp256k1.Fe.(equal (fe_raw (Array.make 5 0)) (fe_raw p_raw))
+
+let prop_fe_limbs_at_bound =
+  let limbs =
+    QCheck.Gen.(
+      map
+        (fun (m, l) ->
+          Array.mapi (fun i f -> int_of_float (f *. float_of_int (max_at m).(i))) l)
+        (pair (int_range 1 8) (array_size (return 5) (float_bound_inclusive 1.))))
+  in
+  let print a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%#x") a)) in
+  let arb = QCheck.make ~print limbs in
+  QCheck.Test.make ~name:"fe ops at random magnitudes <= 8 = ref" ~count:300
+    (QCheck.pair arb arb) (fun (a, b) ->
+      check_fe_ops "random" (fe_raw a) (fe_raw b);
+      true)
+
+(* Both inversions (divsteps in C) on the values where a run of the
+   algorithm is shortest or longest: 1, 2, small values, m − 1, m − 2,
+   every power of two below m, and 2^k − 1 for every k. *)
+let test_inv_edges () =
+  let edges m =
+    let small = List.init 64 (fun i -> Uint256_ref.of_int (i + 1)) in
+    let below k = fst (Uint256_ref.sub m (Uint256_ref.of_int k)) in
+    let near = List.init 64 (fun i -> below (i + 1)) in
+    let pows = List.init 256 (fun k -> Uint256_ref.shift_left Uint256.one k) in
+    let ones = List.map (fun x -> fst (Uint256_ref.sub x Uint256.one)) pows in
+    List.filter
+      (fun x -> (not (Uint256.is_zero x)) && Uint256.compare x m < 0)
+      (small @ near @ pows @ ones)
+  in
+  List.iter
+    (fun x ->
+      check u256 ("fe inv " ^ Uint256.to_hex x) (Secp256k1_ref.fe_inv x) (Secp256k1.fe_inv x))
+    (edges p);
+  List.iter
+    (fun x ->
+      check u256 ("scalar inv " ^ Uint256.to_hex x) (Uint256.inv_mod x n)
+        (Secp256k1.Scalar.inv x))
+    (edges n)
+
+(* the point k·G of the reference, with its affine coordinates *)
+let ref_point k =
+  let pt = Secp256k1_ref.scalar_mul (Uint256_ref.of_int k) Secp256k1_ref.generator in
+  Option.get (Secp256k1_ref.to_affine pt)
+
+(* the same point with Z = z: (x·z², y·z³, z) *)
+let jacobian (x, y) z =
+  let z = Uint256_ref.of_int z in
+  let z2 = Secp256k1_ref.fe_sqr z in
+  Secp256k1.of_jacobian (Secp256k1_ref.fe_mul x z2)
+    (Secp256k1_ref.fe_mul y (Secp256k1_ref.fe_mul z2 z)) z
+
+let test_group_law_edges () =
+  let ref_of (x, y) = Secp256k1_ref.of_affine x y in
+  let neg (x, y) = (x, Secp256k1_ref.fe_sub Uint256.zero y) in
+  List.iter
+    (fun (k, zp, zq) ->
+      let name what = Printf.sprintf "k=%d z=%d,%d: %s" k zp zq what in
+      let pa = ref_point k and qa = ref_point (k + 1) in
+      let pj = jacobian pa zp and qj = jacobian qa zq in
+      let p_ref = ref_of pa and q_ref = ref_of qa in
+      let x, y = pa in
+      (* P + Q: Jacobian and affine operands *)
+      check_same_point (name "P + Q jacobian") (Secp256k1.add pj qj)
+        (Secp256k1_ref.add p_ref q_ref);
+      check_same_point (name "P + Q affine")
+        (Secp256k1.add_mixed qj x y ~negative:false)
+        (Secp256k1_ref.add p_ref q_ref);
+      (* P + P doubles *)
+      check_same_point (name "P + P jacobian") (Secp256k1.add pj (jacobian pa zq))
+        (Secp256k1_ref.double p_ref);
+      check_same_point (name "P + P affine") (Secp256k1.add_mixed pj x y ~negative:false)
+        (Secp256k1_ref.double p_ref);
+      check_same_point (name "2P") (Secp256k1.double pj) (Secp256k1_ref.double p_ref);
+      (* P + (−P) is infinity *)
+      let nx, ny = neg pa in
+      check_same_point (name "P + (-P) jacobian")
+        (Secp256k1.add pj (jacobian (nx, ny) zq))
+        Secp256k1_ref.infinity;
+      check_same_point (name "P + (-P) affine")
+        (Secp256k1.add_mixed pj x y ~negative:true)
+        Secp256k1_ref.infinity;
+      check_same_point (name "P - Q affine")
+        (Secp256k1.add_mixed pj (fst qa) (snd qa) ~negative:true)
+        (Secp256k1_ref.add p_ref (ref_of (neg qa)));
+      (* the point at infinity on either side *)
+      let inf = Secp256k1.infinity in
+      check_same_point (name "O + P") (Secp256k1.add inf pj) p_ref;
+      check_same_point (name "P + O") (Secp256k1.add pj inf) p_ref;
+      check_same_point (name "O + P affine") (Secp256k1.add_mixed inf x y ~negative:false) p_ref;
+      check_same_point (name "O + (-P) affine")
+        (Secp256k1.add_mixed inf x y ~negative:true)
+        (ref_of (neg pa));
+      check_same_point (name "2O") (Secp256k1.double inf) Secp256k1_ref.infinity;
+      check_same_point (name "O + O") (Secp256k1.add inf inf) Secp256k1_ref.infinity)
+    [ (1, 1, 1); (2, 7, 3); (12345, 0x3fffffff, 2); (987654321, 5, 0x7fffffff) ]
+
+(* --- the per-domain points buffer of batch signing ----------------------- *)
+
+(* A 32-item [sign_many] wrote its k·G into a fresh 3 840-byte buffer,
+   which the runtime puts straight on the major heap: 961 words a call.
+   Warmed, the domain's buffer takes them and nothing reaches the major
+   heap but what a minor collection promotes. *)
+let test_sign_many_major_words () =
+  let priv, _ = Ecdsa.generate ~seed:"points-scratch" in
+  let digests = Array.init 32 (fun i -> Hash.digest_string (Printf.sprintf "ps:%d" i)) in
+  ignore (Ecdsa.sign_many priv digests);
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct () in
+  ignore (Sys.opaque_identity (Ecdsa.sign_many priv digests));
+  let words = direct () -. before in
+  if words > 0. then
+    Alcotest.failf "sign_many of 32: %.0f words straight on the major heap" words
+
+(* Two systhreads on each of two domains sign batches of 32 over and
+   over; the runtime switches threads mid-batch, so a shared points
+   buffer without its busy flag would mix their k·G.  A switch lands
+   inside a batch only now and then, so a nested call checks the flag
+   every time: a batch signed while the buffer is held must take a
+   fresh one and leave the holder's point alone. *)
+let test_points_scratch_threads () =
+  let priv, _ = Ecdsa.generate ~seed:"points-threads" in
+  let digests = Array.init 32 (fun i -> Hash.digest_string (Printf.sprintf "nest:%d" i)) in
+  let alone = Array.map sig_bytes (Ecdsa.sign_many priv digests) in
+  let k = Uint256.of_int 12345 in
+  let x_of_k =
+    match Secp256k1.to_affine (Secp256k1.scalar_mul_base k) with
+    | Some (x, _) -> snd (Uint256_ref.div_mod x n)
+    | None -> assert false
+  in
+  Secp256k1.with_points 1 (fun pts ->
+      let c = Secp256k1.ctx () and ks = Secp256k1.Scalar.create () in
+      Secp256k1.Scalar.set_u256 ks k;
+      Secp256k1.mul_base_into c ks pts 0;
+      let nested = Array.map sig_bytes (Ecdsa.sign_many priv digests) in
+      let r = [| Secp256k1.Scalar.create () |] in
+      Secp256k1.x_mod_n_batch c pts 1 r;
+      check Alcotest.(array string) "nested sign_many = alone" alone nested;
+      check u256 "the holder's point survives a nested batch" x_of_k
+        (Secp256k1.Scalar.to_u256 r.(0)));
+  let batch t i =
+    Array.init 32 (fun j -> Hash.digest_string (Printf.sprintf "pt:%d:%d:%d" t i j))
+  in
+  let rounds = 60 in
+  let sign_all t =
+    Array.init rounds (fun i -> Array.map sig_bytes (Ecdsa.sign_many priv (batch t i)))
+  in
+  let expected = Array.init 4 sign_all in
+  let on_domain d () =
+    let out = Array.make 2 [||] in
+    let ts =
+      List.init 2 (fun k -> Thread.create (fun () -> out.(k) <- sign_all ((2 * d) + k)) ())
+    in
+    List.iter Thread.join ts;
+    out
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (on_domain d)) in
+  List.iteri
+    (fun d dom ->
+      let out = Domain.join dom in
+      Array.iteri
+        (fun k got ->
+          let t = (2 * d) + k in
+          Array.iteri
+            (fun i sigs ->
+              check Alcotest.(array string)
+                (Printf.sprintf "domain %d thread %d batch %d" d k i)
+                expected.(t).(i) sigs)
+            got)
+        out)
+    domains
+
 let suite =
   [
     qcheck prop_fe_ops_differential;
@@ -940,4 +1229,13 @@ let suite =
     tc "minor words per generated key and per table build are bounded" `Quick
       test_key_and_table_allocation_bound;
     qcheck prop_scratch_reuse;
+    tc "fe ops at the magnitude bounds and both zeros = ref" `Quick test_fe_limits;
+    qcheck prop_fe_limbs_at_bound;
+    tc "inversions at the edges = ref" `Quick test_inv_edges;
+    tc "group law: P + P, P + (-P), infinity, affine and Jacobian = ref" `Quick
+      test_group_law_edges;
+    tc "sign_many of 32 puts no word on the major heap" `Quick
+      test_sign_many_major_words;
+    tc "points buffer: systhreads, domains and nesting = sequential" `Quick
+      test_points_scratch_threads;
   ]

@@ -41,26 +41,16 @@ let compare = Bytes.compare
 
 let zero = Bytes.make size '\000'
 let digest_bytes b = Sha256.digest_bytes b
+let digest_sub b off len = Sha256.digest_sub b off len
 let digest_string s = Sha256.digest_string s
 let blit t dst pos = Bytes.blit t 0 dst pos size
 let absorb ctx t = Sha256.update ctx t
 let finalize ctx = Sha256.finalize ctx
 
-(* Inner Merkle nodes: every [t] is exactly [size] bytes by module
-   invariant, so the blits below cannot go out of bounds. *)
-let combine l r =
-  let b = Bytes.create (2 * size) in
-  Bytes.unsafe_blit l 0 b 0 size;
-  Bytes.unsafe_blit r 0 b size size;
-  Sha256.digest_bytes b
-
-let combine_tagged tag l r =
-  let tl = String.length tag in
-  let b = Bytes.create (tl + (2 * size)) in
-  Bytes.blit_string tag 0 b 0 tl;
-  Bytes.unsafe_blit l 0 b tl size;
-  Bytes.unsafe_blit r 0 b (tl + size) size;
-  Sha256.digest_bytes b
+(* Inner Merkle nodes: both children stream into the C digest where they
+   lie, so a node allocates only its own 32 bytes. *)
+let combine l r = Sha256.digest_pair "" l r
+let combine_tagged tag l r = Sha256.digest_pair tag l r
 
 let scatter key = Sha3.digest_string key
 

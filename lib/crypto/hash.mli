@@ -22,6 +22,10 @@ val zero : t
 val digest_bytes : bytes -> t
 (** SHA-256 of a byte buffer. *)
 
+val digest_sub : bytes -> int -> int -> t
+(** [digest_sub b off len] is the SHA-256 of [len] bytes of [b] from
+    [off], hashed where they lie. *)
+
 val digest_string : string -> t
 (** SHA-256 of a string. *)
 

@@ -1,42 +1,25 @@
-let block_size = 64
+(* A prepared key is the SHA-256 state after its ipad block and after its
+   opad block, 32 bytes each, compressed once by [keyed]: every tag under
+   it resumes from them and compresses only the message and the two
+   final blocks.  Batch signing derives every nonce under one key. *)
+type keyed = bytes
 
-(* A key's two padded blocks and the two contexts every message under it
-   is hashed with, reset for each one: a key used for many messages
-   (batch signing derives every nonce under the private key) builds
-   them once.  Owned by one caller; never shared. *)
-type keyed = {
-  ipad : bytes;
-  opad : bytes;
-  inner : Sha256.ctx;
-  outer : Sha256.ctx;
-}
+external key_into : keyed -> string -> unit = "ldb_hmac_sha256_key"
+  [@@noalloc]
+
+external mac_into : keyed -> bytes -> int -> int -> bytes -> unit
+  = "ldb_hmac_sha256"
+  [@@noalloc]
 
 let keyed key =
-  let key =
-    if Bytes.length key > block_size then Sha256.digest_bytes key else key
-  in
-  let klen = Bytes.length key in
-  let pad_key c =
-    let b = Bytes.make block_size c in
-    let cc = Char.code c in
-    for i = 0 to klen - 1 do
-      Bytes.unsafe_set b i
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get key i) lxor cc))
-    done;
-    b
-  in
-  { ipad = pad_key '\x36'; opad = pad_key '\x5c'; inner = Sha256.init ();
-    outer = Sha256.init () }
+  let k = Bytes.create 64 in
+  key_into k (Bytes.unsafe_to_string key);
+  k
 
 let mac_keyed k msg =
-  Sha256.reset k.inner;
-  Sha256.update k.inner k.ipad;
-  Sha256.update k.inner msg;
-  let inner_digest = Sha256.finalize k.inner in
-  Sha256.reset k.outer;
-  Sha256.update k.outer k.opad;
-  Sha256.update k.outer inner_digest;
-  Sha256.finalize k.outer
+  let out = Bytes.create 32 in
+  mac_into k msg 0 (Bytes.length msg) out;
+  out
 
 let mac ~key msg = mac_keyed (keyed key) msg
 

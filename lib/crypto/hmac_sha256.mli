@@ -4,8 +4,8 @@ val mac : key:bytes -> bytes -> bytes
 (** [mac ~key msg] is the 32-byte HMAC-SHA256 tag of [msg] under [key]. *)
 
 type keyed
-(** A key prepared for many messages: its padded blocks and two hashing
-    contexts, built once and reused.  Mutable; owned by one caller. *)
+(** A key prepared for many messages: the SHA-256 states after its ipad
+    and opad blocks, compressed once.  Immutable once built. *)
 
 val keyed : bytes -> keyed
 

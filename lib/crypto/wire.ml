@@ -67,26 +67,16 @@ let w_option w f = function
 
 let contents w = Bytes.sub w.buf 0 w.len
 
-(* SHA-256 of the written bytes, hashed where they lie *)
-let digest ctx w =
-  Sha256.reset ctx;
-  Sha256.update_sub ctx w.buf 0 w.len;
-  Hash.finalize ctx
-
-(* One writer and one SHA-256 context per domain, reused by every
-   [encode] and [encode_digest] on it.  Systhreads of one domain share
-   them, and an encoder may call another (a digest inside an encode), so
-   the busy flag hands them to one caller at a time: whoever finds it
-   set takes fresh ones.  A writer that grew past [scratch_cap] for one
-   answer is dropped after it, so one 8 MiB frame does not pin 8 MiB per
-   domain. *)
-type scratch = { w : writer; ctx : Sha256.ctx; busy : bool Atomic.t }
+(* One writer per domain, reused by every [encode] and [encode_digest]
+   on it.  Systhreads of one domain share it, and an encoder may call
+   another (a digest inside an encode), so the busy flag hands it to one
+   caller at a time: whoever finds it set takes a fresh one.  A writer
+   that grew past [scratch_cap] for one answer is dropped after it, so
+   one 8 MiB frame does not pin 8 MiB per domain. *)
+type scratch = { w : writer; busy : bool Atomic.t }
 
 let scratch_cap = 64 * 1024
-
-let fresh_scratch () =
-  { w = writer (); ctx = Sha256.init (); busy = Atomic.make false }
-
+let fresh_scratch () = { w = writer (); busy = Atomic.make false }
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
 let release s =
@@ -100,7 +90,7 @@ let with_scratch fill finish =
     s.w.len <- 0;
     match
       fill s.w;
-      finish s
+      finish s.w
     with
     | v ->
         release s;
@@ -110,13 +100,15 @@ let with_scratch fill finish =
         raise e
   end
   else begin
-    let s = fresh_scratch () in
-    fill s.w;
-    finish s
+    let w = writer () in
+    fill w;
+    finish w
   end
 
-let encode fill = with_scratch fill (fun s -> contents s.w)
-let encode_digest fill = with_scratch fill (fun s -> digest s.ctx s.w)
+let encode fill = with_scratch fill contents
+
+(* SHA-256 of the written bytes, hashed where they lie *)
+let encode_digest fill = with_scratch fill (fun w -> Hash.digest_sub w.buf 0 w.len)
 
 let set_u32 b pos v = Bytes.set_int32_be b pos (Int32.of_int v)
 let get_u32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFF_FFFF

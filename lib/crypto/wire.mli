@@ -49,9 +49,8 @@ val encode : (writer -> unit) -> bytes
 
 val encode_digest : (writer -> unit) -> Hash.t
 (** [encode_digest fill] is the SHA-256 of what [fill] writes, through
-    the same reusable writer as {!encode}, hashed where the bytes lie
-    with the domain's reusable SHA-256 context: the digest input is
-    never copied out. *)
+    the same reusable writer as {!encode}, hashed where the bytes lie:
+    the digest input is never copied out. *)
 
 val set_u32 : bytes -> int -> int -> unit
 (** [set_u32 b pos v] writes the low 32 bits of [v] big-endian at [pos]

@@ -14,7 +14,10 @@ type t = {
   max_frame : int;
   mu : Mutex.t;
   mutable conn : conn option;
+  scratch : bytes; (* socket reads land here; used under [mu] *)
 }
+
+let scratch_len = 16 * 1024
 
 let connect ?(response_timeout_s = 5.0) ?(max_frame = Net_framing.default_max_frame)
     ~host ~port () =
@@ -25,6 +28,7 @@ let connect ?(response_timeout_s = 5.0) ?(max_frame = Net_framing.default_max_fr
     max_frame;
     mu = Mutex.create ();
     conn = None;
+    scratch = Bytes.create scratch_len;
   }
 
 let protect mu f =
@@ -82,9 +86,7 @@ let write_all t fd b =
         fault t ("send: " ^ Unix.error_message e)
   done
 
-let scratch_len = 16 * 1024
-
-let read_frame t c scratch =
+let read_frame t c =
   let deadline = Unix.gettimeofday () +. t.response_timeout_s in
   let result = ref None in
   while !result = None do
@@ -95,9 +97,9 @@ let read_frame t c scratch =
     | Net_framing.Awaiting _ -> (
         if Unix.gettimeofday () > deadline then
           fault t "response: timed out";
-        match Unix.read c.fd scratch 0 scratch_len with
+        match Unix.read c.fd t.scratch 0 scratch_len with
         | 0 -> fault t "response: connection closed"
-        | n -> Net_framing.feed c.dec scratch ~pos:0 ~len:n
+        | n -> Net_framing.feed c.dec t.scratch ~pos:0 ~len:n
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->
@@ -111,6 +113,5 @@ let transport t : Transport.t =
  fun request ->
   protect t.mu (fun () ->
       let c = dial t in
-      let scratch = Bytes.create scratch_len in
       write_all t c.fd (Net_framing.encode request);
-      read_frame t c scratch)
+      read_frame t c)

@@ -185,18 +185,213 @@ let prop_sha3_differential =
     (fun msg ->
       Bytes.equal (Sha3.digest_string msg) (Sha3_ref.digest_string msg))
 
-(* Every length around the first and second 136-byte rate boundary, where
+(* Every length 0..1 000, which crosses the 136-byte rate seven times:
    the in-place padding shares a block with the message tail, fills it
    exactly, or spills into a block of its own. *)
 let test_sha3_rate_boundaries () =
-  List.iter
-    (fun len ->
-      let msg = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
+  for len = 0 to 1_000 do
+    let msg = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
+    check Alcotest.string
+      (Printf.sprintf "length %d" len)
+      (Hash.to_hex (Hash.of_bytes (Sha3_ref.digest_string msg)))
+      (Hash.to_hex (Hash.of_bytes (Sha3.digest_string msg)))
+  done
+
+(* --- the C hash kernel: both compression loops, threads, allocation ------ *)
+
+(* HMAC-SHA256 composed from the reference digest (RFC 2104). *)
+let hmac_ref key msg =
+  let key = if Bytes.length key > 64 then Sha256_ref.digest_bytes key else key in
+  let pad x =
+    Bytes.init 64 (fun i ->
+        let k = if i < Bytes.length key then Char.code (Bytes.get key i) else 0 in
+        Char.chr (k lxor x))
+  in
+  let inner = Sha256_ref.digest_bytes (Bytes.cat (pad 0x36) msg) in
+  Sha256_ref.digest_bytes (Bytes.cat (pad 0x5c) inner)
+
+let random_bytes rs len = Bytes.init len (fun _ -> Char.chr (Random.State.int rs 256))
+
+(* [msg] fed to one context in random pieces of 0..149 bytes, each by
+   [update], by [update_sub] from inside a larger buffer or byte by byte
+   with [update_char]; a [finalize] at a random quarter of the split
+   points must give the digest of the prefix so far. *)
+let streamed rs msg =
+  let ctx = Sha256.init () in
+  let len = Bytes.length msg and pos = ref 0 in
+  while !pos < len do
+    let take = min (len - !pos) (Random.State.int rs 150) in
+    (match Random.State.int rs 3 with
+    | 0 -> Sha256.update ctx (Bytes.sub msg !pos take)
+    | 1 ->
+        let lead = Random.State.int rs 9 in
+        let b = Bytes.make (lead + take + 5) '\xa5' in
+        Bytes.blit msg !pos b lead take;
+        Sha256.update_sub ctx b lead take
+    | _ ->
+        for i = !pos to !pos + take - 1 do
+          Sha256.update_char ctx (Bytes.get msg i)
+        done);
+    pos := !pos + take;
+    if Random.State.int rs 4 = 0 then
       check Alcotest.string
-        (Printf.sprintf "length %d" len)
-        (Hash.to_hex (Hash.of_bytes (Sha3_ref.digest_string msg)))
-        (Hash.to_hex (Hash.of_bytes (Sha3.digest_string msg))))
-    (List.init 11 (( + ) 130) @ List.init 9 (( + ) 268))
+        (Printf.sprintf "length %d, running digest at %d" len !pos)
+        (Hash.to_hex (Hash.of_bytes (Sha256_ref.digest_bytes (Bytes.sub msg 0 !pos))))
+        (Hash.to_hex (Hash.of_bytes (Sha256.finalize ctx)))
+  done;
+  Sha256.finalize ctx
+
+(* Every SHA-256 entry point at every length 0..1 000 against the
+   reference, once on the loop this CPU runs and once forced onto the
+   portable loop (on a CPU without the SHA extensions both passes run
+   the portable loop).  Only the forced pass checks the portable loop
+   on a CPU that has them. *)
+let test_sha256_both_loops () =
+  let loops =
+    (if Sha256.hardware () then [ ("SHA extensions", fun f -> f ()) ] else [])
+    @ [ ("portable", Sha256.with_portable) ]
+  in
+  List.iter
+    (fun (loop, run) ->
+      run @@ fun () ->
+      let rs = Random.State.make [| 39 |] in
+      for len = 0 to 1_000 do
+        let msg = random_bytes rs len in
+        let expect = Hash.to_hex (Hash.of_bytes (Sha256_ref.digest_bytes msg)) in
+        let same what got =
+          check Alcotest.string
+            (Printf.sprintf "%s, length %d: %s" loop len what)
+            expect (Hash.to_hex (Hash.of_bytes got))
+        in
+        same "digest_bytes" (Sha256.digest_bytes msg);
+        same "digest_string" (Sha256.digest_string (Bytes.to_string msg));
+        let lead = Random.State.int rs 70 in
+        let framed = Bytes.cat (random_bytes rs lead) (Bytes.cat msg (random_bytes rs 3)) in
+        same "digest_sub" (Sha256.digest_sub framed lead len);
+        same "streamed" (streamed rs msg);
+        let i = Random.State.int rs (len + 1) in
+        let j = i + Random.State.int rs (len - i + 1) in
+        same "digest_pair"
+          (Sha256.digest_pair (Bytes.sub_string msg 0 i) (Bytes.sub msg i (j - i))
+             (Bytes.sub msg j (len - j)));
+        let key = random_bytes rs (len mod 150) in
+        check Alcotest.string
+          (Printf.sprintf "%s, length %d: hmac with a %d-byte key" loop len
+             (Bytes.length key))
+          (Hash.to_hex (Hash.of_bytes (hmac_ref key msg)))
+          (Hash.to_hex (Hash.of_bytes (Hmac_sha256.mac ~key msg)));
+        let l = Hash.digest_bytes msg and r = Hash.digest_string (string_of_int len) in
+        let lr = Bytes.cat (Hash.to_bytes l) (Hash.to_bytes r) in
+        check Alcotest.string
+          (Printf.sprintf "%s, length %d: combine" loop len)
+          (Hash.to_hex (Hash.of_bytes (Sha256_ref.digest_bytes lr)))
+          (Hash.to_hex (Hash.combine l r));
+        check Alcotest.string
+          (Printf.sprintf "%s, length %d: combine_tagged" loop len)
+          (Hash.to_hex
+             (Hash.of_bytes (Sha256_ref.digest_bytes (Bytes.cat (Bytes.of_string "tag:") lr))))
+          (Hash.to_hex (Hash.combine_tagged "tag:" l r))
+      done)
+    loops
+
+(* Two domains with two systhreads each hash the same messages through
+   every entry point at once, one thread of each domain switching the
+   portable loop on and off around its rounds, and every digest must
+   equal the reference.  The kernel keeps no state between calls; the
+   one shared thing left is each domain's encoding scratch behind
+   [Wire.encode_digest]'s busy flag. *)
+let test_hash_threads () =
+  let msgs =
+    Array.init 48 (fun i ->
+        String.init ((i * 37) mod 700) (fun j -> Char.chr (((i * 31) + (j * 7)) land 0xff)))
+  in
+  let key = Bytes.of_string "thread-key" in
+  let encoded m =
+    let b = Bytes.create (8 + String.length m) in
+    Bytes.set_int64_be b 0 (Int64.of_int (String.length m));
+    Bytes.blit_string m 0 b 8 (String.length m);
+    b
+  in
+  let expect =
+    Array.map
+      (fun m ->
+        let b = Bytes.of_string m in
+        ( Sha256_ref.digest_bytes b,
+          hmac_ref key b,
+          Sha3_ref.digest_string m,
+          Sha256_ref.digest_bytes (encoded m) ))
+      msgs
+  in
+  let rounds = 12 in
+  let work toggles () =
+    let mac = Hmac_sha256.keyed key and bad = ref 0 in
+    let ( =? ) a b = if not (Bytes.equal a b) then incr bad in
+    for round = 1 to rounds do
+      let go () =
+        Array.iteri
+          (fun i m ->
+            let sha, hmac, sha3, wire = expect.(i) in
+            let b = Bytes.of_string m in
+            Sha256.digest_string m =? sha;
+            let ctx = Sha256.init () and half = String.length m / 2 in
+            Sha256.update_sub ctx b 0 half;
+            Thread.yield ();
+            Sha256.update_sub ctx b half (String.length m - half);
+            Sha256.finalize ctx =? sha;
+            Hmac_sha256.mac_keyed mac b =? hmac;
+            Sha3.digest_string m =? sha3;
+            Hash.to_bytes (Wire.encode_digest (fun w -> Wire.w_string w m)) =? wire)
+          msgs
+      in
+      if toggles && round land 1 = 0 then Sha256.with_portable go else go ()
+    done;
+    !bad
+  in
+  let on_domain () =
+    let bad = Array.make 2 0 in
+    let ts =
+      List.init 2 (fun k -> Thread.create (fun () -> bad.(k) <- work (k = 0) ()) ())
+    in
+    List.iter Thread.join ts;
+    bad.(0) + bad.(1)
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn on_domain) in
+  let here = work false () in
+  List.iteri
+    (fun d dom ->
+      check Alcotest.int (Printf.sprintf "domain %d: digests unlike the reference" d) 0
+        (Domain.join dom))
+    domains;
+  check Alcotest.int "main domain: digests unlike the reference" 0 here
+
+(* Minor words of each one-shot digest: the C kernel pads on its own
+   stack, so a digest allocates only its 32-byte output, 6 words
+   (SHA-256 of any length, [Hash.combine] and [combine_tagged], an
+   HMAC tag under a prepared key, a SHA-3 scatter).  The OCaml kernel
+   took 105 words for a fresh context per SHA-256 digest, 115 per
+   [combine], 30 per HMAC tag and 33 per scatter.  Counted over 64
+   calls on fixed inputs, so it repeats exactly. *)
+let test_digest_allocation_bound () =
+  let b = Bytes.make 1000 'd' and s = String.make 100 's' in
+  let h = Hash.digest_string "l" in
+  let key = Hmac_sha256.keyed (Bytes.make 32 'k') and m = Bytes.make 33 'm' in
+  let keep v = ignore (Sys.opaque_identity v) in
+  List.iter
+    (fun (what, f) ->
+      f ();
+      let before = Gc.minor_words () in
+      for _ = 1 to 64 do
+        f ()
+      done;
+      let words = (Gc.minor_words () -. before) /. 64. in
+      if words > 8. then Alcotest.failf "%s: %.1f minor words, bound 8" what words)
+    [ ("Sha256.digest_bytes of 1 000 bytes", fun () -> keep (Sha256.digest_bytes b));
+      ("Sha256.digest_string of 100 bytes", fun () -> keep (Sha256.digest_string s));
+      ("Sha256.digest_sub", fun () -> keep (Sha256.digest_sub b 7 900));
+      ("Hash.combine", fun () -> keep (Hash.combine h h));
+      ("Hash.combine_tagged", fun () -> keep (Hash.combine_tagged "node" h h));
+      ("Hmac_sha256.mac_keyed", fun () -> keep (Hmac_sha256.mac_keyed key m));
+      ("Sha3.digest_string", fun () -> keep (Sha3.digest_string s)) ]
 
 (* --- differential: ECDSA sign/verify ------------------------------------- *)
 
@@ -505,8 +700,8 @@ let test_key_and_table_allocation_bound () =
 
 (* Minor-heap words of one [Hash.scatter] of a 13-byte clue.  Keccak-f
    over an [int64 array] state boxed every lane store: 6 620 words.  On
-   unboxed lanes only the 200-byte state and the 32-byte digest are
-   allocated, 33 words. *)
+   unboxed lanes in OCaml the 200-byte state and the 32-byte digest were
+   allocated, 33 words; in C only the digest is, 6 words. *)
 let test_scatter_allocation_bound () =
   let clue = "acct/00001234" in
   ignore (Hash.scatter clue);
@@ -1238,4 +1433,10 @@ let suite =
       test_sign_many_major_words;
     tc "points buffer: systhreads, domains and nesting = sequential" `Quick
       test_points_scratch_threads;
+    tc "sha256: both compression loops = ref at lengths 0..1000" `Quick
+      test_sha256_both_loops;
+    tc "hashing from systhreads and domains at once = ref" `Quick
+      test_hash_threads;
+    tc "minor words per one-shot digest are bounded" `Quick
+      test_digest_allocation_bound;
   ]

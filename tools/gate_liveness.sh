@@ -1,9 +1,10 @@
 #!/bin/sh
 # Gate liveness: shows that each byte-level golden gate of `dune runtest`,
 # the bench schema check, the dead-export gate, the minor-words gates of
-# the commit path, of batch signing and of wire digests, the contention
-# tests of the encoding scratch and of the secp256k1 points buffer, the
-# secp256k1 known answers and limit properties, and the serve smoke's
+# the commit path, of batch signing, of wire digests and of one-shot
+# digests, the contention tests of the encoding scratch and of the
+# secp256k1 points buffer, the secp256k1 known answers and limit
+# properties, the forced-portable SHA-256 property and the serve smoke's
 # receipt check can still fail.  For every gate it applies one
 # known-bad mutation to a scratch copy of the working tree, runs `dune
 # runtest` there, and checks that the run fails on the gates the
@@ -31,7 +32,7 @@ mkdir -p "$dest"
 cd "$dest"
 mkdir _liveness # dune skips directories whose name starts with '_'
 
-gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports minor_words crypto_minor_words digest_minor_words scratch_guard points_guard crypto_vectors fe_limits fe_random_limbs group_law serve_verify"
+gates="commit_path read_view golden_snapshot mpt bench_values frame_damage schema dead_exports minor_words crypto_minor_words digest_minor_words oneshot_minor_words scratch_guard points_guard crypto_vectors fe_limits fe_random_limbs group_law sha_portable serve_verify"
 
 # The output that shows a gate failed.
 pattern() {
@@ -47,12 +48,14 @@ pattern() {
   minor_words) echo '\[FAIL\] +commit-path +[0-9]+ +minor words per committed' ;;
   crypto_minor_words) echo '\[FAIL\] +crypto-props +[0-9]+ +minor words per sign' ;;
   digest_minor_words) echo '\[FAIL\] +commit-path +[0-9]+ +minor words per wire digest' ;;
+  oneshot_minor_words) echo '\[FAIL\] +crypto-props +[0-9]+ +minor words per one-shot digest' ;;
   scratch_guard) echo '\[FAIL\] +service +[0-9]+ +encode scratch' ;;
   points_guard) echo '\[FAIL\] +crypto-props +[0-9]+ +points buffer' ;;
   crypto_vectors) echo '\[FAIL\] +secp256k1 +[0-9]+ ' ;;
   fe_limits) echo '\[FAIL\] +crypto-props +[0-9]+ +fe ops at the magnitude bounds' ;;
   fe_random_limbs) echo '\[FAIL\] +crypto-props +[0-9]+ +fe ops at random magnitudes' ;;
   group_law) echo '\[FAIL\] +crypto-props +[0-9]+ +group law: ' ;;
+  sha_portable) echo '\[FAIL\] +crypto-props +[0-9]+ +sha256: both compression loops' ;;
   serve_verify) echo 'bench_serve: cryptographic verification failed' ;;
   esac
 }
@@ -127,8 +130,16 @@ let digest () = ()'
     targets=crypto_minor_words ;;
   digest-copy) # wire digests hash a copy of their input again
     file=lib/crypto/wire.ml
-    expr='s/Sha256.update_sub ctx w.buf 0 w.len;/Sha256.update ctx (contents w);/'
+    expr='s/Hash.digest_sub w.buf 0 w.len/Hash.digest_bytes (contents w)/'
     targets=digest_minor_words ;;
+  digest-alloc) # 64 bytes (10 minor words) of garbage per one-shot digest
+    file=lib/crypto/sha256.ml
+    expr='s/digest_into b 0 (Bytes.length b) out;/digest_into b 0 (Bytes.length b) out; ignore (Sys.opaque_identity (Bytes.create 64));/'
+    targets=oneshot_minor_words ;;
+  sha-portable) # one round constant wrong in the portable SHA-256 loop only
+    file=lib/crypto/hash_stubs.c
+    expr='s/t1 = hh + s1 + ch + K\[i\] + w\[i\];/t1 = hh + s1 + ch + (K[i] ^ (i == 17)) + w[i];/'
+    targets=sha_portable ;;
   scratch-guard) # the domain's scratch handed out even while in use
     file=lib/crypto/wire.ml
     expr='s/if Atomic.compare_and_set s.busy false true then begin/if true then begin/'
@@ -178,8 +189,8 @@ restore() {
 
 for m in kind-tag wire-le journal-magic mpt-nibble step-width crc-seed \
   block-codec unused-val common-name-val schema-key minor-words \
-  crypto-minor-words digest-copy scratch-guard points-guard kernel-fold \
-  serve-lsp-key; do
+  crypto-minor-words digest-copy digest-alloc scratch-guard points-guard \
+  kernel-fold sha-portable serve-lsp-key; do
   mutation "$m"
   applied=yes
   apply "$file" "$expr" || applied=no

@@ -42,13 +42,8 @@ type conn = {
 (* A worker's reused buffers: [inbuf] takes socket reads, and every
    response frame is built in [out] (header, payload and CRC in place)
    and written from there.  An [out] grown past [out_cap] for one answer
-   is dropped after it, so one 8 MiB frame does not pin 8 MiB.
-   [read_metric] is the name of its read-dispatch counter. *)
-type worker = {
-  inbuf : bytes;
-  mutable out : bytes;
-  read_metric : string;
-}
+   is dropped after it, so one 8 MiB frame does not pin 8 MiB. *)
+type worker = { wid : int; inbuf : bytes; mutable out : bytes }
 
 let inbuf_len = 16 * 1024
 let out_initial = 4096
@@ -62,11 +57,6 @@ type t = {
   bound_port : int;
   stopping : bool Atomic.t;
   stopped : bool Atomic.t;
-  workers : int;
-      (* [config.workers], but no more than the cores: a worker domain
-         beyond them only takes turns on one.  On 2 vCPUs shared with a
-         load generator, 4 worker domains served bench_serve's
-         read-heavy load ~14 % slower than 1, and 2 domains ~8 %. *)
   dispatch_mu : Mutex.t;
   stop_mu : Mutex.t;
   mutable domains : unit Domain.t list;
@@ -99,7 +89,6 @@ let stats t =
   }
 
 let port t = t.bound_port
-let workers t = t.workers
 let running t = not (Atomic.get t.stopping)
 
 let protect mu f =
@@ -156,7 +145,7 @@ let dispatch t wk c req =
       | Some resp ->
           Atomic.incr t.n_read_served;
           Metrics.incr "net_read_dispatch_total";
-          Metrics.incr wk.read_metric;
+          Metrics.incr (Printf.sprintf "net_read_dispatch_domain_%d" wk.wid);
           resp
       | None ->
           Metrics.incr "net_locked_dispatch_total";
@@ -193,18 +182,13 @@ let drain_frames t wk c =
   done
 
 (* One readable event: pull bytes until the kernel buffer is dry (the
-   fd is non-blocking), then serve what framed up.  A read that does not
-   fill [inbuf] found the buffer dry already, so it ends the event
-   without one more read to hear EAGAIN; bytes that land after it make
-   the fd readable for the next [select]. *)
+   fd is non-blocking), then serve what framed up. *)
 let handle_readable t wk c =
   let eof = ref false and again = ref false in
   while c.alive && (not !eof) && not !again do
     match Unix.read c.fd wk.inbuf 0 inbuf_len with
     | 0 -> eof := true
-    | n ->
-        Net_framing.feed c.dec wk.inbuf ~pos:0 ~len:n;
-        again := n < inbuf_len
+    | n -> Net_framing.feed c.dec wk.inbuf ~pos:0 ~len:n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         again := true
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -267,11 +251,7 @@ let drain_and_exit t wk conns =
 let worker t wid () =
   let conns = ref [] in
   let wk =
-    {
-      inbuf = Bytes.create inbuf_len;
-      out = Bytes.create out_initial;
-      read_metric = Printf.sprintf "net_read_dispatch_domain_%d" wid;
-    }
+    { wid; inbuf = Bytes.create inbuf_len; out = Bytes.create out_initial }
   in
   let live = ref true in
   while !live do
@@ -328,7 +308,6 @@ let create ?(config = default_config) ?read backend =
       bound_port;
       stopping = Atomic.make false;
       stopped = Atomic.make false;
-      workers = min config.workers (Domain.recommended_domain_count ());
       dispatch_mu = Mutex.create ();
       stop_mu = Mutex.create ();
       domains = [];
@@ -340,7 +319,7 @@ let create ?(config = default_config) ?read backend =
       n_framing_errors = Atomic.make 0;
     }
   in
-  t.domains <- List.init t.workers (fun wid -> Domain.spawn (worker t wid));
+  t.domains <- List.init config.workers (fun wid -> Domain.spawn (worker t wid));
   t
 
 let stop t =

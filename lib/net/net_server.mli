@@ -34,9 +34,7 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
-  workers : int;
-      (** accept/serve domains, at most
-          [Domain.recommended_domain_count ()] of them *)
+  workers : int;  (** accept/serve domains *)
   max_conns : int;  (** global cap; excess connections are refused *)
   max_frame : int;  (** per-frame payload limit, see {!Net_framing} *)
   backlog : int;  (** listen queue depth *)
@@ -64,10 +62,6 @@ val create : ?config:config -> ?read:(bytes -> bytes option) -> (bytes -> bytes)
 
 val port : t -> int
 (** The bound port — the ephemeral port when [config.port] was 0. *)
-
-val workers : t -> int
-(** The worker domains serving: [config.workers], capped at the
-    recommended domain count. *)
 
 val stop : t -> unit
 (** Graceful drain: close the listener, let workers finish every

@@ -294,6 +294,33 @@ let test_sha256_both_loops () =
       done)
     loops
 
+(* Input past 64 KiB reaches the C code in 64 KiB calls (one-shot and
+   streaming alike); digests across the chunk edges equal the reference. *)
+let test_sha256_long_inputs () =
+  let rs = Random.State.make [| 64 |] in
+  List.iter
+    (fun len ->
+      let msg = random_bytes rs len in
+      let expect = Hash.to_hex (Hash.of_bytes (Sha256_ref.digest_bytes msg)) in
+      let same what got =
+        check Alcotest.string (Printf.sprintf "length %d: %s" len what) expect
+          (Hash.to_hex (Hash.of_bytes got))
+      in
+      same "digest_bytes" (Sha256.digest_bytes msg);
+      let framed = Bytes.cat (Bytes.make 5 'x') (Bytes.cat msg (Bytes.make 3 'y')) in
+      same "digest_sub" (Sha256.digest_sub framed 5 len);
+      let ctx = Sha256.init () in
+      Sha256.update_sub ctx framed 0 5;
+      Sha256.update_sub ctx framed 5 len;
+      let ctx2 = Sha256.init () in
+      Sha256.update ctx2 msg;
+      same "update" (Sha256.finalize ctx2);
+      check Alcotest.string (Printf.sprintf "length %d: update_sub" len)
+        (Hash.to_hex
+           (Hash.of_bytes (Sha256_ref.digest_bytes (Bytes.sub framed 0 (5 + len)))))
+        (Hash.to_hex (Hash.of_bytes (Sha256.finalize ctx))))
+    [ 65_535; 65_536; 65_537; (3 * 65_536) + 17 ]
+
 (* Two domains with two systhreads each hash the same messages through
    every entry point at once, one thread of each domain switching the
    portable loop on and off around its rounds, and every digest must
@@ -1437,6 +1464,7 @@ let suite =
       test_sha256_both_loops;
     tc "hashing from systhreads and domains at once = ref" `Quick
       test_hash_threads;
+    tc "sha256: inputs past 64 KiB = ref" `Quick test_sha256_long_inputs;
     tc "minor words per one-shot digest are bounded" `Quick
       test_digest_allocation_bound;
   ]

@@ -797,9 +797,6 @@ let test_mini_load_run () =
     ~read:(Service.handle_read ledger)
     (Service.handle ledger)
     (fun server ->
-      Alcotest.(check int) "worker domains capped at the cores"
-        (min 4 (Domain.recommended_domain_count ()))
-        (Net_server.workers server);
       let cfg =
         {
           Load_gen.default_config with
